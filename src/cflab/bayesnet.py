@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.special import gammaln
 
 from .votedata import ActiveCase, ItemId, VoteDatabase, VoteScale
@@ -246,22 +247,35 @@ class _LiveLeaf:
         self.parent = parent  # owning Split, or None for the tree root
         self.slot = slot
         self.users = users
-        self.path = path  # frozenset of split-variable indices above this leaf
+        self.path = path  # boolean mask of the split variables above this leaf
         self.score = score
         self.alive = True
 
 
-def _pair_counts(states: np.ndarray, users: np.ndarray, t: int, r: int) -> np.ndarray:
+def _pair_counts(
+    X: sp.csr_matrix, target_states: np.ndarray, users: np.ndarray, r: int
+) -> np.ndarray:
     """Contingency tables of every candidate variable against the target.
 
-    Returns (items, r, r): counts[s, a, b] is the number of `users` whose
-    item s is in state a while the target item t is in state b.
+    `X` is the database's `vote_states` encoding and `target_states` every
+    user's state of the target item. Returns (items, r, r) integer counts:
+    counts[s, a, b] is the number of `users` (sorted positions) whose item s
+    is in state a while the target is in state b. Only the users' recorded
+    votes are visited; the no-vote row a = 0 is the target's state totals
+    minus the vote rows.
     """
-    sub = states[users]
-    codes = sub.astype(np.int64) * r + sub[:, t][:, None]
-    offs = np.arange(sub.shape[1], dtype=np.int64) * (r * r)
-    flat = (codes + offs[None, :]).ravel()
-    return np.bincount(flat, minlength=sub.shape[1] * r * r).reshape(sub.shape[1], r, r)
+    items = X.shape[1] // (r - 1)
+    starts = X.indptr[users]
+    lens = X.indptr[users + 1] - starts
+    # positions of the users' nonzeros: each row's run of starts[k] + 0..lens[k]-1
+    pos = np.repeat(starts - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
+    tstate = target_states[users]
+    codes = X.indices[pos].astype(np.int64) * r + np.repeat(tstate, lens)
+    votes = np.bincount(codes, minlength=items * (r - 1) * r).reshape(items, r - 1, r)
+    counts = np.empty((items, r, r), dtype=np.int64)
+    counts[:, 1:] = votes
+    counts[:, 0] = np.bincount(tstate, minlength=r)[None, :] - votes.sum(axis=1)
+    return counts
 
 
 def _family_scores(tables: np.ndarray, alpha_child: float, penalty: float) -> np.ndarray:
@@ -281,13 +295,43 @@ def _family_scores(tables: np.ndarray, alpha_child: float, penalty: float) -> np
     return child.sum(axis=1)
 
 
+class _Constraints:
+    """Which split variables keep the parent graph acyclic and within
+    `max_parents`, maintained edge by edge.
+
+    `reach[a, b]` is True when b is reachable from a along parent -> child
+    edges; every item reaches itself.
+    """
+
+    def __init__(self, t: int, max_parents: int | None) -> None:
+        self.reach = np.eye(t, dtype=bool)
+        self.parents = np.zeros((t, t), dtype=bool)  # parents[child, parent]
+        self.max_parents = max_parents
+
+    def add_edge(self, parent: int, child: int) -> None:
+        if self.reach[child, parent]:
+            raise RuntimeError("parent graph must stay acyclic")
+        # everything that reaches the parent now reaches all the child reaches
+        self.reach[self.reach[:, parent]] |= self.reach[child]
+        self.parents[child, parent] = True
+
+    def invalid(self, target: int, path: np.ndarray) -> np.ndarray:
+        """Mask of the variables a leaf of `target` on `path` may not split on:
+        the target, its path, and any variable an edge from which would close
+        a cycle or give the target one parent too many."""
+        bad = self.reach[target] | path
+        if self.max_parents is not None and self.parents[target].sum() >= self.max_parents:
+            bad |= ~self.parents[target]
+        return bad
+
+
 def learn_network(db: VoteDatabase, cfg: LearnConfig) -> BayesNetModel:
     """Greedy global search over leaf splits, best improvement first.
 
     Deterministic: ties between equal score gains break on (target item id,
-    leaf creation order, split variable id). Acyclicity of the parent graph
-    and monotonicity of the total score are asserted after every accepted
-    split.
+    leaf creation order, split variable id). Every accepted split is checked
+    to match its scored gain, to keep the total score from decreasing and to
+    keep the parent graph acyclic; a failed check raises RuntimeError.
     """
     if not db.users:
         raise ValueError("empty database")
@@ -298,58 +342,38 @@ def learn_network(db: VoteDatabase, cfg: LearnConfig) -> BayesNetModel:
     penalty = cfg.structure_penalty
     ess = cfg.equivalent_sample_size
 
-    states = np.zeros((n, t), dtype=np.uint8)
-    for i, u in enumerate(db.users):
-        for it, v in db.votes[u].items():
-            states[i, idx.item_pos[it]] = scale.state_of(v)
+    X = idx.vote_states
+    # states[:, j]: every user's state of item j, no-vote 0
+    states = np.zeros((n, t), dtype=np.uint8, order="F")
+    cols = X.indices
+    states[np.repeat(np.arange(n), np.diff(X.indptr)), cols // (r - 1)] = cols % (r - 1) + 1
 
     id_rank = idx.item_sort_rank
-    edges: dict[int, set[int]] = {j: set() for j in range(t)}
-    parents: dict[int, set[int]] = {j: set() for j in range(t)}
+    constraints = _Constraints(t, cfg.max_parents)
     roots: list[object] = []
     leaf_orders = [0] * t
     total_score = 0.0
     heap: list = []
     seq = 0
 
-    def reachable_from(start: int) -> set[int]:
-        seen = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in edges[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return seen
-
-    def invalid_vars(target: int, path: frozenset) -> set[int]:
-        bad = set(path)
-        bad.add(target)
-        bad |= reachable_from(target)  # an edge from any of these would close a cycle
-        if cfg.max_parents is not None and len(parents[target]) >= cfg.max_parents:
-            bad |= set(range(t)) - parents[target]
-        return bad
-
     def best_candidate(leaf: _LiveLeaf):
-        tables = _pair_counts(states, leaf.users, leaf.target, r)
+        tables = _pair_counts(X, states[:, leaf.target], leaf.users, r)
         deltas = _family_scores(tables, float(leaf.node.alpha[0]) / r, penalty) - leaf.score
-        for s in invalid_vars(leaf.target, leaf.path):
-            deltas[s] = -np.inf
+        deltas[constraints.invalid(leaf.target, leaf.path)] = -np.inf
         if not np.isfinite(deltas).any():
             return None
         order = np.lexsort((id_rank, -deltas))
         s = int(order[0])
         if deltas[s] <= 0.0:
             return None
-        return float(deltas[s]), s, tables[s]
+        return float(deltas[s]), s
 
     def push_candidate(leaf: _LiveLeaf):
         nonlocal seq
         cand = best_candidate(leaf)
         if cand is None:
             return
-        delta, svar, _ = cand
+        delta, svar = cand
         seq += 1
         heapq.heappush(
             heap,
@@ -357,6 +381,7 @@ def learn_network(db: VoteDatabase, cfg: LearnConfig) -> BayesNetModel:
         )
 
     all_users = np.arange(n)
+    no_path = np.zeros(t, dtype=bool)
     for j in range(t):
         counts = np.bincount(states[:, j], minlength=r).astype(float)
         alpha = np.full(r, ess / r)
@@ -365,7 +390,7 @@ def learn_network(db: VoteDatabase, cfg: LearnConfig) -> BayesNetModel:
         roots.append(node)
         live = _LiveLeaf(
             target=j, node=node, parent=None, slot=None, users=all_users,
-            path=frozenset(), score=leaf_family_score(counts, alpha, penalty),
+            path=no_path, score=leaf_family_score(counts, alpha, penalty),
         )
         total_score += live.score
         push_candidate(live)
@@ -374,7 +399,7 @@ def learn_network(db: VoteDatabase, cfg: LearnConfig) -> BayesNetModel:
         neg_delta, _, _, _, _, leaf, svar = heapq.heappop(heap)
         if not leaf.alive:
             continue
-        if svar in invalid_vars(leaf.target, leaf.path):
+        if constraints.invalid(leaf.target, leaf.path)[svar]:
             push_candidate(leaf)  # constraints tightened since scoring; rescore
             continue
         delta = -neg_delta
@@ -382,6 +407,8 @@ def learn_network(db: VoteDatabase, cfg: LearnConfig) -> BayesNetModel:
         sub_states = states[leaf.users, svar]
         split = Split(var=idx.item_ids[svar], children=[])
         child_alpha = leaf.node.alpha / r
+        child_path = leaf.path.copy()
+        child_path[svar] = True
         new_live = []
         for state in range(r):
             users_a = leaf.users[sub_states == state]
@@ -392,7 +419,7 @@ def learn_network(db: VoteDatabase, cfg: LearnConfig) -> BayesNetModel:
             new_live.append(
                 _LiveLeaf(
                     target=j, node=child, parent=split, slot=state, users=users_a,
-                    path=leaf.path | {svar},
+                    path=child_path,
                     score=leaf_family_score(counts_a, child_alpha, penalty),
                 )
             )
@@ -401,13 +428,13 @@ def learn_network(db: VoteDatabase, cfg: LearnConfig) -> BayesNetModel:
         else:
             leaf.parent.children[leaf.slot] = split
         leaf.alive = False
-        edges[svar].add(j)
-        parents[j].add(svar)
+        constraints.add_edge(svar, j)
         new_total = total_score + delta
         gain = sum(nl.score for nl in new_live) - leaf.score
-        assert abs(gain - delta) < 1e-6, "accepted split must match its scored gain"
-        assert new_total >= total_score, "total score must not decrease"
-        assert not _has_cycle(edges), "parent graph must stay acyclic"
+        if not abs(gain - delta) < 1e-6:
+            raise RuntimeError(f"accepted split gains {gain!r}, scored {delta!r}")
+        if not new_total >= total_score:
+            raise RuntimeError("total score must not decrease")
         total_score = new_total
         for nl in new_live:
             push_candidate(nl)

@@ -21,6 +21,9 @@ from .votedata import ActiveCase, ItemId, VoteDatabase, VoteScale
 
 log = logging.getLogger(__name__)
 
+# concentration of the Dirichlet noise that jitters EM's starting conditionals
+NOISE_SCALE = 10.0
+
 
 @dataclass(eq=False)
 class ClusterModel:
@@ -121,46 +124,29 @@ class FitReport:
         return self.objective_trace
 
 
-class _Encoded:
-    """Sparse one-hot encoding of the observed vote states.
+def _loglik_matrix(
+    X: sp.csr_matrix, class_prior: np.ndarray, cond: np.ndarray
+) -> np.ndarray:
+    """Per-user, per-class joint log probability of the completed record.
 
-    Columns are (item, vote state) pairs; the no-vote state is implicit and
-    recovered from class totals.
+    `X` is the database's `vote_states` encoding: the no-vote state has no
+    column, so every item starts at no-vote and each vote adds its change.
     """
+    logc = np.log(cond)
+    base = logc[:, :, 0].sum(axis=1)  # all items at no-vote
+    delta = (logc[:, :, 1:] - logc[:, :, :1]).reshape(len(class_prior), -1)
+    return np.log(class_prior)[None, :] + base[None, :] + X @ delta.T
 
-    def __init__(self, db: VoteDatabase) -> None:
-        scale = db.scale
-        idx = db.index
-        self.n = len(db.users)
-        self.t = len(db.items)
-        self.s_votes = scale.num_states - 1
-        rows, cols = [], []
-        for i, u in enumerate(db.users):
-            for it, v in db.votes[u].items():
-                state = scale.state_of(v)  # >= 1 for recorded votes
-                rows.append(i)
-                cols.append(idx.item_pos[it] * self.s_votes + (state - 1))
-        self.X = sp.csr_matrix(
-            (np.ones(len(rows)), (rows, cols)),
-            shape=(self.n, self.t * self.s_votes),
-        )
 
-    def loglik_matrix(self, class_prior: np.ndarray, cond: np.ndarray) -> np.ndarray:
-        """Per-user, per-class joint log probability of the completed record."""
-        logc = np.log(cond)
-        base = logc[:, :, 0].sum(axis=1)  # all items at no-vote
-        delta = (logc[:, :, 1:] - logc[:, :, :1]).reshape(len(class_prior), -1)
-        return np.log(class_prior)[None, :] + base[None, :] + self.X @ delta.T
-
-    def counts(self, gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Expected class totals and (classes, items, states) state counts."""
-        c = gamma.shape[1]
-        totals = gamma.sum(axis=0)
-        vote_counts = np.asarray(self.X.T @ gamma).T.reshape(c, self.t, self.s_votes)
-        counts = np.empty((c, self.t, self.s_votes + 1))
-        counts[:, :, 1:] = vote_counts
-        counts[:, :, 0] = totals[:, None] - vote_counts.sum(axis=2)
-        return totals, np.clip(counts, 0.0, None)
+def _counts(X: sp.csr_matrix, gamma: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """Expected class totals and (classes, items, states) state counts."""
+    c = gamma.shape[1]
+    totals = gamma.sum(axis=0)
+    vote_counts = np.asarray(X.T @ gamma).T.reshape(c, t, -1)
+    counts = np.empty((c, t, vote_counts.shape[2] + 1))
+    counts[:, :, 1:] = vote_counts
+    counts[:, :, 0] = totals[:, None] - vote_counts.sum(axis=2)
+    return totals, np.clip(counts, 0.0, None)
 
 
 def expected_counts(
@@ -170,7 +156,7 @@ def expected_counts(
     gamma = np.asarray(gamma, dtype=float)
     if gamma.ndim != 2 or gamma.shape[0] != len(db.users):
         raise ValueError("responsibilities must be users by classes")
-    return _Encoded(db).counts(gamma)
+    return _counts(db.index.vote_states, gamma, len(db.items))
 
 
 def map_estimates(
@@ -202,21 +188,38 @@ def _log_prior_term(
     return float(a_pi * np.log(class_prior).sum() + a_s * np.log(cond).sum())
 
 
+def _dirichlet_rows(rng: np.random.Generator, alpha: np.ndarray) -> np.ndarray:
+    """One Dirichlet draw per row of `alpha` (..., states), from one gamma call.
+
+    numpy's `Generator.dirichlet` draws a row's gamma variates in order and
+    scales them by the reciprocal of their sequential sum whenever the row's
+    largest alpha is at least 0.1; under that condition these draws are
+    bitwise those of one `rng.dirichlet` call per row, in row order.
+    """
+    g = rng.standard_gamma(alpha)
+    acc = g[..., 0].copy()
+    for k in range(1, alpha.shape[-1]):
+        acc += g[..., k]
+    return g * (1.0 / acc)[..., None]
+
+
 def _init_params(
-    db: VoteDatabase, c: int, rng: np.random.Generator,
-    prior_strength: float, noise_scale: float,
+    db: VoteDatabase, c: int, rng: np.random.Generator, prior_strength: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Near-uniform class priors; conditionals are data marginals jittered by
-    seeded Dirichlet noise so classes start distinguishable."""
-    enc = _Encoded(db)
-    totals, counts = enc.counts(np.ones((enc.n, 1)))
-    _, marginal = map_estimates(totals, counts, prior_strength, n_users=enc.n)
-    marg = marginal[0]  # (items, states)
-    cond = np.empty((c, enc.t, marg.shape[1]))
-    for ci in range(c):
-        for j in range(enc.t):
-            draw = rng.dirichlet(np.maximum(noise_scale * marg[j], 1e-6))
-            cond[ci, j] = np.maximum(draw, 1e-12)
+    seeded Dirichlet noise of concentration NOISE_SCALE so classes start
+    distinguishable.
+
+    The largest entry of a marginal over s states is at least 1/s, so every
+    row's largest alpha is at least NOISE_SCALE / s = 0.1 on scales with at
+    most 100 states: there the draws are exactly those of one `rng.dirichlet`
+    call per (class, item) row.
+    """
+    n, t = len(db.users), len(db.items)
+    totals, counts = _counts(db.index.vote_states, np.ones((n, 1)), t)
+    _, marginal = map_estimates(totals, counts, prior_strength, n_users=n)
+    alpha = np.maximum(NOISE_SCALE * marginal[0], 1e-6)  # (items, states)
+    cond = np.maximum(_dirichlet_rows(rng, np.broadcast_to(alpha, (c,) + alpha.shape)), 1e-12)
     cond /= cond.sum(axis=2, keepdims=True)
     prior = np.maximum(rng.dirichlet(np.full(c, 10.0)), 1e-12)
     prior /= prior.sum()
@@ -230,7 +233,6 @@ def em_fit(
     tol: float = 1e-6,
     max_iter: int = 200,
     prior_strength: float = 1.0,
-    noise_scale: float = 10.0,
     compute_cs: bool = True,
 ) -> tuple[ClusterModel, FitReport]:
     """Fit the mixture by EM to a local maximum of the smoothed objective.
@@ -247,15 +249,15 @@ def em_fit(
             "%d classes for %d users; some classes may collapse",
             num_classes, len(db.users),
         )
-    enc = _Encoded(db)
-    n = enc.n
+    X = db.index.vote_states
+    n, t = len(db.users), len(db.items)
 
     if num_classes == 1:
         # no hidden variable: the smoothed frequencies are the exact optimum
-        totals, counts = enc.counts(np.ones((n, 1)))
+        totals, counts = _counts(X, np.ones((n, 1)), t)
         prior, cond = map_estimates(totals, counts, prior_strength, n_users=n)
         model = ClusterModel(db.scale, db.items, prior, cond)
-        ll = float(logsumexp(enc.loglik_matrix(prior, cond), axis=1).sum())
+        ll = float(logsumexp(_loglik_matrix(X, prior, cond), axis=1).sum())
         obj = ll + _log_prior_term(prior, cond, prior_strength)
         report = FitReport([obj], iterations=1, converged=True)
         if compute_cs:
@@ -263,20 +265,21 @@ def em_fit(
         return model, report
 
     rng = np.random.default_rng(seed)
-    prior, cond = _init_params(db, num_classes, rng, prior_strength, noise_scale)
+    prior, cond = _init_params(db, num_classes, rng, prior_strength)
     trace: list[float] = []
     converged = False
-    L = enc.loglik_matrix(prior, cond)
+    L = _loglik_matrix(X, prior, cond)
+    norm = logsumexp(L, axis=1)
     prev = -np.inf
     iterations = 0
     for it in range(1, max_iter + 1):
         iterations = it
-        norm = logsumexp(L, axis=1)
         gamma = np.exp(L - norm[:, None])
-        totals, counts = enc.counts(gamma)
+        totals, counts = _counts(X, gamma, t)
         prior, cond = map_estimates(totals, counts, prior_strength, n_users=n)
-        L = enc.loglik_matrix(prior, cond)
-        obj = float(logsumexp(L, axis=1).sum()) + _log_prior_term(prior, cond, prior_strength)
+        L = _loglik_matrix(X, prior, cond)
+        norm = logsumexp(L, axis=1)  # this objective, and the next E-step
+        obj = float(norm.sum()) + _log_prior_term(prior, cond, prior_strength)
         trace.append(obj)
         per_user = obj / n
         if (per_user - prev) < tol * max(1.0, abs(per_user)):
@@ -351,14 +354,14 @@ def cheeseman_stutz_score(
     """
     if tuple(model.items) != tuple(db.items):
         raise ValueError("model and database cover different items")
-    enc = _Encoded(db)
+    X = db.index.vote_states
     c = model.num_classes
     s = model.cond.shape[2]
-    L = enc.loglik_matrix(model.class_prior, model.cond)
+    L = _loglik_matrix(X, model.class_prior, model.cond)
     norm = logsumexp(L, axis=1)
     observed_ll = float(norm.sum())
     gamma = np.exp(L - norm[:, None])
-    totals, counts = enc.counts(gamma)
+    totals, counts = _counts(X, gamma, len(db.items))
 
     complete_marginal = float(
         _dirichlet_marginal(totals[None, :], prior_strength / c)[0]
@@ -378,7 +381,6 @@ def select_cluster_model(
     tol: float = 1e-6,
     max_iter: int = 200,
     prior_strength: float = 1.0,
-    noise_scale: float = 10.0,
 ) -> tuple[ClusterModel, list[dict]]:
     """Fit 1..max_classes classes (several restarts each) and keep the best score.
 
@@ -397,7 +399,7 @@ def select_cluster_model(
             model, report = em_fit(
                 db, c, seed=sub_seed,
                 tol=tol, max_iter=max_iter, prior_strength=prior_strength,
-                noise_scale=noise_scale, compute_cs=False,
+                compute_cs=False,
             )
             obj = report.objective_trace[-1]
             if best_fit is None or obj > best_fit[2]:

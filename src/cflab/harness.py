@@ -307,8 +307,16 @@ def train_model(train: VoteDatabase, spec: AlgorithmSpec, seed: int, cache_dir: 
         model = bayesnet.learn_network(train, cfg)
     else:
         raise ValueError(f"algorithm kind {spec.kind!r} has no trained model")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model.to_json(), fh, sort_keys=True)
+    # write a temp file beside the cache entry and rename it into place, so a
+    # failed write never leaves a truncated model under the cache key
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(model.to_json(), sort_keys=True))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return model, path
 
 

@@ -70,17 +70,9 @@ class MemoryPredictor:
 def _marginal_distributions(train: VoteDatabase, prior_strength: float = 1.0) -> dict:
     """Smoothed per-item state distributions of the training data, used as the
     fallback score for items outside a trained model."""
-    scale = train.scale
-    idx = train.index
-    n = len(train.users)
-    s = scale.num_states
-    counts = np.zeros((len(train.items), s))
-    for u in train.users:
-        for it, v in train.votes[u].items():
-            counts[idx.item_pos[it], scale.state_of(v)] += 1
-    counts[:, 0] = n - counts[:, 1:].sum(axis=1)
-    dists = (counts + prior_strength / s) / (n + prior_strength)
-    return {it: dists[idx.item_pos[it]] for it in train.items}
+    totals, counts = cluster.expected_counts(train, np.ones((len(train.users), 1)))
+    _, dists = cluster.map_estimates(totals, counts, prior_strength)
+    return {it: dists[0, j] for j, it in enumerate(train.items)}
 
 
 class _ModelBackedPredictor:
@@ -99,6 +91,13 @@ class _ModelBackedPredictor:
         if self._marginals is None:
             self._marginals = _marginal_distributions(self.train)
         return self._marginals[item]
+
+    def _fallback_vote(self, case: ActiveCase, item: ItemId) -> float:
+        """Expected vote of an item outside the model from its training
+        marginal; the case's mean vote for an item absent from training."""
+        if item not in self.train.index.item_pos:
+            return case.observed_mean
+        return cluster._expected_from_distribution(self._fallback_dist(item), self.train.scale)
 
     def _model_items(self) -> set:
         raise NotImplementedError
@@ -150,15 +149,11 @@ class ClusterPredictor(_ModelBackedPredictor):
         return out
 
     def predict(self, case: ActiveCase, item: ItemId) -> float:
-        scale = self.model.scale
         pos = self.model._item_pos().get(item)
         if pos is None:
-            dist = self._fallback_dist(item)
-        else:
-            dist = self._posterior(case) @ self.model.cond[:, pos, :]
-        votes = np.asarray(scale.vote_values, dtype=float)
-        mass = dist[1:]
-        return float((mass / mass.sum()) @ votes)
+            return self._fallback_vote(case, item)
+        dist = self._posterior(case) @ self.model.cond[:, pos, :]
+        return cluster._expected_from_distribution(dist, self.model.scale)
 
 
 class BayesNetPredictor(_ModelBackedPredictor):
@@ -189,7 +184,4 @@ class BayesNetPredictor(_ModelBackedPredictor):
     def predict(self, case: ActiveCase, item: ItemId) -> float:
         if item in self.model.cpds:
             return bayesnet.bn_expected_vote(self.model, case, item)
-        dist = self._fallback_dist(item)
-        votes = np.asarray(self.train.scale.vote_values, dtype=float)
-        mass = dist[1:]
-        return float((mass / mass.sum()) @ votes)
+        return self._fallback_vote(case, item)

@@ -72,6 +72,19 @@ class VoteScale:
             return 1
         return 1 + (v - self.min_vote)
 
+    def states_of(self, votes: np.ndarray) -> np.ndarray:
+        """`state_of` over an array of recorded votes, with the same check."""
+        votes = np.asarray(votes, dtype=float)
+        v = np.rint(votes)
+        ok = (np.abs(votes - v) <= 1e-9) & (v >= self.min_vote) & (v <= self.max_vote)
+        if self.implicit:
+            ok &= v == 1
+        if not ok.all():
+            self.state_of(float(votes[np.argmin(ok)]))  # raises, naming the vote
+        if self.implicit:
+            return np.ones(len(votes), dtype=np.int64)
+        return 1 + (v.astype(np.int64) - self.min_vote)
+
     def value_of_state(self, state: int) -> int | None:
         """Inverse of state_of; state 0 maps to None."""
         if state == 0:
@@ -107,6 +120,7 @@ class _Index:
     """
 
     def __init__(self, db: "VoteDatabase") -> None:
+        self.scale = db.scale
         self.user_ids = list(db.users)
         self.item_ids = list(db.items)
         self.user_pos = {u: i for i, u in enumerate(self.user_ids)}
@@ -143,7 +157,27 @@ class _Index:
         self._m_csc: sp.csc_matrix | None = None
         self._centered: sp.csr_matrix | None = None
         self._iuf: np.ndarray | None = None
+        self._vote_states: sp.csr_matrix | None = None
         self.scorer_cache: dict = {}
+
+    @property
+    def vote_states(self) -> sp.csr_matrix:
+        """One-hot users x (item, vote state) encoding of the recorded votes.
+
+        Column `j * (num_states - 1) + state - 1` marks a vote on item
+        position j in `scale.state_of` state `state`. The no-vote state 0 has
+        no column: it is what remains of a total. Built on first use, so a
+        vote that is not integral on the scale raises VoteDataError only for
+        the models that need states.
+        """
+        if self._vote_states is None:
+            s_votes = self.scale.num_states - 1
+            states = self.scale.states_of(self.V.data)
+            self._vote_states = sp.csr_matrix(
+                (np.ones(len(states)), self.V.indices * s_votes + (states - 1), self.V.indptr),
+                shape=(self.V.shape[0], self.V.shape[1] * s_votes),
+            )
+        return self._vote_states
 
     @property
     def V_csc(self) -> sp.csc_matrix:

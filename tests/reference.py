@@ -9,6 +9,8 @@ instead of closed forms), so agreement is meaningful.
 import itertools
 import math
 
+import numpy as np
+
 
 def _iuf_map(db):
     n = len(db.users)
@@ -152,3 +154,54 @@ def exact_mixture_log_marginal(db, num_classes, prior_strength=1.0):
         logs.append(lp)
     m = max(logs)
     return m + math.log(sum(math.exp(x - m) for x in logs))
+
+
+def dense_states(db):
+    """users x items state matrix built vote by vote with `scale.state_of`."""
+    states = np.zeros((len(db.users), len(db.items)), dtype=np.uint8)
+    for i, u in enumerate(db.users):
+        for it, v in db.votes[u].items():
+            states[i, db.items.index(it)] = db.scale.state_of(v)
+    return states
+
+
+def dense_pair_counts(states, users, t, r):
+    """Contingency tables of every item against target t over `users`,
+    from a dense gather of the users' full state rows plus one bincount."""
+    sub = states[users]
+    codes = sub.astype(np.int64) * r + sub[:, t][:, None]
+    offs = np.arange(sub.shape[1], dtype=np.int64) * (r * r)
+    flat = (codes + offs[None, :]).ravel()
+    return np.bincount(flat, minlength=sub.shape[1] * r * r).reshape(sub.shape[1], r, r)
+
+
+def transitive_closure(edges, t):
+    """reach[a, b]: b is reachable from a along the (parent, child) edges;
+    every node reaches itself. Warshall's triple loop."""
+    reach = [[a == b or (a, b) in edges for b in range(t)] for a in range(t)]
+    for k in range(t):
+        for a in range(t):
+            for b in range(t):
+                reach[a][b] = reach[a][b] or (reach[a][k] and reach[k][b])
+    return np.array(reach, dtype=bool).reshape(t, t)
+
+
+def init_params_loop(db, c, rng, prior_strength, noise_scale=10.0):
+    """EM's seeded starting point: vote-by-vote marginals, then one
+    `rng.dirichlet` call per (class, item) row, then the class prior."""
+    n, t, s = len(db.users), len(db.items), db.scale.num_states
+    states = dense_states(db)
+    marg = []
+    for j in range(t):
+        counts = [0] * s
+        for i in range(n):
+            counts[states[i, j]] += 1
+        marg.append(np.array([(k + prior_strength / s) / (n + prior_strength) for k in counts]))
+    cond = np.empty((c, t, s))
+    for ci in range(c):
+        for j in range(t):
+            cond[ci, j] = np.maximum(rng.dirichlet(np.maximum(noise_scale * marg[j], 1e-6)), 1e-12)
+    cond /= cond.sum(axis=2, keepdims=True)
+    prior = np.maximum(rng.dirichlet(np.full(c, 10.0)), 1e-12)
+    prior /= prior.sum()
+    return prior, cond

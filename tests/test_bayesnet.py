@@ -1,9 +1,15 @@
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import cflab
+from cflab import bayesnet
 from cflab.bayesnet import (
     BayesNetModel,
     DecisionTreeCPD,
@@ -17,9 +23,12 @@ from cflab.bayesnet import (
     learn_network,
     tree_lookup,
 )
-from cflab.votedata import IMPLICIT_SCALE, VoteDatabase, VoteScale
+from cflab.votedata import IMPLICIT_SCALE, VoteDatabase, VoteScale, load_votes_csv
 
-from conftest import SCALE_0_5, case_for, make_db, random_implicit_db
+from conftest import SCALE_0_5, case_for, make_db, random_explicit_db, random_implicit_db
+from reference import dense_pair_counts, dense_states, transitive_closure
+
+FIXTURE_VOTES = Path(__file__).resolve().parent.parent / "fixtures" / "fixture_votes.csv"
 
 
 def noisy_copy_db(rng, n=10000, flip=0.05):
@@ -328,3 +337,96 @@ class TestModelStructure:
         assert stats["items"] == 2
         assert stats["max_parents"] >= 1
         assert stats["mean_leaves"] >= 1.0
+
+
+class TestSparsePairCounts:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        explicit=st.booleans(),
+        n_users=st.integers(1, 25),
+        n_items=st.integers(2, 7),
+        data=st.data(),
+    )
+    def test_matches_dense_reference(self, seed, explicit, n_users, n_items, data):
+        rng = np.random.default_rng(seed)
+        make = random_explicit_db if explicit else random_implicit_db
+        db = make(rng, n_users=n_users, n_items=n_items, density=0.5)
+        r = db.scale.num_states
+        target = data.draw(st.integers(0, n_items - 1), label="target")
+        leaf = data.draw(st.sets(st.integers(0, n_users - 1)), label="leaf users")
+        users = np.array(sorted(leaf), dtype=np.int64)  # the empty leaf included
+        states = dense_states(db)
+        got = bayesnet._pair_counts(db.index.vote_states, states[:, target], users, r)
+        want = dense_pair_counts(states, users, target, r)
+        assert got.dtype.kind == "i"
+        np.testing.assert_array_equal(got, want)
+
+
+def _brute_invalid(edges, target, path, max_parents, t):
+    """The split variables a leaf may not take, from the definition: its
+    target and path, anything the target reaches, and every non-parent once
+    the target has max_parents parents."""
+    bad = transitive_closure(edges, t)[target] | path
+    parents = {p for p, c in edges if c == target}
+    if max_parents is not None and len(parents) >= max_parents:
+        bad |= np.array([v not in parents for v in range(t)])
+    return bad
+
+
+class TestConstraints:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        t=st.integers(1, 8),
+        max_parents=st.one_of(st.none(), st.integers(1, 3)),
+    )
+    def test_mask_matches_brute_force_closure(self, seed, t, max_parents):
+        rng = np.random.default_rng(seed)
+        cons = bayesnet._Constraints(t, max_parents)
+        edges: set = set()
+        for _ in range(4 * t):
+            target = int(rng.integers(t))
+            path = rng.random(t) < 0.2
+            bad = cons.invalid(target, path)
+            np.testing.assert_array_equal(bad, _brute_invalid(edges, target, path, max_parents, t))
+            free = np.flatnonzero(~bad)
+            if free.size:
+                parent = int(rng.choice(free))
+                cons.add_edge(parent, target)
+                edges.add((parent, target))
+        np.testing.assert_array_equal(cons.reach, transitive_closure(edges, t))
+        for parent, child in edges:
+            with pytest.raises(RuntimeError, match="acyclic"):
+                cons.add_edge(child, parent)
+
+
+class TestSearchChecks:
+    def test_scored_gain_mismatch_raises(self, monkeypatch):
+        family_scores = bayesnet._family_scores
+        monkeypatch.setattr(
+            bayesnet, "_family_scores", lambda *args: family_scores(*args) + 1.0
+        )
+        with pytest.raises(RuntimeError, match="scored"):
+            learn_network(noisy_copy_db(np.random.default_rng(2), n=10000), LearnConfig())
+
+    def test_optimized_interpreter_learns_the_same_network(self):
+        script = (
+            "import json, sys\n"
+            "from cflab.bayesnet import LearnConfig, learn_network\n"
+            "from cflab.votedata import VoteScale, load_votes_csv\n"
+            "assert False, 'asserts must be stripped'\n"
+            "db = load_votes_csv(sys.argv[1], VoteScale(0, 5, 3.0, False))\n"
+            "cfg = LearnConfig(structure_penalty=0.99)\n"
+            "print(json.dumps(learn_network(db, cfg).to_json(), sort_keys=True))\n"
+        )
+        src = str(Path(cflab.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script, str(FIXTURE_VOTES)],
+            capture_output=True, text=True, timeout=120, env={"PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        db = load_votes_csv(FIXTURE_VOTES, SCALE_0_5)
+        model = learn_network(db, LearnConfig(structure_penalty=0.99))
+        assert model.structure_stats()["max_parents"] > 1
+        assert proc.stdout.strip() == json.dumps(model.to_json(), sort_keys=True)

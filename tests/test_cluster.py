@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cflab import cluster
 from cflab.cluster import (
     ClusterModel,
     cheeseman_stutz_score,
@@ -15,8 +17,8 @@ from cflab.cluster import (
 )
 from cflab.votedata import IMPLICIT_SCALE, VoteDatabase, VoteScale
 
-from conftest import SCALE_0_5, case_for, make_db, random_implicit_db
-from reference import exact_mixture_log_marginal
+from conftest import SCALE_0_5, case_for, make_db, random_explicit_db, random_implicit_db
+from reference import exact_mixture_log_marginal, init_params_loop
 
 
 def two_block_db(rng, n_per=40, items_per=4, p_own=0.92, p_other=0.02):
@@ -339,3 +341,29 @@ class TestSerialization:
         with pytest.raises(ValueError):
             ClusterModel(IMPLICIT_SCALE, ("x",), np.array([1.0]),
                          np.array([[[1.0, 0.0]]]))
+
+
+class TestInitDraw:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.tuples(st.integers(1, 4), st.integers(1, 6), st.integers(2, 9)),
+        scale=st.floats(1e-3, 20.0),
+    )
+    def test_matches_per_row_dirichlet_bitwise(self, seed, shape, scale):
+        alpha = np.random.default_rng(seed).random(shape) * scale + 1e-6
+        alpha[..., 0] = np.maximum(alpha[..., 0], 0.1)  # numpy's gamma branch
+        got = cluster._dirichlet_rows(np.random.default_rng(seed), alpha)
+        rng = np.random.default_rng(seed)
+        want = np.array([rng.dirichlet(row) for row in alpha.reshape(-1, shape[-1])])
+        assert np.array_equal(got, want.reshape(shape))
+
+    @pytest.mark.parametrize("explicit", [False, True])
+    def test_init_params_matches_row_loop(self, explicit):
+        rng = np.random.default_rng(8)
+        make = random_explicit_db if explicit else random_implicit_db
+        db = make(rng, n_users=30, n_items=7, density=0.5)
+        got = cluster._init_params(db, 4, np.random.default_rng(21), 1.0)
+        want = init_params_loop(db, 4, np.random.default_rng(21), 1.0, cluster.NOISE_SCALE)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])

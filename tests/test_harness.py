@@ -1,3 +1,4 @@
+import errno
 import json
 import shutil
 from pathlib import Path
@@ -117,6 +118,45 @@ class TestRun:
         assert path == path2
         np.testing.assert_array_equal(fresh.class_prior, cached.class_prior)
         np.testing.assert_array_equal(fresh.cond, cached.cond)
+
+
+    def test_failed_cache_write_leaves_no_model(self, workdir, monkeypatch):
+        config = harness.load_config(workdir / "fixture_config.json")
+        train, _ = harness.load_datasets(config.dataset)
+        spec = next(s for s in config.algorithms if s.kind == "bayesnet")
+        cache = workdir / "cache"
+
+        class DiskFull:
+            """Keeps half of the first write, then fails as a full disk does."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, text):
+                self.fh.write(text[: len(text) // 2])
+                self.fh.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+        real_open = open
+
+        def failing_open(file, mode="r", *args, **kwargs):
+            fh = real_open(file, mode, *args, **kwargs)
+            return DiskFull(fh) if "w" in mode else fh
+
+        monkeypatch.setattr(harness, "open", failing_open, raising=False)
+        with pytest.raises(OSError):
+            harness.train_model(train, spec, config.seed, cache)
+        assert list(cache.iterdir()) == []
+        monkeypatch.undo()
+        model, path = harness.train_model(train, spec, config.seed, cache)
+        assert [p.name for p in cache.iterdir()] == [path.name]
+        assert json.loads(path.read_text()) == model.to_json()
 
 
 class TestReportCommand:

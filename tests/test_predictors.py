@@ -70,3 +70,12 @@ class TestModelFallbacks:
         case = case_for("t", {db.items[0]: 4.0})
         for it in db.items[1:]:
             assert 0.0 <= pred.predict(case, it) <= 5.0
+
+    def test_item_absent_from_training_predicts_case_mean(self):
+        db = random_explicit_db(np.random.default_rng(3), n_users=20, n_items=6, density=0.7)
+        case = case_for("t", {db.items[0]: 4.0, db.items[1]: 1.0})
+        bc = ClusterPredictor(db, em_fit(db, 2, seed=1, compute_cs=False)[0], name="BC")
+        bn = BayesNetPredictor(db, learn_network(db, LearnConfig()), name="BN")
+        assert "zz" not in db.items
+        assert bc.predict(case, "zz") == case.observed_mean == 2.5
+        assert bn.predict(case, "zz") == case.observed_mean

@@ -54,6 +54,24 @@ class TestVoteScale:
         assert SCALE_0_5.state_of(5) == 6
         assert IMPLICIT_SCALE.value_of_state(1) == 1
 
+    def test_vote_state_encoding_matches_state_of(self, tiny_explicit_db):
+        db = tiny_explicit_db
+        idx = db.index
+        s_votes = db.scale.num_states - 1
+        want = np.zeros((len(db.users), len(db.items) * s_votes))
+        for u, it, v in db.iter_votes():
+            want[idx.user_pos[u], idx.item_pos[it] * s_votes + db.scale.state_of(v) - 1] = 1
+        np.testing.assert_array_equal(idx.vote_states.toarray(), want)
+
+    @pytest.mark.parametrize("scale, vote", [(SCALE_0_5, 2.5), (IMPLICIT_SCALE, 0.0)])
+    def test_vote_state_encoding_rejects_what_state_of_rejects(self, scale, vote):
+        db = make_db([("u", "a", vote), ("u", "b", 1)], scale)
+        with pytest.raises(VoteDataError) as got:
+            db.index.vote_states
+        with pytest.raises(VoteDataError) as want:
+            scale.state_of(vote)
+        assert str(got.value) == str(want.value)
+
 
 class TestLoadMsweb:
     def test_small_fixture_counts(self, tmp_path):
