@@ -11,18 +11,20 @@ structure penalty.
 
 from __future__ import annotations
 
+import graphlib
 import heapq
 import json
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Mapping
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.special import gammaln
 
-from .votedata import ActiveCase, ItemId, VoteDatabase, VoteScale
+from .votedata import ActiveCase, ItemId, VoteDatabase, VoteScale, ranked_ids, sort_rank
 
 log = logging.getLogger(__name__)
 
@@ -132,6 +134,73 @@ class DecisionTreeCPD:
         return node, path
 
 
+class CompiledNetwork:
+    """A network's trees flattened into arrays, for routing whole cases.
+
+    Node j < len(items) is item j's root; a split's children take the next
+    free node numbers, breadth first. Split node n tests item position
+    `var[n]`, and its child for state a is node `first[n] + a`. A leaf has
+    `var` -1 and `first` itself, so routing past it stays put. Per leaf,
+    `score` is its rank score and `expected` its expected vote (NaN at
+    splits), each computed once here.
+    """
+
+    def __init__(self, model: "BayesNetModel") -> None:
+        self.scale = model.scale
+        self.item_array = np.array(model.items, dtype=object)
+        self.item_pos = {it: j for j, it in enumerate(model.items)}
+        self.sort_rank = sort_rank(model.items)
+        self.nodes = [model.cpds[it].root for it in model.items]  # number -> Leaf or Split
+        depth = [0] * len(self.nodes)
+        var, first = [], []
+        for n, node in enumerate(self.nodes):  # reaches the children appended below
+            if isinstance(node, Split):
+                var.append(self.item_pos[node.var])
+                first.append(len(self.nodes))
+                self.nodes.extend(node.children)
+                depth.extend([depth[n] + 1] * len(node.children))
+            else:
+                var.append(-1)
+                first.append(n)
+        self.depth = max(depth, default=0)
+        self.var = np.asarray(var, dtype=np.intp)
+        self.first = np.asarray(first, dtype=np.intp)
+        self.score = np.full(len(self.nodes), math.nan)
+        self.expected = np.full(len(self.nodes), math.nan)
+        for n in np.flatnonzero(self.var < 0):
+            dist = self.nodes[n].distribution
+            self.score[n] = self.scale.rank_score(dist)
+            self.expected[n] = self.scale.expected_vote(dist)
+
+    def route(self, observed: Mapping[ItemId, float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every item's leaf for a case whose unobserved items are no-vote,
+        whether an observed vote steered that item's path, and the mask of
+        observed model items. One numpy step moves all items down a level."""
+        t = len(self.item_pos)
+        # position t (reached through var -1) is a no-vote, unobserved sentinel
+        state = np.zeros(t + 1, dtype=np.intp)
+        seen = np.zeros(t + 1, dtype=bool)
+        for it, v in observed.items():
+            j = self.item_pos.get(it)
+            if j is not None:
+                state[j] = self.scale.state_of(v)
+                seen[j] = True
+        node = np.arange(t)
+        influenced = np.zeros(t, dtype=bool)
+        for _ in range(self.depth):
+            var = self.var[node]
+            influenced |= seen[var]
+            node = self.first[node] + state[var]
+        return node, influenced, seen[:t]
+
+    @staticmethod
+    def count_lookups(stats: dict, influenced: np.ndarray, seen: np.ndarray) -> None:
+        """Add a routed case's unobserved items, and those of them an
+        observed vote steered, to `stats`."""
+        stats["lookups"] = stats.get("lookups", 0) + int((~seen).sum())
+        stats["influenced"] = stats.get("influenced", 0) + int((influenced & ~seen).sum())
+
+
 class EvidenceError(ValueError):
     """Evidence omitted a state assignment needed to route a tree."""
 
@@ -145,9 +214,16 @@ class BayesNetModel:
     def __post_init__(self) -> None:
         if set(self.cpds) != set(self.items):
             raise ValueError("every item needs exactly one tree")
-        graph = self.parent_graph()
-        if _has_cycle(graph):
-            raise ValueError("parent graph must be acyclic")
+        try:
+            graphlib.TopologicalSorter(self.parent_graph()).prepare()
+        except graphlib.CycleError:
+            raise ValueError("parent graph must be acyclic") from None
+
+    @cached_property
+    def compiled(self) -> CompiledNetwork:
+        """The flat-array form that scoring routes cases through, built on
+        first use; the trees must not change afterwards."""
+        return CompiledNetwork(self)
 
     def parent_graph(self) -> dict[ItemId, set[ItemId]]:
         """Edges parent -> children implied by the split variables."""
@@ -214,23 +290,6 @@ def _node_from_json(obj: Mapping, items: tuple):
         alpha=np.asarray(obj["alpha"], dtype=float),
         order=int(obj["order"]),
     )
-
-
-def _has_cycle(edges: dict) -> bool:
-    color: dict = {}
-
-    def visit(u) -> bool:
-        color[u] = 1
-        for v in edges.get(u, ()):  # gray node reached again: cycle
-            c = color.get(v, 0)
-            if c == 1:
-                return True
-            if c == 0 and visit(v):
-                return True
-        color[u] = 2
-        return False
-
-    return any(color.get(u, 0) == 0 and visit(u) for u in edges)
 
 
 # --- learning ---------------------------------------------------------------
@@ -357,11 +416,14 @@ def learn_network(db: VoteDatabase, cfg: LearnConfig) -> BayesNetModel:
     seq = 0
 
     def best_candidate(leaf: _LiveLeaf):
-        tables = _pair_counts(X, states[:, leaf.target], leaf.users, r)
-        deltas = _family_scores(tables, float(leaf.node.alpha[0]) / r, penalty) - leaf.score
-        deltas[constraints.invalid(leaf.target, leaf.path)] = -np.inf
-        if not np.isfinite(deltas).any():
+        # only the variables the constraints leave open are scored
+        open_vars = np.flatnonzero(~constraints.invalid(leaf.target, leaf.path))
+        if not len(open_vars):
             return None
+        tables = _pair_counts(X, states[:, leaf.target], leaf.users, r)[open_vars]
+        deltas = np.full(t, -np.inf)
+        alpha = float(leaf.node.alpha[0]) / r
+        deltas[open_vars] = _family_scores(tables, alpha, penalty) - leaf.score
         order = np.lexsort((id_rank, -deltas))
         s = int(order[0])
         if deltas[s] <= 0.0:
@@ -467,60 +529,21 @@ def tree_lookup(
     return leaf.distribution
 
 
-def _case_lookup(
-    model: BayesNetModel, case: ActiveCase, item: ItemId
-) -> tuple[np.ndarray, bool]:
-    """Leaf distribution for a case (unobserved items enter as no-vote) plus
-    whether any observed vote actually steered the path."""
-    cpd = model.cpds[item]
-    observed = case.observed
-
-    def state_fn(var: ItemId) -> int:
-        v = observed.get(var)
-        return model.scale.state_of(v) if v is not None else 0
-
-    leaf, path = cpd.lookup_with_path(state_fn)
-    influenced = any(var in observed for var in path)
-    return leaf.distribution, influenced
-
-
 def bn_expected_vote(model: BayesNetModel, case: ActiveCase, item: ItemId) -> float:
     """Expected vote after clamping the no-vote mass to zero and renormalizing."""
     if item in case.observed:
         raise ValueError(f"item {item!r} is observed in this case")
-    dist, _ = _case_lookup(model, case, item)
-    votes = np.asarray(model.scale.vote_values, dtype=float)
-    mass = dist[1:]
-    return float((mass / mass.sum()) @ votes)
-
-
-def rank_score(dist: np.ndarray, scale: VoteScale) -> float:
-    """Ranking score of one item's state distribution.
-
-    Implicit scales rank by the probability of the single vote state;
-    otherwise by expected vote weighted by the probability of voting at all.
-    """
-    if scale.implicit:
-        return float(dist[1])
-    votes = np.asarray(scale.vote_values, dtype=float)
-    mass = dist[1:]
-    p_vote = float(mass.sum())
-    return float((mass / p_vote) @ votes) * p_vote
+    net = model.compiled
+    leaf, _, _ = net.route(case.observed)
+    return float(net.expected[leaf[net.item_pos[item]]])
 
 
 def bn_rank(
     model: BayesNetModel, case: ActiveCase, stats: dict | None = None
 ) -> list[ItemId]:
     """Unobserved model items ranked by their lookup score, ties to lower id."""
-    scored = []
-    for it in model.items:
-        if it in case.observed:
-            continue
-        dist, influenced = _case_lookup(model, case, it)
-        if stats is not None:
-            stats["lookups"] = stats.get("lookups", 0) + 1
-            if influenced:
-                stats["influenced"] = stats.get("influenced", 0) + 1
-        scored.append((-rank_score(dist, model.scale), it))
-    scored.sort()
-    return [it for _, it in scored]
+    net = model.compiled
+    leaf, influenced, seen = net.route(case.observed)
+    if stats is not None:
+        net.count_lookups(stats, influenced, seen)
+    return ranked_ids(net.item_array, net.sort_rank, seen, -net.score[leaf])

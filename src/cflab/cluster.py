@@ -11,6 +11,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -58,16 +59,21 @@ class ClusterModel:
     def num_classes(self) -> int:
         return len(self.class_prior)
 
-    def _item_pos(self) -> dict[ItemId, int]:
-        if not hasattr(self, "_pos"):
-            self._pos = {it: j for j, it in enumerate(self.items)}
-        return self._pos
+    @cached_property
+    def item_pos(self) -> dict[ItemId, int]:
+        return {it: j for j, it in enumerate(self.items)}
+
+    @cached_property
+    def log_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """log(cond), and the log joint of each class with every item at no-vote."""
+        logc = np.log(self.cond)
+        return logc, np.log(self.class_prior) + logc[:, :, 0].sum(axis=1)
 
     def log_posterior(self, observed: Mapping[ItemId, float]) -> np.ndarray:
         """Unnormalized log class posterior for a completed vote vector."""
-        pos = self._item_pos()
-        logc = np.log(self.cond)
-        score = np.log(self.class_prior) + logc[:, :, 0].sum(axis=1)
+        pos = self.item_pos
+        logc, score = self.log_tables
+        score = score.copy()
         for it, v in observed.items():
             j = pos.get(it)
             if j is None:
@@ -308,23 +314,13 @@ def cluster_predict(
     """
     if item in case.observed:
         raise ValueError(f"item {item!r} is observed in this case")
-    pos = model._item_pos()
+    pos = model.item_pos
     j = pos.get(item)
     if j is None:
         raise ValueError(f"item {item!r} not covered by this model")
     post = model.posterior(case.observed)
     dist = post @ model.cond[:, j, :]
-    return ClusterPrediction(
-        expected_vote=_expected_from_distribution(dist, model.scale),
-        distribution=dist,
-    )
-
-
-def _expected_from_distribution(dist: np.ndarray, scale: VoteScale) -> float:
-    votes = np.asarray(scale.vote_values, dtype=float)
-    mass = dist[1:]
-    total = mass.sum()
-    return float((mass / total) @ votes)
+    return ClusterPrediction(expected_vote=model.scale.expected_vote(dist), distribution=dist)
 
 
 def _dirichlet_marginal(counts: np.ndarray, alpha: float) -> np.ndarray:

@@ -378,13 +378,9 @@ def _ranked_ids(
     values: np.ndarray,
     informed: np.ndarray | None = None,
 ) -> list[ItemId]:
-    idx = db.index
-    uninformed = (
-        np.zeros(len(values), dtype=int) if informed is None else (~informed).astype(int)
-    )
-    order = np.lexsort((idx.item_sort_rank, uninformed, -values))
-    observed = set(active.observed)
-    return [idx.item_ids[j] for j in order if idx.item_ids[j] not in observed]
+    if informed is None:
+        return db.index.ranked(active.observed, -values)
+    return db.index.ranked(active.observed, ~informed, -values)
 
 
 def _scorer(db: VoteDatabase, cfg: MemoryConfig) -> MemoryScorer:
@@ -413,7 +409,4 @@ def rank_items(active: ActiveCase, db: VoteDatabase, cfg: MemoryConfig) -> list[
 
 def popularity_rank(db: VoteDatabase, active: ActiveCase) -> list[ItemId]:
     """Zero-order baseline: unobserved items by raw vote count, ties by item id."""
-    idx = db.index
-    order = np.lexsort((idx.item_sort_rank, -idx.item_counts))
-    observed = set(active.observed)
-    return [idx.item_ids[j] for j in order if idx.item_ids[j] not in observed]
+    return db.index.ranked(active.observed, -db.index.item_counts)

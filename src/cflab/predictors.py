@@ -34,7 +34,23 @@ class PopularityPredictor:
         raise NotImplementedError("popularity baseline does not predict vote values")
 
 
-class MemoryPredictor:
+class _CaseCache:
+    """What a predictor derives from a case (`_evaluate`), kept for the
+    case's later calls in a single slot: one attribute, so concurrent case
+    scoring never observes a torn (case, value) pair."""
+
+    _cache: tuple | None = None
+
+    def _for_case(self, case: ActiveCase):
+        cached = self._cache
+        if cached is not None and cached[0] is case:
+            return cached[1]
+        value = self._evaluate(case)
+        self._cache = (case, value)
+        return value
+
+
+class MemoryPredictor(_CaseCache):
     supports_ranked = True
     supports_deviation = True
 
@@ -43,145 +59,99 @@ class MemoryPredictor:
         self.train = train
         self.scorer = memory.MemoryScorer(train, cfg)
         self.stats: dict = {}
-        self._cache: tuple | None = None
 
-    def _predictions(self, case: ActiveCase):
-        # single-slot cache held in one attribute so concurrent case scoring
-        # never observes a torn (case, values) pair
-        cached = self._cache
-        if cached is not None and cached[0] is case:
-            return cached[1]
-        values = self.scorer.predict_all(case)
-        self._cache = (case, values)
-        return values
+    def _evaluate(self, case: ActiveCase):
+        return self.scorer.predict_all(case)
 
     def rank(self, case: ActiveCase) -> list[ItemId]:
-        values, informed = self._predictions(case)
+        values, informed = self._for_case(case)
         return memory._ranked_ids(self.train, case, values, informed)
 
     def predict(self, case: ActiveCase, item: ItemId) -> float:
         j = self.train.index.item_pos.get(item)
         if j is None:
             return case.observed_mean
-        values, _ = self._predictions(case)
+        values, _ = self._for_case(case)
         return float(values[j])
 
 
-def _marginal_distributions(train: VoteDatabase, prior_strength: float = 1.0) -> dict:
-    """Smoothed per-item state distributions of the training data, used as the
-    fallback score for items outside a trained model."""
-    totals, counts = cluster.expected_counts(train, np.ones((len(train.users), 1)))
-    _, dists = cluster.map_estimates(totals, counts, prior_strength)
-    return {it: dists[0, j] for j, it in enumerate(train.items)}
+class _ModelBackedPredictor(_CaseCache):
+    """Shared ranking scaffolding for the probabilistic predictors.
 
-
-class _ModelBackedPredictor:
-    """Shared ranking scaffolding for the probabilistic predictors."""
+    A case's score array over the training items starts from the items'
+    smoothed training-marginal scores, computed once, and takes the model's
+    scores (`_scores`, in model item order) where the model covers the item.
+    """
 
     supports_ranked = True
     supports_deviation = True
 
-    def __init__(self, train: VoteDatabase, name: str) -> None:
+    def __init__(self, train: VoteDatabase, model, name: str) -> None:
         self.name = name
         self.train = train
+        self.model = model
         self.stats: dict = {}
-        self._marginals = None
-
-    def _fallback_dist(self, item: ItemId) -> np.ndarray:
-        if self._marginals is None:
-            self._marginals = _marginal_distributions(self.train)
-        return self._marginals[item]
+        totals, counts = cluster.expected_counts(train, np.ones((len(train.users), 1)))
+        self._marginals = cluster.map_estimates(totals, counts)[1][0]  # (items, states)
+        self._fallback_scores = np.array([train.scale.rank_score(d) for d in self._marginals])
+        self._model_cols = np.array([train.index.item_pos[it] for it in model.items], dtype=np.intp)
 
     def _fallback_vote(self, case: ActiveCase, item: ItemId) -> float:
         """Expected vote of an item outside the model from its training
         marginal; the case's mean vote for an item absent from training."""
-        if item not in self.train.index.item_pos:
+        j = self.train.index.item_pos.get(item)
+        if j is None:
             return case.observed_mean
-        return cluster._expected_from_distribution(self._fallback_dist(item), self.train.scale)
-
-    def _model_items(self) -> set:
-        raise NotImplementedError
-
-    def _model_scores(self, case: ActiveCase) -> dict[ItemId, float]:
-        raise NotImplementedError
+        return self.train.scale.expected_vote(self._marginals[j])
 
     def rank(self, case: ActiveCase) -> list[ItemId]:
-        scale = self.train.scale
-        scores = self._model_scores(case)
-        model_items = self._model_items()
-        for it in self.train.items:
-            if it in case.observed or it in model_items:
-                continue
-            scores[it] = bayesnet.rank_score(self._fallback_dist(it), scale)
-        idx = self.train.index
-        ordered = sorted(
-            scores, key=lambda it: (-scores[it], idx.item_sort_rank[idx.item_pos[it]])
-        )
-        return ordered
+        score = self._fallback_scores.copy()
+        score[self._model_cols] = self._scores(case)
+        return self.train.index.ranked(case.observed, -score)
 
 
 class ClusterPredictor(_ModelBackedPredictor):
     def __init__(self, train: VoteDatabase, model: cluster.ClusterModel, name: str = "BC") -> None:
-        super().__init__(train, name)
-        self.model = model
-        self._cache: tuple | None = None
+        super().__init__(train, model, name)
+        model.log_tables  # built here, before scoring threads share the model
 
-    def _model_items(self) -> set:
-        return set(self.model.items)
+    def _evaluate(self, case: ActiveCase) -> np.ndarray:
+        return self.model.posterior(case.observed)
 
-    def _posterior(self, case: ActiveCase) -> np.ndarray:
-        cached = self._cache
-        if cached is not None and cached[0] is case:
-            return cached[1]
-        post = self.model.posterior(case.observed)
-        self._cache = (case, post)
-        return post
-
-    def _model_scores(self, case: ActiveCase) -> dict[ItemId, float]:
-        post = self._posterior(case)
-        mixed = np.einsum("c,cjs->js", post, self.model.cond)
+    def _scores(self, case: ActiveCase) -> np.ndarray:
+        mixed = np.einsum("c,cjs->js", self._for_case(case), self.model.cond)
         scale = self.model.scale
-        out = {}
-        for j, it in enumerate(self.model.items):
-            if it in case.observed:
-                continue
-            out[it] = bayesnet.rank_score(mixed[j], scale)
-        return out
+        if scale.implicit:
+            return mixed[:, 1]
+        return np.array([scale.rank_score(d) for d in mixed])
 
     def predict(self, case: ActiveCase, item: ItemId) -> float:
-        pos = self.model._item_pos().get(item)
+        pos = self.model.item_pos.get(item)
         if pos is None:
             return self._fallback_vote(case, item)
-        dist = self._posterior(case) @ self.model.cond[:, pos, :]
-        return cluster._expected_from_distribution(dist, self.model.scale)
+        dist = self._for_case(case) @ self.model.cond[:, pos, :]
+        return self.model.scale.expected_vote(dist)
 
 
 class BayesNetPredictor(_ModelBackedPredictor):
     def __init__(self, train: VoteDatabase, model: bayesnet.BayesNetModel, name: str = "BN") -> None:
-        super().__init__(train, name)
-        self.model = model
+        super().__init__(train, model, name)
+        self.net = model.compiled  # built here, before scoring threads share the model
         self._stats_lock = threading.Lock()
 
-    def _model_items(self) -> set:
-        return set(self.model.items)
+    def _evaluate(self, case: ActiveCase) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self.net.route(case.observed)
 
-    def _model_scores(self, case: ActiveCase) -> dict[ItemId, float]:
-        scale = self.model.scale
-        out = {}
-        lookups = influenced = 0
-        for it in self.model.items:
-            if it in case.observed:
-                continue
-            dist, hit = bayesnet._case_lookup(self.model, case, it)
-            lookups += 1
-            influenced += hit
-            out[it] = bayesnet.rank_score(dist, scale)
+    def _scores(self, case: ActiveCase) -> np.ndarray:
+        leaf, influenced, seen = self._for_case(case)
         with self._stats_lock:
-            self.stats["lookups"] = self.stats.get("lookups", 0) + lookups
-            self.stats["influenced"] = self.stats.get("influenced", 0) + influenced
-        return out
+            self.net.count_lookups(self.stats, influenced, seen)
+        return self.net.score[leaf]
 
     def predict(self, case: ActiveCase, item: ItemId) -> float:
-        if item in self.model.cpds:
-            return bayesnet.bn_expected_vote(self.model, case, item)
-        return self._fallback_vote(case, item)
+        j = self.net.item_pos.get(item)
+        if j is None:
+            return self._fallback_vote(case, item)
+        if item in case.observed:
+            raise ValueError(f"item {item!r} is observed in this case")
+        return float(self.net.expected[self._for_case(case)[0][j]])

@@ -85,6 +85,23 @@ class VoteScale:
             return np.ones(len(votes), dtype=np.int64)
         return 1 + (v.astype(np.int64) - self.min_vote)
 
+    def expected_vote(self, dist: np.ndarray) -> float:
+        """Expected vote of a state distribution: the no-vote mass is clamped
+        to zero and the vote states renormalized."""
+        mass = dist[1:]
+        total = mass.sum()
+        return float((mass / total) @ np.asarray(self.vote_values, dtype=float))
+
+    def rank_score(self, dist: np.ndarray) -> float:
+        """Ranking score of a state distribution: implicit scales rank by the
+        probability of the single vote state; otherwise by expected vote
+        weighted by the probability of voting at all."""
+        if self.implicit:
+            return float(dist[1])
+        mass = dist[1:]
+        p_vote = float(mass.sum())
+        return float((mass / p_vote) @ np.asarray(self.vote_values, dtype=float)) * p_vote
+
     def value_of_state(self, state: int) -> int | None:
         """Inverse of state_of; state 0 maps to None."""
         if state == 0:
@@ -110,6 +127,23 @@ class VoteScale:
 
 
 IMPLICIT_SCALE = VoteScale(0, 1, 0.0, True)
+
+
+def sort_rank(ids) -> np.ndarray:
+    """Rank of each id in sorted order, the tie-break of every ranking."""
+    rank = np.empty(len(ids), dtype=int)
+    rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    return rank
+
+
+def ranked_ids(
+    ids: np.ndarray, rank: np.ndarray, skip: np.ndarray, *keys: np.ndarray
+) -> list[ItemId]:
+    """The one ranking rule: `ids` outside the `skip` mask, in `np.lexsort`
+    order of `keys` (the last key is the primary one), ties to the lower id
+    by its sort `rank`."""
+    order = np.lexsort((rank, *keys))
+    return ids[order[~skip[order]]].tolist()
 
 
 class _Index:
@@ -147,20 +181,17 @@ class _Index:
                 self.user_counts > 0, self.user_sums / np.maximum(self.user_counts, 1), 0.0
             )
         self.item_counts = np.asarray(self.M.sum(axis=0)).ravel()
-        # rank of each item when sorted by id, used for deterministic tie-breaks
-        order = sorted(range(t), key=lambda j: self.item_ids[j])
-        self.item_sort_rank = np.empty(t, dtype=int)
-        for r, j in enumerate(order):
-            self.item_sort_rank[j] = r
-        self._csc: sp.csc_matrix | None = None
-        self._v2_csc: sp.csc_matrix | None = None
-        self._m_csc: sp.csc_matrix | None = None
-        self._centered: sp.csr_matrix | None = None
-        self._iuf: np.ndarray | None = None
-        self._vote_states: sp.csr_matrix | None = None
+        self.item_array = np.array(self.item_ids, dtype=object)
+        self.item_sort_rank = sort_rank(self.item_ids)
         self.scorer_cache: dict = {}
 
-    @property
+    def ranked(self, observed: Mapping[ItemId, float], *keys: np.ndarray) -> list[ItemId]:
+        """The items outside `observed`, ordered by `ranked_ids`."""
+        skip = np.zeros(len(self.item_ids), dtype=bool)
+        skip[[self.item_pos[it] for it in observed if it in self.item_pos]] = True
+        return ranked_ids(self.item_array, self.item_sort_rank, skip, *keys)
+
+    @cached_property
     def vote_states(self) -> sp.csr_matrix:
         """One-hot users x (item, vote state) encoding of the recorded votes.
 
@@ -170,54 +201,41 @@ class _Index:
         vote that is not integral on the scale raises VoteDataError only for
         the models that need states.
         """
-        if self._vote_states is None:
-            s_votes = self.scale.num_states - 1
-            states = self.scale.states_of(self.V.data)
-            self._vote_states = sp.csr_matrix(
-                (np.ones(len(states)), self.V.indices * s_votes + (states - 1), self.V.indptr),
-                shape=(self.V.shape[0], self.V.shape[1] * s_votes),
-            )
-        return self._vote_states
+        s_votes = self.scale.num_states - 1
+        states = self.scale.states_of(self.V.data)
+        return sp.csr_matrix(
+            (np.ones(len(states)), self.V.indices * s_votes + (states - 1), self.V.indptr),
+            shape=(self.V.shape[0], self.V.shape[1] * s_votes),
+        )
 
-    @property
+    @cached_property
     def V_csc(self) -> sp.csc_matrix:
-        if self._csc is None:
-            self._csc = self.V.tocsc()
-        return self._csc
+        return self.V.tocsc()
 
-    @property
+    @cached_property
     def V2_csc(self) -> sp.csc_matrix:
-        if self._v2_csc is None:
-            m = self.V_csc.copy()
-            m.data = m.data**2
-            self._v2_csc = m
-        return self._v2_csc
+        m = self.V_csc.copy()
+        m.data = m.data**2
+        return m
 
-    @property
+    @cached_property
     def M_csc(self) -> sp.csc_matrix:
-        if self._m_csc is None:
-            self._m_csc = self.M.tocsc()
-        return self._m_csc
+        return self.M.tocsc()
 
-    @property
+    @cached_property
     def V_centered(self) -> sp.csr_matrix:
         """Votes with each user's full-set mean subtracted, on the vote support."""
-        if self._centered is None:
-            m = self.V.copy()
-            row_of = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
-            m.data = m.data - self.user_means[row_of]
-            self._centered = m
-        return self._centered
+        m = self.V.copy()
+        row_of = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+        m.data = m.data - self.user_means[row_of]
+        return m
 
-    @property
+    @cached_property
     def iuf(self) -> np.ndarray:
         """Per-item ln(n / n_j); items nobody voted on get 0 and never contribute."""
-        if self._iuf is None:
-            n = len(self.user_ids)
-            with np.errstate(divide="ignore"):
-                f = np.where(self.item_counts > 0, np.log(n / np.maximum(self.item_counts, 1)), 0.0)
-            self._iuf = f
-        return self._iuf
+        n = len(self.user_ids)
+        with np.errstate(divide="ignore"):
+            return np.where(self.item_counts > 0, np.log(n / np.maximum(self.item_counts, 1)), 0.0)
 
 
 @dataclass(eq=False)

@@ -49,3 +49,36 @@ def tiny_explicit_db():
             ("u3", "a", 4), ("u3", "b", 4), ("u3", "c", 4), ("u3", "d", 1),
         ]
     )
+
+
+def random_grouped_db(rng, explicit, n_users=60, n_items=6):
+    """Random database whose users fall in two taste groups, so that learned
+    networks split; item `i0t` copies item `i0`'s votes, so scores tie."""
+    scale = SCALE_0_5 if explicit else IMPLICIT_SCALE
+    p_vote = rng.uniform(0.1, 0.9, size=(2, n_items))
+    mean = rng.uniform(0, 5, size=(2, n_items))
+    rows = []
+    for i in range(n_users):
+        g = int(rng.integers(2))
+        voted = np.flatnonzero(rng.random(n_items) < p_vote[g])
+        if not len(voted):
+            voted = [int(rng.integers(n_items))]
+        for j in voted:
+            v = int(np.clip(np.rint(mean[g, j] + rng.normal()), 0, 5)) if explicit else 1
+            rows.append((f"u{i}", f"i{j}", v))
+            if j == 0:
+                rows.append((f"u{i}", "i0t", v))
+    return make_db(rows, scale, items=[f"i{j}" for j in range(n_items)] + ["i0t"])
+
+
+def random_case(rng, db, max_observed=3, absent=("zz",)):
+    """A case observing a few random items with random on-scale votes, and
+    maybe items absent from the database; at least one vote."""
+    k = int(rng.integers(0, max_observed + 1))
+    items = list(rng.choice(len(db.items), size=min(k, len(db.items)), replace=False))
+    values = db.scale.vote_values
+    observed = {db.items[j]: float(values[rng.integers(len(values))]) for j in items}
+    for it in absent:
+        if not observed or rng.random() < 0.3:
+            observed[it] = float(values[0])
+    return case_for("t", observed)

@@ -205,3 +205,98 @@ def init_params_loop(db, c, rng, prior_strength, noise_scale=10.0):
     prior = np.maximum(rng.dirichlet(np.full(c, 10.0)), 1e-12)
     prior /= prior.sum()
     return prior, cond
+
+
+def log_posterior_loop(model, observed):
+    """BC's unnormalized log class posterior with the log tensor recomputed
+    per call: the all-no-vote score, then each observed model item's change."""
+    pos = {it: j for j, it in enumerate(model.items)}
+    logc = np.log(model.cond)
+    score = np.log(model.class_prior) + logc[:, :, 0].sum(axis=1)
+    for it, v in observed.items():
+        j = pos.get(it)
+        if j is None:
+            continue
+        s = model.scale.state_of(v)
+        score = score + logc[:, j, s] - logc[:, j, 0]
+    return score
+
+
+def rank_score_scalar(dist, scale):
+    """Ranking score of one state distribution, one item at a time."""
+    if scale.implicit:
+        return float(dist[1])
+    votes = np.asarray(scale.vote_values, dtype=float)
+    mass = dist[1:]
+    p_vote = float(mass.sum())
+    return float((mass / p_vote) @ votes) * p_vote
+
+
+def case_lookup(model, case, item):
+    """One item's leaf distribution from a tree walk (unobserved items are
+    no-vote), and whether an observed vote steered the path."""
+    cpd = model.cpds[item]
+    observed = case.observed
+
+    def state_fn(var):
+        v = observed.get(var)
+        return model.scale.state_of(v) if v is not None else 0
+
+    leaf, path = cpd.lookup_with_path(state_fn)
+    return leaf.distribution, any(var in observed for var in path)
+
+
+def bn_expected_vote_walk(model, case, item):
+    """BN expected vote of one item from its own tree walk."""
+    dist, _ = case_lookup(model, case, item)
+    votes = np.asarray(model.scale.vote_values, dtype=float)
+    mass = dist[1:]
+    return float((mass / mass.sum()) @ votes)
+
+
+def bn_scores_walk(model, case):
+    """Per-item dict of BN ranking scores from one tree walk per unobserved
+    model item, plus the (lookups, influenced) counts."""
+    out = {}
+    lookups = influenced = 0
+    for it in model.items:
+        if it in case.observed:
+            continue
+        dist, hit = case_lookup(model, case, it)
+        lookups += 1
+        influenced += hit
+        out[it] = rank_score_scalar(dist, model.scale)
+    return out, lookups, influenced
+
+
+def bc_scores_loop(model, case):
+    """Per-item dict of BC ranking scores of the unobserved model items."""
+    mixed = np.einsum("c,cjs->js", model.posterior(case.observed), model.cond)
+    return {
+        it: rank_score_scalar(mixed[j], model.scale)
+        for j, it in enumerate(model.items) if it not in case.observed
+    }
+
+
+def sorted_ranking(scores):
+    """Items of a score dict by descending score, ties to the lower item id."""
+    return sorted(scores, key=lambda it: (-scores[it], it))
+
+
+def model_backed_ranking(train, model_scores, case, prior_strength=1.0):
+    """A model predictor's ranked list: the model's scores, plus for every
+    other unobserved training item the score of its smoothed training
+    marginal, counted vote by vote."""
+    scale = train.scale
+    n, s = len(train.users), scale.num_states
+    states = dense_states(train)
+    scores = dict(model_scores)
+    for j, it in enumerate(train.items):
+        if it in case.observed or it in scores:
+            continue
+        counts = [0] * s
+        for i in range(n):
+            counts[states[i, j]] += 1
+        dist = np.array([(k + prior_strength / s) / (n + prior_strength) for k in counts])
+        scores[it] = rank_score_scalar(dist, scale)
+    return sorted_ranking(scores)

@@ -23,10 +23,25 @@ from cflab.bayesnet import (
     learn_network,
     tree_lookup,
 )
-from cflab.votedata import IMPLICIT_SCALE, VoteDatabase, VoteScale, load_votes_csv
+from cflab.votedata import IMPLICIT_SCALE, VoteDatabase, VoteDataError, VoteScale, load_votes_csv
 
-from conftest import SCALE_0_5, case_for, make_db, random_explicit_db, random_implicit_db
-from reference import dense_pair_counts, dense_states, transitive_closure
+from conftest import (
+    SCALE_0_5,
+    case_for,
+    make_db,
+    random_case,
+    random_explicit_db,
+    random_grouped_db,
+    random_implicit_db,
+)
+from reference import (
+    bn_expected_vote_walk,
+    bn_scores_walk,
+    dense_pair_counts,
+    dense_states,
+    sorted_ranking,
+    transitive_closure,
+)
 
 FIXTURE_VOTES = Path(__file__).resolve().parent.parent / "fixtures" / "fixture_votes.csv"
 
@@ -430,3 +445,63 @@ class TestSearchChecks:
         model = learn_network(db, LearnConfig(structure_penalty=0.99))
         assert model.structure_stats()["max_parents"] > 1
         assert proc.stdout.strip() == json.dumps(model.to_json(), sort_keys=True)
+
+
+class TestCompiledNetwork:
+    """The flat-array network against one tree walk per item."""
+
+    @staticmethod
+    def _network(seed, explicit, penalty):
+        rng = np.random.default_rng(seed)
+        db = random_grouped_db(rng, explicit, n_users=int(rng.integers(20, 80)))
+        return rng, learn_network(db, LearnConfig(structure_penalty=penalty))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        explicit=st.booleans(),
+        penalty=st.sampled_from([0.1, 0.5, 0.99]),
+    )
+    def test_routing_matches_tree_walk(self, seed, explicit, penalty):
+        rng, model = self._network(seed, explicit, penalty)
+        net = model.compiled
+        for _ in range(5):
+            case = random_case(rng, model, max_observed=4)
+            leaf, influenced, seen = net.route(case.observed)
+            for j, it in enumerate(model.items):
+                state_of = lambda var: model.scale.state_of(case.observed.get(var))
+                want, path = model.cpds[it].lookup_with_path(state_of)
+                assert net.nodes[leaf[j]] is want
+                assert influenced[j] == any(var in case.observed for var in path)
+                assert seen[j] == (it in case.observed)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        explicit=st.booleans(),
+        penalty=st.sampled_from([0.1, 0.5, 0.99]),
+    )
+    def test_rank_and_expected_vote_match_tree_walk(self, seed, explicit, penalty):
+        rng, model = self._network(seed, explicit, penalty)
+        for _ in range(5):
+            case = random_case(rng, model, max_observed=4)
+            stats = {}
+            scores, lookups, influenced = bn_scores_walk(model, case)
+            assert bn_rank(model, case, stats=stats) == sorted_ranking(scores)
+            assert (stats["lookups"], stats["influenced"]) == (lookups, influenced)
+            for it in scores:
+                want = bn_expected_vote_walk(model, case, it)
+                assert bn_expected_vote(model, case, it) == want  # bitwise
+
+    def test_leaf_only_network_routes_in_zero_steps(self):
+        model = TestRanking()._two_item_model()
+        net = model.compiled
+        assert net.depth == 0
+        leaf, influenced, seen = net.route({"hi": 1.0})
+        assert leaf.tolist() == [0, 1] and not influenced.any()
+        assert seen.tolist() == [True, False]
+
+    def test_off_scale_observed_vote_raises(self):
+        model = TestRanking()._two_item_model()
+        with pytest.raises(VoteDataError):
+            bn_rank(model, case_for("u", {"hi": 2.0}))

@@ -17,8 +17,16 @@ from cflab.cluster import (
 )
 from cflab.votedata import IMPLICIT_SCALE, VoteDatabase, VoteScale
 
-from conftest import SCALE_0_5, case_for, make_db, random_explicit_db, random_implicit_db
-from reference import exact_mixture_log_marginal, init_params_loop
+from conftest import (
+    SCALE_0_5,
+    case_for,
+    make_db,
+    random_case,
+    random_explicit_db,
+    random_grouped_db,
+    random_implicit_db,
+)
+from reference import exact_mixture_log_marginal, init_params_loop, log_posterior_loop
 
 
 def two_block_db(rng, n_per=40, items_per=4, p_own=0.92, p_other=0.02):
@@ -367,3 +375,28 @@ class TestInitDraw:
         want = init_params_loop(db, 4, np.random.default_rng(21), 1.0, cluster.NOISE_SCALE)
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
+
+
+class TestLogPosteriorCache:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        explicit=st.booleans(),
+        classes=st.integers(1, 5),
+        n_items=st.integers(1, 6),
+    )
+    def test_matches_per_call_logs_bitwise(self, seed, explicit, classes, n_items):
+        rng = np.random.default_rng(seed)
+        db = random_grouped_db(rng, explicit, n_users=30, n_items=6)
+        scale = db.scale
+        items = tuple(db.items[:n_items])
+        cond = rng.dirichlet(np.ones(scale.num_states), size=(classes, n_items))
+        prior = rng.dirichlet(np.ones(classes))
+        model = ClusterModel(scale, items, prior, cond)
+        for _ in range(5):
+            observed = random_case(rng, db, max_observed=5).observed  # some outside the model
+            want = log_posterior_loop(model, observed).tobytes()
+            got = model.log_posterior(observed)
+            assert got.tobytes() == want
+            got += 1.0  # the caller's own array, not the cached one
+            assert model.log_posterior(observed).tobytes() == want

@@ -7,7 +7,11 @@ import numpy as np
 import pytest
 
 from cflab import cli, harness
-from cflab.votedata import IMPLICIT_SCALE, load_votes_csv
+from cflab.bayesnet import LearnConfig, learn_network
+from cflab.cluster import em_fit
+from cflab.evaluation import run_experiment
+from cflab.predictors import BayesNetPredictor, ClusterPredictor
+from cflab.votedata import IMPLICIT_SCALE, generate_active_cases, load_votes_csv
 
 FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -259,3 +263,30 @@ class TestEnvironmentOverrides:
         monkeypatch.setenv("CFLAB_JOBS", "3")
         assert run_cli("run", workdir / "fixture_config.json") == 0
         assert (workdir / "out" / "reports" / "ranked_Given2.json").read_bytes() == baseline
+
+
+class TestThreadedScoring:
+    def test_model_predictors_score_alike_on_one_and_two_threads(self):
+        config = harness.load_config(FIXDIR / "fixture_config.json")
+        train, test = harness.load_datasets(config.dataset)
+
+        def reports(jobs):
+            # fresh models, so that each run's predictors build their own
+            # scoring tables before the threads start
+            bc = em_fit(train, 2, seed=1, compute_cs=False)[0]
+            bn = learn_network(train, LearnConfig(structure_penalty=0.99))
+            algs = [ClusterPredictor(train, bc), BayesNetPredictor(train, bn)]
+            out = []
+            for protocol in config.protocols:
+                cases = generate_active_cases(test, protocol, config.seed)
+                for metric in ("ranked", "deviation"):
+                    out.append(run_experiment(
+                        train, cases, algs, metric, ranked_cfg=config.ranked,
+                        seed=config.seed, protocol_label=protocol.label, jobs=jobs,
+                    ).dumps())
+            return out
+
+        one, two = reports(1), reports(2)
+        assert one == two
+        extras = json.loads(two[0])["extras"]["BN"]
+        assert extras["lookups"] > 0 and extras["influenced"] > 0

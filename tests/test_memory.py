@@ -8,6 +8,7 @@ from cflab.memory import (
     DefaultVoting,
     MemoryConfig,
     MemoryScorer,
+    _ranked_ids,
     case_amplify,
     correlation_weight,
     inverse_user_frequency,
@@ -388,3 +389,21 @@ class TestConfigValidation:
         cfg = MemoryConfig("correlation", DefaultVoting(d=0.0, k=10000), True, 2.5)
         again = MemoryConfig.from_json(cfg.to_json())
         assert again == cfg
+
+
+class TestRankingRule:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_items=st.integers(1, 8), informed_all=st.booleans())
+    def test_ranked_ids_matches_sorted_keys(self, seed, n_items, informed_all):
+        rng = np.random.default_rng(seed)
+        db = random_implicit_db(rng, n_users=6, n_items=n_items)
+        values = rng.integers(0, 3, size=n_items).astype(float)  # small range: ties
+        informed = None if informed_all else rng.random(n_items) < 0.5
+        observed = {it: 1.0 for it in db.items if rng.random() < 0.3} or {"zz": 1.0}
+        case = case_for("t", observed)
+        flag = np.ones(n_items, dtype=bool) if informed is None else informed
+        want = sorted(
+            (it for it in db.items if it not in observed),
+            key=lambda it: (-values[db.items.index(it)], not flag[db.items.index(it)], it),
+        )
+        assert _ranked_ids(db, case, values, informed) == want

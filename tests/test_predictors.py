@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cflab.bayesnet import LearnConfig, learn_network
 from cflab.cluster import em_fit
@@ -12,7 +13,13 @@ from cflab.predictors import (
 )
 from cflab.votedata import restrict_to_top_items
 
-from conftest import case_for, random_explicit_db, random_implicit_db
+from conftest import case_for, random_case, random_explicit_db, random_grouped_db, random_implicit_db
+from reference import (
+    bc_scores_loop,
+    bn_expected_vote_walk,
+    bn_scores_walk,
+    model_backed_ranking,
+)
 
 
 @pytest.fixture
@@ -79,3 +86,42 @@ class TestModelFallbacks:
         assert "zz" not in db.items
         assert bc.predict(case, "zz") == case.observed_mean == 2.5
         assert bn.predict(case, "zz") == case.observed_mean
+
+
+class TestArrayRanking:
+    """Model predictors' array ranking against per-item dicts sorted in Python."""
+
+    @staticmethod
+    def _train(seed, explicit, top):
+        rng = np.random.default_rng(seed)
+        db = random_grouped_db(rng, explicit, n_users=int(rng.integers(20, 60)))
+        return rng, db, restrict_to_top_items(db, top)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), explicit=st.booleans(), top=st.integers(1, 7))
+    def test_bayesnet_matches_tree_walk(self, seed, explicit, top):
+        rng, db, trimmed = self._train(seed, explicit, top)
+        model = learn_network(trimmed, LearnConfig(structure_penalty=0.9))
+        pred = BayesNetPredictor(db, model, name="BN")
+        lookups = influenced = 0
+        for _ in range(6):
+            case = random_case(rng, db, max_observed=4)
+            scores, n, hits = bn_scores_walk(model, case)
+            lookups, influenced = lookups + n, influenced + hits
+            assert pred.rank(case) == model_backed_ranking(db, scores, case)
+            for it in scores:
+                assert pred.predict(case, it) == bn_expected_vote_walk(model, case, it)
+        assert pred.stats == {"lookups": lookups, "influenced": influenced}
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), explicit=st.booleans(), top=st.integers(1, 7))
+    def test_cluster_matches_item_loop(self, seed, explicit, top):
+        rng, db, trimmed = self._train(seed, explicit, top)
+        model, _ = em_fit(trimmed, int(rng.integers(1, 4)), seed=seed, compute_cs=False)
+        pred = ClusterPredictor(db, model, name="BC")
+        for _ in range(6):
+            case = random_case(rng, db, max_observed=4)
+            scores = bc_scores_loop(model, case)
+            assert pred.rank(case) == model_backed_ranking(db, scores, case)
+            got = dict(zip(model.items, pred._scores(case)))
+            assert all(got[it] == score for it, score in scores.items())  # bitwise
