@@ -21,7 +21,8 @@ from cflab.evaluation import (  # noqa: E402
     normalized_ranked_score,
     ranked_utility,
 )
-from cflab.memory import DefaultVoting, MemoryConfig, MemoryScorer, _ranked_ids  # noqa: E402
+from cflab.memory import DefaultVoting, MemoryConfig  # noqa: E402
+from cflab.predictors import MemoryPredictor  # noqa: E402
 from cflab.votedata import (  # noqa: E402
     IMPLICIT_SCALE,
     Protocol,
@@ -54,12 +55,11 @@ def taste_db(rng, users_per, prefix):
 
 
 def ranked_score(train, cases, cfg):
-    scorer = MemoryScorer(train, cfg)
+    predictor = MemoryPredictor(train, cfg, name="CR")
     rc = RankedScoringConfig(5.0, 0.0)
     utilities, maxima = [], []
     for c in cases:
-        values, informed = scorer.predict_all(c)
-        ranked = _ranked_ids(train, c, values, informed)
+        ranked = predictor.rank(c)
         m = max_ranked_utility(c.targets, rc)
         if m <= 0:
             continue

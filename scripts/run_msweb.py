@@ -23,7 +23,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--protocols", nargs="*", default=None,
                         help="subset of protocols, e.g. allbut1 given5")
-    parser.add_argument("--jobs", type=int, default=None)
     args = parser.parse_args()
 
     data = ROOT / "data"
@@ -33,7 +32,7 @@ def main() -> int:
     config = harness.load_config(ROOT / "configs" / "msweb.json")
     if args.protocols:
         config.protocols = [Protocol.parse(p) for p in args.protocols]
-    result = harness.run(config, jobs=args.jobs)
+    result = harness.run(config)
     for path in result.summary_paths:
         if path.suffix == ".txt":
             print(path.read_text())

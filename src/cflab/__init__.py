@@ -10,8 +10,6 @@ ranked utility, absolute deviation, and blocked significance statistics.
 from .bayesnet import (
     BayesNetModel,
     LearnConfig,
-    bn_expected_vote,
-    bn_rank,
     leaf_family_score,
     learn_network,
     tree_lookup,
@@ -20,8 +18,6 @@ from .cluster import (
     ClusterModel,
     FitReport,
     cheeseman_stutz_score,
-    cluster_posterior,
-    cluster_predict,
     em_fit,
     select_cluster_model,
 )
@@ -35,19 +31,7 @@ from .evaluation import (
     ranked_utility,
     run_experiment,
 )
-from .memory import (
-    DefaultVoting,
-    MemoryConfig,
-    MemoryScorer,
-    NeighborWeights,
-    case_amplify,
-    correlation_weight,
-    inverse_user_frequency,
-    popularity_rank,
-    predict_vote,
-    rank_items,
-    vector_similarity_weight,
-)
+from .memory import DefaultVoting, MemoryConfig, MemoryScorer
 from .votedata import (
     IMPLICIT_SCALE,
     ActiveCase,

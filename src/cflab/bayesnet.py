@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import gammaln
 
-from .votedata import ActiveCase, ItemId, VoteDatabase, VoteScale, ranked_ids, sort_rank
+from .votedata import ItemId, VoteDatabase, VoteScale
 
 log = logging.getLogger(__name__)
 
@@ -147,9 +147,7 @@ class CompiledNetwork:
 
     def __init__(self, model: "BayesNetModel") -> None:
         self.scale = model.scale
-        self.item_array = np.array(model.items, dtype=object)
         self.item_pos = {it: j for j, it in enumerate(model.items)}
-        self.sort_rank = sort_rank(model.items)
         self.nodes = [model.cpds[it].root for it in model.items]  # number -> Leaf or Split
         depth = [0] * len(self.nodes)
         var, first = [], []
@@ -527,23 +525,3 @@ def tree_lookup(
         raise EvidenceError(f"evidence missing split variable(s) {missing!r}")
     leaf, _ = cpd.lookup_with_path(lambda var: model.scale.state_of(evidence[var]))
     return leaf.distribution
-
-
-def bn_expected_vote(model: BayesNetModel, case: ActiveCase, item: ItemId) -> float:
-    """Expected vote after clamping the no-vote mass to zero and renormalizing."""
-    if item in case.observed:
-        raise ValueError(f"item {item!r} is observed in this case")
-    net = model.compiled
-    leaf, _, _ = net.route(case.observed)
-    return float(net.expected[leaf[net.item_pos[item]]])
-
-
-def bn_rank(
-    model: BayesNetModel, case: ActiveCase, stats: dict | None = None
-) -> list[ItemId]:
-    """Unobserved model items ranked by their lookup score, ties to lower id."""
-    net = model.compiled
-    leaf, influenced, seen = net.route(case.observed)
-    if stats is not None:
-        net.count_lookups(stats, influenced, seen)
-    return ranked_ids(net.item_array, net.sort_rank, seen, -net.score[leaf])

@@ -30,7 +30,7 @@ EXIT_DATA = 3
 
 def _cmd_run(args) -> int:
     config = harness.load_config(args.config)
-    result = harness.run(config, jobs=args.jobs)
+    result = harness.run(config)
     for path in result.summary_paths:
         if path.suffix == ".txt":
             print(path.read_text(encoding="utf-8"))
@@ -91,8 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run the experiment grid from a config file")
     p_run.add_argument("config", type=Path)
-    p_run.add_argument("--jobs", type=int, default=None,
-                       help="worker threads for case scoring (affects wall time only)")
     p_run.set_defaults(fn=_cmd_run)
 
     p_rep = sub.add_parser("report", help="render a report or summary JSON as a table")

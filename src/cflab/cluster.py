@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import gammaln, logsumexp
 
-from .votedata import ActiveCase, ItemId, VoteDatabase, VoteScale
+from .votedata import ItemId, VoteDatabase, VoteScale
 
 log = logging.getLogger(__name__)
 
@@ -106,12 +106,6 @@ class ClusterModel:
             class_prior=np.asarray(obj["class_prior"]),
             cond=np.asarray(obj["cond"]),
         )
-
-
-@dataclass
-class ClusterPrediction:
-    expected_vote: float
-    distribution: np.ndarray  # over all states, no-vote mass included
 
 
 @dataclass
@@ -297,30 +291,6 @@ def em_fit(
     if compute_cs:
         report.cs_score = cheeseman_stutz_score(model, db, prior_strength)
     return model, report
-
-
-def cluster_posterior(model: ClusterModel, case: ActiveCase) -> np.ndarray:
-    """Class posterior given the case's observed votes (all other items no-vote)."""
-    return model.posterior(case.observed)
-
-
-def cluster_predict(
-    model: ClusterModel, case: ActiveCase, item: ItemId
-) -> ClusterPrediction:
-    """Posterior-mixed state distribution for one item plus its expected vote.
-
-    The expected vote drops the no-vote state and renormalizes over the vote
-    values; the returned distribution keeps the no-vote mass for ranking.
-    """
-    if item in case.observed:
-        raise ValueError(f"item {item!r} is observed in this case")
-    pos = model.item_pos
-    j = pos.get(item)
-    if j is None:
-        raise ValueError(f"item {item!r} not covered by this model")
-    post = model.posterior(case.observed)
-    dist = post @ model.cond[:, j, :]
-    return ClusterPrediction(expected_vote=model.scale.expected_vote(dist), distribution=dist)
 
 
 def _dirichlet_marginal(counts: np.ndarray, alpha: float) -> np.ndarray:

@@ -47,16 +47,20 @@ def ranked_utility(
 
     Each voted item at 1-based rank j contributes max(vote - neutral, 0)
     divided by 2^((j - 1) / (half_life - 1)); unvoted items contribute
-    nothing, exactly as if they held the neutral vote.
+    nothing, exactly as if they held the neutral vote. The list holds each
+    item at most once.
     """
-    total = 0.0
-    for pos, item in enumerate(ranked, start=1):
-        v = actual.get(item)
-        if v is None:
-            continue
+    hits = []
+    for item, v in actual.items():
         gain = max(v - cfg.neutral, 0.0)
         if gain > 0:
-            total += gain / _decay(pos, cfg.half_life)
+            try:
+                hits.append((ranked.index(item), gain))
+            except ValueError:
+                continue  # not in the list
+    total = 0.0
+    for pos, gain in sorted(hits):  # in list order, as a walk down the list adds them
+        total += gain / _decay(pos + 1, cfg.half_life)
     return total
 
 
@@ -232,15 +236,12 @@ def run_experiment(
     confidence: float = 0.90,
     seed: int | None = None,
     protocol_label: str = "custom",
-    jobs: int = 1,
 ) -> ExperimentReport:
     """Score every algorithm on every case under a randomized block design.
 
     All algorithms see identical observed votes per case. A case where any
     algorithm fails, or (for ranked scoring) with zero maximum utility, is
-    dropped for all algorithms so the blocks stay complete. `jobs` only
-    controls threading of the per-case scoring; results are reduced in case
-    order and do not depend on it.
+    dropped for all algorithms so the blocks stay complete.
     """
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
@@ -263,52 +264,27 @@ def run_experiment(
         a.name: dict(getattr(a, "stats", {}) or {}) for a in algorithms
     }
 
-    def score_case(case: ActiveCase):
-        times = {n: 0.0 for n in names}
+    for case in cases:
         if metric == RANKED:
             rmax = max_ranked_utility(case.targets, ranked_cfg)
             if rmax <= 0:
-                return ("zero_max", None, None, times)
-            row = {}
-            for alg in algorithms:
-                t0 = time.perf_counter()
-                try:
-                    ranked = alg.rank(case)
-                    row[alg.name] = ranked_utility(ranked, case.targets, ranked_cfg)
-                except Exception:
-                    log.exception("algorithm %s failed on case %r", alg.name, case.user)
-                    return ("failed", None, None, times)
-                finally:
-                    times[alg.name] += time.perf_counter() - t0
-            return ("ok", row, rmax, times)
+                excluded["zero_max_utility"].append(case.user)
+                continue
         row = {}
         for alg in algorithms:
             t0 = time.perf_counter()
             try:
-                preds = {it: alg.predict(case, it) for it in case.targets}
-                row[alg.name] = absolute_deviation(preds, case.targets)
+                if metric == RANKED:
+                    row[alg.name] = ranked_utility(alg.rank(case), case.targets, ranked_cfg)
+                else:
+                    preds = {it: alg.predict(case, it) for it in case.targets}
+                    row[alg.name] = absolute_deviation(preds, case.targets)
             except Exception:
                 log.exception("algorithm %s failed on case %r", alg.name, case.user)
-                return ("failed", None, None, times)
+                break
             finally:
-                times[alg.name] += time.perf_counter() - t0
-        return ("ok", row, None, times)
-
-    if jobs and jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(score_case, cases))
-    else:
-        results = [score_case(c) for c in cases]
-
-    for case, (status, row, rmax, times) in zip(cases, results):
-        for n in names:
-            timing[n] += times[n]
-        if status == "zero_max":
-            excluded["zero_max_utility"].append(case.user)
-            continue
-        if status == "failed":
+                timing[alg.name] += time.perf_counter() - t0
+        if len(row) < len(algorithms):
             excluded["failed"].append(case.user)
             continue
         kept_ids.append(case.user)

@@ -203,7 +203,7 @@ def parse_config(doc: dict, base_dir: Path) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError(f"ranked: {exc}") from None
 
-    # the only environment override besides CFLAB_JOBS: relocate the artifacts
+    # the only environment override: relocate the artifacts
     out_override = os.environ.get("CFLAB_OUTPUT_DIR")
     output_dir = Path(out_override) if out_override else base_dir / doc.get("output_dir", "out")
     return ExperimentConfig(
@@ -267,15 +267,20 @@ def train_model(train: VoteDatabase, spec: AlgorithmSpec, seed: int, cache_dir: 
     cache_dir.mkdir(parents=True, exist_ok=True)
     path = cache_dir / f"{spec.kind}_{key}.json"
     if path.exists():
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        model = (
-            cluster.ClusterModel.from_json(doc)
-            if spec.kind == CLUSTER
-            else bayesnet.BayesNetModel.from_json(doc)
-        )
-        log.info("loaded cached %s model %s", spec.kind, path.name)
-        return model, path
+        try:
+            doc = json.loads(path.read_text(encoding="utf-8"))
+            model = (
+                cluster.ClusterModel.from_json(doc)
+                if spec.kind == CLUSTER
+                else bayesnet.BayesNetModel.from_json(doc)
+            )
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            # a truncated or corrupt entry is a miss: retrain and replace it
+            log.warning("unreadable cached %s model %s (%r); retraining",
+                        spec.kind, path.name, exc)
+        else:
+            log.info("loaded cached %s model %s", spec.kind, path.name)
+            return model, path
     if spec.kind == CLUSTER:
         params = spec.params
         if "classes" in params:
@@ -348,11 +353,8 @@ class RunResult:
     output_dir: Path
 
 
-def run(config: ExperimentConfig, jobs: int | None = None) -> RunResult:
+def run(config: ExperimentConfig) -> RunResult:
     t_start = time.perf_counter()
-    if jobs is None and os.environ.get("CFLAB_JOBS"):
-        jobs = int(os.environ["CFLAB_JOBS"])
-    jobs = jobs or os.cpu_count() or 1
     out = config.output_dir
     (out / "reports").mkdir(parents=True, exist_ok=True)
     (out / "splits").mkdir(parents=True, exist_ok=True)
@@ -386,7 +388,6 @@ def run(config: ExperimentConfig, jobs: int | None = None) -> RunResult:
                 confidence=config.confidence,
                 seed=config.seed,
                 protocol_label=protocol.label,
-                jobs=jobs,
             )
             reports[(metric, protocol.label)] = report
             path = out / "reports" / f"{metric}_{protocol.label}.json"
@@ -409,7 +410,6 @@ def run(config: ExperimentConfig, jobs: int | None = None) -> RunResult:
 
     meta = {
         "wall_seconds": time.perf_counter() - t_start,
-        "jobs": jobs,
         "timing": timings,
         "train_users": len(train.users),
         "train_items": len(train.items),

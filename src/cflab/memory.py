@@ -15,7 +15,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .votedata import ActiveCase, ItemId, UserId, VoteDatabase
+from .votedata import ActiveCase, VoteDatabase
 
 CORRELATION = "correlation"
 VECTOR_SIMILARITY = "vector_similarity"
@@ -78,45 +78,6 @@ class MemoryConfig:
         )
 
 
-@dataclass(frozen=True)
-class NeighborWeights:
-    """Nonzero neighbor weights plus the normalizer kappa = 1 / sum |w|."""
-
-    entries: tuple[tuple[UserId, float], ...]
-    kappa: float
-
-    def __post_init__(self) -> None:
-        if self.entries:
-            total = sum(abs(w) for _, w in self.entries)
-            if abs(self.kappa * total - 1.0) > 1e-9:
-                raise ValueError("kappa must normalize absolute weights to 1")
-
-
-@dataclass(frozen=True)
-class PredictedVote:
-    value: float
-    informed: bool
-
-
-def inverse_user_frequency(db: VoteDatabase, item: ItemId) -> float:
-    """ln(n / n_j): items everyone voted on score 0, rare items score high."""
-    idx = db.index
-    j = idx.item_pos.get(item)
-    if j is None:
-        raise ValueError(f"unknown item {item!r}")
-    n_j = idx.item_counts[j]
-    if n_j == 0:
-        raise ValueError(f"item {item!r} has no voters; undefined frequency factor")
-    return math.log(len(db.users) / n_j)
-
-
-def case_amplify(w: float, p: float) -> float:
-    """Sign-preserving power transform: strong weights keep their pull, weak ones fade."""
-    if p <= 0:
-        raise ValueError("power must be > 0")
-    return math.copysign(abs(w) ** p, w)
-
-
 def _resolve_default(db: VoteDatabase, cfg: MemoryConfig) -> float | None:
     if cfg.default_voting is None:
         return None
@@ -132,92 +93,8 @@ def _resolve_default(db: VoteDatabase, cfg: MemoryConfig) -> float | None:
     return float(d)
 
 
-def _item_frequency_map(db: VoteDatabase, cfg: MemoryConfig) -> dict[ItemId, float]:
-    if not cfg.inverse_user_frequency:
-        return {it: 1.0 for it in db.items}
-    idx = db.index
-    return {it: float(idx.iuf[idx.item_pos[it]]) for it in db.items}
-
-
-def correlation_weight(
-    active: ActiveCase, other: UserId, db: VoteDatabase, cfg: MemoryConfig
-) -> float | None:
-    """Correlation of the two users' votes over their comparison item set.
-
-    Without default voting the comparison set is the intersection of voted
-    items (at least 2 required, else None for "no match"). With default
-    voting it is the union, with missing entries set to the default value,
-    plus k synthetic items where both users hold the default. Frequency
-    factors weight every sum when inverse user frequency is enabled. Users
-    with zero variance over the set get weight 0.
-    """
-    if cfg.weight_kind != CORRELATION:
-        raise ValueError("config selects a different weight kind")
-    other_votes = db.votes.get(other)
-    if not other_votes:
-        raise ValueError(f"unknown user {other!r}")
-    d = _resolve_default(db, cfg)
-    freq = _item_frequency_map(db, cfg)
-    a_votes = {it: v for it, v in active.observed.items() if it in freq}
-    common = [it for it in a_votes if it in other_votes]
-    if d is None:
-        if len(common) < 2:
-            return None
-        pairs = [(a_votes[it], other_votes[it], freq[it]) for it in common]
-    else:
-        if len(common) < 1:
-            return None
-        union = set(a_votes) | set(other_votes)
-        pairs = [
-            (a_votes.get(it, d), other_votes.get(it, d), freq[it]) for it in union
-        ]
-        k = cfg.default_voting.k if cfg.default_voting else 0
-        if k:
-            pairs.append((d, d, k * SYNTHETIC_ITEM_FREQUENCY))
-    sf = sum(f for _, _, f in pairs)
-    sfa = sum(f * a for a, _, f in pairs)
-    sfb = sum(f * b for _, b, f in pairs)
-    sfaa = sum(f * a * a for a, _, f in pairs)
-    sfbb = sum(f * b * b for _, b, f in pairs)
-    sfab = sum(f * a * b for a, b, f in pairs)
-    num = sf * sfab - sfa * sfb
-    var_a = sf * sfaa - sfa * sfa
-    var_b = sf * sfbb - sfb * sfb
-    # cancellation guard: constant vectors must come out as exactly zero variance
-    if var_a <= 1e-12 * (sf * sfaa + sfa * sfa) or var_b <= 1e-12 * (sf * sfbb + sfb * sfb):
-        return 0.0
-    return float(np.clip(num / math.sqrt(var_a * var_b), -1.0, 1.0))
-
-
-def vector_similarity_weight(
-    active: ActiveCase, other: UserId, db: VoteDatabase, cfg: MemoryConfig
-) -> float:
-    """Cosine of the two (frequency-transformed) vote vectors.
-
-    Unobserved items count as zero, so only common items contribute to the
-    numerator; each norm runs over the user's full vote set.
-    """
-    if cfg.weight_kind != VECTOR_SIMILARITY:
-        raise ValueError("config selects a different weight kind")
-    other_votes = db.votes.get(other)
-    if not other_votes:
-        raise ValueError(f"unknown user {other!r}")
-    freq = _item_frequency_map(db, cfg)
-    a_votes = {it: v for it, v in active.observed.items() if it in freq}
-    norm_a = math.sqrt(sum((freq[it] * v) ** 2 for it, v in a_votes.items()))
-    norm_b = math.sqrt(sum((freq[it] * v) ** 2 for it, v in other_votes.items()))
-    if norm_a == 0 or norm_b == 0:
-        return 0.0
-    dot = sum(
-        (freq[it] * v) * (freq[it] * other_votes[it])
-        for it, v in a_votes.items()
-        if it in other_votes
-    )
-    return float(np.clip(dot / (norm_a * norm_b), 0.0, 1.0))
-
-
 class MemoryScorer:
-    """Vectorized weight and prediction pipeline for one database and config.
+    """Weight and prediction pipeline for one database and config.
 
     Stateless with respect to cases; safe to reuse across many active cases.
     """
@@ -253,7 +130,7 @@ class MemoryScorer:
             [active.observed[idx.item_ids[j]] for j in cols], dtype=float
         )
         if self.cfg.weight_kind == CORRELATION:
-            w = self._correlation_weights(cols, v_a)
+            w = self._pearson_weights(cols, v_a)
         else:
             w = self._cosine_weights(cols, v_a)
         pos = idx.user_pos.get(active.user)
@@ -279,7 +156,7 @@ class MemoryScorer:
         sfab = np.asarray(V @ (f_j * v_a)).ravel()
         return count, sf, sfa, sfaa, sfb, sfbb, sfab
 
-    def _correlation_weights(self, cols: list[int], v_a: np.ndarray) -> np.ndarray:
+    def _pearson_weights(self, cols: list[int], v_a: np.ndarray) -> np.ndarray:
         count, sf, sfa, sfaa, sfb, sfbb, sfab = self._column_sums(cols, v_a)
         d = self.default
         if d is None:
@@ -324,15 +201,6 @@ class MemoryScorer:
             w = np.where(self._norms > 0, dot / (norm_a * np.maximum(self._norms, 1e-300)), 0.0)
         return np.clip(w, 0.0, 1.0)
 
-    def neighbor_weights(self, active: ActiveCase) -> NeighborWeights:
-        w = self.weights(active)
-        nz = np.nonzero(w)[0]
-        total = float(np.abs(w[nz]).sum())
-        return NeighborWeights(
-            entries=tuple((self.idx.user_ids[i], float(w[i])) for i in nz),
-            kappa=1.0 / total if total > 0 else math.inf,
-        )
-
     # -- predictions
 
     def predict_all(self, active: ActiveCase) -> tuple[np.ndarray, np.ndarray]:
@@ -359,54 +227,3 @@ class MemoryScorer:
             with np.errstate(invalid="ignore", divide="ignore"):
                 values = np.where(informed, base + numer / np.where(informed, denom, 1.0), base)
         return np.clip(values, scale.min_vote, scale.max_vote), informed
-
-    def predict(self, active: ActiveCase, item: ItemId) -> PredictedVote:
-        j = self.idx.item_pos.get(item)
-        if j is None:
-            return PredictedVote(value=active.observed_mean, informed=False)
-        values, informed = self.predict_all(active)
-        return PredictedVote(value=float(values[j]), informed=bool(informed[j]))
-
-    def rank(self, active: ActiveCase) -> list[ItemId]:
-        values, informed = self.predict_all(active)
-        return _ranked_ids(self.db, active, values, informed)
-
-
-def _ranked_ids(
-    db: VoteDatabase,
-    active: ActiveCase,
-    values: np.ndarray,
-    informed: np.ndarray | None = None,
-) -> list[ItemId]:
-    if informed is None:
-        return db.index.ranked(active.observed, -values)
-    return db.index.ranked(active.observed, ~informed, -values)
-
-
-def _scorer(db: VoteDatabase, cfg: MemoryConfig) -> MemoryScorer:
-    cache = db.index.scorer_cache
-    scorer = cache.get(cfg)
-    if scorer is None:
-        scorer = cache[cfg] = MemoryScorer(db, cfg)
-    return scorer
-
-
-def predict_vote(
-    active: ActiveCase, item: ItemId, db: VoteDatabase, cfg: MemoryConfig
-) -> PredictedVote:
-    """Predict one vote; falls back to the active user's mean when no neighbor helps."""
-    return _scorer(db, cfg).predict(active, item)
-
-
-def rank_items(active: ActiveCase, db: VoteDatabase, cfg: MemoryConfig) -> list[ItemId]:
-    """All items outside the observed set, best predicted vote first.
-
-    Ties go to the lower item id; uninformed predictions sort below informed
-    ones of equal value.
-    """
-    return _scorer(db, cfg).rank(active)
-
-
-def popularity_rank(db: VoteDatabase, active: ActiveCase) -> list[ItemId]:
-    """Zero-order baseline: unobserved items by raw vote count, ties by item id."""
-    return db.index.ranked(active.observed, -db.index.item_counts)

@@ -1,14 +1,22 @@
 """Named predictor adapters that the experiment runner scores.
 
-Each predictor exposes `rank(case)` and, when it can predict vote values,
-`predict(case, item)`. Model-based predictors trained on a restricted item
-set fall back to smoothed training marginals for items outside the model, so
-ranked lists always cover the full training item universe.
+The one predictor contract: for a case, `scores(case)` returns a score per
+training item (in `train.items` order) and an `informed` mask. POP, BN and
+BC inform every item; a memory predictor informs the items a weighted
+neighbour voted on (every item under default voting). From there:
+
+- `rank(case)` lists the unobserved training items by descending score,
+  informed before uninformed on equal scores, ties to the lower item id;
+- `predict(case, item)` raises ValueError for an observed item, returns the
+  case's mean vote for an item absent from training, and otherwise the
+  predictor's expected vote for the item (`_vote`).
+
+Model-based predictors trained on a restricted item set fall back to smoothed
+training marginals for items outside the model, so ranked lists always cover
+the full training item universe.
 """
 
 from __future__ import annotations
-
-import threading
 
 import numpy as np
 
@@ -16,30 +24,20 @@ from . import bayesnet, cluster, memory
 from .votedata import ActiveCase, ItemId, VoteDatabase
 
 
-class PopularityPredictor:
-    """Zero-order baseline: most popular training items first."""
+class Predictor:
+    """The shared ranking and vote-prediction rules over `scores`.
 
-    supports_ranked = True
-    supports_deviation = False
+    What a predictor derives from a case (`_evaluate`) is kept in a single
+    slot (`_for_case`) for the case's later calls.
+    """
 
-    def __init__(self, train: VoteDatabase, name: str = "POP") -> None:
+    _cache: tuple | None = None
+
+    def __init__(self, train: VoteDatabase, name: str) -> None:
         self.name = name
         self.train = train
         self.stats: dict = {}
-
-    def rank(self, case: ActiveCase) -> list[ItemId]:
-        return memory.popularity_rank(self.train, case)
-
-    def predict(self, case: ActiveCase, item: ItemId) -> float:
-        raise NotImplementedError("popularity baseline does not predict vote values")
-
-
-class _CaseCache:
-    """What a predictor derives from a case (`_evaluate`), kept for the
-    case's later calls in a single slot: one attribute, so concurrent case
-    scoring never observes a torn (case, value) pair."""
-
-    _cache: tuple | None = None
+        self._all_informed = np.ones(len(train.items), dtype=bool)
 
     def _for_case(self, case: ActiveCase):
         cached = self._cache
@@ -49,86 +47,100 @@ class _CaseCache:
         self._cache = (case, value)
         return value
 
+    def scores(self, case: ActiveCase) -> tuple[np.ndarray, np.ndarray]:
+        raise NotImplementedError
 
-class MemoryPredictor(_CaseCache):
-    supports_ranked = True
-    supports_deviation = True
-
-    def __init__(self, train: VoteDatabase, cfg: memory.MemoryConfig, name: str) -> None:
-        self.name = name
-        self.train = train
-        self.scorer = memory.MemoryScorer(train, cfg)
-        self.stats: dict = {}
-
-    def _evaluate(self, case: ActiveCase):
-        return self.scorer.predict_all(case)
+    def _vote(self, case: ActiveCase, item: ItemId, j: int) -> float:
+        """Expected vote of the unobserved training item at position j."""
+        raise NotImplementedError
 
     def rank(self, case: ActiveCase) -> list[ItemId]:
-        values, informed = self._for_case(case)
-        return memory._ranked_ids(self.train, case, values, informed)
+        scores, informed = self.scores(case)
+        return self.train.index.ranked(case.observed, ~informed, -scores)
 
     def predict(self, case: ActiveCase, item: ItemId) -> float:
+        if item in case.observed:
+            raise ValueError(f"item {item!r} is observed in this case")
         j = self.train.index.item_pos.get(item)
         if j is None:
             return case.observed_mean
-        values, _ = self._for_case(case)
-        return float(values[j])
+        return self._vote(case, item, j)
 
 
-class _ModelBackedPredictor(_CaseCache):
-    """Shared ranking scaffolding for the probabilistic predictors.
+class PopularityPredictor(Predictor):
+    """Zero-order baseline: most popular training items first."""
 
-    A case's score array over the training items starts from the items'
-    smoothed training-marginal scores, computed once, and takes the model's
-    scores (`_scores`, in model item order) where the model covers the item.
+    def __init__(self, train: VoteDatabase, name: str = "POP") -> None:
+        super().__init__(train, name)
+
+    def scores(self, case: ActiveCase) -> tuple[np.ndarray, np.ndarray]:
+        return self.train.index.item_counts, self._all_informed
+
+    def predict(self, case: ActiveCase, item: ItemId) -> float:
+        raise NotImplementedError("popularity baseline does not predict vote values")
+
+
+class MemoryPredictor(Predictor):
+    """Scores are the predicted votes of `memory.MemoryScorer`."""
+
+    def __init__(self, train: VoteDatabase, cfg: memory.MemoryConfig, name: str) -> None:
+        super().__init__(train, name)
+        self.scorer = memory.MemoryScorer(train, cfg)
+
+    def _evaluate(self, case: ActiveCase) -> tuple[np.ndarray, np.ndarray]:
+        return self.scorer.predict_all(case)
+
+    def scores(self, case: ActiveCase) -> tuple[np.ndarray, np.ndarray]:
+        return self._for_case(case)
+
+    def _vote(self, case: ActiveCase, item: ItemId, j: int) -> float:
+        return float(self._for_case(case)[0][j])
+
+
+class _ModelBackedPredictor(Predictor):
+    """Shared scaffolding for the probabilistic predictors.
+
+    A case's scores start from the training items' smoothed training-marginal
+    scores, computed once, and take the model's scores (`_model_scores`, in
+    model item order) where the model covers the item.
     """
 
-    supports_ranked = True
-    supports_deviation = True
-
     def __init__(self, train: VoteDatabase, model, name: str) -> None:
-        self.name = name
-        self.train = train
+        super().__init__(train, name)
         self.model = model
-        self.stats: dict = {}
         totals, counts = cluster.expected_counts(train, np.ones((len(train.users), 1)))
         self._marginals = cluster.map_estimates(totals, counts)[1][0]  # (items, states)
         self._fallback_scores = np.array([train.scale.rank_score(d) for d in self._marginals])
         self._model_cols = np.array([train.index.item_pos[it] for it in model.items], dtype=np.intp)
 
-    def _fallback_vote(self, case: ActiveCase, item: ItemId) -> float:
-        """Expected vote of an item outside the model from its training
-        marginal; the case's mean vote for an item absent from training."""
-        j = self.train.index.item_pos.get(item)
-        if j is None:
-            return case.observed_mean
-        return self.train.scale.expected_vote(self._marginals[j])
-
-    def rank(self, case: ActiveCase) -> list[ItemId]:
+    def scores(self, case: ActiveCase) -> tuple[np.ndarray, np.ndarray]:
         score = self._fallback_scores.copy()
-        score[self._model_cols] = self._scores(case)
-        return self.train.index.ranked(case.observed, -score)
+        score[self._model_cols] = self._model_scores(case)
+        return score, self._all_informed
+
+    def _marginal_vote(self, j: int) -> float:
+        """Expected vote of an item outside the model, from its training marginal."""
+        return self.train.scale.expected_vote(self._marginals[j])
 
 
 class ClusterPredictor(_ModelBackedPredictor):
     def __init__(self, train: VoteDatabase, model: cluster.ClusterModel, name: str = "BC") -> None:
         super().__init__(train, model, name)
-        model.log_tables  # built here, before scoring threads share the model
 
     def _evaluate(self, case: ActiveCase) -> np.ndarray:
         return self.model.posterior(case.observed)
 
-    def _scores(self, case: ActiveCase) -> np.ndarray:
+    def _model_scores(self, case: ActiveCase) -> np.ndarray:
         mixed = np.einsum("c,cjs->js", self._for_case(case), self.model.cond)
         scale = self.model.scale
         if scale.implicit:
             return mixed[:, 1]
         return np.array([scale.rank_score(d) for d in mixed])
 
-    def predict(self, case: ActiveCase, item: ItemId) -> float:
+    def _vote(self, case: ActiveCase, item: ItemId, j: int) -> float:
         pos = self.model.item_pos.get(item)
         if pos is None:
-            return self._fallback_vote(case, item)
+            return self._marginal_vote(j)
         dist = self._for_case(case) @ self.model.cond[:, pos, :]
         return self.model.scale.expected_vote(dist)
 
@@ -136,22 +148,18 @@ class ClusterPredictor(_ModelBackedPredictor):
 class BayesNetPredictor(_ModelBackedPredictor):
     def __init__(self, train: VoteDatabase, model: bayesnet.BayesNetModel, name: str = "BN") -> None:
         super().__init__(train, model, name)
-        self.net = model.compiled  # built here, before scoring threads share the model
-        self._stats_lock = threading.Lock()
+        self.net = model.compiled
 
     def _evaluate(self, case: ActiveCase) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return self.net.route(case.observed)
 
-    def _scores(self, case: ActiveCase) -> np.ndarray:
+    def _model_scores(self, case: ActiveCase) -> np.ndarray:
         leaf, influenced, seen = self._for_case(case)
-        with self._stats_lock:
-            self.net.count_lookups(self.stats, influenced, seen)
+        self.net.count_lookups(self.stats, influenced, seen)
         return self.net.score[leaf]
 
-    def predict(self, case: ActiveCase, item: ItemId) -> float:
-        j = self.net.item_pos.get(item)
-        if j is None:
-            return self._fallback_vote(case, item)
-        if item in case.observed:
-            raise ValueError(f"item {item!r} is observed in this case")
-        return float(self.net.expected[self._for_case(case)[0][j]])
+    def _vote(self, case: ActiveCase, item: ItemId, j: int) -> float:
+        pos = self.net.item_pos.get(item)
+        if pos is None:
+            return self._marginal_vote(j)
+        return float(self.net.expected[self._for_case(case)[0][pos]])

@@ -129,23 +129,6 @@ class VoteScale:
 IMPLICIT_SCALE = VoteScale(0, 1, 0.0, True)
 
 
-def sort_rank(ids) -> np.ndarray:
-    """Rank of each id in sorted order, the tie-break of every ranking."""
-    rank = np.empty(len(ids), dtype=int)
-    rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
-    return rank
-
-
-def ranked_ids(
-    ids: np.ndarray, rank: np.ndarray, skip: np.ndarray, *keys: np.ndarray
-) -> list[ItemId]:
-    """The one ranking rule: `ids` outside the `skip` mask, in `np.lexsort`
-    order of `keys` (the last key is the primary one), ties to the lower id
-    by its sort `rank`."""
-    order = np.lexsort((rank, *keys))
-    return ids[order[~skip[order]]].tolist()
-
-
 class _Index:
     """Array views of a database shared by the vectorized predictors.
 
@@ -182,14 +165,18 @@ class _Index:
             )
         self.item_counts = np.asarray(self.M.sum(axis=0)).ravel()
         self.item_array = np.array(self.item_ids, dtype=object)
-        self.item_sort_rank = sort_rank(self.item_ids)
-        self.scorer_cache: dict = {}
+        # rank of each item id in sorted order, the tie-break of every ranking
+        self.item_sort_rank = np.empty(t, dtype=int)
+        self.item_sort_rank[sorted(range(t), key=self.item_ids.__getitem__)] = np.arange(t)
 
     def ranked(self, observed: Mapping[ItemId, float], *keys: np.ndarray) -> list[ItemId]:
-        """The items outside `observed`, ordered by `ranked_ids`."""
+        """The one ranking rule: the items outside `observed`, in `np.lexsort`
+        order of `keys` (the last key is the primary one), ties to the lower
+        item id."""
         skip = np.zeros(len(self.item_ids), dtype=bool)
         skip[[self.item_pos[it] for it in observed if it in self.item_pos]] = True
-        return ranked_ids(self.item_array, self.item_sort_rank, skip, *keys)
+        order = np.lexsort((self.item_sort_rank, *keys))
+        return self.item_array[order[~skip[order]]].tolist()
 
     @cached_property
     def vote_states(self) -> sp.csr_matrix:
@@ -438,11 +425,7 @@ def restrict_to_top_items(db: VoteDatabase, k: int) -> VoteDatabase:
     """Keep the k most-voted items (ties to the lower item id)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    counts: dict[ItemId, int] = {it: 0 for it in db.items}
-    for _, it, _ in db.iter_votes():
-        counts[it] += 1
-    ranked = sorted(db.items, key=lambda it: (-counts[it], it))
-    keep = set(ranked[:k])
+    keep = set(db.index.ranked({}, -db.index.item_counts)[:k])
     return db.subset(items=keep)
 
 

@@ -36,6 +36,12 @@ def random_implicit_db(rng, n_users=10, n_items=8, density=0.4):
     return make_db(rows, IMPLICIT_SCALE, items=[f"i{j}" for j in range(n_items)])
 
 
+def items_db(model):
+    """A one-user training set voting on exactly the model's items, for
+    predictors built around a hand-made model."""
+    return make_db([("u", it, model.scale.max_vote) for it in model.items], model.scale)
+
+
 def case_for(user, observed, targets=None):
     return ActiveCase(user=user, observed=observed, targets=targets or {})
 

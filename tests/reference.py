@@ -246,7 +246,7 @@ def case_lookup(model, case, item):
     return leaf.distribution, any(var in observed for var in path)
 
 
-def bn_expected_vote_walk(model, case, item):
+def bn_vote_walk(model, case, item):
     """BN expected vote of one item from its own tree walk."""
     dist, _ = case_lookup(model, case, item)
     votes = np.asarray(model.scale.vote_values, dtype=float)

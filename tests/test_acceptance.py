@@ -32,7 +32,8 @@ from cflab.evaluation import (
     normalized_ranked_score,
     ranked_utility,
 )
-from cflab.memory import DefaultVoting, MemoryConfig, MemoryScorer, _ranked_ids
+from cflab.memory import DefaultVoting, MemoryConfig, MemoryScorer
+from cflab.predictors import MemoryPredictor
 from cflab.votedata import (
     IMPLICIT_SCALE,
     Protocol,
@@ -197,12 +198,11 @@ def _taste_db(rng, users_per, prefix):
 
 
 def _ranked_score(train, cases, cfg):
-    scorer = MemoryScorer(train, cfg)
+    predictor = MemoryPredictor(train, cfg, name="CR")
     rc = RankedScoringConfig(5.0, 0.0)
     utilities, maxima = [], []
     for c in cases:
-        values, informed = scorer.predict_all(c)
-        ranked = _ranked_ids(train, c, values, informed)
+        ranked = predictor.rank(c)
         m = max_ranked_utility(c.targets, rc)
         if m <= 0:
             continue

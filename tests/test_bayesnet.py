@@ -17,17 +17,17 @@ from cflab.bayesnet import (
     Leaf,
     LearnConfig,
     Split,
-    bn_expected_vote,
-    bn_rank,
     leaf_family_score,
     learn_network,
     tree_lookup,
 )
+from cflab.predictors import BayesNetPredictor
 from cflab.votedata import IMPLICIT_SCALE, VoteDatabase, VoteDataError, VoteScale, load_votes_csv
 
 from conftest import (
     SCALE_0_5,
     case_for,
+    items_db,
     make_db,
     random_case,
     random_explicit_db,
@@ -35,8 +35,8 @@ from conftest import (
     random_implicit_db,
 )
 from reference import (
-    bn_expected_vote_walk,
     bn_scores_walk,
+    bn_vote_walk,
     dense_pair_counts,
     dense_states,
     sorted_ranking,
@@ -241,6 +241,10 @@ class TestTreeLookup:
             assert (dist > 0).all()
 
 
+def bn_for(model):
+    return BayesNetPredictor(items_db(model), model)
+
+
 class TestExpectedVote:
     def _single_leaf_model(self, dist, scale):
         leaf = Leaf(
@@ -254,24 +258,24 @@ class TestExpectedVote:
     def test_point_mass(self):
         dist = [1e-9, 1e-9, 1e-9, 1e-9, 1.0, 1e-9, 1e-9]  # state 4 is vote 3
         model = self._single_leaf_model(dist, SCALE_0_5)
-        got = bn_expected_vote(model, case_for("u", {"x": 1.0}), "t")
+        got = bn_for(model).predict(case_for("u", {"x": 1.0}), "t")
         assert got == pytest.approx(3.0, abs=1e-6)
 
     def test_clamp_and_renormalize(self):
         dist = [0.5, 0.25, 1e-12, 1e-12, 1e-12, 1e-12, 0.25]
         model = self._single_leaf_model(dist, SCALE_0_5)
-        got = bn_expected_vote(model, case_for("u", {"x": 1.0}), "t")
+        got = bn_for(model).predict(case_for("u", {"x": 1.0}), "t")
         assert got == pytest.approx(2.5, abs=1e-9)
 
     def test_implicit_scale_forces_one(self):
         model = self._single_leaf_model([0.8, 0.2], IMPLICIT_SCALE)
-        got = bn_expected_vote(model, case_for("u", {"x": 1.0}), "t")
+        got = bn_for(model).predict(case_for("u", {"x": 1.0}), "t")
         assert got == pytest.approx(1.0)
 
     def test_observed_target_rejected(self):
         model = self._single_leaf_model([0.8, 0.2], IMPLICIT_SCALE)
         with pytest.raises(ValueError):
-            bn_expected_vote(model, case_for("u", {"t": 1.0}), "t")
+            bn_for(model).predict(case_for("u", {"t": 1.0}), "t")
 
 
 class TestRanking:
@@ -285,15 +289,15 @@ class TestRanking:
 
     def test_rank_by_vote_probability(self):
         model = self._two_item_model()
-        assert bn_rank(model, case_for("u", {"zz": 1.0})) == ["hi", "lo"]
+        assert bn_for(model).rank(case_for("u", {"zz": 1.0})) == ["hi", "lo"]
 
     def test_observed_items_excluded(self):
         model = self._two_item_model()
-        assert bn_rank(model, case_for("u", {"hi": 1.0})) == ["lo"]
+        assert bn_for(model).rank(case_for("u", {"hi": 1.0})) == ["lo"]
 
     def test_ties_break_by_item_id(self):
         model = self._two_item_model(p_hi=0.5, p_lo=0.5)
-        assert bn_rank(model, case_for("u", {"zz": 1.0})) == ["hi", "lo"]
+        assert bn_for(model).rank(case_for("u", {"zz": 1.0})) == ["hi", "lo"]
 
     def test_influence_tracking(self):
         scale = IMPLICIT_SCALE
@@ -305,13 +309,13 @@ class TestRanking:
             "other": DecisionTreeCPD("other", leaf(0.5, 0)),
         }
         model = BayesNetModel(scale, ("t", "parent", "other"), cpds)
-        stats = {}
-        bn_rank(model, case_for("u", {"parent": 1.0}), stats=stats)
-        assert stats["influenced"] >= 1  # the parent vote steered t's path
-        stats2 = {}
-        bn_rank(model, case_for("u", {"other": 1.0}), stats=stats2)
+        pred = bn_for(model)
+        pred.rank(case_for("u", {"parent": 1.0}))
+        assert pred.stats["influenced"] >= 1  # the parent vote steered t's path
+        pred2 = bn_for(model)
+        pred2.rank(case_for("u", {"other": 1.0}))
         # observing only a non-parent leaves every lookup no-vote driven
-        assert stats2.get("influenced", 0) == 0
+        assert pred2.stats.get("influenced", 0) == 0
 
 
 class TestModelStructure:
@@ -335,7 +339,7 @@ class TestModelStructure:
             model.to_json(), sort_keys=True
         )
         case = case_for("u", {db.items[0]: 1.0})
-        assert bn_rank(again, case) == bn_rank(model, case)
+        assert BayesNetPredictor(db, again).rank(case) == BayesNetPredictor(db, model).rank(case)
 
     def test_parent_graph_matches_split_vars(self):
         db = noisy_copy_db(np.random.default_rng(1), n=2000)
@@ -454,7 +458,7 @@ class TestCompiledNetwork:
     def _network(seed, explicit, penalty):
         rng = np.random.default_rng(seed)
         db = random_grouped_db(rng, explicit, n_users=int(rng.integers(20, 80)))
-        return rng, learn_network(db, LearnConfig(structure_penalty=penalty))
+        return rng, db, learn_network(db, LearnConfig(structure_penalty=penalty))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -463,7 +467,7 @@ class TestCompiledNetwork:
         penalty=st.sampled_from([0.1, 0.5, 0.99]),
     )
     def test_routing_matches_tree_walk(self, seed, explicit, penalty):
-        rng, model = self._network(seed, explicit, penalty)
+        rng, _, model = self._network(seed, explicit, penalty)
         net = model.compiled
         for _ in range(5):
             case = random_case(rng, model, max_observed=4)
@@ -482,16 +486,16 @@ class TestCompiledNetwork:
         penalty=st.sampled_from([0.1, 0.5, 0.99]),
     )
     def test_rank_and_expected_vote_match_tree_walk(self, seed, explicit, penalty):
-        rng, model = self._network(seed, explicit, penalty)
+        rng, db, model = self._network(seed, explicit, penalty)
         for _ in range(5):
             case = random_case(rng, model, max_observed=4)
-            stats = {}
+            pred = BayesNetPredictor(db, model)  # the model covers every training item
             scores, lookups, influenced = bn_scores_walk(model, case)
-            assert bn_rank(model, case, stats=stats) == sorted_ranking(scores)
-            assert (stats["lookups"], stats["influenced"]) == (lookups, influenced)
+            assert pred.rank(case) == sorted_ranking(scores)
+            assert pred.stats == {"lookups": lookups, "influenced": influenced}
             for it in scores:
-                want = bn_expected_vote_walk(model, case, it)
-                assert bn_expected_vote(model, case, it) == want  # bitwise
+                want = bn_vote_walk(model, case, it)
+                assert pred.predict(case, it) == want  # bitwise
 
     def test_leaf_only_network_routes_in_zero_steps(self):
         model = TestRanking()._two_item_model()
@@ -504,4 +508,4 @@ class TestCompiledNetwork:
     def test_off_scale_observed_vote_raises(self):
         model = TestRanking()._two_item_model()
         with pytest.raises(VoteDataError):
-            bn_rank(model, case_for("u", {"hi": 2.0}))
+            bn_for(model).rank(case_for("u", {"hi": 2.0}))

@@ -8,18 +8,18 @@ from cflab import cluster
 from cflab.cluster import (
     ClusterModel,
     cheeseman_stutz_score,
-    cluster_posterior,
-    cluster_predict,
     em_fit,
     expected_counts,
     map_estimates,
     select_cluster_model,
 )
+from cflab.predictors import ClusterPredictor
 from cflab.votedata import IMPLICIT_SCALE, VoteDatabase, VoteScale
 
 from conftest import (
     SCALE_0_5,
     case_for,
+    items_db,
     make_db,
     random_case,
     random_explicit_db,
@@ -174,8 +174,7 @@ class TestPosterior:
     def test_single_class(self):
         db = random_implicit_db(np.random.default_rng(1), n_users=6, n_items=4)
         model, _ = em_fit(db, 1)
-        case = case_for("t", {db.items[0]: 1.0})
-        assert cluster_posterior(model, case) == pytest.approx([1.0])
+        assert model.posterior({db.items[0]: 1.0}) == pytest.approx([1.0])
 
     def test_symmetric_evidence_is_uninformative(self):
         # the classes mirror each other, so voting on both items is a wash
@@ -184,13 +183,11 @@ class TestPosterior:
             [[0.7, 0.3], [0.3, 0.7]],
         ])
         model = ClusterModel(IMPLICIT_SCALE, ("p", "q"), np.array([0.5, 0.5]), cond)
-        case = case_for("t", {"p": 1.0, "q": 1.0})
-        assert cluster_posterior(model, case) == pytest.approx([0.5, 0.5])
+        assert model.posterior({"p": 1.0, "q": 1.0}) == pytest.approx([0.5, 0.5])
 
     def test_hand_bayes_rule(self):
         model = hand_model_two_classes()
-        case = case_for("t", {"x": 1.0})
-        assert cluster_posterior(model, case) == pytest.approx([0.9, 0.1], abs=1e-12)
+        assert model.posterior({"x": 1.0}) == pytest.approx([0.9, 0.1], abs=1e-12)
 
     def test_posterior_sums_to_one(self):
         rng = np.random.default_rng(5)
@@ -202,21 +199,26 @@ class TestPosterior:
             assert (post > 0).all()
 
 
+def bc_for(model):
+    return ClusterPredictor(items_db(model), model)
+
+
 class TestClusterPredict:
     def test_point_mass_class(self):
         eps = 1e-9
         dist = np.full(7, eps)
         dist[5] = 1.0 - 6 * eps  # state 5 is vote 4 on a 0..5 scale
         model = ClusterModel(SCALE_0_5, ("t",), np.array([1.0]), dist[None, None, :])
-        out = cluster_predict(model, case_for("u", {"other": 1.0}), "t")
-        assert out.expected_vote == pytest.approx(4.0, abs=1e-6)
+        assert bc_for(model).predict(case_for("u", {"other": 1.0}), "t") == pytest.approx(4.0, abs=1e-6)
 
     def test_uniform_votes_give_midpoint(self):
         dist = np.array([0.4] + [0.1] * 6)
         model = ClusterModel(SCALE_0_5, ("t",), np.array([1.0]), dist[None, None, :])
-        out = cluster_predict(model, case_for("u", {"other": 1.0}), "t")
-        assert out.expected_vote == pytest.approx(2.5)
-        assert out.distribution == pytest.approx(dist)
+        pred = bc_for(model)
+        case = case_for("u", {"other": 1.0})
+        assert pred.predict(case, "t") == pytest.approx(2.5)
+        # the ranking score keeps the no-vote mass: P(vote) 0.6 times 2.5
+        assert pred.scores(case)[0] == pytest.approx([1.5])
 
     def test_hand_mixture(self):
         eps = 1e-9
@@ -231,24 +233,22 @@ class TestClusterPredict:
         cond = np.stack([np.stack([e_c1, t_c1]), np.stack([e_c2, t_c2])])
         model = ClusterModel(scale, ("e", "t"), np.array([0.5, 0.5]), cond)
         case = case_for("u", {"e": 0.0})
-        post = cluster_posterior(model, case)
-        assert post == pytest.approx([0.9, 0.1], abs=1e-6)
-        out = cluster_predict(model, case, "t")
-        assert out.expected_vote == pytest.approx(1.4, abs=1e-6)
+        assert model.posterior(case.observed) == pytest.approx([0.9, 0.1], abs=1e-6)
+        assert bc_for(model).predict(case, "t") == pytest.approx(1.4, abs=1e-6)
 
     def test_expected_vote_within_scale(self):
         rng = np.random.default_rng(31)
         db = random_implicit_db(rng, n_users=15, n_items=6)
         model, _ = em_fit(db, 3, seed=1, compute_cs=False)
+        pred = ClusterPredictor(db, model)
         case = case_for("u", {db.items[0]: 1.0})
         for it in db.items[1:]:
-            out = cluster_predict(model, case, it)
-            assert 0.0 <= out.expected_vote <= 1.0
+            assert 0.0 <= pred.predict(case, it) <= 1.0
 
     def test_observed_item_rejected(self):
-        model = hand_model_two_classes()
+        pred = bc_for(hand_model_two_classes())
         with pytest.raises(ValueError):
-            cluster_predict(model, case_for("u", {"x": 1.0}), "x")
+            pred.predict(case_for("u", {"x": 1.0}), "x")
 
     def test_label_permutation_invariance(self):
         rng = np.random.default_rng(12)
@@ -259,12 +259,11 @@ class TestClusterPredict:
             model.scale, model.items,
             model.class_prior[perm], model.cond[perm],
         )
+        a, b = ClusterPredictor(db, model), ClusterPredictor(db, permuted)
         case = case_for("u", {db.items[0]: 1.0, db.items[2]: 1.0})
         for it in (db.items[1], db.items[3]):
-            a = cluster_predict(model, case, it)
-            b = cluster_predict(permuted, case, it)
-            assert a.expected_vote == pytest.approx(b.expected_vote, abs=1e-12)
-            assert a.distribution == pytest.approx(b.distribution, abs=1e-12)
+            assert a.predict(case, it) == pytest.approx(b.predict(case, it), abs=1e-12)
+        assert a.scores(case)[0] == pytest.approx(b.scores(case)[0], abs=1e-12)
 
 
 class TestCheesemanStutz:

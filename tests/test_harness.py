@@ -123,6 +123,27 @@ class TestRun:
         np.testing.assert_array_equal(fresh.class_prior, cached.class_prior)
         np.testing.assert_array_equal(fresh.cond, cached.cond)
 
+    def test_unreadable_cached_model_is_retrained(self, workdir, caplog):
+        cfg = workdir / "fixture_config.json"
+        out = workdir / "out"
+        assert run_cli("run", cfg) == 0
+        clean = {p.name: p.read_bytes() for p in (out / "reports").iterdir()}
+        models = {p: p.read_bytes() for p in (out / "models").iterdir()}
+        assert len(models) == 2
+        garbage = [
+            lambda text: text[: len(text) // 2],  # truncated mid-write
+            lambda text: b"\x00\xff not a model",  # not even UTF-8
+            lambda text: b'{"items": 3}',  # JSON, but not a model
+        ]
+        for corrupt in (garbage[:2], garbage[2:] * 2):
+            for (path, text), bad in zip(models.items(), corrupt):
+                path.write_bytes(bad(text))
+            shutil.rmtree(out / "reports")
+            caplog.clear()
+            assert run_cli("run", cfg) == 0
+            assert {p.name: p.read_bytes() for p in (out / "reports").iterdir()} == clean
+            assert {p: p.read_bytes() for p in models} == models  # replaced
+            assert sum("retraining" in r.getMessage() for r in caplog.records) == 2
 
     def test_failed_cache_write_leaves_no_model(self, workdir, monkeypatch):
         config = harness.load_config(workdir / "fixture_config.json")
@@ -256,23 +277,21 @@ class TestEnvironmentOverrides:
         assert (other / "reports" / "summary_ranked.json").exists()
         assert not (workdir / "out").exists()
 
-    def test_jobs_override_keeps_results(self, workdir, monkeypatch):
-        assert run_cli("run", workdir / "fixture_config.json") == 0
-        baseline = (workdir / "out" / "reports" / "ranked_Given2.json").read_bytes()
-        shutil.rmtree(workdir / "out")
-        monkeypatch.setenv("CFLAB_JOBS", "3")
-        assert run_cli("run", workdir / "fixture_config.json") == 0
-        assert (workdir / "out" / "reports" / "ranked_Given2.json").read_bytes() == baseline
+    def test_no_scoring_thread_option(self, workdir, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", workdir / "fixture_config.json", "--jobs", "2")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs" in capsys.readouterr().err
 
 
-class TestThreadedScoring:
-    def test_model_predictors_score_alike_on_one_and_two_threads(self):
+class TestModelScoring:
+    def test_model_predictors_score_alike_with_fresh_models(self):
         config = harness.load_config(FIXDIR / "fixture_config.json")
         train, test = harness.load_datasets(config.dataset)
 
-        def reports(jobs):
+        def reports():
             # fresh models, so that each run's predictors build their own
-            # scoring tables before the threads start
+            # scoring tables
             bc = em_fit(train, 2, seed=1, compute_cs=False)[0]
             bn = learn_network(train, LearnConfig(structure_penalty=0.99))
             algs = [ClusterPredictor(train, bc), BayesNetPredictor(train, bn)]
@@ -282,11 +301,11 @@ class TestThreadedScoring:
                 for metric in ("ranked", "deviation"):
                     out.append(run_experiment(
                         train, cases, algs, metric, ranked_cfg=config.ranked,
-                        seed=config.seed, protocol_label=protocol.label, jobs=jobs,
+                        seed=config.seed, protocol_label=protocol.label,
                     ).dumps())
             return out
 
-        one, two = reports(1), reports(2)
+        one, two = reports(), reports()
         assert one == two
         extras = json.loads(two[0])["extras"]["BN"]
         assert extras["lookups"] > 0 and extras["influenced"] > 0

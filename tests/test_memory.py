@@ -4,26 +4,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cflab.memory import (
-    DefaultVoting,
-    MemoryConfig,
-    MemoryScorer,
-    _ranked_ids,
-    case_amplify,
-    correlation_weight,
-    inverse_user_frequency,
-    popularity_rank,
-    predict_vote,
-    rank_items,
-    vector_similarity_weight,
-)
+from cflab.memory import DefaultVoting, MemoryConfig, MemoryScorer
+from cflab.predictors import MemoryPredictor, PopularityPredictor
 from cflab.votedata import IMPLICIT_SCALE
 
 from conftest import case_for, make_db, random_explicit_db, random_implicit_db
-from reference import brute_predict
+from reference import brute_predict, brute_weight
 
 CORR = MemoryConfig(weight_kind="correlation")
 VSIM = MemoryConfig(weight_kind="vector_similarity")
+
+
+def weight(db, case, user, cfg):
+    """The weight of neighbour `user` for `case`; a user with no match weighs 0."""
+    return float(MemoryScorer(db, cfg).weights(case)[db.index.user_pos[user]])
 
 
 class TestCorrelationWeight:
@@ -31,22 +25,22 @@ class TestCorrelationWeight:
         # intersection means 3 and 8/3 make the deviations orthogonal
         db = make_db([("i", "j1", 2), ("i", "j2", 2), ("i", "j3", 4)])
         case = case_for("a", {"j1": 1, "j2": 5, "j3": 3})
-        assert correlation_weight(case, "i", db, CORR) == pytest.approx(0.0, abs=1e-12)
+        assert weight(db, case, "i", CORR) == pytest.approx(0.0, abs=1e-12)
 
     def test_identical_vectors_give_one(self):
         db = make_db([("i", "j1", 1), ("i", "j2", 5), ("i", "j3", 3)])
         case = case_for("a", {"j1": 1, "j2": 5, "j3": 3})
-        assert correlation_weight(case, "i", db, CORR) == pytest.approx(1.0)
+        assert weight(db, case, "i", CORR) == pytest.approx(1.0)
 
     def test_constant_neighbor_gets_zero(self):
         db = make_db([("i", "j1", 2), ("i", "j2", 2), ("i", "j3", 2)])
         case = case_for("a", {"j1": 1, "j2": 5, "j3": 3})
-        assert correlation_weight(case, "i", db, CORR) == 0.0
+        assert weight(db, case, "i", CORR) == 0.0
 
     def test_insufficient_overlap_is_no_match(self):
         db = make_db([("i", "j1", 2), ("i", "j9", 4)])
         case = case_for("a", {"j1": 1, "j2": 5})
-        assert correlation_weight(case, "i", db, CORR) is None
+        assert weight(db, case, "i", CORR) == 0.0
 
     def test_default_voting_needs_single_match(self):
         cfg = MemoryConfig(weight_kind="correlation", default_voting=DefaultVoting(d=0.0, k=0))
@@ -54,38 +48,32 @@ class TestCorrelationWeight:
             [("i", "x", 1), ("i", "y", 1), ("z", "w", 1), ("z", "x", 1)],
             scale=IMPLICIT_SCALE,
         )
+        # one common item, x: over the union {x, y, w} the vectors are
+        # (1, 0, 1) and (1, 1, 0), which correlate at -0.5
+        w = weight(db, case_for("a", {"x": 1.0, "w": 1.0}), "i", cfg)
+        assert w == pytest.approx(-0.5)
         # "q" is not a database item; the comparison runs over db items only
-        case = case_for("a", {"x": 1.0, "q": 1.0})
-        w = correlation_weight(case, "i", db, cfg)
-        assert w is not None
+        assert weight(db, case_for("a", {"x": 1.0, "w": 1.0, "q": 1.0}), "i", cfg) == w
 
     def test_symmetry_on_random_databases(self):
         rng = np.random.default_rng(7)
         for trial in range(20):
             db = random_explicit_db(rng, n_users=6, n_items=6, density=0.7)
-            users = list(db.users)
-            for a in users:
-                for b in users:
-                    if a == b:
-                        continue
-                    ca = case_for(a, db.votes[a])
-                    cb = case_for(b, db.votes[b])
-                    w_ab = correlation_weight(ca, b, db, CORR)
-                    w_ba = correlation_weight(cb, a, db, CORR)
-                    if w_ab is None:
-                        assert w_ba is None
-                    else:
-                        assert w_ab == pytest.approx(w_ba, abs=1e-12)
+            scorer = MemoryScorer(db, CORR)
+            w = {a: scorer.weights(case_for(a, db.votes[a])) for a in db.users}
+            pos = db.index.user_pos
+            for a in db.users:
+                for b in db.users:
+                    if a != b:
+                        assert w[a][pos[b]] == pytest.approx(w[b][pos[a]], abs=1e-12)
 
     def test_weight_bounded_by_one(self):
         rng = np.random.default_rng(11)
         for trial in range(30):
             db = random_explicit_db(rng, n_users=8, n_items=6, density=0.8)
-            a, b = db.users[0], db.users[1]
-            case = case_for(a, db.votes[a])
-            w = correlation_weight(case, b, db, CORR)
-            if w is not None:
-                assert -1.0 <= w <= 1.0
+            a = db.users[0]
+            w = MemoryScorer(db, CORR).weights(case_for(a, db.votes[a]))
+            assert (np.abs(w) <= 1.0).all()
 
     def test_binary_data_needs_default_voting(self):
         # all implicit votes are identical, so plain correlation has no variance,
@@ -96,49 +84,44 @@ class TestCorrelationWeight:
         a = db.users[0]
         case = case_for(a, db.votes[a])
         for b in db.users[1:]:
-            plain = correlation_weight(case, b, db, CORR)
-            assert plain is None or plain == 0.0
+            assert weight(db, case, b, CORR) == 0.0
             set_a, set_b = set(db.votes[a]), set(db.votes[b])
-            if set_a & set_b:
-                extended = correlation_weight(case, b, db, dv)
-                assert extended is not None
-                if not (set_a <= set_b or set_b <= set_a):
-                    # both users then vary over the union, so the weight is live
-                    assert extended != 0.0
+            if set_a & set_b and not (set_a <= set_b or set_b <= set_a):
+                # both users then vary over the union, so the weight is live
+                assert weight(db, case, b, dv) != 0.0
 
 
 class TestVectorSimilarity:
     def test_identical_implicit_vectors(self):
         db = make_db([("i", "x", 1), ("i", "y", 1)], scale=IMPLICIT_SCALE)
         case = case_for("a", {"x": 1.0, "y": 1.0})
-        assert vector_similarity_weight(case, "i", db, VSIM) == pytest.approx(1.0)
+        assert weight(db, case, "i", VSIM) == pytest.approx(1.0)
 
     def test_half_overlap_gives_half(self):
         db = make_db(
             [("i", "y", 1), ("i", "z", 1), ("other", "x", 1)], scale=IMPLICIT_SCALE
         )
         case = case_for("a", {"x": 1.0, "y": 1.0})
-        assert vector_similarity_weight(case, "i", db, VSIM) == pytest.approx(0.5)
+        assert weight(db, case, "i", VSIM) == pytest.approx(0.5)
 
     def test_disjoint_sets_give_zero(self):
         db = make_db([("i", "p", 1), ("i", "q", 1)], scale=IMPLICIT_SCALE)
         case = case_for("a", {"x": 1.0, "y": 1.0})
-        assert vector_similarity_weight(case, "i", db, VSIM) == 0.0
+        assert weight(db, case, "i", VSIM) == 0.0
 
     def test_all_factors_zero_gives_zero(self):
         # both users voted the universally-voted item only: its factor is 0
         db = make_db([("i", "x", 1), ("z", "x", 1)], scale=IMPLICIT_SCALE)
         cfg = MemoryConfig(weight_kind="vector_similarity", inverse_user_frequency=True)
         case = case_for("i", {"x": 1.0})
-        assert vector_similarity_weight(case, "z", db, cfg) == 0.0
+        assert weight(db, case, "z", cfg) == 0.0
 
     def test_bounds_on_random_databases(self):
         rng = np.random.default_rng(23)
         for trial in range(30):
             db = random_implicit_db(rng, n_users=8, n_items=7)
             a, b = db.users[0], db.users[1]
-            case = case_for(a, db.votes[a])
-            w = vector_similarity_weight(case, b, db, VSIM)
+            w = weight(db, case_for(a, db.votes[a]), b, VSIM)
             assert 0.0 <= w <= 1.0
 
     def test_frequency_scaling_leaves_cosine_unchanged(self):
@@ -146,8 +129,7 @@ class TestVectorSimilarity:
         rng = np.random.default_rng(5)
         db = random_explicit_db(rng, n_users=6, n_items=6, density=0.9)
         a, b = db.users[0], db.users[1]
-        case = case_for(a, db.votes[a])
-        base = vector_similarity_weight(case, b, db, VSIM)
+        base = weight(db, case_for(a, db.votes[a]), b, VSIM)
         f = {it: 3.7 for it in db.items}
         pairs = [(db.votes[a].get(it, 0.0) * f[it], db.votes[b].get(it, 0.0) * f[it]) for it in db.items]
         na = math.sqrt(sum(x * x for x, _ in pairs))
@@ -156,50 +138,74 @@ class TestVectorSimilarity:
         assert scaled == pytest.approx(base, abs=1e-12)
 
 
+def iuf(db, item):
+    return float(db.index.iuf[db.index.item_pos[item]])
+
+
 class TestInverseUserFrequency:
     def test_universal_item_scores_zero(self):
         db = make_db([("u", "a", 1), ("u", "b", 1), ("v", "a", 1)], scale=IMPLICIT_SCALE)
-        assert inverse_user_frequency(db, "a") == pytest.approx(0.0)
+        assert iuf(db, "a") == pytest.approx(0.0)
 
     def test_log_ratio(self):
         rows = [(f"u{i}", "common", 1) for i in range(100)]
         rows += [(f"u{i}", "rare", 1) for i in range(10)]
         db = make_db(rows, scale=IMPLICIT_SCALE)
-        assert inverse_user_frequency(db, "rare") == pytest.approx(math.log(10), abs=1e-9)
+        assert iuf(db, "rare") == pytest.approx(math.log(10), abs=1e-9)
 
-    def test_unvoted_item_is_domain_error(self):
+    def test_unvoted_item_scores_zero(self):
+        # an item nobody voted on has no frequency factor; it never contributes
         db = make_db([("u", "a", 1)], scale=IMPLICIT_SCALE, items=["a", "ghost"])
-        with pytest.raises(ValueError):
-            inverse_user_frequency(db, "ghost")
+        assert iuf(db, "ghost") == 0.0
+
+
+def amplified(p, user):
+    """The weight of `user` for the case (0, 1, 2) on j1..j3, amplified by p."""
+    db = make_db([
+        ("same", "j1", 0), ("same", "j2", 1), ("same", "j3", 2),  # correlates 1
+        ("half", "j1", 1), ("half", "j2", 0), ("half", "j3", 2),  # correlates 0.5
+        ("anti", "j1", 1), ("anti", "j2", 2), ("anti", "j3", 0),  # correlates -0.5
+    ])
+    case = case_for("a", {"j1": 0.0, "j2": 1.0, "j3": 2.0})
+    return weight(db, case, user, MemoryConfig("correlation", case_amplification=p))
 
 
 class TestCaseAmplify:
     def test_fixed_point(self):
-        assert case_amplify(1.0, 2.5) == 1.0
+        assert amplified(2.5, "same") == pytest.approx(1.0)
 
     def test_positive_power(self):
-        assert case_amplify(0.5, 2.5) == pytest.approx(0.1767767, abs=1e-7)
+        assert amplified(2.5, "half") == pytest.approx(0.1767767, abs=1e-7)
 
     def test_odd_symmetry(self):
-        assert case_amplify(-0.5, 2.5) == pytest.approx(-0.1767767, abs=1e-7)
+        assert amplified(2.5, "anti") == pytest.approx(-0.1767767, abs=1e-7)
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=50, deadline=None)
     @given(
-        w=st.floats(min_value=-1, max_value=1),
+        seed=st.integers(0, 2**32 - 1),
         p=st.floats(min_value=0.1, max_value=6.0),
     )
-    def test_preserves_sign_and_bound(self, w, p):
-        out = case_amplify(w, p)
-        assert abs(out) <= 1.0 + 1e-12
-        if w != 0:
-            assert math.copysign(1, out) == math.copysign(1, w) or out == 0.0
+    def test_preserves_sign_and_bound(self, seed, p):
+        db = random_explicit_db(np.random.default_rng(seed), n_users=8, n_items=6, density=0.7)
+        case = case_for("probe", dict(db.votes[db.users[0]]))
+        w = MemoryScorer(db, CORR).weights(case)
+        out = MemoryScorer(db, MemoryConfig("correlation", case_amplification=p)).weights(case)
+        assert (np.abs(out) <= 1.0 + 1e-12).all()
+        assert ((np.sign(out) == np.sign(w)) | (out == 0.0)).all()
+        assert out == pytest.approx(np.sign(w) * np.abs(w) ** p, abs=1e-12)
 
     def test_preserves_ordering_of_magnitudes(self):
         rng = np.random.default_rng(0)
-        w = rng.uniform(-1, 1, size=50)
+        db = random_explicit_db(rng, n_users=50, n_items=8, density=0.6)
+        case = case_for("probe", dict(db.votes[db.users[0]]))
+        w = MemoryScorer(db, CORR).weights(case)
         for p in (0.5, 1.0, 2.5, 4.0):
-            amped = np.array([case_amplify(x, p) for x in w])
+            amped = MemoryScorer(db, MemoryConfig("correlation", case_amplification=p)).weights(case)
             assert (np.argsort(np.abs(w), kind="stable") == np.argsort(np.abs(amped), kind="stable")).all()
+
+
+def informed(pred, case, item):
+    return bool(pred.scores(case)[1][pred.train.index.item_pos[item]])
 
 
 class TestPredictVote:
@@ -207,12 +213,11 @@ class TestPredictVote:
         db = make_db([("i", "j", 5), ("i", "a", 4), ("i", "b", 3)])
         # neighbor mean is 4; the active case correlates perfectly on (a, b)
         case = case_for("act", {"a": 5.0, "b": 4.0})
-        w = correlation_weight(case, "i", db, CORR)
-        assert w == pytest.approx(1.0)
+        assert weight(db, case, "i", CORR) == pytest.approx(1.0)
         base = case.observed_mean
-        out = predict_vote(case, "j", db, CORR)
-        assert out.informed
-        assert out.value == pytest.approx(min(5.0, base + (5.0 - 4.0)))
+        pred = MemoryPredictor(db, CORR, name="CR")
+        assert informed(pred, case, "j")
+        assert pred.predict(case, "j") == pytest.approx(min(5.0, base + (5.0 - 4.0)))
 
     def test_opposing_deviations_cancel(self):
         # two equally weighted neighbors deviate +1 and -1 on the target
@@ -223,27 +228,28 @@ class TestPredictVote:
             ]
         )
         case = case_for("act", {"a": 1.0, "b": 5.0})
-        w1 = correlation_weight(case, "n1", db, CORR)
-        w2 = correlation_weight(case, "n2", db, CORR)
+        w1 = weight(db, case, "n1", CORR)
+        w2 = weight(db, case, "n2", CORR)
         assert w1 == pytest.approx(w2)
         dev1 = 4.0 - mean(db, "n1")
         dev2 = 2.0 - mean(db, "n2")
         expected = case.observed_mean + (w1 * dev1 + w2 * dev2) / (abs(w1) + abs(w2))
-        out = predict_vote(case, "j", db, CORR)
-        assert out.value == pytest.approx(expected, abs=1e-12)
+        pred = MemoryPredictor(db, CORR, name="CR")
+        assert pred.predict(case, "j") == pytest.approx(expected, abs=1e-12)
 
     def test_uninformed_fallback(self):
-        db = make_db([("i", "a", 2), ("i", "b", 4)])
+        db = make_db([("i", "a", 2), ("i", "b", 4), ("k", "c", 1), ("k", "d", 5)])
         case = case_for("act", {"a": 2.0, "b": 4.0})
-        out = predict_vote(case, "nowhere", db, CORR)
-        assert not out.informed
-        assert out.value == pytest.approx(3.0)
+        pred = MemoryPredictor(db, CORR, name="CR")
+        # no neighbour weighs in on c, and nowhere is absent from training
+        assert not informed(pred, case, "c")
+        assert pred.predict(case, "c") == pytest.approx(3.0)
+        assert pred.predict(case, "nowhere") == pytest.approx(3.0)
 
     def test_clamped_to_scale(self):
         db = make_db([("i", "a", 5), ("i", "b", 0), ("i", "j", 5)])
         case = case_for("act", {"a": 5.0, "b": 0.0})
-        out = predict_vote(case, "j", db, CORR)
-        assert 0.0 <= out.value <= 5.0
+        assert 0.0 <= MemoryPredictor(db, CORR, name="CR").predict(case, "j") <= 5.0
 
 
 def mean(db, user):
@@ -254,20 +260,31 @@ def mean(db, user):
 class TestRankItems:
     def test_sorted_by_prediction(self, tiny_explicit_db):
         case = case_for("act", {"a": 1.0, "b": 5.0})
-        ranked = rank_items(case, tiny_explicit_db, CORR)
+        ranked = MemoryPredictor(tiny_explicit_db, CORR, name="CR").rank(case)
         assert set(ranked) == {"c", "d"}
 
     def test_observed_items_excluded(self, tiny_explicit_db):
         case = case_for("act", {"a": 1.0, "b": 5.0})
-        ranked = rank_items(case, tiny_explicit_db, CORR)
+        ranked = MemoryPredictor(tiny_explicit_db, CORR, name="CR").rank(case)
         assert "a" not in ranked and "b" not in ranked
 
     def test_ties_break_by_item_id(self):
         db = make_db([("u", "i9", 3), ("u", "i2", 3), ("u", "a", 1), ("x", "a", 2), ("x", "i2", 3)])
         case = case_for("act", {"a": 1.0})
-        ranked = rank_items(case, db, CORR)
+        ranked = MemoryPredictor(db, CORR, name="CR").rank(case)
         # no informative neighbors: everything ties at the base, id order wins
         assert ranked == sorted(ranked)
+
+
+    def test_informed_before_uninformed_on_equal_scores(self):
+        # i correlates 1 and deviates 0 on j, so j is informed at the base 3;
+        # x shares no item, so c and d fall back to the base uninformed
+        db = make_db([("i", "a", 1), ("i", "b", 5), ("i", "j", 3), ("x", "c", 4), ("x", "d", 2)])
+        case = case_for("act", {"a": 1.0, "b": 5.0})
+        pred = MemoryPredictor(db, CORR, name="CR")
+        scores, informed = pred.scores(case)
+        assert scores[2:].tolist() == [3.0] * 3 and informed[2:].tolist() == [True, False, False]
+        assert pred.rank(case) == ["j", "c", "d"]
 
 
 class TestPopularityRank:
@@ -275,18 +292,18 @@ class TestPopularityRank:
         rows = [(f"u{i}", "i1", 1) for i in range(10)] + [("u0", "i2", 1), ("u1", "i2", 1), ("u2", "i2", 1)]
         db = make_db(rows, scale=IMPLICIT_SCALE)
         case = case_for("act", {"zz": 1.0})
-        assert popularity_rank(db, case) == ["i1", "i2"]
+        assert PopularityPredictor(db).rank(case) == ["i1", "i2"]
 
     def test_observed_excluded_even_if_popular(self):
         rows = [(f"u{i}", "i1", 1) for i in range(10)] + [("u0", "i2", 1)]
         db = make_db(rows, scale=IMPLICIT_SCALE)
         case = case_for("act", {"i1": 1.0})
-        assert popularity_rank(db, case) == ["i2"]
+        assert PopularityPredictor(db).rank(case) == ["i2"]
 
     def test_equal_counts_id_order(self):
         db = make_db([("u", "b", 1), ("u", "a", 1)], scale=IMPLICIT_SCALE)
         case = case_for("act", {"zz": 1.0})
-        assert popularity_rank(db, case) == ["a", "b"]
+        assert PopularityPredictor(db).rank(case) == ["a", "b"]
 
 
 def _configs_for(scale_implicit: bool):
@@ -344,33 +361,11 @@ class TestVectorizedAgainstBruteForce:
                 scorer = MemoryScorer(db, cfg)
                 w = scorer.weights(case)
                 for i, u in enumerate(db.users):
-                    if cfg.weight_kind == "correlation":
-                        ref = correlation_weight(case, u, db, cfg)
-                    else:
-                        ref = vector_similarity_weight(case, u, db, cfg)
+                    ref = brute_weight(case.observed, db.votes[u], db, cfg)
                     ref = 0.0 if ref is None else ref
                     if cfg.case_amplification is not None:
-                        ref = case_amplify(ref, cfg.case_amplification)
+                        ref = math.copysign(abs(ref) ** cfg.case_amplification, ref)
                     assert w[i] == pytest.approx(ref, abs=1e-9)
-
-
-class TestNeighborWeights:
-    def test_kappa_normalizes_absolute_weights(self):
-        rng = np.random.default_rng(9)
-        db = random_explicit_db(rng, n_users=8, n_items=6, density=0.7)
-        scorer = MemoryScorer(db, CORR)
-        case = case_for("probe", dict(db.votes[db.users[0]]))
-        nw = scorer.neighbor_weights(case)
-        if nw.entries:
-            total = sum(abs(w) for _, w in nw.entries)
-            assert nw.kappa * total == pytest.approx(1.0, abs=1e-9)
-            assert all(w != 0 for _, w in nw.entries)
-
-    def test_empty_entries_allowed(self):
-        db = make_db([("i", "a", 3), ("i", "b", 3)])
-        scorer = MemoryScorer(db, CORR)
-        nw = scorer.neighbor_weights(case_for("probe", {"zz": 1.0}))
-        assert nw.entries == ()
 
 
 class TestConfigValidation:
@@ -406,4 +401,4 @@ class TestRankingRule:
             (it for it in db.items if it not in observed),
             key=lambda it: (-values[db.items.index(it)], not flag[db.items.index(it)], it),
         )
-        assert _ranked_ids(db, case, values, informed) == want
+        assert db.index.ranked(case.observed, ~flag, -values) == want

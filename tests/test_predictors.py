@@ -16,8 +16,8 @@ from cflab.votedata import restrict_to_top_items
 from conftest import case_for, random_case, random_explicit_db, random_grouped_db, random_implicit_db
 from reference import (
     bc_scores_loop,
-    bn_expected_vote_walk,
     bn_scores_walk,
+    bn_vote_walk,
     model_backed_ranking,
 )
 
@@ -33,7 +33,6 @@ class TestPopularityPredictor:
         case = case_for("t", {implicit_db.items[0]: 1.0})
         ranked = pred.rank(case)
         assert implicit_db.items[0] not in ranked
-        assert not pred.supports_deviation
         with pytest.raises(NotImplementedError):
             pred.predict(case, implicit_db.items[1])
 
@@ -42,12 +41,60 @@ class TestMemoryPredictor:
     def test_matches_scorer(self, implicit_db):
         cfg = MemoryConfig("vector_similarity")
         pred = MemoryPredictor(implicit_db, cfg, name="VSIM")
-        scorer = MemoryScorer(implicit_db, cfg)
         case = case_for("t", dict(implicit_db.votes[implicit_db.users[0]]))
-        assert pred.rank(case) == scorer.rank(case)
-        item = implicit_db.items[-1]
-        if item not in case.observed:
-            assert pred.predict(case, item) == scorer.predict(case, item).value
+        values, informed = MemoryScorer(implicit_db, cfg).predict_all(case)
+        pos = implicit_db.index.item_pos
+        want = sorted(
+            (it for it in implicit_db.items if it not in case.observed),
+            key=lambda it: (-values[pos[it]], not informed[pos[it]], it),
+        )
+        assert pred.rank(case) == want
+        for it in want:
+            assert pred.predict(case, it) == values[pos[it]]
+
+
+def all_predictors(db):
+    """One predictor of each kind, trained on `db`."""
+    return [
+        PopularityPredictor(db),
+        MemoryPredictor(db, MemoryConfig("correlation"), name="CR"),
+        ClusterPredictor(db, em_fit(db, 2, seed=1, compute_cs=False)[0]),
+        BayesNetPredictor(db, learn_network(db, LearnConfig())),
+    ]
+
+
+class TestContract:
+    """The one contract: scores over the training items, one ranking rule,
+    one prediction rule."""
+
+    @pytest.fixture
+    def db(self):
+        return random_explicit_db(np.random.default_rng(3), n_users=20, n_items=6, density=0.7)
+
+    def test_scores_cover_training_items(self, db):
+        case = case_for("t", {db.items[0]: 4.0, "zz": 1.0})
+        for pred in all_predictors(db):
+            scores, informed = pred.scores(case)
+            assert scores.shape == informed.shape == (len(db.items),)
+            if not isinstance(pred, MemoryPredictor):
+                assert informed.all()
+
+    def test_rank_is_the_shared_rule(self, db):
+        case = case_for("t", {db.items[0]: 4.0, db.items[3]: 1.0})
+        for pred in all_predictors(db):
+            scores, informed = pred.scores(case)
+            want = sorted(
+                (it for it in db.items if it not in case.observed),
+                key=lambda it: (-scores[db.items.index(it)], not informed[db.items.index(it)], it),
+            )
+            assert pred.rank(case) == want, pred.name
+
+    def test_observed_item_is_refused(self, db):
+        case = case_for("t", {db.items[0]: 4.0, "zz": 1.0})
+        for pred in all_predictors(db)[1:]:
+            for item in case.observed:
+                with pytest.raises(ValueError):
+                    pred.predict(case, item)
 
 
 class TestModelFallbacks:
@@ -84,8 +131,10 @@ class TestModelFallbacks:
         bc = ClusterPredictor(db, em_fit(db, 2, seed=1, compute_cs=False)[0], name="BC")
         bn = BayesNetPredictor(db, learn_network(db, LearnConfig()), name="BN")
         assert "zz" not in db.items
+        cr = MemoryPredictor(db, MemoryConfig("correlation"), name="CR")
         assert bc.predict(case, "zz") == case.observed_mean == 2.5
         assert bn.predict(case, "zz") == case.observed_mean
+        assert cr.predict(case, "zz") == case.observed_mean
 
 
 class TestArrayRanking:
@@ -110,7 +159,7 @@ class TestArrayRanking:
             lookups, influenced = lookups + n, influenced + hits
             assert pred.rank(case) == model_backed_ranking(db, scores, case)
             for it in scores:
-                assert pred.predict(case, it) == bn_expected_vote_walk(model, case, it)
+                assert pred.predict(case, it) == bn_vote_walk(model, case, it)
         assert pred.stats == {"lookups": lookups, "influenced": influenced}
 
     @settings(max_examples=30, deadline=None)
@@ -123,5 +172,5 @@ class TestArrayRanking:
             case = random_case(rng, db, max_observed=4)
             scores = bc_scores_loop(model, case)
             assert pred.rank(case) == model_backed_ranking(db, scores, case)
-            got = dict(zip(model.items, pred._scores(case)))
+            got = dict(zip(db.items, pred.scores(case)[0]))
             assert all(got[it] == score for it, score in scores.items())  # bitwise

@@ -247,6 +247,22 @@ class TestRestrictToTopItems:
         out = restrict_to_top_items(db, 1)
         assert out.items == ("b",)
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 12))
+    def test_matches_literal_count(self, seed, k):
+        # few voters over many items: counts tie often; items are declared
+        # out of id order and some get no votes
+        rng = np.random.default_rng(seed)
+        items = [f"i{j}" for j in rng.permutation(10)]
+        rows = [(f"u{i}", it, 1) for i in range(4) for it in items[:8] if rng.random() < 0.4]
+        db = make_db(rows or [("u0", items[0], 1)], scale=IMPLICIT_SCALE, items=items)
+        counts = {it: 0 for it in db.items}
+        for u in db.users:
+            for it in db.votes[u]:
+                counts[it] += 1
+        want = sorted(db.items, key=lambda it: (-counts[it], it))[:k]
+        assert set(restrict_to_top_items(db, k).items) == set(want)
+
     def test_vote_multiset_is_subset(self):
         db = random_explicit_db(np.random.default_rng(0), n_users=10, n_items=8)
         out = restrict_to_top_items(db, 3)
