@@ -126,6 +126,10 @@ def bonferroni_required_difference(
 class RankingPredictor(TypingProtocol):
     name: str
 
+    def schedule(self, cases: Sequence[ActiveCase]) -> None:
+        """The cases about to be scored, in order; each is then ranked or
+        predicted."""
+
     def rank(self, case: ActiveCase) -> list[ItemId]: ...
 
     def predict(self, case: ActiveCase, item: ItemId) -> float: ...
@@ -241,7 +245,8 @@ def run_experiment(
 
     All algorithms see identical observed votes per case. A case where any
     algorithm fails, or (for ranked scoring) with zero maximum utility, is
-    dropped for all algorithms so the blocks stay complete.
+    dropped for all algorithms so the blocks stay complete. Each algorithm is
+    told the cases it will score (`schedule`) before the first is scored.
     """
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
@@ -264,12 +269,19 @@ def run_experiment(
         a.name: dict(getattr(a, "stats", {}) or {}) for a in algorithms
     }
 
+    scored = []
     for case in cases:
+        rmax = None
         if metric == RANKED:
             rmax = max_ranked_utility(case.targets, ranked_cfg)
             if rmax <= 0:
                 excluded["zero_max_utility"].append(case.user)
                 continue
+        scored.append((case, rmax))
+    for alg in algorithms:
+        alg.schedule([case for case, _ in scored])
+
+    for case, rmax in scored:
         row = {}
         for alg in algorithms:
             t0 = time.perf_counter()

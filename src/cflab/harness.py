@@ -253,8 +253,15 @@ def load_datasets(spec: DatasetSpec) -> tuple[VoteDatabase, VoteDatabase]:
 # --- model training and caching ---------------------------------------------
 
 
+# Part of every model cache key. Raise it when a trainer can give another
+# model for the same data, config and seed, so that models cached by older
+# code are not reused.
+MODEL_FORMAT_VERSION = 1
+
+
 def _model_cache_key(train: VoteDatabase, spec: AlgorithmSpec, seed: int) -> str:
     h = hashlib.sha256()
+    h.update(f"model format {MODEL_FORMAT_VERSION}\n".encode())
     h.update(train.content_hash().encode())
     h.update(spec.canonical_json().encode())
     h.update(str(seed).encode())
@@ -274,9 +281,14 @@ def train_model(train: VoteDatabase, spec: AlgorithmSpec, seed: int, cache_dir: 
                 if spec.kind == CLUSTER
                 else bayesnet.BayesNetModel.from_json(doc)
             )
+            if model.scale != train.scale:
+                raise ValueError(f"scale {model.scale} is not the training scale {train.scale}")
+            if not set(model.items) <= set(train.items):
+                raise ValueError("model items are not all training items")
         except (OSError, ValueError, KeyError, TypeError) as exc:
-            # a truncated or corrupt entry is a miss: retrain and replace it
-            log.warning("unreadable cached %s model %s (%r); retraining",
+            # a truncated, corrupt or mismatched entry is a miss: retrain and
+            # replace it
+            log.warning("unusable cached %s model %s (%r); retraining",
                         spec.kind, path.name, exc)
         else:
             log.info("loaded cached %s model %s", spec.kind, path.name)

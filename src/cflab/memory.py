@@ -9,11 +9,11 @@ and case amplification.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from .votedata import ActiveCase, VoteDatabase
 
@@ -96,7 +96,12 @@ def _resolve_default(db: VoteDatabase, cfg: MemoryConfig) -> float | None:
 class MemoryScorer:
     """Weight and prediction pipeline for one database and config.
 
-    Stateless with respect to cases; safe to reuse across many active cases.
+    Scores a block of cases at once. Each per-user sum a case's weights need
+    is one row of a sparse product: an evidence matrix, a row per case holding
+    its observed training items in observed order, times the transposed vote
+    columns. A product row adds each user's terms in the row's order, so a
+    case's sums, and with them its weights and predictions, do not depend on
+    the other cases of its block.
     """
 
     def __init__(self, db: VoteDatabase, cfg: MemoryConfig) -> None:
@@ -119,47 +124,34 @@ class MemoryScorer:
 
     # -- weights
 
-    def weights(self, active: ActiveCase) -> np.ndarray:
-        """Final per-user weights (case amplification applied), zero when skipped."""
+    def weights(self, cases: Sequence[ActiveCase]) -> np.ndarray:
+        """Final weights (case amplification applied), a row per case and a
+        column per user; zero where a user is skipped."""
         idx = self.idx
-        cols = [idx.item_pos[it] for it in active.observed if it in idx.item_pos]
-        n = len(idx.user_ids)
-        if not cols:
-            return np.zeros(n)
-        v_a = np.array(
-            [active.observed[idx.item_ids[j]] for j in cols], dtype=float
-        )
+        ev = _Evidence(cases, idx.item_pos)
         if self.cfg.weight_kind == CORRELATION:
-            w = self._pearson_weights(cols, v_a)
+            w = self._pearson_weights(ev)
         else:
-            w = self._cosine_weights(cols, v_a)
-        pos = idx.user_pos.get(active.user)
-        if pos is not None:
-            w[pos] = 0.0
+            w = self._cosine_weights(ev)
+        for row, case in enumerate(cases):
+            pos = idx.user_pos.get(case.user)
+            if pos is not None:
+                w[row, pos] = 0.0
         p = self.cfg.case_amplification
         if p is not None:
             w = np.sign(w) * np.abs(w) ** p
         return w
 
-    def _column_sums(self, cols: list[int], v_a: np.ndarray):
+    def _pearson_weights(self, ev: "_Evidence") -> np.ndarray:
         idx = self.idx
-        f_j = self.f[cols]
-        M = idx.M_csc[:, cols]
-        V = idx.V_csc[:, cols]
-        V2 = idx.V2_csc[:, cols]
-        count = np.asarray(M @ np.ones(len(cols))).ravel()
-        sf = np.asarray(M @ f_j).ravel()
-        sfa = np.asarray(M @ (f_j * v_a)).ravel()
-        sfaa = np.asarray(M @ (f_j * v_a * v_a)).ravel()
-        sfb = np.asarray(V @ f_j).ravel()
-        sfbb = np.asarray(V2 @ f_j).ravel()
-        sfab = np.asarray(V @ (f_j * v_a)).ravel()
-        return count, sf, sfa, sfaa, sfb, sfbb, sfab
-
-    def _pearson_weights(self, cols: list[int], v_a: np.ndarray) -> np.ndarray:
-        count, sf, sfa, sfaa, sfb, sfbb, sfab = self._column_sums(cols, v_a)
+        f_j = self.f[ev.cols]
+        fv = f_j * ev.votes
+        fvv = fv * ev.votes
         d = self.default
         if d is None:
+            count, sf, sfa, sfaa = ev.user_sums(idx.M_csc, np.ones(len(f_j)), f_j, fv, fvv)
+            sfb, sfab = ev.user_sums(idx.V_csc, f_j, fv)
+            (sfbb,) = ev.user_sums(idx.V2_csc, f_j)
             num = sf * sfab - sfa * sfb
             var_a = sf * sfaa - sfa**2
             var_b = sf * sfbb - sfb**2
@@ -167,12 +159,13 @@ class MemoryScorer:
             var_b = np.where(var_b <= 1e-12 * (sf * sfbb + sfb**2), 0.0, var_b)
             can = count >= 2
         else:
-            f_j = self.f[cols]
+            # the squared sums of the co-voted items enter only through the
+            # full-vector totals (_sum_fv2, a_fv2)
+            count, sf, sfa = ev.user_sums(idx.M_csc, np.ones(len(f_j)), f_j, fv)
+            sfb, sfab = ev.user_sums(idx.V_csc, f_j, fv)
             kf = (self.cfg.default_voting.k if self.cfg.default_voting else 0) * \
                 SYNTHETIC_ITEM_FREQUENCY
-            a_f = float(f_j.sum())
-            a_fv = float((f_j * v_a).sum())
-            a_fv2 = float((f_j * v_a * v_a).sum())
+            a_f, a_fv, a_fv2 = (ev.case_sums(x)[:, None] for x in (f_j, fv, fvv))
             tf = a_f + self._sum_f - sf + kf
             tva = a_fv + d * (self._sum_f - sf) + kf * d
             tvb = self._sum_fv + d * (a_f - sf) + kf * d
@@ -190,40 +183,81 @@ class MemoryScorer:
             w = np.where(can & (den > 0), num / np.where(den > 0, den, 1.0), 0.0)
         return np.clip(w, -1.0, 1.0)
 
-    def _cosine_weights(self, cols: list[int], v_a: np.ndarray) -> np.ndarray:
-        idx = self.idx
-        f_j = self.f[cols]
-        dot = np.asarray(idx.V_csc[:, cols] @ (f_j * f_j * v_a)).ravel()
-        norm_a = math.sqrt(float(((f_j * v_a) ** 2).sum()))
-        if norm_a == 0:
-            return np.zeros(len(idx.user_ids))
+    def _cosine_weights(self, ev: "_Evidence") -> np.ndarray:
+        f_j = self.f[ev.cols]
+        (dot,) = ev.user_sums(self.idx.V_csc, f_j * f_j * ev.votes)
+        norm_a = np.sqrt(ev.case_sums((f_j * ev.votes) ** 2))[:, None]
         with np.errstate(invalid="ignore", divide="ignore"):
             w = np.where(self._norms > 0, dot / (norm_a * np.maximum(self._norms, 1e-300)), 0.0)
+        w[norm_a[:, 0] == 0] = 0.0
         return np.clip(w, 0.0, 1.0)
 
     # -- predictions
 
-    def predict_all(self, active: ActiveCase) -> tuple[np.ndarray, np.ndarray]:
-        """Predicted vote and informed flag for every database item."""
+    def predict_all(self, cases: Sequence[ActiveCase]) -> tuple[np.ndarray, np.ndarray]:
+        """Predicted votes and informed flags, a row per case and a column per
+        database item."""
         idx = self.idx
         scale = self.db.scale
-        base = active.observed_mean
-        n_items = len(idx.item_ids)
-        w = self.weights(active)
+        base = np.array([case.observed_mean for case in cases])[:, None]
+        w = self.weights(cases)
         abs_w = np.abs(w)
         if self.default is not None:
-            total = float(abs_w.sum())
-            if total == 0:
-                return np.full(n_items, base), np.zeros(n_items, dtype=bool)
             # every weighted user contributes; unvoted items enter at the default
-            const = float(w @ (self.default - idx.user_means))
-            dev = np.asarray(w @ self._v_minus_default).ravel()
-            values = base + (dev + const) / total
-            informed = np.ones(n_items, dtype=bool)
-        else:
-            numer = np.asarray(w @ idx.V_centered).ravel()
-            denom = np.asarray(abs_w @ idx.M).ravel()
-            informed = denom > 0
+            total = abs_w.sum(axis=1)
+            shift = self.default - idx.user_means
+            const = np.array([row @ shift for row in w])
+            dev = np.asarray(w @ self._v_minus_default)
             with np.errstate(invalid="ignore", divide="ignore"):
-                values = np.where(informed, base + numer / np.where(informed, denom, 1.0), base)
+                values = base + (dev + const[:, None]) / total[:, None]
+            values = np.clip(values, scale.min_vote, scale.max_vote)
+            informed = np.repeat((total != 0)[:, None], values.shape[1], axis=1)
+            # a case nobody weighs in on keeps its own mean, unclipped
+            values = np.where(informed, values, base)
+            return values, informed
+        numer = np.asarray(w @ idx.V_centered)
+        denom = np.asarray(abs_w @ idx.M)
+        informed = denom > 0
+        with np.errstate(invalid="ignore", divide="ignore"):
+            values = np.where(informed, base + numer / np.where(informed, denom, 1.0), base)
         return np.clip(values, scale.min_vote, scale.max_vote), informed
+
+
+class _Evidence:
+    """A block's observed training items in observed order, a segment per case."""
+
+    def __init__(self, cases: Sequence[ActiveCase], item_pos: Mapping) -> None:
+        indptr = [0]
+        cols: list[int] = []
+        votes: list[float] = []
+        for case in cases:
+            for it, v in case.observed.items():
+                j = item_pos.get(it)
+                if j is not None:
+                    cols.append(j)
+                    votes.append(v)
+            indptr.append(len(cols))
+        self.indptr = np.asarray(indptr)
+        self.cols = np.asarray(cols, dtype=np.intp)
+        self.votes = np.asarray(votes, dtype=float)
+        self.num_items = len(item_pos)
+
+    def user_sums(self, columns: sp.csc_matrix, *xs: np.ndarray) -> list[np.ndarray]:
+        """For each entry vector x, the (cases x users) sums over a case's items
+        j of x_j * columns[user, j], each added in the case's observed order.
+
+        The rows stay unsorted: sorting them would change that order."""
+        k, n = len(xs), len(self.cols)
+        cases = len(self.indptr) - 1
+        evidence = sp.csr_matrix(
+            (np.concatenate(xs), np.tile(self.cols, k),
+             np.concatenate([self.indptr[:-1] + i * n for i in range(k)] + [[k * n]])),
+            shape=(k * cases, self.num_items),
+        )
+        sums = (evidence @ columns.T).toarray()
+        return list(sums.reshape(k, cases, -1))
+
+    def case_sums(self, x: np.ndarray) -> np.ndarray:
+        """Each case's sum over its own segment of x, as `.sum()` adds up that
+        case's array alone."""
+        return np.array([x[lo:hi].sum() for lo, hi in zip(self.indptr[:-1], self.indptr[1:])])

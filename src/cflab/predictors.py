@@ -18,34 +18,65 @@ the full training item universe.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from . import bayesnet, cluster, memory
 from .votedata import ActiveCase, ItemId, VoteDatabase
 
+# Cases evaluated together. A few cases already share the fixed cost of a
+# memory predictor's sparse products, while each case in a block holds about
+# fifteen arrays of one float per training user as its weights are computed.
+BLOCK_CASES = 4
+
 
 class Predictor:
     """The shared ranking and vote-prediction rules over `scores`.
 
-    What a predictor derives from a case (`_evaluate`) is kept in a single
-    slot (`_for_case`) for the case's later calls.
+    What a predictor derives from a case (`_evaluate_block`) is computed for
+    a block of up to BLOCK_CASES cases at once: `schedule` splits the cases
+    about to be scored into blocks, and the first call on a case evaluates its
+    whole block. One block's results are kept, keyed by case identity; a case
+    that was not scheduled is a block of one.
     """
-
-    _cache: tuple | None = None
 
     def __init__(self, train: VoteDatabase, name: str) -> None:
         self.name = name
         self.train = train
         self.stats: dict = {}
         self._all_informed = np.ones(len(train.items), dtype=bool)
+        self._block_of: dict[int, list[ActiveCase]] = {}
+        self._evaluated: dict[int, tuple[ActiveCase, object]] = {}
+
+    def schedule(self, cases: Sequence[ActiveCase]) -> None:
+        """Split the cases about to be scored, in scoring order, into blocks."""
+        blocks = [list(cases[i:i + BLOCK_CASES]) for i in range(0, len(cases), BLOCK_CASES)]
+        # the blocks hold their cases, so no other live case shares an id
+        self._block_of = {id(case): block for block in blocks for case in block}
 
     def _for_case(self, case: ActiveCase):
-        cached = self._cache
-        if cached is not None and cached[0] is case:
-            return cached[1]
-        value = self._evaluate(case)
-        self._cache = (case, value)
-        return value
+        hit = self._evaluated.get(id(case))
+        if hit is not None and hit[0] is case:
+            return hit[1]
+        block = self._block_of.get(id(case), [case])
+        try:
+            values = self._evaluate_block(block)
+        except Exception:
+            if len(block) == 1:
+                raise
+            # a case can fail its whole block: score the block's cases one at
+            # a time, so that only the failing case fails
+            for other in block:
+                del self._block_of[id(other)]
+            block = [case]
+            values = self._evaluate_block(block)
+        self._evaluated = {id(c): (c, v) for c, v in zip(block, values)}
+        return self._evaluated[id(case)][1]
+
+    def _evaluate_block(self, cases: list[ActiveCase]) -> list:
+        """What the predictor derives from each of the cases, in order."""
+        raise NotImplementedError
 
     def scores(self, case: ActiveCase) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
@@ -87,8 +118,8 @@ class MemoryPredictor(Predictor):
         super().__init__(train, name)
         self.scorer = memory.MemoryScorer(train, cfg)
 
-    def _evaluate(self, case: ActiveCase) -> tuple[np.ndarray, np.ndarray]:
-        return self.scorer.predict_all(case)
+    def _evaluate_block(self, cases: list[ActiveCase]) -> list[tuple[np.ndarray, np.ndarray]]:
+        return list(zip(*self.scorer.predict_all(cases)))
 
     def scores(self, case: ActiveCase) -> tuple[np.ndarray, np.ndarray]:
         return self._for_case(case)
@@ -110,7 +141,7 @@ class _ModelBackedPredictor(Predictor):
         self.model = model
         totals, counts = cluster.expected_counts(train, np.ones((len(train.users), 1)))
         self._marginals = cluster.map_estimates(totals, counts)[1][0]  # (items, states)
-        self._fallback_scores = np.array([train.scale.rank_score(d) for d in self._marginals])
+        self._fallback_scores = train.scale.rank_score(self._marginals)
         self._model_cols = np.array([train.index.item_pos[it] for it in model.items], dtype=np.intp)
 
     def scores(self, case: ActiveCase) -> tuple[np.ndarray, np.ndarray]:
@@ -127,15 +158,12 @@ class ClusterPredictor(_ModelBackedPredictor):
     def __init__(self, train: VoteDatabase, model: cluster.ClusterModel, name: str = "BC") -> None:
         super().__init__(train, model, name)
 
-    def _evaluate(self, case: ActiveCase) -> np.ndarray:
-        return self.model.posterior(case.observed)
+    def _evaluate_block(self, cases: list[ActiveCase]) -> list[np.ndarray]:
+        return [self.model.posterior(case.observed) for case in cases]
 
     def _model_scores(self, case: ActiveCase) -> np.ndarray:
         mixed = np.einsum("c,cjs->js", self._for_case(case), self.model.cond)
-        scale = self.model.scale
-        if scale.implicit:
-            return mixed[:, 1]
-        return np.array([scale.rank_score(d) for d in mixed])
+        return self.model.scale.rank_score(mixed)
 
     def _vote(self, case: ActiveCase, item: ItemId, j: int) -> float:
         pos = self.model.item_pos.get(item)
@@ -150,8 +178,10 @@ class BayesNetPredictor(_ModelBackedPredictor):
         super().__init__(train, model, name)
         self.net = model.compiled
 
-    def _evaluate(self, case: ActiveCase) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self.net.route(case.observed)
+    def _evaluate_block(
+        self, cases: list[ActiveCase]
+    ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        return [self.net.route(case.observed) for case in cases]
 
     def _model_scores(self, case: ActiveCase) -> np.ndarray:
         leaf, influenced, seen = self._for_case(case)

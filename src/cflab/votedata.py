@@ -92,15 +92,22 @@ class VoteScale:
         total = mass.sum()
         return float((mass / total) @ np.asarray(self.vote_values, dtype=float))
 
-    def rank_score(self, dist: np.ndarray) -> float:
-        """Ranking score of a state distribution: implicit scales rank by the
-        probability of the single vote state; otherwise by expected vote
-        weighted by the probability of voting at all."""
+    def rank_score(self, dist: np.ndarray) -> np.ndarray:
+        """Ranking score of each state distribution along the last axis:
+        implicit scales rank by the probability of the single vote state;
+        otherwise by expected vote weighted by the probability of voting at all.
+
+        Each distribution's expected vote is its own (1 x states) @ (states x 1)
+        product, which adds the terms as a 1-d dot product does; a stacked
+        `@` over the states, `einsum` or a `sum` would add them in another
+        order."""
+        dist = np.asarray(dist, dtype=float)
         if self.implicit:
-            return float(dist[1])
-        mass = dist[1:]
-        p_vote = float(mass.sum())
-        return float((mass / p_vote) @ np.asarray(self.vote_values, dtype=float)) * p_vote
+            return dist[..., 1]
+        mass = dist[..., 1:]
+        p_vote = mass.sum(axis=-1)
+        votes = np.asarray(self.vote_values, dtype=float)[:, None]
+        return np.matmul((mass / p_vote[..., None])[..., None, :], votes)[..., 0, 0] * p_vote
 
     def value_of_state(self, state: int) -> int | None:
         """Inverse of state_of; state 0 maps to None."""

@@ -164,7 +164,7 @@ def test_criterion_3_prediction_oracle_equivalence():
         case = case_for("probe", observed)
         for cfg in _weight_extension_combos(implicit):
             scorer = MemoryScorer(db, cfg)
-            values, informed = scorer.predict_all(case)
+            (values,), (informed,) = scorer.predict_all([case])
             for j, item in enumerate(db.items):
                 ref_val, ref_inf = brute_predict(case, item, db, cfg)
                 assert values[j] == pytest.approx(ref_val, abs=1e-9), (trial, cfg, item)

@@ -198,6 +198,9 @@ class _ConstantRanker:
         self.order = list(order)
         self.value = value
 
+    def schedule(self, cases):
+        pass
+
     def rank(self, case):
         return [it for it in self.order if it not in case.observed]
 
@@ -210,6 +213,9 @@ class _FailingOnUser:
         self.name = name
         self.bad_user = bad_user
         self.order = list(order)
+
+    def schedule(self, cases):
+        pass
 
     def rank(self, case):
         if case.user == self.bad_user:

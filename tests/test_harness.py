@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import json
 import shutil
 from pathlib import Path
@@ -14,6 +15,25 @@ from cflab.predictors import BayesNetPredictor, ClusterPredictor
 from cflab.votedata import IMPLICIT_SCALE, generate_active_cases, load_votes_csv
 
 FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
+
+# SHA-256 of every report file the two fixture configs write. A change that
+# moves one of these changed what cflab computes, and must say why.
+FIXTURE_REPORT_DIGESTS = {
+    "out/reports/ranked_AllBut1.json":
+        "f906055ba3273ec05ee2825fec4466a262b3164262e5ff58938846d3d0e6cb2c",
+    "out/reports/ranked_Given2.json":
+        "3f8f6b4d1e0daf74996221d83a3d8b7e6a19bee38e2df9a19aed2f37de84c693",
+    "out/reports/summary_ranked.json":
+        "a94748025bd9a2552ee5efcd73f5dcbd53264ed69083082fb00e5b4c1eedfd03",
+    "out/reports/summary_ranked.txt":
+        "a4d2a10595b8a5f314cdb7cdb7851265d4b8fedce941e376f5c4acf19d897144",
+    "out_deviation/reports/deviation_AllBut1.json":
+        "14e0c8577ca5a456f193d135027459b11d342b3e9c83fb44490488210413b2a0",
+    "out_deviation/reports/summary_deviation.json":
+        "2b1d67cacd6fb72df4eb1c2844f76dec61f77c5c420080d30be138f02b536baf",
+    "out_deviation/reports/summary_deviation.txt":
+        "de1c412f6533510010e78c1040abcccb89ebcd7182422e50f11c4e1a347dd3e0",
+}
 
 
 @pytest.fixture
@@ -77,6 +97,15 @@ class TestRun:
         assert (workdir / "out" / "reports" / "summary_ranked.json").exists()
         assert (workdir / "out" / "splits" / "AllBut1.json").exists()
         assert (workdir / "out" / "run_meta.json").exists()
+
+    def test_fixture_reports_keep_their_digests(self, workdir):
+        assert run_cli("run", workdir / "fixture_config.json") == 0
+        assert run_cli("run", workdir / "fixture_config_deviation.json") == 0
+        digests = {
+            p.relative_to(workdir).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(workdir.glob("out*/reports/*"))
+        }
+        assert digests == FIXTURE_REPORT_DIGESTS
 
     def test_rerun_is_byte_identical(self, workdir):
         cfg = workdir / "fixture_config.json"
@@ -144,6 +173,37 @@ class TestRun:
             assert {p.name: p.read_bytes() for p in (out / "reports").iterdir()} == clean
             assert {p: p.read_bytes() for p in models} == models  # replaced
             assert sum("retraining" in r.getMessage() for r in caplog.records) == 2
+
+    @pytest.mark.parametrize("kind", ["cluster", "bayesnet"])
+    @pytest.mark.parametrize("edit", ["scale", "items"])
+    def test_mismatched_cached_model_is_retrained(self, workdir, caplog, kind, edit):
+        config = harness.load_config(workdir / "fixture_config.json")
+        train, _ = harness.load_datasets(config.dataset)
+        spec = next(s for s in config.algorithms if s.kind == kind)
+        cache = workdir / "cache"
+        _, path = harness.train_model(train, spec, config.seed, cache)
+        good = path.read_bytes()
+        caplog.clear()
+        harness.train_model(train, spec, config.seed, cache)
+        assert not any("retraining" in r.getMessage() for r in caplog.records)
+        doc = json.loads(good)
+        if edit == "scale":
+            doc["scale"]["neutral"] = 2.0  # still a loadable model
+        else:
+            doc["items"][0] = "not-a-training-item"
+        path.write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
+        model, again = harness.train_model(train, spec, config.seed, cache)
+        assert again == path and path.read_bytes() == good  # retrained and replaced
+        assert model.scale == train.scale and set(model.items) <= set(train.items)
+        assert sum("retraining" in r.getMessage() for r in caplog.records) == 1
+
+    def test_cache_key_names_the_model_format(self, workdir, monkeypatch):
+        config = harness.load_config(workdir / "fixture_config.json")
+        train, _ = harness.load_datasets(config.dataset)
+        spec = next(s for s in config.algorithms if s.kind == "cluster")
+        key = harness._model_cache_key(train, spec, config.seed)
+        monkeypatch.setattr(harness, "MODEL_FORMAT_VERSION", harness.MODEL_FORMAT_VERSION + 1)
+        assert harness._model_cache_key(train, spec, config.seed) != key
 
     def test_failed_cache_write_leaves_no_model(self, workdir, monkeypatch):
         config = harness.load_config(workdir / "fixture_config.json")

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cflab.memory import DefaultVoting, MemoryConfig, MemoryScorer
-from cflab.predictors import MemoryPredictor, PopularityPredictor
+from cflab.memory import DefaultVoting, MemoryConfig, MemoryScorer, _Evidence
+from cflab.predictors import BLOCK_CASES, MemoryPredictor, PopularityPredictor
 from cflab.votedata import IMPLICIT_SCALE
 
 from conftest import case_for, make_db, random_explicit_db, random_implicit_db
@@ -17,7 +17,7 @@ VSIM = MemoryConfig(weight_kind="vector_similarity")
 
 def weight(db, case, user, cfg):
     """The weight of neighbour `user` for `case`; a user with no match weighs 0."""
-    return float(MemoryScorer(db, cfg).weights(case)[db.index.user_pos[user]])
+    return float(MemoryScorer(db, cfg).weights([case])[0, db.index.user_pos[user]])
 
 
 class TestCorrelationWeight:
@@ -60,7 +60,7 @@ class TestCorrelationWeight:
         for trial in range(20):
             db = random_explicit_db(rng, n_users=6, n_items=6, density=0.7)
             scorer = MemoryScorer(db, CORR)
-            w = {a: scorer.weights(case_for(a, db.votes[a])) for a in db.users}
+            w = {a: scorer.weights([case_for(a, db.votes[a])])[0] for a in db.users}
             pos = db.index.user_pos
             for a in db.users:
                 for b in db.users:
@@ -72,7 +72,7 @@ class TestCorrelationWeight:
         for trial in range(30):
             db = random_explicit_db(rng, n_users=8, n_items=6, density=0.8)
             a = db.users[0]
-            w = MemoryScorer(db, CORR).weights(case_for(a, db.votes[a]))
+            w = MemoryScorer(db, CORR).weights([case_for(a, db.votes[a])])
             assert (np.abs(w) <= 1.0).all()
 
     def test_binary_data_needs_default_voting(self):
@@ -188,8 +188,8 @@ class TestCaseAmplify:
     def test_preserves_sign_and_bound(self, seed, p):
         db = random_explicit_db(np.random.default_rng(seed), n_users=8, n_items=6, density=0.7)
         case = case_for("probe", dict(db.votes[db.users[0]]))
-        w = MemoryScorer(db, CORR).weights(case)
-        out = MemoryScorer(db, MemoryConfig("correlation", case_amplification=p)).weights(case)
+        w = MemoryScorer(db, CORR).weights([case])[0]
+        out = MemoryScorer(db, MemoryConfig("correlation", case_amplification=p)).weights([case])[0]
         assert (np.abs(out) <= 1.0 + 1e-12).all()
         assert ((np.sign(out) == np.sign(w)) | (out == 0.0)).all()
         assert out == pytest.approx(np.sign(w) * np.abs(w) ** p, abs=1e-12)
@@ -198,9 +198,9 @@ class TestCaseAmplify:
         rng = np.random.default_rng(0)
         db = random_explicit_db(rng, n_users=50, n_items=8, density=0.6)
         case = case_for("probe", dict(db.votes[db.users[0]]))
-        w = MemoryScorer(db, CORR).weights(case)
+        w = MemoryScorer(db, CORR).weights([case])[0]
         for p in (0.5, 1.0, 2.5, 4.0):
-            amped = MemoryScorer(db, MemoryConfig("correlation", case_amplification=p)).weights(case)
+            amped = MemoryScorer(db, MemoryConfig("correlation", case_amplification=p)).weights([case])[0]
             assert (np.argsort(np.abs(w), kind="stable") == np.argsort(np.abs(amped), kind="stable")).all()
 
 
@@ -332,7 +332,7 @@ class TestVectorizedAgainstBruteForce:
             case = case_for("outside", observed)
             for cfg in _configs_for(False):
                 scorer = MemoryScorer(db, cfg)
-                values, informed = scorer.predict_all(case)
+                (values,), (informed,) = scorer.predict_all([case])
                 for j, item in enumerate(db.items):
                     ref_val, ref_inf = brute_predict(case, item, db, cfg)
                     assert values[j] == pytest.approx(ref_val, abs=1e-9), (cfg, item)
@@ -346,7 +346,7 @@ class TestVectorizedAgainstBruteForce:
             case = case_for("outside", dict(db.votes[user]))
             for cfg in _configs_for(True):
                 scorer = MemoryScorer(db, cfg)
-                values, informed = scorer.predict_all(case)
+                (values,), (informed,) = scorer.predict_all([case])
                 for j, item in enumerate(db.items):
                     ref_val, ref_inf = brute_predict(case, item, db, cfg)
                     assert values[j] == pytest.approx(ref_val, abs=1e-9), (cfg, item)
@@ -359,13 +359,103 @@ class TestVectorizedAgainstBruteForce:
             case = case_for("outside", dict(db.votes[db.users[0]]))
             for cfg in _configs_for(False):
                 scorer = MemoryScorer(db, cfg)
-                w = scorer.weights(case)
+                w = scorer.weights([case])[0]
                 for i, u in enumerate(db.users):
                     ref = brute_weight(case.observed, db.votes[u], db, cfg)
                     ref = 0.0 if ref is None else ref
                     if cfg.case_amplification is not None:
                         ref = math.copysign(abs(ref) ** cfg.case_amplification, ref)
                     assert w[i] == pytest.approx(ref, abs=1e-9)
+
+
+def block_cases(rng, db, n):
+    """n cases, each observing its items in a random order. Some observe only
+    items absent from training, some are a training user voting as in
+    training."""
+    values = db.scale.vote_values
+    cases = []
+    for k in range(n):
+        kind = int(rng.integers(4))
+        if kind == 0:
+            cases.append(case_for(f"t{k}", {"zz": float(values[-1]), "zy": float(values[0])}))
+        elif kind == 1:
+            user = db.users[int(rng.integers(len(db.users)))]
+            votes = db.votes[user]
+            cases.append(case_for(user, {it: votes[it] for it in rng.permutation(list(votes))}))
+        else:
+            items = rng.permutation(len(db.items))[: int(rng.integers(1, len(db.items) + 1))]
+            observed = {db.items[j]: float(values[rng.integers(len(values))]) for j in items}
+            cases.append(case_for(f"t{k}", observed))
+    return cases
+
+
+class TestBlocks:
+    """A block's weights and predictions are, row for row and bit for bit,
+    those of each case scored alone."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_cases=st.integers(1, 6))
+    def test_user_sums_add_in_observed_order(self, seed, n_cases):
+        # a case alone walks its item columns in observed order, adding each
+        # user's terms as it goes; the block product must add them alike
+        rng = np.random.default_rng(seed)
+        db = random_explicit_db(rng, n_users=6, n_items=7, density=0.7)
+        cases = block_cases(rng, db, n_cases)
+        ev = _Evidence(cases, db.index.item_pos)
+        x = rng.normal(size=len(ev.cols)) * 10.0 ** rng.integers(-8, 9, size=len(ev.cols))
+        (got,) = ev.user_sums(db.index.V_csc, x)
+        for row, case in enumerate(cases):
+            for i, u in enumerate(db.users):
+                want = 0.0
+                for k in range(ev.indptr[row], ev.indptr[row + 1]):
+                    vote = db.votes[u].get(db.items[ev.cols[k]])
+                    if vote is not None:
+                        want += float(x[k]) * vote
+                assert got[row, i] == want
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        implicit=st.booleans(),
+        n_cases=st.integers(1, 2 * BLOCK_CASES + 3),
+    )
+    def test_block_equals_block_of_one(self, seed, implicit, n_cases):
+        rng = np.random.default_rng(seed)
+        n_users, n_items = int(rng.integers(2, 12)), int(rng.integers(2, 9))
+        if implicit:
+            db = random_implicit_db(rng, n_users=n_users, n_items=n_items, density=0.5)
+        else:
+            db = random_explicit_db(rng, n_users=n_users, n_items=n_items, density=0.6)
+        cases = block_cases(rng, db, n_cases)
+        for cfg in _configs_for(implicit):
+            scorer = MemoryScorer(db, cfg)
+            weights = scorer.weights(cases)
+            values, informed = scorer.predict_all(cases)
+            pred = MemoryPredictor(db, cfg, name="M")
+            pred.schedule(cases)
+            for row in rng.permutation(n_cases):  # any case may open its block
+                case = cases[row]
+                (alone_v,), (alone_i,) = scorer.predict_all([case])
+                assert weights[row].tobytes() == scorer.weights([case]).tobytes(), cfg
+                assert values[row].tobytes() == alone_v.tobytes(), cfg
+                assert informed[row].tobytes() == alone_i.tobytes(), cfg
+                got_v, got_i = pred.scores(case)  # from the predictor's blocks
+                assert got_v.tobytes() == alone_v.tobytes(), cfg
+                assert got_i.tobytes() == alone_i.tobytes(), cfg
+            row = int(rng.integers(n_cases))
+            case = cases[row]
+            for i, u in enumerate(db.users):
+                ref = 0.0 if u == case.user else brute_weight(case.observed, db.votes[u], db, cfg)
+                ref = 0.0 if ref is None else ref
+                if cfg.case_amplification is not None:
+                    ref = math.copysign(abs(ref) ** cfg.case_amplification, ref)
+                assert weights[row, i] == pytest.approx(ref, abs=1e-9), (cfg, u)
+            if np.any((weights[row] != 0) & (np.abs(weights[row]) < 1e-9)):
+                continue  # round-off left for a zero weight decides the votes
+            for j, item in enumerate(db.items):
+                ref_val, ref_inf = brute_predict(case, item, db, cfg)
+                assert values[row, j] == pytest.approx(ref_val, abs=1e-9), (cfg, item)
+                assert bool(informed[row, j]) == ref_inf, (cfg, item)
 
 
 class TestConfigValidation:

@@ -1,17 +1,22 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cflab import predictors
 from cflab.bayesnet import LearnConfig, learn_network
 from cflab.cluster import em_fit
-from cflab.memory import MemoryConfig, MemoryScorer
+from cflab.evaluation import run_experiment
+from cflab.memory import DefaultVoting, MemoryConfig, MemoryScorer
 from cflab.predictors import (
+    BLOCK_CASES,
     BayesNetPredictor,
     ClusterPredictor,
     MemoryPredictor,
     PopularityPredictor,
 )
-from cflab.votedata import restrict_to_top_items
+from cflab.votedata import ActiveCase, Protocol, generate_active_cases, restrict_to_top_items
 
 from conftest import case_for, random_case, random_explicit_db, random_grouped_db, random_implicit_db
 from reference import (
@@ -42,7 +47,7 @@ class TestMemoryPredictor:
         cfg = MemoryConfig("vector_similarity")
         pred = MemoryPredictor(implicit_db, cfg, name="VSIM")
         case = case_for("t", dict(implicit_db.votes[implicit_db.users[0]]))
-        values, informed = MemoryScorer(implicit_db, cfg).predict_all(case)
+        (values,), (informed,) = MemoryScorer(implicit_db, cfg).predict_all([case])
         pos = implicit_db.index.item_pos
         want = sorted(
             (it for it in implicit_db.items if it not in case.observed),
@@ -174,3 +179,39 @@ class TestArrayRanking:
             assert pred.rank(case) == model_backed_ranking(db, scores, case)
             got = dict(zip(db.items, pred.scores(case)[0]))
             assert all(got[it] == score for it, score in scores.items())  # bitwise
+
+
+class TestBlocks:
+    def test_failing_case_fails_alone_in_its_block(self, monkeypatch):
+        # an off-scale observed vote on a model item fails BN and BC on that
+        # case; the rest of its block must score as it does case by case
+        train = random_grouped_db(np.random.default_rng(5), explicit=True, n_users=80)
+        test = random_grouped_db(np.random.default_rng(6), explicit=True, n_users=60)
+        bc = em_fit(train, 2, seed=1, compute_cs=False)[0]
+        bn = learn_network(train, LearnConfig(structure_penalty=0.99))
+        cases = generate_active_cases(test, Protocol.all_but_1(), seed=3)
+        middle = BLOCK_CASES + BLOCK_CASES // 2  # of the second block
+        assert BLOCK_CASES > 1 and len(cases) > 2 * BLOCK_CASES
+        bad = ActiveCase("bad", {bn.items[0]: 2.5, bn.items[1]: 4.0}, {bn.items[2]: 5.0})
+        cases.insert(middle, bad)
+        memory_configs = [
+            MemoryConfig("correlation"),
+            MemoryConfig("correlation", DefaultVoting(k=100), True, 2.5),
+            MemoryConfig("vector_similarity", None, True),
+        ]
+
+        def reports():
+            algs = [MemoryPredictor(train, cfg, f"M{k}") for k, cfg in enumerate(memory_configs)]
+            algs += [BayesNetPredictor(train, bn), ClusterPredictor(train, bc)]
+            return [run_experiment(train, cases, algs, metric).dumps()
+                    for metric in ("ranked", "deviation")]
+
+        blocked = reports()
+        monkeypatch.setattr(predictors, "BLOCK_CASES", 1)
+        assert blocked == reports()
+        for text in blocked:
+            doc = json.loads(text)
+            assert doc["excluded"]["failed"] == ["bad"]
+            assert doc["case_count"] == len(cases) - 1 - len(doc["excluded"]["zero_max_utility"])
+        extras = json.loads(blocked[0])["extras"]["BN"]
+        assert extras["lookups"] > 0 and extras["influenced"] > 0

@@ -22,6 +22,7 @@ from cflab.votedata import (
 )
 
 from conftest import SCALE_0_5, make_db, random_explicit_db
+from reference import rank_score_scalar
 
 MSWEB_FIXTURE = """\
 I,4,"www.example.com","created by getlog.c"
@@ -71,6 +72,26 @@ class TestVoteScale:
         with pytest.raises(VoteDataError) as want:
             scale.state_of(vote)
         assert str(got.value) == str(want.value)
+
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([SCALE_0_5, VoteScale(1, 3, 2.0, False), VoteScale(-2, 7, 1.0, False),
+                               IMPLICIT_SCALE]),
+        rows=st.integers(1, 40),
+        concentration=st.floats(0.01, 5.0),
+    )
+    def test_rank_score_of_a_stack_is_each_row_scored_alone(self, seed, scale, rows, concentration):
+        # bitwise: a stacked `@`, `einsum` or a row sum differs in the last bits
+        dist = np.random.default_rng(seed).dirichlet(
+            np.full(scale.num_states, concentration), size=rows)
+        want = [rank_score_scalar(d, scale) for d in dist]
+        np.testing.assert_array_equal(scale.rank_score(dist), want)
+        wide = np.zeros((rows, scale.num_states + 2))
+        wide[:, 1:-1] = dist
+        np.testing.assert_array_equal(scale.rank_score(wide[:, 1:-1]), want)  # strided rows
+        np.testing.assert_array_equal([scale.rank_score(d) for d in dist], want)
 
 
 class TestLoadMsweb:
