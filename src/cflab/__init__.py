@@ -12,7 +12,6 @@ from .bayesnet import (
     LearnConfig,
     leaf_family_score,
     learn_network,
-    tree_lookup,
 )
 from .cluster import (
     ClusterModel,

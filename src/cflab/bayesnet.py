@@ -18,7 +18,7 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 import scipy.sparse as sp
@@ -123,16 +123,6 @@ class DecisionTreeCPD:
                 stack.extend(node.children)
         return out
 
-    def lookup_with_path(
-        self, state_fn: Callable[[ItemId], int]
-    ) -> tuple[Leaf, list[ItemId]]:
-        node = self.root
-        path: list[ItemId] = []
-        while isinstance(node, Split):
-            path.append(node.var)
-            node = node.children[state_fn(node.var)]
-        return node, path
-
 
 class CompiledNetwork:
     """A network's trees flattened into arrays, for routing whole cases.
@@ -197,10 +187,6 @@ class CompiledNetwork:
         observed vote steered, to `stats`."""
         stats["lookups"] = stats.get("lookups", 0) + int((~seen).sum())
         stats["influenced"] = stats.get("influenced", 0) + int((influenced & ~seen).sum())
-
-
-class EvidenceError(ValueError):
-    """Evidence omitted a state assignment needed to route a tree."""
 
 
 @dataclass(eq=False)
@@ -296,9 +282,9 @@ def _node_from_json(obj: Mapping, items: tuple):
 class _LiveLeaf:
     """Mutable leaf bookkeeping during search."""
 
-    __slots__ = ("target", "node", "parent", "slot", "users", "path", "score", "alive")
+    __slots__ = ("target", "node", "parent", "slot", "users", "path", "score", "table")
 
-    def __init__(self, target: int, node: Leaf, parent, slot, users, path, score):
+    def __init__(self, target: int, node: Leaf, parent, slot, users, path, score, table):
         self.target = target
         self.node = node
         self.parent = parent  # owning Split, or None for the tree root
@@ -306,7 +292,7 @@ class _LiveLeaf:
         self.users = users
         self.path = path  # boolean mask of the split variables above this leaf
         self.score = score
-        self.alive = True
+        self.table = table  # the users' pair counts (`_pair_counts`); None once spent
 
 
 def _pair_counts(
@@ -315,11 +301,12 @@ def _pair_counts(
     """Contingency tables of every candidate variable against the target.
 
     `X` is the database's `vote_states` encoding and `target_states` every
-    user's state of the target item. Returns (items, r, r) integer counts:
+    user's state of the target item. Returns (items, r, r) counts:
     counts[s, a, b] is the number of `users` (sorted positions) whose item s
     is in state a while the target is in state b. Only the users' recorded
     votes are visited; the no-vote row a = 0 is the target's state totals
-    minus the vote rows.
+    minus the vote rows. The dtype is the smallest signed integer type that
+    holds the number of users, since the search keeps a table per live leaf.
     """
     items = X.shape[1] // (r - 1)
     starts = X.indptr[users]
@@ -329,24 +316,53 @@ def _pair_counts(
     tstate = target_states[users]
     codes = X.indices[pos].astype(np.int64) * r + np.repeat(tstate, lens)
     votes = np.bincount(codes, minlength=items * (r - 1) * r).reshape(items, r - 1, r)
-    counts = np.empty((items, r, r), dtype=np.int64)
+    counts = np.empty((items, r, r), dtype=np.min_scalar_type(-len(target_states) - 1))
     counts[:, 1:] = votes
     counts[:, 0] = np.bincount(tstate, minlength=r)[None, :] - votes.sum(axis=1)
     return counts
 
 
-def _family_scores(tables: np.ndarray, alpha_child: float, penalty: float) -> np.ndarray:
+def _split_tables(
+    X: sp.csr_matrix, table: np.ndarray, target_states: np.ndarray,
+    users: np.ndarray, split_states: np.ndarray, svar: int,
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Partition a leaf on item `svar`: per state a, the users whose
+    `split_states` (every user's state of svar) is a, their target-state
+    counts and their pair-count table.
+
+    The counts are row [svar, a] of the leaf's `table`. Only the smaller
+    children are counted with `_pair_counts`; the largest child's table is
+    `table` minus theirs, computed in place, so `table` is spent.
+    """
+    r = table.shape[1]
+    sub = split_states[users]
+    parts = [users[sub == a] for a in range(r)]
+    counts = [table[svar, a].astype(float) for a in range(r)]
+    largest = max(range(r), key=lambda a: len(parts[a]))
+    tables: list = [None] * r
+    for a in range(r):
+        if a != largest:
+            tables[a] = _pair_counts(X, target_states, parts[a], r)
+            table -= tables[a]
+    tables[largest] = table
+    return list(zip(parts, counts, tables))
+
+
+def _family_scores(
+    tables: np.ndarray, lg_alpha: np.ndarray, lg_total: np.ndarray, penalty: float
+) -> np.ndarray:
     """Score of splitting a leaf on each candidate variable, vectorized.
 
     `tables` is (items, r_parent, r_target); each row of a table is one child
-    leaf's counts under pseudo-counts alpha_child per state.
+    leaf's counts under pseudo-counts alpha_child per state. `lg_alpha[k]` is
+    gammaln(alpha_child + k) and `lg_total[k]` gammaln(r_target * alpha_child
+    + k), looked up instead of computed per cell.
     """
     r = tables.shape[2]
-    total_a = alpha_child * r
     child = (
-        gammaln(total_a)
-        - gammaln(total_a + tables.sum(axis=2))
-        + (gammaln(alpha_child + tables) - gammaln(alpha_child)).sum(axis=2)
+        lg_total[0]
+        - lg_total[tables.sum(axis=2)]
+        + (lg_alpha[tables] - lg_alpha[0]).sum(axis=2)
         + (r - 1) * math.log(penalty)
     )
     return child.sum(axis=1)
@@ -412,21 +428,29 @@ def learn_network(db: VoteDatabase, cfg: LearnConfig) -> BayesNetModel:
     total_score = 0.0
     heap: list = []
     seq = 0
+    # per child pseudo-count alpha: gammaln(alpha + k) and gammaln(r * alpha + k)
+    # for every count k a table can hold
+    lgamma: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+
+    def lookups(alpha: float) -> tuple[np.ndarray, np.ndarray]:
+        if alpha not in lgamma:
+            k = np.arange(n + 1)
+            lgamma[alpha] = gammaln(alpha + k), gammaln(alpha * r + k)
+        return lgamma[alpha]
 
     def best_candidate(leaf: _LiveLeaf):
         # only the variables the constraints leave open are scored
         open_vars = np.flatnonzero(~constraints.invalid(leaf.target, leaf.path))
-        if not len(open_vars):
-            return None
-        tables = _pair_counts(X, states[:, leaf.target], leaf.users, r)[open_vars]
-        deltas = np.full(t, -np.inf)
-        alpha = float(leaf.node.alpha[0]) / r
-        deltas[open_vars] = _family_scores(tables, alpha, penalty) - leaf.score
-        order = np.lexsort((id_rank, -deltas))
-        s = int(order[0])
-        if deltas[s] <= 0.0:
-            return None
-        return float(deltas[s]), s
+        if len(open_vars):
+            alpha = float(leaf.node.alpha[0]) / r
+            deltas = _family_scores(leaf.table[open_vars], *lookups(alpha), penalty) - leaf.score
+            best = deltas.max()
+            if best > 0.0:
+                # the largest gain, ties to the lowest item id
+                tied = open_vars[deltas == best]
+                return float(best), int(tied[np.argmin(id_rank[tied])])
+        leaf.table = None  # constraints only tighten: the leaf is final
+        return None
 
     def push_candidate(leaf: _LiveLeaf):
         nonlocal seq
@@ -451,28 +475,27 @@ def learn_network(db: VoteDatabase, cfg: LearnConfig) -> BayesNetModel:
         live = _LiveLeaf(
             target=j, node=node, parent=None, slot=None, users=all_users,
             path=no_path, score=leaf_family_score(counts, alpha, penalty),
+            table=_pair_counts(X, states[:, j], all_users, r),
         )
         total_score += live.score
         push_candidate(live)
 
     while heap:
+        # a leaf has at most one heap entry: pushed when created or rescored
         neg_delta, _, _, _, _, leaf, svar = heapq.heappop(heap)
-        if not leaf.alive:
-            continue
         if constraints.invalid(leaf.target, leaf.path)[svar]:
             push_candidate(leaf)  # constraints tightened since scoring; rescore
             continue
         delta = -neg_delta
         j = leaf.target
-        sub_states = states[leaf.users, svar]
+        children = _split_tables(X, leaf.table, states[:, j], leaf.users, states[:, svar], svar)
+        leaf.table = None
         split = Split(var=idx.item_ids[svar], children=[])
         child_alpha = leaf.node.alpha / r
         child_path = leaf.path.copy()
         child_path[svar] = True
         new_live = []
-        for state in range(r):
-            users_a = leaf.users[sub_states == state]
-            counts_a = np.bincount(states[users_a, j], minlength=r).astype(float)
+        for state, (users_a, counts_a, table_a) in enumerate(children):
             child = Leaf(counts=counts_a, alpha=child_alpha.copy(), order=leaf_orders[j])
             leaf_orders[j] += 1
             split.children.append(child)
@@ -481,13 +504,13 @@ def learn_network(db: VoteDatabase, cfg: LearnConfig) -> BayesNetModel:
                     target=j, node=child, parent=split, slot=state, users=users_a,
                     path=child_path,
                     score=leaf_family_score(counts_a, child_alpha, penalty),
+                    table=table_a,
                 )
             )
         if leaf.parent is None:
             roots[j] = split
         else:
             leaf.parent.children[leaf.slot] = split
-        leaf.alive = False
         constraints.add_edge(svar, j)
         new_total = total_score + delta
         gain = sum(nl.score for nl in new_live) - leaf.score
@@ -504,24 +527,3 @@ def learn_network(db: VoteDatabase, cfg: LearnConfig) -> BayesNetModel:
         for j in range(t)
     }
     return BayesNetModel(scale=scale, items=db.items, cpds=cpds)
-
-
-# --- prediction --------------------------------------------------------------
-
-
-def tree_lookup(
-    model: BayesNetModel, item: ItemId, evidence: Mapping[ItemId, float | None]
-) -> np.ndarray:
-    """Route the evidence down the item's tree and return the leaf distribution.
-
-    Evidence must assign a state (a vote value, or None for no-vote) to every
-    split variable encountered; omitting one is a contract violation.
-    """
-    cpd = model.cpds.get(item)
-    if cpd is None:
-        raise ValueError(f"item {item!r} not covered by this model")
-    missing = [v for v in cpd.split_vars() if v not in evidence]
-    if missing:
-        raise EvidenceError(f"evidence missing split variable(s) {missing!r}")
-    leaf, _ = cpd.lookup_with_path(lambda var: model.scale.state_of(evidence[var]))
-    return leaf.distribution

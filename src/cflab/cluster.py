@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from .votedata import ItemId, VoteDatabase, VoteScale
 
@@ -119,9 +119,18 @@ class FitReport:
     cs_score: float = float("nan")
     objective: str = "map"
 
-    @property
-    def log_likelihood(self) -> list[float]:
-        return self.objective_trace
+
+def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a), axis=1)) of a finite 2-d array, with the arithmetic of
+    `scipy.special.logsumexp(a, axis=1)`: every entry equal to the row maximum
+    is taken out of the sum and counted instead, so the result is bitwise
+    scipy's without its per-call overhead."""
+    a_max = a.max(axis=1, keepdims=True)
+    tied = a == a_max
+    m = tied.sum(axis=1, keepdims=True, dtype=a.dtype)
+    s = np.exp(np.where(tied, -np.inf, a) - a_max).sum(axis=1, keepdims=True)
+    s = np.where(s == 0, s, s / m)
+    return (np.log1p(s) + np.log(m) + a_max)[:, 0]
 
 
 def _loglik_matrix(
@@ -138,11 +147,14 @@ def _loglik_matrix(
     return np.log(class_prior)[None, :] + base[None, :] + X @ delta.T
 
 
-def _counts(X: sp.csr_matrix, gamma: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
-    """Expected class totals and (classes, items, states) state counts."""
+def _counts(XT: sp.csc_matrix, gamma: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """Expected class totals and (classes, items, states) state counts.
+
+    `XT` is the database's transposed encoding `vote_states_T`.
+    """
     c = gamma.shape[1]
     totals = gamma.sum(axis=0)
-    vote_counts = np.asarray(X.T @ gamma).T.reshape(c, t, -1)
+    vote_counts = np.asarray(XT @ gamma).T.reshape(c, t, -1)
     counts = np.empty((c, t, vote_counts.shape[2] + 1))
     counts[:, :, 1:] = vote_counts
     counts[:, :, 0] = totals[:, None] - vote_counts.sum(axis=2)
@@ -156,7 +168,7 @@ def expected_counts(
     gamma = np.asarray(gamma, dtype=float)
     if gamma.ndim != 2 or gamma.shape[0] != len(db.users):
         raise ValueError("responsibilities must be users by classes")
-    return _counts(db.index.vote_states, gamma, len(db.items))
+    return _counts(db.index.vote_states_T, gamma, len(db.items))
 
 
 def map_estimates(
@@ -216,7 +228,7 @@ def _init_params(
     call per (class, item) row.
     """
     n, t = len(db.users), len(db.items)
-    totals, counts = _counts(db.index.vote_states, np.ones((n, 1)), t)
+    totals, counts = _counts(db.index.vote_states_T, np.ones((n, 1)), t)
     _, marginal = map_estimates(totals, counts, prior_strength, n_users=n)
     alpha = np.maximum(NOISE_SCALE * marginal[0], 1e-6)  # (items, states)
     cond = np.maximum(_dirichlet_rows(rng, np.broadcast_to(alpha, (c,) + alpha.shape)), 1e-12)
@@ -249,15 +261,15 @@ def em_fit(
             "%d classes for %d users; some classes may collapse",
             num_classes, len(db.users),
         )
-    X = db.index.vote_states
+    X, XT = db.index.vote_states, db.index.vote_states_T
     n, t = len(db.users), len(db.items)
 
     if num_classes == 1:
         # no hidden variable: the smoothed frequencies are the exact optimum
-        totals, counts = _counts(X, np.ones((n, 1)), t)
+        totals, counts = _counts(XT, np.ones((n, 1)), t)
         prior, cond = map_estimates(totals, counts, prior_strength, n_users=n)
         model = ClusterModel(db.scale, db.items, prior, cond)
-        ll = float(logsumexp(_loglik_matrix(X, prior, cond), axis=1).sum())
+        ll = float(_logsumexp_rows(_loglik_matrix(X, prior, cond)).sum())
         obj = ll + _log_prior_term(prior, cond, prior_strength)
         report = FitReport([obj], iterations=1, converged=True)
         if compute_cs:
@@ -269,16 +281,16 @@ def em_fit(
     trace: list[float] = []
     converged = False
     L = _loglik_matrix(X, prior, cond)
-    norm = logsumexp(L, axis=1)
+    norm = _logsumexp_rows(L)
     prev = -np.inf
     iterations = 0
     for it in range(1, max_iter + 1):
         iterations = it
         gamma = np.exp(L - norm[:, None])
-        totals, counts = _counts(X, gamma, t)
+        totals, counts = _counts(XT, gamma, t)
         prior, cond = map_estimates(totals, counts, prior_strength, n_users=n)
         L = _loglik_matrix(X, prior, cond)
-        norm = logsumexp(L, axis=1)  # this objective, and the next E-step
+        norm = _logsumexp_rows(L)  # this objective, and the next E-step
         obj = float(norm.sum()) + _log_prior_term(prior, cond, prior_strength)
         trace.append(obj)
         per_user = obj / n
@@ -320,14 +332,13 @@ def cheeseman_stutz_score(
     """
     if tuple(model.items) != tuple(db.items):
         raise ValueError("model and database cover different items")
-    X = db.index.vote_states
     c = model.num_classes
     s = model.cond.shape[2]
-    L = _loglik_matrix(X, model.class_prior, model.cond)
-    norm = logsumexp(L, axis=1)
+    L = _loglik_matrix(db.index.vote_states, model.class_prior, model.cond)
+    norm = _logsumexp_rows(L)
     observed_ll = float(norm.sum())
     gamma = np.exp(L - norm[:, None])
-    totals, counts = _counts(X, gamma, len(db.items))
+    totals, counts = _counts(db.index.vote_states_T, gamma, len(db.items))
 
     complete_marginal = float(
         _dirichlet_marginal(totals[None, :], prior_strength / c)[0]

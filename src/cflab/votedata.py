@@ -203,6 +203,13 @@ class _Index:
         )
 
     @cached_property
+    def vote_states_T(self) -> sp.csc_matrix:
+        """`vote_states` transposed, (item, vote state) x users: a view that
+        shares the encoding's arrays, kept so that EM does not rebuild it on
+        every iteration."""
+        return self.vote_states.T
+
+    @cached_property
     def V_csc(self) -> sp.csc_matrix:
         return self.V.tocsc()
 

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from cflab.bayesnet import Split
+
 
 def _iuf_map(db):
     n = len(db.users)
@@ -232,6 +234,35 @@ def rank_score_scalar(dist, scale):
     return float((mass / p_vote) @ votes) * p_vote
 
 
+class EvidenceError(ValueError):
+    """Evidence omitted a state assignment needed to route a tree."""
+
+
+def lookup_with_path(cpd, state_fn):
+    """Walk one tree from its root: the leaf reached when each split takes
+    child `state_fn(split item)`, and the split items passed on the way."""
+    node = cpd.root
+    path = []
+    while isinstance(node, Split):
+        path.append(node.var)
+        node = node.children[state_fn(node.var)]
+    return node, path
+
+
+def tree_lookup(model, item, evidence):
+    """The item's leaf distribution for evidence that assigns a state (a vote
+    value, or None for no-vote) to every split item of its tree; a missing
+    one raises EvidenceError."""
+    cpd = model.cpds.get(item)
+    if cpd is None:
+        raise ValueError(f"item {item!r} not covered by this model")
+    missing = [v for v in cpd.split_vars() if v not in evidence]
+    if missing:
+        raise EvidenceError(f"evidence missing split variable(s) {missing!r}")
+    leaf, _ = lookup_with_path(cpd, lambda var: model.scale.state_of(evidence[var]))
+    return leaf.distribution
+
+
 def case_lookup(model, case, item):
     """One item's leaf distribution from a tree walk (unobserved items are
     no-vote), and whether an observed vote steered the path."""
@@ -242,7 +273,7 @@ def case_lookup(model, case, item):
         v = observed.get(var)
         return model.scale.state_of(v) if v is not None else 0
 
-    leaf, path = cpd.lookup_with_path(state_fn)
+    leaf, path = lookup_with_path(cpd, state_fn)
     return leaf.distribution, any(var in observed for var in path)
 
 

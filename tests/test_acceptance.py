@@ -18,7 +18,7 @@ from scipy import stats as sstats
 
 import cflab
 from cflab import harness
-from cflab.bayesnet import LearnConfig, learn_network, tree_lookup
+from cflab.bayesnet import LearnConfig, learn_network
 from cflab.cluster import (
     em_fit,
     expected_counts,
@@ -46,6 +46,7 @@ from reference import (
     brute_predict,
     brute_ranked_utility,
     exact_mixture_log_marginal,
+    tree_lookup,
 )
 from test_cluster import (
     hand_smoothed_frequencies,

@@ -13,13 +13,11 @@ from cflab import bayesnet
 from cflab.bayesnet import (
     BayesNetModel,
     DecisionTreeCPD,
-    EvidenceError,
     Leaf,
     LearnConfig,
     Split,
     leaf_family_score,
     learn_network,
-    tree_lookup,
 )
 from cflab.predictors import BayesNetPredictor
 from cflab.votedata import IMPLICIT_SCALE, VoteDatabase, VoteDataError, VoteScale, load_votes_csv
@@ -35,12 +33,15 @@ from conftest import (
     random_implicit_db,
 )
 from reference import (
+    EvidenceError,
     bn_scores_walk,
     bn_vote_walk,
     dense_pair_counts,
     dense_states,
+    lookup_with_path,
     sorted_ranking,
     transitive_closure,
+    tree_lookup,
 )
 
 FIXTURE_VOTES = Path(__file__).resolve().parent.parent / "fixtures" / "fixture_votes.csv"
@@ -382,6 +383,43 @@ class TestSparsePairCounts:
         np.testing.assert_array_equal(got, want)
 
 
+class TestSplitTables:
+    """A split's child tables: the smaller children counted, the largest
+    derived by subtraction from the leaf's table."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        explicit=st.booleans(),
+        n_users=st.integers(1, 25),
+        n_items=st.integers(2, 7),
+        data=st.data(),
+    )
+    def test_children_match_dense_reference(self, seed, explicit, n_users, n_items, data):
+        rng = np.random.default_rng(seed)
+        make = random_explicit_db if explicit else random_implicit_db
+        db = make(rng, n_users=n_users, n_items=n_items, density=0.5)
+        r = db.scale.num_states
+        X = db.index.vote_states
+        states = dense_states(db)
+        target = data.draw(st.integers(0, n_items - 1), label="target")
+        svar = data.draw(
+            st.integers(0, n_items - 1).filter(lambda v: v != target), label="split var"
+        )
+        leaf = data.draw(st.sets(st.integers(0, n_users - 1)), label="leaf users")
+        users = np.array(sorted(leaf), dtype=np.int64)  # the empty leaf included
+        table = bayesnet._pair_counts(X, states[:, target], users, r)
+        children = bayesnet._split_tables(X, table, states[:, target], users, states[:, svar], svar)
+        assert len(children) == r
+        for a, (users_a, counts_a, table_a) in enumerate(children):
+            np.testing.assert_array_equal(users_a, users[states[users, svar] == a])
+            assert table_a.dtype == table.dtype and np.iinfo(table.dtype).max >= n_users
+            np.testing.assert_array_equal(table_a, dense_pair_counts(states, users_a, target, r))
+            np.testing.assert_array_equal(
+                counts_a, np.bincount(states[users_a, target], minlength=r)
+            )
+
+
 def _brute_invalid(edges, target, path, max_parents, t):
     """The split variables a leaf may not take, from the definition: its
     target and path, anything the target reaches, and every non-parent once
@@ -474,7 +512,7 @@ class TestCompiledNetwork:
             leaf, influenced, seen = net.route(case.observed)
             for j, it in enumerate(model.items):
                 state_of = lambda var: model.scale.state_of(case.observed.get(var))
-                want, path = model.cpds[it].lookup_with_path(state_of)
+                want, path = lookup_with_path(model.cpds[it], state_of)
                 assert net.nodes[leaf[j]] is want
                 assert influenced[j] == any(var in case.observed for var in path)
                 assert seen[j] == (it in case.observed)

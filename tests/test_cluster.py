@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import logsumexp
 
 from cflab import cluster
 from cflab.cluster import (
@@ -104,6 +105,31 @@ def hand_smoothed_frequencies(db, assignment, num_classes, strength=1.0):
         for c in range(num_classes)
     ]
     return np.array(prior), np.array(cond)
+
+
+class TestLogSumExpRows:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 40),
+        c=st.integers(1, 16),
+        kind=st.sampled_from(["real", "integer", "tied"]),
+        magnitude=st.floats(1e-3, 1e3),
+    )
+    def test_bitwise_equal_to_scipy(self, seed, n, c, kind, magnitude):
+        rng = np.random.default_rng(seed)
+        if kind == "integer":  # few distinct values per row: tied maxima
+            top = max(1, int(magnitude))
+            a = rng.integers(-top, top + 1, size=(n, c)).astype(float)
+        else:
+            a = rng.uniform(-magnitude, magnitude, size=(n, c))
+            if kind == "tied":  # the row maximum copied into random entries
+                copy = rng.random((n, c)) < 0.4
+                a = np.where(copy, a.max(axis=1, keepdims=True), a)
+        got = cluster._logsumexp_rows(a)
+        want = logsumexp(a, axis=1)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 class TestEmFit:

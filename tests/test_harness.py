@@ -12,7 +12,13 @@ from cflab.bayesnet import LearnConfig, learn_network
 from cflab.cluster import em_fit
 from cflab.evaluation import run_experiment
 from cflab.predictors import BayesNetPredictor, ClusterPredictor
-from cflab.votedata import IMPLICIT_SCALE, generate_active_cases, load_votes_csv
+from cflab.votedata import (
+    IMPLICIT_SCALE,
+    VoteDatabase,
+    VoteScale,
+    generate_active_cases,
+    load_votes_csv,
+)
 
 FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -33,6 +39,18 @@ FIXTURE_REPORT_DIGESTS = {
         "2b1d67cacd6fb72df4eb1c2844f76dec61f77c5c420080d30be138f02b536baf",
     "out_deviation/reports/summary_deviation.txt":
         "de1c412f6533510010e78c1040abcccb89ebcd7182422e50f11c4e1a347dd3e0",
+}
+
+# SHA-256 of the model files `harness.train_model` writes for the fixture
+# votes, read as 0..5 votes and as visits (every vote a visit), at seed 11.
+# Training changes must keep every model byte for byte, or say why not.
+FIXTURE_MODEL_DIGESTS = {
+    "explicit/BC": "48ddc110e4b0146c48fdea8586200e656d4a6c91aba31651340831449338b9a8",
+    "explicit/BC3": "313fbe153b9f37748639fb004f093b44f5e3470e3e71cae25ea4e5e234f4915b",
+    "explicit/BN": "214f197a02842ff2419c34e3108ae1d539c9f47733c806480236a3e86745c49c",
+    "implicit/BC": "a77b069c73153eb8011c6dfaf9af6dbcaebdad1d8b10ff369cc2c543dc8f8424",
+    "implicit/BC3": "6e695d650b62a112f6ff9b6e35c9f01cd0b0ec9d87c0c42f90599579715e9139",
+    "implicit/BN": "96fa6c60752db069edea502dd3388bd0f622b212458bbfa543c0a9d6d48d17ff",
 }
 
 
@@ -317,6 +335,24 @@ class TestTrainCommand:
         assert run_cli("train", workdir / "fixture_config.json") == 0
         out = capsys.readouterr().out
         assert "BN" in out and "BC" in out
+
+    def test_fixture_models_keep_their_digests(self, tmp_path):
+        explicit = load_votes_csv(FIXDIR / "fixture_votes.csv", VoteScale(0, 5, 3.0, False))
+        implicit = VoteDatabase.from_votes(
+            [(u, it, 1.0) for u, it, _ in explicit.iter_votes()], IMPLICIT_SCALE,
+            items=explicit.items,
+        )
+        specs = [
+            harness.AlgorithmSpec("BC", "cluster", {"max_classes": 4, "restarts": 2}),
+            harness.AlgorithmSpec("BC3", "cluster", {"classes": 3}),
+            harness.AlgorithmSpec("BN", "bayesnet", {"structure_penalty": 0.99, "ess": 10}),
+        ]
+        digests = {}
+        for name, db in (("explicit", explicit), ("implicit", implicit)):
+            for spec in specs:
+                _, path = harness.train_model(db, spec, 11, tmp_path / name)
+                digests[f"{name}/{spec.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digests == FIXTURE_MODEL_DIGESTS
 
 
 class TestSummaryRendering:
