@@ -7,17 +7,19 @@ the parent graph staying acyclic, until no split improves the score. The
 score of a leaf is the closed-form marginal likelihood of its counts under
 pseudo-counts derived from a uniform prior network, plus a per-free-parameter
 structure penalty.
+
+A model holds all its trees in one set of flat node arrays
+(`BayesNetModel`): the search grows them, scoring routes whole cases
+through them, and the model file nests them back into one JSON tree per
+item.
 """
 
 from __future__ import annotations
 
 import graphlib
 import heapq
-import json
-import logging
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -25,8 +27,6 @@ import scipy.sparse as sp
 from scipy.special import gammaln
 
 from .votedata import ItemId, VoteDatabase, VoteScale
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -79,92 +79,53 @@ def leaf_family_score(
     return float(marginal + (r - 1) * math.log(structure_penalty))
 
 
-@dataclass(eq=False)
-class Leaf:
-    counts: np.ndarray
-    alpha: np.ndarray
-    order: int
+class BayesNetModel:
+    """A network of per-item decision trees, held as flat node arrays.
 
-    @property
-    def distribution(self) -> np.ndarray:
-        total = self.counts + self.alpha
-        return total / total.sum()
-
-
-@dataclass(eq=False)
-class Split:
-    var: ItemId
-    children: list
-
-
-@dataclass(eq=False)
-class DecisionTreeCPD:
-    """A decision tree over other items' states ending in target distributions."""
-
-    target: ItemId
-    root: object  # Leaf or Split
-
-    def leaves(self):
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, Leaf):
-                yield node
-            else:
-                stack.extend(reversed(node.children))
-
-    def split_vars(self) -> set[ItemId]:
-        out: set[ItemId] = set()
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, Split):
-                out.add(node.var)
-                stack.extend(node.children)
-        return out
-
-
-class CompiledNetwork:
-    """A network's trees flattened into arrays, for routing whole cases.
-
-    Node j < len(items) is item j's root; a split's children take the next
-    free node numbers, breadth first. Split node n tests item position
-    `var[n]`, and its child for state a is node `first[n] + a`. A leaf has
-    `var` -1 and `first` itself, so routing past it stays put. Per leaf,
-    `score` is its rank score and `expected` its expected vote (NaN at
+    Node j < len(items) is item j's root, and every other node comes after
+    its parent. Split node n tests item position `var[n]`, and its child for
+    state a is node `first[n] + a`. A leaf has `var` -1 and `first` itself,
+    so routing past it stays put. Each node has a row of target `counts`,
+    pseudo-counts `alpha` and a creation `order` within its tree; they are
+    read at leaves only. `tree` is each node's item position, and per leaf
+    `score` is its ranking score and `expected` its expected vote (NaN at
     splits), each computed once here.
     """
 
-    def __init__(self, model: "BayesNetModel") -> None:
-        self.scale = model.scale
-        self.item_pos = {it: j for j, it in enumerate(model.items)}
-        self.nodes = [model.cpds[it].root for it in model.items]  # number -> Leaf or Split
-        depth = [0] * len(self.nodes)
-        var, first = [], []
-        for n, node in enumerate(self.nodes):  # reaches the children appended below
-            if isinstance(node, Split):
-                var.append(self.item_pos[node.var])
-                first.append(len(self.nodes))
-                self.nodes.extend(node.children)
-                depth.extend([depth[n] + 1] * len(node.children))
-            else:
-                var.append(-1)
-                first.append(n)
-        self.depth = max(depth, default=0)
+    def __init__(self, scale: VoteScale, items, var, first, counts, alpha, order) -> None:
+        self.scale = scale
+        self.items = tuple(items)
+        self.item_pos = {it: j for j, it in enumerate(self.items)}
         self.var = np.asarray(var, dtype=np.intp)
         self.first = np.asarray(first, dtype=np.intp)
-        self.score = np.full(len(self.nodes), math.nan)
-        self.expected = np.full(len(self.nodes), math.nan)
-        for n in np.flatnonzero(self.var < 0):
-            dist = self.nodes[n].distribution
-            self.score[n] = self.scale.rank_score(dist)
-            self.expected[n] = self.scale.expected_vote(dist)
+        r = scale.num_states
+        self.counts = np.asarray(counts, dtype=float).reshape(len(self.var), r)
+        self.alpha = np.asarray(alpha, dtype=float).reshape(len(self.var), r)
+        self.order = np.asarray(order, dtype=np.intp)
+        self.tree = np.arange(len(self.var))
+        depth = np.zeros(len(self.var), dtype=np.intp)
+        for n in np.flatnonzero(self.var >= 0):  # children come after their parent
+            kids = slice(self.first[n], self.first[n] + r)
+            self.tree[kids] = self.tree[n]
+            depth[kids] = depth[n] + 1
+        self.depth = int(depth.max(initial=0))
+        leaves = self.var < 0
+        total = self.counts[leaves] + self.alpha[leaves]
+        dist = total / total.sum(axis=1, keepdims=True)
+        self.score = np.full(len(self.var), math.nan)
+        self.expected = np.full(len(self.var), math.nan)
+        self.score[leaves] = scale.rank_score(dist)
+        self.expected[leaves] = scale.expected_vote(dist)
+        try:
+            graphlib.TopologicalSorter(self.parent_graph()).prepare()
+        except graphlib.CycleError:
+            raise ValueError("parent graph must be acyclic") from None
 
     def route(self, observed: Mapping[ItemId, float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every item's leaf for a case whose unobserved items are no-vote,
         whether an observed vote steered that item's path, and the mask of
         observed model items. One numpy step moves all items down a level."""
-        t = len(self.item_pos)
+        t = len(self.items)
         # position t (reached through var -1) is a no-vote, unobserved sentinel
         state = np.zeros(t + 1, dtype=np.intp)
         seen = np.zeros(t + 1, dtype=bool)
@@ -188,92 +149,86 @@ class CompiledNetwork:
         stats["lookups"] = stats.get("lookups", 0) + int((~seen).sum())
         stats["influenced"] = stats.get("influenced", 0) + int((influenced & ~seen).sum())
 
-
-@dataclass(eq=False)
-class BayesNetModel:
-    scale: VoteScale
-    items: tuple[ItemId, ...]
-    cpds: dict[ItemId, DecisionTreeCPD]
-
-    def __post_init__(self) -> None:
-        if set(self.cpds) != set(self.items):
-            raise ValueError("every item needs exactly one tree")
-        try:
-            graphlib.TopologicalSorter(self.parent_graph()).prepare()
-        except graphlib.CycleError:
-            raise ValueError("parent graph must be acyclic") from None
-
-    @cached_property
-    def compiled(self) -> CompiledNetwork:
-        """The flat-array form that scoring routes cases through, built on
-        first use; the trees must not change afterwards."""
-        return CompiledNetwork(self)
-
     def parent_graph(self) -> dict[ItemId, set[ItemId]]:
         """Edges parent -> children implied by the split variables."""
         edges: dict[ItemId, set[ItemId]] = {it: set() for it in self.items}
-        for it, cpd in self.cpds.items():
-            for parent in cpd.split_vars():
-                edges[parent].add(it)
+        for n in np.flatnonzero(self.var >= 0):
+            edges[self.items[self.var[n]]].add(self.items[self.tree[n]])
         return edges
 
     def parents(self, item: ItemId) -> set[ItemId]:
-        return self.cpds[item].split_vars()
+        splits = (self.var >= 0) & (self.tree == self.item_pos[item])
+        return {self.items[k] for k in self.var[splits]}
 
     def structure_stats(self) -> dict:
         """Learned-structure summary: parent and leaf counts per item."""
         parent_counts = [len(self.parents(it)) for it in self.items]
-        leaf_counts = [sum(1 for _ in self.cpds[it].leaves()) for it in self.items]
+        leaf_counts = np.bincount(self.tree[self.var < 0], minlength=len(self.items))
         return {
             "items": len(self.items),
             "mean_parents": float(np.mean(parent_counts)),
             "max_parents": int(max(parent_counts)),
             "mean_leaves": float(np.mean(leaf_counts)),
-            "max_leaves": int(max(leaf_counts)),
+            "max_leaves": int(leaf_counts.max()),
         }
 
     def to_json(self) -> dict:
+        """Each tree nested from its root, children in state order."""
+        r = self.scale.num_states
+
+        def node(n: int) -> dict:
+            if self.var[n] < 0:
+                return {
+                    "counts": self.counts[n].tolist(),
+                    "alpha": self.alpha[n].tolist(),
+                    "order": int(self.order[n]),
+                }
+            # split items are stored as values, so their type survives JSON
+            return {
+                "split": self.items[self.var[n]],
+                "children": [node(c) for c in range(self.first[n], self.first[n] + r)],
+            }
+
         return {
             "version": 1,
             "kind": "bayesnet_model",
             "scale": self.scale.to_json(),
             "items": list(self.items),
-            "trees": {str(i): _node_to_json(self.cpds[it].root) for i, it in enumerate(self.items)},
+            "trees": {str(j): node(j) for j in range(len(self.items))},
         }
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "BayesNetModel":
+        """The nested trees numbered breadth first. A split must have one child
+        per state and name a model item, and a leaf one count and one
+        pseudo-count per state; anything else raises ValueError."""
+        scale = VoteScale.from_json(obj["scale"])
         items = tuple(obj["items"])
-        cpds = {}
-        for i, it in enumerate(items):
-            cpds[it] = DecisionTreeCPD(target=it, root=_node_from_json(obj["trees"][str(i)], items))
-        return cls(scale=VoteScale.from_json(obj["scale"]), items=items, cpds=cpds)
-
-
-def _node_to_json(node) -> dict:
-    if isinstance(node, Leaf):
-        return {
-            "counts": node.counts.tolist(),
-            "alpha": node.alpha.tolist(),
-            "order": node.order,
-        }
-    return {
-        "split": node.var,
-        "children": [_node_to_json(c) for c in node.children],
-    }
-
-
-def _node_from_json(obj: Mapping, items: tuple):
-    if "split" in obj:
-        var = obj["split"]
-        # JSON stringifies non-string keys elsewhere, but split vars are stored
-        # as values so their type survives the round trip
-        return Split(var=var, children=[_node_from_json(c, items) for c in obj["children"]])
-    return Leaf(
-        counts=np.asarray(obj["counts"], dtype=float),
-        alpha=np.asarray(obj["alpha"], dtype=float),
-        order=int(obj["order"]),
-    )
+        pos = {it: j for j, it in enumerate(items)}
+        r = scale.num_states
+        nodes = [obj["trees"][str(j)] for j in range(len(items))]
+        var, first, counts, alpha, order = [], [], [], [], []
+        for n, node in enumerate(nodes):  # reaches the children appended below
+            if "split" in node:
+                if node["split"] not in pos or len(node["children"]) != r:
+                    raise ValueError(f"a split needs a model item and {r} children")
+                var.append(pos[node["split"]])
+                first.append(len(nodes))
+                nodes.extend(node["children"])
+                counts.append(np.zeros(r))
+                alpha.append(np.zeros(r))
+                order.append(-1)
+            else:
+                c = np.asarray(node["counts"], dtype=float)
+                a = np.asarray(node["alpha"], dtype=float)
+                if c.shape != (r,) or a.shape != (r,):
+                    raise ValueError(f"a leaf needs {r} counts and {r} pseudo-counts")
+                var.append(-1)
+                first.append(n)
+                counts.append(c)
+                alpha.append(a)
+                order.append(int(node["order"]))
+        return cls(scale, items, var, first, counts, alpha, order)
 
 
 # --- learning ---------------------------------------------------------------
@@ -282,13 +237,11 @@ def _node_from_json(obj: Mapping, items: tuple):
 class _LiveLeaf:
     """Mutable leaf bookkeeping during search."""
 
-    __slots__ = ("target", "node", "parent", "slot", "users", "path", "score", "table")
+    __slots__ = ("target", "node", "users", "path", "score", "table")
 
-    def __init__(self, target: int, node: Leaf, parent, slot, users, path, score, table):
+    def __init__(self, target: int, node: int, users, path, score, table):
         self.target = target
-        self.node = node
-        self.parent = parent  # owning Split, or None for the tree root
-        self.slot = slot
+        self.node = node  # its node number in the model's arrays
         self.users = users
         self.path = path  # boolean mask of the split variables above this leaf
         self.score = score
@@ -423,8 +376,11 @@ def learn_network(db: VoteDatabase, cfg: LearnConfig) -> BayesNetModel:
 
     id_rank = idx.item_sort_rank
     constraints = _Constraints(t, cfg.max_parents)
-    roots: list[object] = []
-    leaf_orders = [0] * t
+    # the model's node arrays, grown as leaves split (see BayesNetModel)
+    var, first, order = [-1] * t, list(range(t)), [0] * t
+    counts: list[np.ndarray] = []
+    alphas: list[np.ndarray] = []
+    next_order = [1] * t
     total_score = 0.0
     heap: list = []
     seq = 0
@@ -442,7 +398,7 @@ def learn_network(db: VoteDatabase, cfg: LearnConfig) -> BayesNetModel:
         # only the variables the constraints leave open are scored
         open_vars = np.flatnonzero(~constraints.invalid(leaf.target, leaf.path))
         if len(open_vars):
-            alpha = float(leaf.node.alpha[0]) / r
+            alpha = float(alphas[leaf.node][0]) / r
             deltas = _family_scores(leaf.table[open_vars], *lookups(alpha), penalty) - leaf.score
             best = deltas.max()
             if best > 0.0:
@@ -461,20 +417,17 @@ def learn_network(db: VoteDatabase, cfg: LearnConfig) -> BayesNetModel:
         seq += 1
         heapq.heappush(
             heap,
-            (-delta, int(id_rank[leaf.target]), leaf.node.order, int(id_rank[svar]), seq, leaf, svar),
+            (-delta, int(id_rank[leaf.target]), order[leaf.node], int(id_rank[svar]), seq, leaf, svar),
         )
 
     all_users = np.arange(n)
     no_path = np.zeros(t, dtype=bool)
     for j in range(t):
-        counts = np.bincount(states[:, j], minlength=r).astype(float)
-        alpha = np.full(r, ess / r)
-        node = Leaf(counts=counts, alpha=alpha, order=0)
-        leaf_orders[j] = 1
-        roots.append(node)
+        counts.append(np.bincount(states[:, j], minlength=r).astype(float))
+        alphas.append(np.full(r, ess / r))
         live = _LiveLeaf(
-            target=j, node=node, parent=None, slot=None, users=all_users,
-            path=no_path, score=leaf_family_score(counts, alpha, penalty),
+            target=j, node=j, users=all_users, path=no_path,
+            score=leaf_family_score(counts[j], alphas[j], penalty),
             table=_pair_counts(X, states[:, j], all_users, r),
         )
         total_score += live.score
@@ -490,27 +443,26 @@ def learn_network(db: VoteDatabase, cfg: LearnConfig) -> BayesNetModel:
         j = leaf.target
         children = _split_tables(X, leaf.table, states[:, j], leaf.users, states[:, svar], svar)
         leaf.table = None
-        split = Split(var=idx.item_ids[svar], children=[])
-        child_alpha = leaf.node.alpha / r
+        # the leaf becomes a split whose children are appended in state order
+        var[leaf.node], first[leaf.node] = svar, len(var)
+        child_alpha = alphas[leaf.node] / r
         child_path = leaf.path.copy()
         child_path[svar] = True
         new_live = []
-        for state, (users_a, counts_a, table_a) in enumerate(children):
-            child = Leaf(counts=counts_a, alpha=child_alpha.copy(), order=leaf_orders[j])
-            leaf_orders[j] += 1
-            split.children.append(child)
+        for users_a, counts_a, table_a in children:
             new_live.append(
                 _LiveLeaf(
-                    target=j, node=child, parent=split, slot=state, users=users_a,
-                    path=child_path,
+                    target=j, node=len(var), users=users_a, path=child_path,
                     score=leaf_family_score(counts_a, child_alpha, penalty),
                     table=table_a,
                 )
             )
-        if leaf.parent is None:
-            roots[j] = split
-        else:
-            leaf.parent.children[leaf.slot] = split
+            var.append(-1)
+            first.append(len(first))
+            counts.append(counts_a)
+            alphas.append(child_alpha)
+            order.append(next_order[j])
+            next_order[j] += 1
         constraints.add_edge(svar, j)
         new_total = total_score + delta
         gain = sum(nl.score for nl in new_live) - leaf.score
@@ -522,8 +474,4 @@ def learn_network(db: VoteDatabase, cfg: LearnConfig) -> BayesNetModel:
         for nl in new_live:
             push_candidate(nl)
 
-    cpds = {
-        idx.item_ids[j]: DecisionTreeCPD(target=idx.item_ids[j], root=roots[j])
-        for j in range(t)
-    }
-    return BayesNetModel(scale=scale, items=db.items, cpds=cpds)
+    return BayesNetModel(scale, db.items, var, first, counts, alphas, order)

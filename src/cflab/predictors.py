@@ -151,7 +151,7 @@ class _ModelBackedPredictor(Predictor):
 
     def _marginal_vote(self, j: int) -> float:
         """Expected vote of an item outside the model, from its training marginal."""
-        return self.train.scale.expected_vote(self._marginals[j])
+        return float(self.train.scale.expected_vote(self._marginals[j]))
 
 
 class ClusterPredictor(_ModelBackedPredictor):
@@ -170,26 +170,25 @@ class ClusterPredictor(_ModelBackedPredictor):
         if pos is None:
             return self._marginal_vote(j)
         dist = self._for_case(case) @ self.model.cond[:, pos, :]
-        return self.model.scale.expected_vote(dist)
+        return float(self.model.scale.expected_vote(dist))
 
 
 class BayesNetPredictor(_ModelBackedPredictor):
     def __init__(self, train: VoteDatabase, model: bayesnet.BayesNetModel, name: str = "BN") -> None:
         super().__init__(train, model, name)
-        self.net = model.compiled
 
     def _evaluate_block(
         self, cases: list[ActiveCase]
     ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        return [self.net.route(case.observed) for case in cases]
+        return [self.model.route(case.observed) for case in cases]
 
     def _model_scores(self, case: ActiveCase) -> np.ndarray:
         leaf, influenced, seen = self._for_case(case)
-        self.net.count_lookups(self.stats, influenced, seen)
-        return self.net.score[leaf]
+        self.model.count_lookups(self.stats, influenced, seen)
+        return self.model.score[leaf]
 
     def _vote(self, case: ActiveCase, item: ItemId, j: int) -> float:
-        pos = self.net.item_pos.get(item)
+        pos = self.model.item_pos.get(item)
         if pos is None:
             return self._marginal_vote(j)
-        return float(self.net.expected[self._for_case(case)[0][pos]])
+        return float(self.model.expected[self._for_case(case)[0][pos]])

@@ -85,29 +85,31 @@ class VoteScale:
             return np.ones(len(votes), dtype=np.int64)
         return 1 + (v.astype(np.int64) - self.min_vote)
 
-    def expected_vote(self, dist: np.ndarray) -> float:
-        """Expected vote of a state distribution: the no-vote mass is clamped
-        to zero and the vote states renormalized."""
-        mass = dist[1:]
-        total = mass.sum()
-        return float((mass / total) @ np.asarray(self.vote_values, dtype=float))
-
-    def rank_score(self, dist: np.ndarray) -> np.ndarray:
-        """Ranking score of each state distribution along the last axis:
-        implicit scales rank by the probability of the single vote state;
-        otherwise by expected vote weighted by the probability of voting at all.
+    def expected_vote(self, dist: np.ndarray) -> np.ndarray:
+        """Expected vote of each state distribution along the last axis: the
+        no-vote mass is clamped to zero and the vote states renormalized.
 
         Each distribution's expected vote is its own (1 x states) @ (states x 1)
         product, which adds the terms as a 1-d dot product does; a stacked
         `@` over the states, `einsum` or a `sum` would add them in another
         order."""
+        mass = np.asarray(dist, dtype=float)[..., 1:]
+        return np.matmul((mass / mass.sum(axis=-1, keepdims=True))[..., None, :],
+                         self._vote_column)[..., 0, 0]
+
+    @cached_property
+    def _vote_column(self) -> np.ndarray:
+        """The vote values as a (votes x 1) column."""
+        return np.asarray(self.vote_values, dtype=float)[:, None]
+
+    def rank_score(self, dist: np.ndarray) -> np.ndarray:
+        """Ranking score of each state distribution along the last axis:
+        implicit scales rank by the probability of the single vote state;
+        otherwise by expected vote weighted by the probability of voting at all."""
         dist = np.asarray(dist, dtype=float)
         if self.implicit:
             return dist[..., 1]
-        mass = dist[..., 1:]
-        p_vote = mass.sum(axis=-1)
-        votes = np.asarray(self.vote_values, dtype=float)[:, None]
-        return np.matmul((mass / p_vote[..., None])[..., None, :], votes)[..., 0, 0] * p_vote
+        return self.expected_vote(dist) * dist[..., 1:].sum(axis=-1)
 
     def value_of_state(self, state: int) -> int | None:
         """Inverse of state_of; state 0 maps to None."""

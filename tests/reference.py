@@ -11,8 +11,6 @@ import math
 
 import numpy as np
 
-from cflab.bayesnet import Split
-
 
 def _iuf_map(db):
     n = len(db.users)
@@ -36,6 +34,9 @@ def _weighted_pearson(pairs):
     tol_a = 1e-10 * max(1.0, sum(f * a * a for a, _, f in pairs))
     tol_b = 1e-10 * max(1.0, sum(f * b * b for _, b, f in pairs))
     if va <= tol_a or vb <= tol_b:
+        return 0.0
+    # and ~1e-17 covariance on uncorrelated ones
+    if abs(cov) <= math.sqrt(tol_a * tol_b):
         return 0.0
     return max(-1.0, min(1.0, cov / math.sqrt(va * vb)))
 
@@ -224,6 +225,13 @@ def log_posterior_loop(model, observed):
     return score
 
 
+def expected_vote_scalar(dist, scale):
+    """Expected vote of one state distribution, its vote states renormalized."""
+    votes = np.asarray(scale.vote_values, dtype=float)
+    mass = dist[1:]
+    return float((mass / mass.sum()) @ votes)
+
+
 def rank_score_scalar(dist, scale):
     """Ranking score of one state distribution, one item at a time."""
     if scale.implicit:
@@ -238,51 +246,66 @@ class EvidenceError(ValueError):
     """Evidence omitted a state assignment needed to route a tree."""
 
 
-def lookup_with_path(cpd, state_fn):
-    """Walk one tree from its root: the leaf reached when each split takes
-    child `state_fn(split item)`, and the split items passed on the way."""
-    node = cpd.root
+def model_trees(model):
+    """Each item's tree as nested JSON, read from the model file form."""
+    trees = model.to_json()["trees"]
+    return {it: trees[str(j)] for j, it in enumerate(model.items)}
+
+
+def leaf_distribution(leaf):
+    total = np.asarray(leaf["counts"], dtype=float) + np.asarray(leaf["alpha"], dtype=float)
+    return total / total.sum()
+
+
+def lookup_with_path(tree, state_fn):
+    """Walk one JSON tree from its root: the leaf reached when each split
+    takes child `state_fn(split item)`, and the split items passed on the way."""
+    node = tree
     path = []
-    while isinstance(node, Split):
-        path.append(node.var)
-        node = node.children[state_fn(node.var)]
+    while "split" in node:
+        path.append(node["split"])
+        node = node["children"][state_fn(node["split"])]
     return node, path
+
+
+def split_items(tree):
+    """Every split item of a JSON tree."""
+    if "split" not in tree:
+        return set()
+    return {tree["split"]}.union(*(split_items(c) for c in tree["children"]))
 
 
 def tree_lookup(model, item, evidence):
     """The item's leaf distribution for evidence that assigns a state (a vote
     value, or None for no-vote) to every split item of its tree; a missing
     one raises EvidenceError."""
-    cpd = model.cpds.get(item)
-    if cpd is None:
+    tree = model_trees(model).get(item)
+    if tree is None:
         raise ValueError(f"item {item!r} not covered by this model")
-    missing = [v for v in cpd.split_vars() if v not in evidence]
+    missing = [v for v in split_items(tree) if v not in evidence]
     if missing:
         raise EvidenceError(f"evidence missing split variable(s) {missing!r}")
-    leaf, _ = lookup_with_path(cpd, lambda var: model.scale.state_of(evidence[var]))
-    return leaf.distribution
+    leaf, _ = lookup_with_path(tree, lambda var: model.scale.state_of(evidence[var]))
+    return leaf_distribution(leaf)
 
 
-def case_lookup(model, case, item):
-    """One item's leaf distribution from a tree walk (unobserved items are
+def case_lookup(model, tree, case):
+    """One tree's leaf distribution from a walk (unobserved items are
     no-vote), and whether an observed vote steered the path."""
-    cpd = model.cpds[item]
     observed = case.observed
 
     def state_fn(var):
         v = observed.get(var)
         return model.scale.state_of(v) if v is not None else 0
 
-    leaf, path = lookup_with_path(cpd, state_fn)
-    return leaf.distribution, any(var in observed for var in path)
+    leaf, path = lookup_with_path(tree, state_fn)
+    return leaf_distribution(leaf), any(var in observed for var in path)
 
 
 def bn_vote_walk(model, case, item):
     """BN expected vote of one item from its own tree walk."""
-    dist, _ = case_lookup(model, case, item)
-    votes = np.asarray(model.scale.vote_values, dtype=float)
-    mass = dist[1:]
-    return float((mass / mass.sum()) @ votes)
+    dist, _ = case_lookup(model, model_trees(model)[item], case)
+    return expected_vote_scalar(dist, model.scale)
 
 
 def bn_scores_walk(model, case):
@@ -290,10 +313,10 @@ def bn_scores_walk(model, case):
     model item, plus the (lookups, influenced) counts."""
     out = {}
     lookups = influenced = 0
-    for it in model.items:
+    for it, tree in model_trees(model).items():
         if it in case.observed:
             continue
-        dist, hit = case_lookup(model, case, it)
+        dist, hit = case_lookup(model, tree, case)
         lookups += 1
         influenced += hit
         out[it] = rank_score_scalar(dist, model.scale)

@@ -10,15 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import cflab
 from cflab import bayesnet
-from cflab.bayesnet import (
-    BayesNetModel,
-    DecisionTreeCPD,
-    Leaf,
-    LearnConfig,
-    Split,
-    leaf_family_score,
-    learn_network,
-)
+from cflab.bayesnet import BayesNetModel, LearnConfig, leaf_family_score, learn_network
 from cflab.predictors import BayesNetPredictor
 from cflab.votedata import IMPLICIT_SCALE, VoteDatabase, VoteDataError, VoteScale, load_votes_csv
 
@@ -38,13 +30,37 @@ from reference import (
     bn_vote_walk,
     dense_pair_counts,
     dense_states,
+    leaf_distribution,
     lookup_with_path,
+    model_trees,
     sorted_ranking,
     transitive_closure,
     tree_lookup,
 )
 
 FIXTURE_VOTES = Path(__file__).resolve().parent.parent / "fixtures" / "fixture_votes.csv"
+
+
+def leaf(p, order=0, weight=2.0):
+    """A two-state leaf whose distribution puts mass p on the vote state."""
+    return {"counts": [0.0, 0.0], "alpha": [(1 - p) * weight, p * weight], "order": order}
+
+
+def split(item, *children):
+    return {"split": item, "children": list(children)}
+
+
+def model_of(trees, scale=IMPLICIT_SCALE):
+    """A hand-built model read from its file form; its items, in order, are
+    the keys of `trees`."""
+    items = list(trees)
+    return BayesNetModel.from_json({
+        "version": 1,
+        "kind": "bayesnet_model",
+        "scale": scale.to_json(),
+        "items": items,
+        "trees": {str(j): trees[it] for j, it in enumerate(items)},
+    })
 
 
 def noisy_copy_db(rng, n=10000, flip=0.05):
@@ -102,10 +118,10 @@ class TestLearnNetwork:
         db = make_db([("u", "a", 1), ("v", "a", 1)], scale=IMPLICIT_SCALE)
         model = learn_network(db, LearnConfig())
         assert model.parents("a") == set()
-        leaf = model.cpds["a"].root
-        assert isinstance(leaf, Leaf)
+        root = model_trees(model)["a"]
+        assert "split" not in root
         # smoothed marginal: ess 10 over 2 states, both users voted
-        np.testing.assert_allclose(leaf.distribution, [(0 + 5) / 12, (2 + 5) / 12])
+        np.testing.assert_allclose(leaf_distribution(root), [(0 + 5) / 12, (2 + 5) / 12])
 
     def test_dependency_recovered(self):
         wins = 0
@@ -171,6 +187,7 @@ class TestLearnNetwork:
         # compare the implied joint over vote values with the sample joint
         sample = joint / n
         implied = np.zeros((2, 2))
+        roots = model_trees(model)
         for a in (0, 1):
             for b in (0, 1):
                 ev_b = {"A": float(a)}
@@ -178,10 +195,10 @@ class TestLearnNetwork:
                 pa = tree_lookup(model, "A", ev_a)[1 + a]
                 pb_given = tree_lookup(model, "B", ev_b)[1 + b]
                 if "A" in model.parents("B"):
-                    marg_a = tree_lookup(model, "A", ev_a) if model.parents("A") else model.cpds["A"].root.distribution
+                    marg_a = tree_lookup(model, "A", ev_a) if model.parents("A") else leaf_distribution(roots["A"])
                     implied[a, b] = marg_a[1 + a] * pb_given
                 else:
-                    marg_b = model.cpds["B"].root.distribution
+                    marg_b = leaf_distribution(roots["B"])
                     implied[a, b] = marg_b[1 + b] * pa
         np.testing.assert_allclose(implied, sample, atol=0.02)
 
@@ -189,23 +206,14 @@ class TestLearnNetwork:
 class TestTreeLookup:
     def _two_parent_model(self):
         """Hand-built model: the target's tree splits on two parent items."""
-        scale = IMPLICIT_SCALE
-        leaf = lambda p, order: Leaf(
-            counts=np.array([0.0, 0.0]), alpha=np.array([(1 - p) * 2, p * 2]), order=order
+        target_tree = split(
+            "parent_a",
+            leaf(0.16, 1),  # did not watch friends
+            split("parent_b", leaf(0.35, 3), leaf(0.85, 4)),
         )
-        target_tree = Split(
-            var="parent_a",
-            children=[
-                leaf(0.16, 1),  # did not watch friends
-                Split(var="parent_b", children=[leaf(0.35, 3), leaf(0.85, 4)]),
-            ],
+        return model_of(
+            {"target_show": target_tree, "parent_a": leaf(0.4), "parent_b": leaf(0.3)}
         )
-        cpds = {
-            "target_show": DecisionTreeCPD("target_show", target_tree),
-            "parent_a": DecisionTreeCPD("parent_a", leaf(0.4, 0)),
-            "parent_b": DecisionTreeCPD("parent_b", leaf(0.3, 0)),
-        }
-        return BayesNetModel(scale, ("target_show", "parent_a", "parent_b"), cpds)
 
     def test_root_only_tree_ignores_evidence(self):
         model = self._two_parent_model()
@@ -248,13 +256,8 @@ def bn_for(model):
 
 class TestExpectedVote:
     def _single_leaf_model(self, dist, scale):
-        leaf = Leaf(
-            counts=np.zeros(len(dist)),
-            alpha=np.asarray(dist, dtype=float) * 10,
-            order=0,
-        )
-        cpds = {"t": DecisionTreeCPD("t", leaf)}
-        return BayesNetModel(scale, ("t",), cpds)
+        tree = {"counts": [0.0] * len(dist), "alpha": [p * 10 for p in dist], "order": 0}
+        return model_of({"t": tree}, scale)
 
     def test_point_mass(self):
         dist = [1e-9, 1e-9, 1e-9, 1e-9, 1.0, 1e-9, 1e-9]  # state 4 is vote 3
@@ -281,12 +284,7 @@ class TestExpectedVote:
 
 class TestRanking:
     def _two_item_model(self, p_hi=0.9, p_lo=0.2):
-        leaf = lambda p: Leaf(np.zeros(2), np.array([(1 - p) * 4, p * 4]), 0)
-        cpds = {
-            "hi": DecisionTreeCPD("hi", leaf(p_hi)),
-            "lo": DecisionTreeCPD("lo", leaf(p_lo)),
-        }
-        return BayesNetModel(IMPLICIT_SCALE, ("hi", "lo"), cpds)
+        return model_of({"hi": leaf(p_hi, weight=4.0), "lo": leaf(p_lo, weight=4.0)})
 
     def test_rank_by_vote_probability(self):
         model = self._two_item_model()
@@ -301,15 +299,8 @@ class TestRanking:
         assert bn_for(model).rank(case_for("u", {"zz": 1.0})) == ["hi", "lo"]
 
     def test_influence_tracking(self):
-        scale = IMPLICIT_SCALE
-        leaf = lambda p, o: Leaf(np.zeros(2), np.array([(1 - p) * 2, p * 2]), o)
-        tree = Split(var="parent", children=[leaf(0.2, 1), leaf(0.9, 2)])
-        cpds = {
-            "t": DecisionTreeCPD("t", tree),
-            "parent": DecisionTreeCPD("parent", leaf(0.5, 0)),
-            "other": DecisionTreeCPD("other", leaf(0.5, 0)),
-        }
-        model = BayesNetModel(scale, ("t", "parent", "other"), cpds)
+        tree = split("parent", leaf(0.2, 1), leaf(0.9, 2))
+        model = model_of({"t": tree, "parent": leaf(0.5), "other": leaf(0.5)})
         pred = bn_for(model)
         pred.rank(case_for("u", {"parent": 1.0}))
         assert pred.stats["influenced"] >= 1  # the parent vote steered t's path
@@ -321,15 +312,28 @@ class TestRanking:
 
 class TestModelStructure:
     def test_acyclic_validation(self):
-        leaf = lambda: Leaf(np.zeros(2), np.full(2, 5.0), 0)
-        a_tree = Split(var="b", children=[leaf(), leaf()])
-        b_tree = Split(var="a", children=[leaf(), leaf()])
-        cpds = {
-            "a": DecisionTreeCPD("a", a_tree),
-            "b": DecisionTreeCPD("b", b_tree),
+        trees = {
+            "a": split("b", leaf(0.5, 1), leaf(0.5, 2)),
+            "b": split("a", leaf(0.5, 1), leaf(0.5, 2)),
         }
+        with pytest.raises(ValueError, match="acyclic"):
+            model_of(trees)
+
+    @pytest.mark.parametrize(
+        "tree",
+        [
+            split("b", leaf(0.2, 1)),  # one child on a two-state scale
+            split("b", leaf(0.2, 1), leaf(0.5, 2), leaf(0.9, 3)),
+            split("zz", leaf(0.2, 1), leaf(0.9, 2)),  # not a model item
+            {"counts": [0.0, 0.0, 0.0], "alpha": [1.0, 1.0], "order": 0},
+            {"counts": [0.0, 0.0], "alpha": [1.0], "order": 0},
+            split("b", leaf(0.2, 1), {"counts": [0.0], "alpha": [1.0, 1.0], "order": 2}),
+        ],
+    )
+    def test_malformed_tree_is_rejected(self, tree):
+        # routing would read past a short split into another tree's nodes
         with pytest.raises(ValueError):
-            BayesNetModel(IMPLICIT_SCALE, ("a", "b"), cpds)
+            model_of({"a": tree, "b": leaf(0.5), "c": leaf(0.2)})
 
     def test_serialization_round_trip_exact(self):
         db = random_implicit_db(np.random.default_rng(5), n_users=150, n_items=5, density=0.5)
@@ -490,7 +494,7 @@ class TestSearchChecks:
 
 
 class TestCompiledNetwork:
-    """The flat-array network against one tree walk per item."""
+    """The model's node arrays against one walk per item of its JSON trees."""
 
     @staticmethod
     def _network(seed, explicit, penalty):
@@ -505,17 +509,21 @@ class TestCompiledNetwork:
         penalty=st.sampled_from([0.1, 0.5, 0.99]),
     )
     def test_routing_matches_tree_walk(self, seed, explicit, penalty):
-        rng, _, model = self._network(seed, explicit, penalty)
-        net = model.compiled
-        for _ in range(5):
-            case = random_case(rng, model, max_observed=4)
-            leaf, influenced, seen = net.route(case.observed)
-            for j, it in enumerate(model.items):
-                state_of = lambda var: model.scale.state_of(case.observed.get(var))
-                want, path = lookup_with_path(model.cpds[it], state_of)
-                assert net.nodes[leaf[j]] is want
-                assert influenced[j] == any(var in case.observed for var in path)
-                assert seen[j] == (it in case.observed)
+        rng, _, learned = self._network(seed, explicit, penalty)
+        trees = model_trees(learned)
+        # numbered in creation order, and breadth first from the file form
+        for model in (learned, BayesNetModel.from_json(learned.to_json())):
+            for _ in range(5):
+                case = random_case(rng, model, max_observed=4)
+                leaf, influenced, seen = model.route(case.observed)
+                assert (model.var[leaf] == -1).all()
+                for j, it in enumerate(model.items):
+                    state_of = lambda var: model.scale.state_of(case.observed.get(var))
+                    want, path = lookup_with_path(trees[it], state_of)
+                    # a leaf is its tree and its creation order there
+                    assert (model.tree[leaf[j]], model.order[leaf[j]]) == (j, want["order"])
+                    assert influenced[j] == any(var in case.observed for var in path)
+                    assert seen[j] == (it in case.observed)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -535,11 +543,36 @@ class TestCompiledNetwork:
                 want = bn_vote_walk(model, case, it)
                 assert pred.predict(case, it) == want  # bitwise
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        explicit=st.booleans(),
+        penalty=st.sampled_from([0.1, 0.5, 0.99]),
+    )
+    def test_file_form_numbers_breadth_first_and_scores_alike(self, seed, explicit, penalty):
+        rng, db, learned = self._network(seed, explicit, penalty)
+        doc = learned.to_json()
+        again = BayesNetModel.from_json(json.loads(json.dumps(doc)))
+        splits = np.flatnonzero(again.var >= 0)
+        assert (np.diff(again.first[splits]) > 0).all()  # breadth first
+        assert json.dumps(again.to_json()) == json.dumps(doc)
+        assert again.structure_stats() == learned.structure_stats()
+        preds = [BayesNetPredictor(db, m) for m in (learned, again)]
+        for _ in range(5):
+            case = random_case(rng, learned, max_observed=4)
+            (s1, i1), (s2, i2) = (p.scores(case) for p in preds)
+            assert s1.tobytes() == s2.tobytes() and i1.tobytes() == i2.tobytes()
+            assert preds[0].rank(case) == preds[1].rank(case)
+            for it in learned.items:
+                if it not in case.observed:
+                    a, b = (p.predict(case, it) for p in preds)
+                    assert np.float64(a).tobytes() == np.float64(b).tobytes()
+        assert preds[0].stats == preds[1].stats
+
     def test_leaf_only_network_routes_in_zero_steps(self):
         model = TestRanking()._two_item_model()
-        net = model.compiled
-        assert net.depth == 0
-        leaf, influenced, seen = net.route({"hi": 1.0})
+        assert model.depth == 0
+        leaf, influenced, seen = model.route({"hi": 1.0})
         assert leaf.tolist() == [0, 1] and not influenced.any()
         assert seen.tolist() == [True, False]
 

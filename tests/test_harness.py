@@ -193,7 +193,7 @@ class TestRun:
             assert sum("retraining" in r.getMessage() for r in caplog.records) == 2
 
     @pytest.mark.parametrize("kind", ["cluster", "bayesnet"])
-    @pytest.mark.parametrize("edit", ["scale", "items"])
+    @pytest.mark.parametrize("edit", ["scale", "items", "shape"])
     def test_mismatched_cached_model_is_retrained(self, workdir, caplog, kind, edit):
         config = harness.load_config(workdir / "fixture_config.json")
         train, _ = harness.load_datasets(config.dataset)
@@ -207,8 +207,13 @@ class TestRun:
         doc = json.loads(good)
         if edit == "scale":
             doc["scale"]["neutral"] = 2.0  # still a loadable model
-        else:
+        elif edit == "items":
             doc["items"][0] = "not-a-training-item"
+        elif kind == "cluster":
+            doc["cond"] = [[row[:-1] for row in c] for c in doc["cond"]]  # a state short
+        else:
+            # a split with one child: routing would read another tree's nodes
+            doc["trees"]["0"] = {"split": doc["items"][1], "children": [doc["trees"]["0"]]}
         path.write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
         model, again = harness.train_model(train, spec, config.seed, cache)
         assert again == path and path.read_bytes() == good  # retrained and replaced

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cflab.memory import DefaultVoting, MemoryConfig, MemoryScorer, _Evidence
 from cflab.predictors import BLOCK_CASES, MemoryPredictor, PopularityPredictor
@@ -419,6 +419,8 @@ class TestBlocks:
         implicit=st.booleans(),
         n_cases=st.integers(1, 2 * BLOCK_CASES + 3),
     )
+    # an uncorrelated neighbour whose round-off covariance is 3.2e-17
+    @example(seed=559, implicit=False, n_cases=1)
     def test_block_equals_block_of_one(self, seed, implicit, n_cases):
         rng = np.random.default_rng(seed)
         n_users, n_items = int(rng.integers(2, 12)), int(rng.integers(2, 9))

@@ -22,7 +22,7 @@ from cflab.votedata import (
 )
 
 from conftest import SCALE_0_5, make_db, random_explicit_db
-from reference import rank_score_scalar
+from reference import expected_vote_scalar, rank_score_scalar
 
 MSWEB_FIXTURE = """\
 I,4,"www.example.com","created by getlog.c"
@@ -86,12 +86,14 @@ class TestVoteScale:
         # bitwise: a stacked `@`, `einsum` or a row sum differs in the last bits
         dist = np.random.default_rng(seed).dirichlet(
             np.full(scale.num_states, concentration), size=rows)
-        want = [rank_score_scalar(d, scale) for d in dist]
-        np.testing.assert_array_equal(scale.rank_score(dist), want)
         wide = np.zeros((rows, scale.num_states + 2))
         wide[:, 1:-1] = dist
-        np.testing.assert_array_equal(scale.rank_score(wide[:, 1:-1]), want)  # strided rows
-        np.testing.assert_array_equal([scale.rank_score(d) for d in dist], want)
+        for rule, scalar in ((scale.rank_score, rank_score_scalar),
+                             (scale.expected_vote, expected_vote_scalar)):
+            want = [scalar(d, scale) for d in dist]
+            np.testing.assert_array_equal(rule(dist), want)
+            np.testing.assert_array_equal(rule(wide[:, 1:-1]), want)  # strided rows
+            np.testing.assert_array_equal([rule(d) for d in dist], want)
 
 
 class TestLoadMsweb:
