@@ -70,13 +70,14 @@ def leaf_family_score(
         raise ValueError("prior counts must be positive")
     if (n < 0).any():
         raise ValueError("counts must be nonnegative")
-    r = len(n)
-    marginal = (
-        gammaln(a.sum())
-        - gammaln(a.sum() + n.sum())
-        + (gammaln(a + n) - gammaln(a)).sum()
-    )
-    return float(marginal + (r - 1) * math.log(structure_penalty))
+    return _leaf_score(n, a, math.log(structure_penalty))
+
+
+def _leaf_score(n: np.ndarray, a: np.ndarray, log_penalty: float) -> float:
+    """`leaf_family_score` of float count and prior arrays known to be valid."""
+    a_total = a.sum()  # not len(a) * alpha, which can differ in the last bit
+    marginal = gammaln(a_total) - gammaln(a_total + n.sum()) + (gammaln(a + n) - gammaln(a)).sum()
+    return float(marginal + (len(n) - 1) * log_penalty)
 
 
 class BayesNetModel:
@@ -366,6 +367,7 @@ def learn_network(db: VoteDatabase, cfg: LearnConfig) -> BayesNetModel:
     n, t = len(db.users), len(db.items)
     r = scale.num_states
     penalty = cfg.structure_penalty
+    log_penalty = math.log(penalty)
     ess = cfg.equivalent_sample_size
 
     X = idx.vote_states
@@ -427,7 +429,7 @@ def learn_network(db: VoteDatabase, cfg: LearnConfig) -> BayesNetModel:
         alphas.append(np.full(r, ess / r))
         live = _LiveLeaf(
             target=j, node=j, users=all_users, path=no_path,
-            score=leaf_family_score(counts[j], alphas[j], penalty),
+            score=_leaf_score(counts[j], alphas[j], log_penalty),
             table=_pair_counts(X, states[:, j], all_users, r),
         )
         total_score += live.score
@@ -453,7 +455,7 @@ def learn_network(db: VoteDatabase, cfg: LearnConfig) -> BayesNetModel:
             new_live.append(
                 _LiveLeaf(
                     target=j, node=len(var), users=users_a, path=child_path,
-                    score=leaf_family_score(counts_a, child_alpha, penalty),
+                    score=_leaf_score(counts_a, child_alpha, log_penalty),
                     table=table_a,
                 )
             )

@@ -34,6 +34,10 @@ def _cmd_run(args) -> int:
     for path in result.summary_paths:
         if path.suffix == ".txt":
             print(path.read_text(encoding="utf-8"))
+    for (metric, label), report in result.reports.items():
+        n = report.case_counts()
+        print(f"{metric} {label}: {n['kept']} cases kept, {n['zero_max_utility']} excluded "
+              f"for zero maximum utility, {n['failed']} excluded as failed")
     print(f"artifacts written to {result.output_dir}")
     return EXIT_OK
 

@@ -1,10 +1,12 @@
-"""Scoring metrics, the blocked experiment runner, and significance statistics."""
+"""Scoring metrics, the blocked experiment runner (one pass over the cases for
+every metric), and significance statistics."""
 
 from __future__ import annotations
 
 import json
 import logging
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Protocol as TypingProtocol, Sequence
 
@@ -127,8 +129,8 @@ class RankingPredictor(TypingProtocol):
     name: str
 
     def schedule(self, cases: Sequence[ActiveCase]) -> None:
-        """The cases about to be scored, in order; each is then ranked or
-        predicted."""
+        """The cases about to be scored, in order; each is then ranked,
+        predicted, or both."""
 
     def rank(self, case: ActiveCase) -> list[ItemId]: ...
 
@@ -164,6 +166,10 @@ class ExperimentReport:
     @property
     def case_count(self) -> int:
         return len(self.case_ids)
+
+    def case_counts(self) -> dict[str, int]:
+        """Cases kept, and cases excluded for each reason."""
+        return {"kept": self.case_count, **{k: len(v) for k, v in self.excluded.items()}}
 
     def block_matrix(self) -> np.ndarray:
         """Cases-by-algorithms matrix used for the required-difference statistic.
@@ -235,21 +241,28 @@ def run_experiment(
     train: VoteDatabase,
     cases: Sequence[ActiveCase],
     algorithms: Sequence[RankingPredictor],
-    metric: str,
+    metrics: Sequence[str],
     ranked_cfg: RankedScoringConfig | None = None,
     confidence: float = 0.90,
     seed: int | None = None,
     protocol_label: str = "custom",
-) -> ExperimentReport:
-    """Score every algorithm on every case under a randomized block design.
+) -> list[ExperimentReport]:
+    """Score every algorithm on every case under a randomized block design,
+    for every metric in one pass; one report per metric, in `metrics` order.
 
-    All algorithms see identical observed votes per case. A case where any
-    algorithm fails, or (for ranked scoring) with zero maximum utility, is
-    dropped for all algorithms so the blocks stay complete. Each algorithm is
-    told the cases it will score (`schedule`) before the first is scored.
+    All algorithms see identical observed votes per case. Each algorithm is
+    told once the cases that some metric scores (`schedule`), and per case
+    ranks it for ranked scoring and predicts each target for deviation
+    scoring. Each metric keeps its own exclusions, so its blocks stay
+    complete: a case with zero maximum utility is dropped from ranked scoring
+    only, and a case where a call raised is dropped, for all algorithms, from
+    that call's metric only. A report's `timing` and `extras` (what its
+    metric's calls added to each predictor's `stats`) count its metric's
+    calls alone.
     """
-    if metric not in METRICS:
-        raise ValueError(f"unknown metric {metric!r}")
+    metrics = list(metrics)
+    if not metrics or len(set(metrics)) != len(metrics) or not set(metrics) <= set(METRICS):
+        raise ValueError(f"need distinct metrics among {METRICS}, got {metrics!r}")
     if not algorithms:
         raise ValueError("need at least one algorithm")
     if not cases:
@@ -260,85 +273,69 @@ def run_experiment(
     if ranked_cfg is None:
         ranked_cfg = RankedScoringConfig(half_life=5.0, neutral=float(train.scale.neutral))
 
-    timing = {n: 0.0 for n in names}
-    kept_ids: list = []
-    kept_scores: dict[str, list[float]] = {n: [] for n in names}
-    kept_rmax: list[float] = []
-    excluded: dict[str, list] = {"zero_max_utility": [], "failed": []}
-    stats_before = {
-        a.name: dict(getattr(a, "stats", {}) or {}) for a in algorithms
-    }
+    timing = {m: {n: 0.0 for n in names} for m in metrics}
+    excluded = {m: {"zero_max_utility": [], "failed": []} for m in metrics}
+    kept = {m: [] for m in metrics}  # (user, score per algorithm, rmax) per kept case
+    stats_added = {m: {n: Counter() for n in names} for m in metrics}
 
     scored = []
     for case in cases:
-        rmax = None
-        if metric == RANKED:
-            rmax = max_ranked_utility(case.targets, ranked_cfg)
-            if rmax <= 0:
-                excluded["zero_max_utility"].append(case.user)
-                continue
-        scored.append((case, rmax))
+        rmax = max_ranked_utility(case.targets, ranked_cfg) if RANKED in metrics else None
+        todo = [m for m in metrics if m != RANKED or rmax > 0]  # the metrics that score it
+        if len(todo) < len(metrics):
+            excluded[RANKED]["zero_max_utility"].append(case.user)
+        if todo:
+            scored.append((case, rmax, todo))
     for alg in algorithms:
-        alg.schedule([case for case, _ in scored])
+        alg.schedule([case for case, _, _ in scored])
 
-    for case, rmax in scored:
-        row = {}
-        for alg in algorithms:
-            t0 = time.perf_counter()
-            try:
-                if metric == RANKED:
-                    row[alg.name] = ranked_utility(alg.rank(case), case.targets, ranked_cfg)
-                else:
-                    preds = {it: alg.predict(case, it) for it in case.targets}
-                    row[alg.name] = absolute_deviation(preds, case.targets)
-            except Exception:
-                log.exception("algorithm %s failed on case %r", alg.name, case.user)
-                break
-            finally:
-                timing[alg.name] += time.perf_counter() - t0
-        if len(row) < len(algorithms):
-            excluded["failed"].append(case.user)
-            continue
-        kept_ids.append(case.user)
-        for n in names:
-            kept_scores[n].append(row[n])
-        if metric == RANKED:
-            kept_rmax.append(rmax)
+    for case, rmax, todo in scored:
+        for metric in todo:
+            row = {}
+            for alg in algorithms:
+                before = dict(getattr(alg, "stats", {}))
+                t0 = time.perf_counter()
+                try:
+                    if metric == RANKED:
+                        row[alg.name] = ranked_utility(alg.rank(case), case.targets, ranked_cfg)
+                    else:
+                        preds = {it: alg.predict(case, it) for it in case.targets}
+                        row[alg.name] = absolute_deviation(preds, case.targets)
+                except Exception:
+                    log.exception("%s scoring: algorithm %s failed on case %r",
+                                  metric, alg.name, case.user)
+                    break
+                finally:
+                    timing[metric][alg.name] += time.perf_counter() - t0
+                    for k, v in getattr(alg, "stats", {}).items():
+                        stats_added[metric][alg.name][k] += v - before.get(k, 0)
+            if len(row) < len(algorithms):
+                excluded[metric]["failed"].append(case.user)
+            else:
+                kept[metric].append((case.user, row, rmax))
 
-    if not kept_ids:
-        raise ValueError("every case was excluded; nothing to score")
-
-    if metric == RANKED:
-        aggregate = {n: normalized_ranked_score(kept_scores[n], kept_rmax) for n in names}
-    else:
-        aggregate = {n: float(np.mean(kept_scores[n])) for n in names}
-
-    report = ExperimentReport(
-        protocol=protocol_label,
-        metric=metric,
-        algorithms=names,
-        case_ids=kept_ids,
-        scores=kept_scores,
-        aggregate=aggregate,
-        required_difference=None,
-        rmax=kept_rmax if metric == RANKED else None,
-        excluded=excluded,
-        confidence=confidence,
-        seed=seed,
-        half_life=ranked_cfg.half_life if metric == RANKED else None,
-        neutral=ranked_cfg.neutral if metric == RANKED else None,
-        timing=timing,
-    )
-    for alg in algorithms:
-        stats = getattr(alg, "stats", None)
-        if stats:
-            before = stats_before.get(alg.name, {})
-            report.extras[alg.name] = {
-                k: (v - before.get(k, 0) if isinstance(v, (int, float)) else v)
-                for k, v in stats.items()
-            }
-    if len(names) >= 2 and len(kept_ids) >= 2:
-        report.required_difference = float(
-            bonferroni_required_difference(report.block_matrix(), confidence)
+    reports = []
+    for metric in metrics:
+        if not kept[metric]:
+            raise ValueError(f"every case was excluded from {metric} scoring; nothing to score")
+        ranked = metric == RANKED
+        rmaxes = [r for _, _, r in kept[metric]]
+        scores = {n: [row[n] for _, row, _ in kept[metric]] for n in names}
+        report = ExperimentReport(
+            protocol=protocol_label, metric=metric, algorithms=names,
+            case_ids=[user for user, _, _ in kept[metric]], scores=scores,
+            aggregate={n: normalized_ranked_score(scores[n], rmaxes) if ranked
+                       else float(np.mean(scores[n])) for n in names},
+            required_difference=None, rmax=rmaxes if ranked else None,
+            excluded=excluded[metric], confidence=confidence, seed=seed,
+            half_life=ranked_cfg.half_life if ranked else None,
+            neutral=ranked_cfg.neutral if ranked else None, timing=timing[metric],
+            extras={alg.name: {k: stats_added[metric][alg.name][k] for k in alg.stats}
+                    for alg in algorithms if getattr(alg, "stats", None)},
         )
-    return report
+        if len(names) >= 2 and report.case_count >= 2:
+            report.required_difference = float(
+                bonferroni_required_difference(report.block_matrix(), confidence)
+            )
+        reports.append(report)
+    return reports

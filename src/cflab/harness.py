@@ -2,10 +2,11 @@
 
 A run is described by one JSON config: the dataset, the protocols, the named
 algorithms, and the metrics. The runner trains (and caches) any required
-models, scores every protocol/metric combination, and writes deterministic
-report artifacts: rerunning an unchanged config reproduces the report files
-byte for byte. Volatile data (wall-clock timings) goes to a separate
-`run_meta.json` so the reports stay comparable.
+models, scores each protocol's cases once for every metric, and writes
+deterministic report artifacts: rerunning an unchanged config reproduces the
+report files byte for byte. Volatile data (wall-clock timings) and the case
+counts of each metric and protocol go to a separate `run_meta.json` so the
+reports stay comparable.
 """
 
 from __future__ import annotations
@@ -384,28 +385,19 @@ def run(config: ExperimentConfig) -> RunResult:
 
     reports: dict[tuple[str, str], ExperimentReport] = {}
     report_paths: list[Path] = []
-    timings: dict[str, dict[str, float]] = {}
     for protocol in config.protocols:
         cases = generate_active_cases(test, protocol, config.seed)
         save_split_manifest(
             out / "splits" / f"{protocol.label}.json", cases, protocol, config.seed
         )
-        for metric in config.metrics:
-            report = run_experiment(
-                train,
-                cases,
-                predictors,
-                metric,
-                ranked_cfg=config.ranked,
-                confidence=config.confidence,
-                seed=config.seed,
-                protocol_label=protocol.label,
-            )
-            reports[(metric, protocol.label)] = report
-            path = out / "reports" / f"{metric}_{protocol.label}.json"
+        for report in run_experiment(
+            train, cases, predictors, config.metrics, ranked_cfg=config.ranked,
+            confidence=config.confidence, seed=config.seed, protocol_label=protocol.label,
+        ):
+            reports[(report.metric, protocol.label)] = report
+            path = out / "reports" / f"{report.metric}_{protocol.label}.json"
             path.write_text(report.dumps(), encoding="utf-8")
             report_paths.append(path)
-            timings[f"{metric}/{protocol.label}"] = report.timing
 
     summary_paths = []
     for metric in config.metrics:
@@ -422,7 +414,8 @@ def run(config: ExperimentConfig) -> RunResult:
 
     meta = {
         "wall_seconds": time.perf_counter() - t_start,
-        "timing": timings,
+        "timing": {f"{m}/{p}": r.timing for (m, p), r in reports.items()},
+        "cases": {f"{m}/{p}": r.case_counts() for (m, p), r in reports.items()},
         "train_users": len(train.users),
         "train_items": len(train.items),
         "test_users": len(test.users),

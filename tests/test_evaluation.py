@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,7 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats as sstats
 
+from cflab.bayesnet import LearnConfig, learn_network
+from cflab.cluster import em_fit
 from cflab.evaluation import (
+    METRICS,
     ExperimentReport,
     RankedScoringConfig,
     absolute_deviation,
@@ -15,9 +19,11 @@ from cflab.evaluation import (
     ranked_utility,
     run_experiment,
 )
-from cflab.votedata import ActiveCase
+from cflab.memory import MemoryConfig
+from cflab.predictors import BayesNetPredictor, ClusterPredictor, MemoryPredictor
+from cflab.votedata import ActiveCase, Protocol, generate_active_cases
 
-from conftest import case_for, make_db, random_implicit_db
+from conftest import case_for, make_db, random_grouped_db, random_implicit_db
 from reference import brute_ranked_utility
 
 CFG5 = RankedScoringConfig(half_life=5.0, neutral=0.0)
@@ -252,18 +258,18 @@ class TestRunExperiment:
 
     def test_deterministic_repeat(self):
         db, cases, algs = self._setup()
-        r1 = run_experiment(db, cases, algs, "ranked", protocol_label="Given1", seed=3)
-        r2 = run_experiment(db, cases, algs, "ranked", protocol_label="Given1", seed=3)
+        [r1] = run_experiment(db, cases, algs, ["ranked"], protocol_label="Given1", seed=3)
+        [r2] = run_experiment(db, cases, algs, ["ranked"], protocol_label="Given1", seed=3)
         assert r1.dumps() == r2.dumps()
 
     def test_single_algorithm_rd_not_applicable(self):
         db, cases, algs = self._setup()
-        r = run_experiment(db, cases, algs[:1], "ranked")
+        [r] = run_experiment(db, cases, algs[:1], ["ranked"])
         assert r.required_difference is None
 
     def test_aggregate_recomputable_from_matrix(self):
         db, cases, algs = self._setup()
-        r = run_experiment(db, cases, algs, "ranked")
+        [r] = run_experiment(db, cases, algs, ["ranked"])
         for name in r.algorithms:
             assert r.aggregate[name] == pytest.approx(r.recompute_aggregate(name), abs=1e-9)
 
@@ -271,7 +277,7 @@ class TestRunExperiment:
         db, cases, algs = self._setup()
         bad_user = cases[0].user
         algs = [algs[0], _FailingOnUser("F", bad_user, list(db.items))]
-        r = run_experiment(db, cases, algs, "ranked")
+        [r] = run_experiment(db, cases, algs, ["ranked"])
         assert bad_user not in r.case_ids
         assert bad_user in r.excluded["failed"]
         assert len(r.scores["A"]) == len(r.case_ids)
@@ -287,8 +293,8 @@ class TestRunExperiment:
             ActiveCase("v", {"a": 4.0}, {"b": 5.0}),
         ]
         algs = [_ConstantRanker("A", ["a", "b"]), _ConstantRanker("B", ["b", "a"])]
-        r = run_experiment(
-            db, cases, algs, "ranked",
+        [r] = run_experiment(
+            db, cases, algs, ["ranked"],
             ranked_cfg=RankedScoringConfig(half_life=5.0, neutral=3.0),
         )
         assert r.excluded["zero_max_utility"] == ["u"]
@@ -298,7 +304,7 @@ class TestRunExperiment:
         db, cases, _ = self._setup()
         algs = [_ConstantRanker("A", list(db.items), value=1.0),
                 _ConstantRanker("B", list(db.items), value=0.0)]
-        r = run_experiment(db, cases, algs, "deviation")
+        [r] = run_experiment(db, cases, algs, ["deviation"])
         # implicit targets are all ones, so the constant-1 predictor is exact
         assert r.aggregate["A"] == pytest.approx(0.0)
         assert r.aggregate["B"] == pytest.approx(1.0)
@@ -306,6 +312,84 @@ class TestRunExperiment:
 
     def test_report_json_round_trip(self):
         db, cases, algs = self._setup()
-        r = run_experiment(db, cases, algs, "ranked", seed=5, protocol_label="Given1")
+        [r] = run_experiment(db, cases, algs, ["ranked"], seed=5, protocol_label="Given1")
         again = ExperimentReport.from_json(r.to_json())
         assert again.dumps() == r.dumps()
+
+
+class _FailingPredict(_ConstantRanker):
+    """Ranks every case; fails to predict on the given users' cases."""
+
+    def __init__(self, name, order, bad_users):
+        super().__init__(name, order)
+        self.bad_users = set(bad_users)
+
+    def predict(self, case, item):
+        if case.user in self.bad_users:
+            raise RuntimeError("boom")
+        return self.value
+
+
+class TestOnePass:
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_one_pass_equals_a_pass_per_metric(self, seed):
+        rng = np.random.default_rng(seed)
+        train = random_grouped_db(rng, explicit=True, n_users=40)
+        test = random_grouped_db(rng, explicit=True, n_users=16)
+        cases = generate_active_cases(test, Protocol.all_but_1(), seed=seed % 1000)
+        i0, i1, i2 = train.items[:3]
+        extra = [
+            # no target above neutral: zero maximum utility, scored for deviation
+            ActiveCase("low", {i0: 4.0}, {i1: 1.0}),
+            # so that ranked scoring keeps a case on every database
+            ActiveCase("high", {i1: 2.0}, {i0: 5.0}),
+            # an off-scale vote on a model item: BN and BC fail every call
+            ActiveCase("bad", {i0: 2.5, i1: 4.0}, {i2: 5.0}),
+        ]
+        for case in extra:
+            cases.insert(int(rng.integers(len(cases) + 1)), case)
+        bad_predict = {cases[int(k)].user for k in rng.choice(len(cases), size=2, replace=False)}
+        bad_predict -= {"bad"}
+        bc = em_fit(train, 2, seed=1, compute_cs=False)[0]
+        bn = learn_network(train, LearnConfig(structure_penalty=0.99))
+
+        def docs(metrics):
+            # fresh predictors, so that each pass starts from empty stats
+            algs = [
+                MemoryPredictor(train, MemoryConfig("correlation"), "CR"),
+                BayesNetPredictor(train, bn),
+                ClusterPredictor(train, bc),
+                _FailingPredict("F", train.items, bad_predict),
+            ]
+            reports = run_experiment(train, cases, algs, metrics, seed=7)
+            assert [r.metric for r in reports] == list(metrics)
+            assert all(set(r.timing) == {"CR", "BN", "BC", "F"} for r in reports)
+            return {r.metric: r.to_json() for r in reports}
+
+        alone = {m: docs([m])[m] for m in METRICS}
+        forward, backward = docs(["ranked", "deviation"]), docs(["deviation", "ranked"])
+        assert forward == backward
+        for m in METRICS:
+            got = {k: v for k, v in forward[m].items() if k != "extras"}
+            want = {k: v for k, v in alone[m].items() if k != "extras"}
+            assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+        # extras count each metric's own calls; a predictor with stats is in both
+        assert forward["ranked"]["extras"] == alone["ranked"]["extras"]
+        assert forward["ranked"]["extras"]["BN"]["lookups"] > 0
+        assert forward["deviation"]["extras"] == {"BN": {"influenced": 0, "lookups": 0}}
+        assert alone["deviation"]["extras"] == {}
+        # a failure excludes its case from the metric that raised only
+        ranked, deviation = forward["ranked"], forward["deviation"]
+        assert ranked["excluded"]["failed"] == ["bad"]
+        assert sorted(deviation["excluded"]["failed"]) == sorted(bad_predict | {"bad"})
+        assert "low" in ranked["excluded"]["zero_max_utility"]
+        assert deviation["excluded"]["zero_max_utility"] == []
+        assert "low" in deviation["case_ids"] or "low" in bad_predict
+        assert bad_predict <= set(ranked["case_ids"]) | set(ranked["excluded"]["zero_max_utility"])
+
+    def test_metrics_must_be_a_list_of_known_distinct_names(self):
+        db, cases, algs = TestRunExperiment()._setup()
+        for metrics in ([], ["ranked", "ranked"], ["precision"], "ranked"):
+            with pytest.raises(ValueError):
+                run_experiment(db, cases, algs, metrics)

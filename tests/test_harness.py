@@ -147,6 +147,38 @@ class TestRun:
         assert doc["metric"] == "deviation"
         assert set(doc["aggregate"]) == {"CR", "BC", "BN"}
 
+    def test_one_experiment_per_protocol_and_counts_reported(self, workdir, monkeypatch, capsys):
+        doc = json.loads((workdir / "fixture_config.json").read_text())
+        doc["algorithms"] = [a for a in doc["algorithms"] if a["kind"] != "popularity"]
+        doc["metrics"] = ["ranked", "deviation"]
+        cfg = workdir / "both.json"
+        cfg.write_text(json.dumps(doc))
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[3])
+            return run_experiment(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_experiment", counting)
+        assert run_cli("run", cfg) == 0
+        assert calls == [["ranked", "deviation"]] * 2
+        out = capsys.readouterr().out
+        meta = json.loads((workdir / "out" / "run_meta.json").read_text())
+        assert set(meta["cases"]) == {f"{m}/{p}" for m in ("ranked", "deviation")
+                                      for p in ("AllBut1", "Given2")}
+        for key, counts in meta["cases"].items():
+            metric, label = key.split("/")
+            report = json.loads(
+                (workdir / "out" / "reports" / f"{metric}_{label}.json").read_text())
+            assert counts == {"kept": report["case_count"],
+                              "zero_max_utility": len(report["excluded"]["zero_max_utility"]),
+                              "failed": len(report["excluded"]["failed"])}
+            assert (f"{metric} {label}: {counts['kept']} cases kept, "
+                    f"{counts['zero_max_utility']} excluded for zero maximum utility, "
+                    f"{counts['failed']} excluded as failed") in out.splitlines()
+        assert meta["cases"]["ranked/AllBut1"]["zero_max_utility"] > 0
+        assert meta["cases"]["deviation/AllBut1"]["zero_max_utility"] == 0
+
     def test_train_users_subsample(self, workdir):
         doc = json.loads((workdir / "fixture_config.json").read_text())
         doc["dataset"]["train_users"] = 5
@@ -399,14 +431,38 @@ class TestModelScoring:
             out = []
             for protocol in config.protocols:
                 cases = generate_active_cases(test, protocol, config.seed)
-                for metric in ("ranked", "deviation"):
-                    out.append(run_experiment(
-                        train, cases, algs, metric, ranked_cfg=config.ranked,
-                        seed=config.seed, protocol_label=protocol.label,
-                    ).dumps())
+                out.extend(r.dumps() for r in run_experiment(
+                    train, cases, algs, ["ranked", "deviation"], ranked_cfg=config.ranked,
+                    seed=config.seed, protocol_label=protocol.label,
+                ))
             return out
 
         one, two = reports(), reports()
         assert one == two
         extras = json.loads(two[0])["extras"]["BN"]
         assert extras["lookups"] > 0 and extras["influenced"] > 0
+
+    def test_each_case_is_evaluated_once_for_both_metrics(self, tmp_path):
+        config = harness.load_config(FIXDIR / "fixture_config.json")
+        train, test = harness.load_datasets(config.dataset)
+        algs = [
+            harness.build_predictor(spec, train, train, config.seed, tmp_path)
+            for spec in config.algorithms if spec.kind != harness.POPULARITY
+        ]
+        evaluated = {alg.name: [] for alg in algs}
+        for alg in algs:
+            def counting(block, alg=alg, evaluate=alg._evaluate_block):
+                evaluated[alg.name].extend(id(case) for case in block)
+                return evaluate(block)
+
+            alg._evaluate_block = counting
+        for protocol in config.protocols:
+            cases = generate_active_cases(test, protocol, config.seed)
+            reports = run_experiment(train, cases, algs, ["ranked", "deviation"],
+                                     ranked_cfg=config.ranked, seed=config.seed)
+            assert reports[0].excluded["zero_max_utility"] or protocol.label != "AllBut1"
+            assert not any(r.excluded["failed"] for r in reports)
+            # every case is scheduled, as deviation scores them all
+            for alg in algs:
+                assert sorted(evaluated[alg.name]) == sorted(id(case) for case in cases)
+                evaluated[alg.name].clear()

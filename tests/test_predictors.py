@@ -203,8 +203,8 @@ class TestBlocks:
         def reports():
             algs = [MemoryPredictor(train, cfg, f"M{k}") for k, cfg in enumerate(memory_configs)]
             algs += [BayesNetPredictor(train, bn), ClusterPredictor(train, bc)]
-            return [run_experiment(train, cases, algs, metric).dumps()
-                    for metric in ("ranked", "deviation")]
+            reports = run_experiment(train, cases, algs, ["ranked", "deviation"])
+            return [r.dumps() for r in reports]
 
         blocked = reports()
         monkeypatch.setattr(predictors, "BLOCK_CASES", 1)
