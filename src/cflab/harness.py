@@ -4,9 +4,9 @@ A run is described by one JSON config: the dataset, the protocols, the named
 algorithms, and the metrics. The runner trains (and caches) any required
 models, scores each protocol's cases once for every metric, and writes
 deterministic report artifacts: rerunning an unchanged config reproduces the
-report files byte for byte. Volatile data (wall-clock timings) and the case
-counts of each metric and protocol go to a separate `run_meta.json` so the
-reports stay comparable.
+report files byte for byte. Volatile data (wall-clock timings), the case
+counts of each metric and protocol, and each predictor's cases per scoring
+block go to a separate `run_meta.json` so the reports stay comparable.
 """
 
 from __future__ import annotations
@@ -263,7 +263,7 @@ MODEL_FORMAT_VERSION = 1
 def _model_cache_key(train: VoteDatabase, spec: AlgorithmSpec, seed: int) -> str:
     h = hashlib.sha256()
     h.update(f"model format {MODEL_FORMAT_VERSION}\n".encode())
-    h.update(train.content_hash().encode())
+    h.update(train.content_hash.encode())
     h.update(spec.canonical_json().encode())
     h.update(str(seed).encode())
     return h.hexdigest()[:24]
@@ -416,6 +416,7 @@ def run(config: ExperimentConfig) -> RunResult:
         "wall_seconds": time.perf_counter() - t_start,
         "timing": {f"{m}/{p}": r.timing for (m, p), r in reports.items()},
         "cases": {f"{m}/{p}": r.case_counts() for (m, p), r in reports.items()},
+        "block_cases": {alg.name: alg.block_cases for alg in predictors},
         "train_users": len(train.users),
         "train_items": len(train.items),
         "test_users": len(test.users),

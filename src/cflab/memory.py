@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .votedata import ActiveCase, VoteDatabase
+from .votedata import ActiveCase, VoteDatabase, _Index
 
 CORRELATION = "correlation"
 VECTOR_SIMILARITY = "vector_similarity"
@@ -97,11 +97,11 @@ class MemoryScorer:
     """Weight and prediction pipeline for one database and config.
 
     Scores a block of cases at once. Each per-user sum a case's weights need
-    is one row of a sparse product: an evidence matrix, a row per case holding
-    its observed training items in observed order, times the transposed vote
-    columns. A product row adds each user's terms in the row's order, so a
-    case's sums, and with them its weights and predictions, do not depend on
-    the other cases of its block.
+    adds, over the case's observed training items in observed order, a term
+    for each user who voted on the item (`_Evidence.user_sums`). A user's
+    terms add in that order whatever else the block holds, so a case's sums,
+    and with them its weights and predictions, do not depend on the other
+    cases of its block.
     """
 
     def __init__(self, db: VoteDatabase, cfg: MemoryConfig) -> None:
@@ -116,11 +116,19 @@ class MemoryScorer:
             self._sum_fv = idx.V @ self.f
             self._sum_fv2 = np.asarray(idx.V2_csc.tocsr() @ self.f).ravel()
         if cfg.weight_kind == VECTOR_SIMILARITY:
-            self._norms = np.sqrt(np.asarray(idx.V2_csc.tocsr() @ (self.f**2)).ravel())
+            norms = np.sqrt(np.asarray(idx.V2_csc.tocsr() @ (self.f**2)).ravel())
+            self._has_norm = norms > 0
+            self._safe_norms = np.maximum(norms, 1e-300)
+        # The neighbour products w @ X run as (X.T @ w.T).T on item-major
+        # (items x users) CSR copies made here once: each item adds its
+        # voters' terms in user order, as w @ X does.
         if self.default is not None:
-            shifted = idx.V.copy()
-            shifted.data = shifted.data - self.default
-            self._v_minus_default = shifted
+            self._shift = self.default - idx.user_means
+            self._v_minus_default_T = idx.V_csc.T.copy()
+            self._v_minus_default_T.data -= self.default
+        else:
+            self._centered_T = idx.V_centered.T
+            self._mask_T = idx.M_csc.T
 
     # -- weights
 
@@ -128,7 +136,7 @@ class MemoryScorer:
         """Final weights (case amplification applied), a row per case and a
         column per user; zero where a user is skipped."""
         idx = self.idx
-        ev = _Evidence(cases, idx.item_pos)
+        ev = _Evidence(cases, idx)
         if self.cfg.weight_kind == CORRELATION:
             w = self._pearson_weights(ev)
         else:
@@ -188,7 +196,7 @@ class MemoryScorer:
         (dot,) = ev.user_sums(self.idx.V_csc, f_j * f_j * ev.votes)
         norm_a = np.sqrt(ev.case_sums((f_j * ev.votes) ** 2))[:, None]
         with np.errstate(invalid="ignore", divide="ignore"):
-            w = np.where(self._norms > 0, dot / (norm_a * np.maximum(self._norms, 1e-300)), 0.0)
+            w = np.where(self._has_norm, dot / (norm_a * self._safe_norms), 0.0)
         w[norm_a[:, 0] == 0] = 0.0
         return np.clip(w, 0.0, 1.0)
 
@@ -197,7 +205,6 @@ class MemoryScorer:
     def predict_all(self, cases: Sequence[ActiveCase]) -> tuple[np.ndarray, np.ndarray]:
         """Predicted votes and informed flags, a row per case and a column per
         database item."""
-        idx = self.idx
         scale = self.db.scale
         base = np.array([case.observed_mean for case in cases])[:, None]
         w = self.weights(cases)
@@ -205,9 +212,8 @@ class MemoryScorer:
         if self.default is not None:
             # every weighted user contributes; unvoted items enter at the default
             total = abs_w.sum(axis=1)
-            shift = self.default - idx.user_means
-            const = np.array([row @ shift for row in w])
-            dev = np.asarray(w @ self._v_minus_default)
+            const = np.array([row @ self._shift for row in w])
+            dev = (self._v_minus_default_T @ w.T).T
             with np.errstate(invalid="ignore", divide="ignore"):
                 values = base + (dev + const[:, None]) / total[:, None]
             values = np.clip(values, scale.min_vote, scale.max_vote)
@@ -215,8 +221,8 @@ class MemoryScorer:
             # a case nobody weighs in on keeps its own mean, unclipped
             values = np.where(informed, values, base)
             return values, informed
-        numer = np.asarray(w @ idx.V_centered)
-        denom = np.asarray(abs_w @ idx.M)
+        numer = (self._centered_T @ w.T).T
+        denom = (self._mask_T @ abs_w.T).T
         informed = denom > 0
         with np.errstate(invalid="ignore", divide="ignore"):
             values = np.where(informed, base + numer / np.where(informed, denom, 1.0), base)
@@ -224,15 +230,22 @@ class MemoryScorer:
 
 
 class _Evidence:
-    """A block's observed training items in observed order, a segment per case."""
+    """A block's observed training items in observed order, a segment per
+    case, and the training votes on them.
 
-    def __init__(self, cases: Sequence[ActiveCase], item_pos: Mapping) -> None:
+    `M_csc`, `V_csc` and `V2_csc` share one sparsity pattern, so a block's
+    co-voter entries are gathered once from it: for each observed item of
+    each case, in observed order, the users who voted on that item, as
+    positions into the columns' `data`.
+    """
+
+    def __init__(self, cases: Sequence[ActiveCase], idx: _Index) -> None:
         indptr = [0]
         cols: list[int] = []
         votes: list[float] = []
         for case in cases:
             for it, v in case.observed.items():
-                j = item_pos.get(it)
+                j = idx.item_pos.get(it)
                 if j is not None:
                     cols.append(j)
                     votes.append(v)
@@ -240,22 +253,30 @@ class _Evidence:
         self.indptr = np.asarray(indptr)
         self.cols = np.asarray(cols, dtype=np.intp)
         self.votes = np.asarray(votes, dtype=float)
-        self.num_items = len(item_pos)
+        self.shape = (len(cases), len(idx.user_ids))
+        pattern = idx.M_csc
+        starts = pattern.indptr[self.cols]
+        lens = pattern.indptr[self.cols + 1] - starts
+        # co-voter k of evidence entry e sits at data[starts[e] + k]
+        self._lens = lens
+        self._pos = np.arange(lens.sum()) + np.repeat(starts - (np.cumsum(lens) - lens), lens)
+        case_of = np.repeat(np.arange(len(cases)), np.diff(self.indptr))
+        self._key = np.repeat(case_of * self.shape[1], lens) + pattern.indices[self._pos]
 
     def user_sums(self, columns: sp.csc_matrix, *xs: np.ndarray) -> list[np.ndarray]:
         """For each entry vector x, the (cases x users) sums over a case's items
         j of x_j * columns[user, j], each added in the case's observed order.
 
-        The rows stay unsorted: sorting them would change that order."""
-        k, n = len(xs), len(self.cols)
-        cases = len(self.indptr) - 1
-        evidence = sp.csr_matrix(
-            (np.concatenate(xs), np.tile(self.cols, k),
-             np.concatenate([self.indptr[:-1] + i * n for i in range(k)] + [[k * n]])),
-            shape=(k * cases, self.num_items),
-        )
-        sums = (evidence @ columns.T).toarray()
-        return list(sums.reshape(k, cases, -1))
+        `columns` has the pattern of `M_csc`. `np.bincount` adds each user's
+        terms in input order, starting from 0.0, as a row of the sparse
+        product `evidence @ columns.T` would."""
+        data = columns.data[self._pos]
+        size = self.shape[0] * self.shape[1]
+        return [
+            np.bincount(self._key, weights=np.repeat(x, self._lens) * data, minlength=size)
+            .reshape(self.shape)
+            for x in xs
+        ]
 
     def case_sums(self, x: np.ndarray) -> np.ndarray:
         """Each case's sum over its own segment of x, as `.sum()` adds up that

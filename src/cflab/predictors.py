@@ -25,17 +25,19 @@ import numpy as np
 from . import bayesnet, cluster, memory
 from .votedata import ActiveCase, ItemId, VoteDatabase
 
-# Cases evaluated together. A few cases already share the fixed cost of a
-# memory predictor's sparse products, while each case in a block holds about
-# fifteen arrays of one float per training user as its weights are computed.
-BLOCK_CASES = 4
+# Weight entries (cases x training users) that one block may hold. Cases in
+# a block share the fixed cost of a memory predictor's per-block work, while
+# each case holds about fifteen arrays of one float per training user as its
+# weights are computed: sizing blocks by training users bounds that memory
+# at any training size.
+BLOCK_WEIGHTS = 2**13
 
 
 class Predictor:
     """The shared ranking and vote-prediction rules over `scores`.
 
     What a predictor derives from a case (`_evaluate_block`) is computed for
-    a block of up to BLOCK_CASES cases at once: `schedule` splits the cases
+    a block of up to `block_cases` cases at once: `schedule` splits the cases
     about to be scored into blocks, and the first call on a case evaluates its
     whole block. One block's results are kept, keyed by case identity; a case
     that was not scheduled is a block of one.
@@ -49,9 +51,16 @@ class Predictor:
         self._block_of: dict[int, list[ActiveCase]] = {}
         self._evaluated: dict[int, tuple[ActiveCase, object]] = {}
 
+    @property
+    def block_cases(self) -> int:
+        """Cases per block: as many as BLOCK_WEIGHTS weight entries hold, at
+        least one."""
+        return max(1, BLOCK_WEIGHTS // max(1, len(self.train.users)))
+
     def schedule(self, cases: Sequence[ActiveCase]) -> None:
         """Split the cases about to be scored, in scoring order, into blocks."""
-        blocks = [list(cases[i:i + BLOCK_CASES]) for i in range(0, len(cases), BLOCK_CASES)]
+        size = self.block_cases
+        blocks = [list(cases[i:i + size]) for i in range(0, len(cases), size)]
         # the blocks hold their cases, so no other live case shares an id
         self._block_of = {id(case): block for block in blocks for case in block}
 

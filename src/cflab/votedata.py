@@ -226,11 +226,11 @@ class _Index:
         return self.M.tocsc()
 
     @cached_property
-    def V_centered(self) -> sp.csr_matrix:
-        """Votes with each user's full-set mean subtracted, on the vote support."""
-        m = self.V.copy()
-        row_of = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
-        m.data = m.data - self.user_means[row_of]
+    def V_centered(self) -> sp.csc_matrix:
+        """Votes with each user's full-set mean subtracted, on the vote support
+        (item-major, as `V_csc`)."""
+        m = self.V_csc.copy()
+        m.data = m.data - self.user_means[m.indices]
         return m
 
     @cached_property
@@ -302,8 +302,10 @@ class VoteDatabase:
             for it, v in self.votes[u].items():
                 yield u, it, v
 
+    @cached_property
     def content_hash(self) -> str:
-        """Stable digest of scale plus votes, used for model caching."""
+        """Stable digest of scale plus votes, used for model caching. Computed
+        once: it walks every vote."""
         h = hashlib.sha256()
         h.update(json.dumps(self.scale.to_json(), sort_keys=True).encode())
         for it in self.items:

@@ -10,6 +10,7 @@ import itertools
 import math
 
 import numpy as np
+import scipy.sparse as sp
 
 
 def _iuf_map(db):
@@ -106,6 +107,20 @@ def brute_predict(case, item, db, cfg):
     value = base + sum(w * dev for w, dev in terms) / denom
     value = min(max(value, db.scale.min_vote), db.scale.max_vote)
     return value, True
+
+
+def evidence_product_sums(indptr, cols, columns, *xs):
+    """Per-user evidence sums as one scipy sparse product: an evidence matrix,
+    a row per (x, case) holding the case's item columns in observed order
+    (unsorted), times the transposed vote columns. A product row adds each
+    user's terms in the row's order."""
+    k, n, cases = len(xs), len(cols), len(indptr) - 1
+    evidence = sp.csr_matrix(
+        (np.concatenate(xs), np.tile(cols, k),
+         np.concatenate([indptr[:-1] + i * n for i in range(k)] + [[k * n]])),
+        shape=(k * cases, columns.shape[1]),
+    )
+    return list((evidence @ columns.T).toarray().reshape(k, cases, columns.shape[0]))
 
 
 def brute_ranked_utility(ranked, actual, half_life, neutral):

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cflab import cli, harness
+from cflab import cli, harness, predictors
 from cflab.bayesnet import LearnConfig, learn_network
 from cflab.cluster import em_fit
 from cflab.evaluation import run_experiment
@@ -40,6 +40,8 @@ FIXTURE_REPORT_DIGESTS = {
     "out_deviation/reports/summary_deviation.txt":
         "de1c412f6533510010e78c1040abcccb89ebcd7182422e50f11c4e1a347dd3e0",
 }
+
+FIXTURE_ALGORITHMS = ("POP", "CR", "CR+", "VSIM", "BC", "BN")
 
 # SHA-256 of the model files `harness.train_model` writes for the fixture
 # votes, read as 0..5 votes and as visits (every vote a visit), at seed 11.
@@ -116,14 +118,23 @@ class TestRun:
         assert (workdir / "out" / "splits" / "AllBut1.json").exists()
         assert (workdir / "out" / "run_meta.json").exists()
 
-    def test_fixture_reports_keep_their_digests(self, workdir):
-        assert run_cli("run", workdir / "fixture_config.json") == 0
-        assert run_cli("run", workdir / "fixture_config_deviation.json") == 0
-        digests = {
-            p.relative_to(workdir).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in sorted(workdir.glob("out*/reports/*"))
-        }
-        assert digests == FIXTURE_REPORT_DIGESTS
+    def test_fixture_reports_keep_their_digests(self, workdir, monkeypatch):
+        # at a case per block, at the default blocks, and with every case of
+        # a protocol in one block
+        for budget in (1, predictors.BLOCK_WEIGHTS, 2**40):
+            monkeypatch.setattr(predictors, "BLOCK_WEIGHTS", budget)
+            for out in workdir.glob("out*"):
+                shutil.rmtree(out)
+            assert run_cli("run", workdir / "fixture_config.json") == 0
+            assert run_cli("run", workdir / "fixture_config_deviation.json") == 0
+            digests = {
+                p.relative_to(workdir).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in sorted(workdir.glob("out*/reports/*"))
+            }
+            assert digests == FIXTURE_REPORT_DIGESTS, budget
+            meta = json.loads((workdir / "out" / "run_meta.json").read_text())
+            block = max(1, budget // meta["train_users"])
+            assert meta["block_cases"] == {name: block for name in FIXTURE_ALGORITHMS}
 
     def test_rerun_is_byte_identical(self, workdir):
         cfg = workdir / "fixture_config.json"
@@ -259,6 +270,23 @@ class TestRun:
         key = harness._model_cache_key(train, spec, config.seed)
         monkeypatch.setattr(harness, "MODEL_FORMAT_VERSION", harness.MODEL_FORMAT_VERSION + 1)
         assert harness._model_cache_key(train, spec, config.seed) != key
+
+    def test_training_set_is_hashed_once(self, workdir, monkeypatch):
+        db = load_votes_csv(workdir / "fixture_votes.csv", VoteScale(0, 5, 3.0, False))
+        assert db.content_hash == (
+            "0635402bfb2ccd1e22e9c2fea325a410c050e59d7ab5fad0730ea487da2a6141"
+        )
+        # the hash walks every vote; BC's and BN's cache keys share one walk
+        walks = []
+        iter_votes = VoteDatabase.iter_votes
+
+        def counting(self):
+            walks.append(self)
+            return iter_votes(self)
+
+        monkeypatch.setattr(VoteDatabase, "iter_votes", counting)
+        assert run_cli("run", workdir / "fixture_config.json") == 0
+        assert len(walks) == 1
 
     def test_failed_cache_write_leaves_no_model(self, workdir, monkeypatch):
         config = harness.load_config(workdir / "fixture_config.json")

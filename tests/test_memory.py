@@ -1,15 +1,17 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from cflab import predictors
 from cflab.memory import DefaultVoting, MemoryConfig, MemoryScorer, _Evidence
-from cflab.predictors import BLOCK_CASES, MemoryPredictor, PopularityPredictor
+from cflab.predictors import MemoryPredictor, PopularityPredictor
 from cflab.votedata import IMPLICIT_SCALE
 
 from conftest import case_for, make_db, random_explicit_db, random_implicit_db
-from reference import brute_predict, brute_weight
+from reference import brute_predict, brute_weight, evidence_product_sums
 
 CORR = MemoryConfig(weight_kind="correlation")
 VSIM = MemoryConfig(weight_kind="vector_similarity")
@@ -389,41 +391,101 @@ def block_cases(rng, db, n):
     return cases
 
 
+# the largest block test_block_equals_block_of_one has the block rule give
+MAX_BLOCK = 4
+
+
 class TestBlocks:
     """A block's weights and predictions are, row for row and bit for bit,
     those of each case scored alone."""
 
     @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n_cases=st.integers(1, 6))
+    @given(seed=st.integers(0, 2**32 - 1), n_cases=st.integers(0, 6))
     def test_user_sums_add_in_observed_order(self, seed, n_cases):
         # a case alone walks its item columns in observed order, adding each
-        # user's terms as it goes; the block product must add them alike
+        # user's terms as it goes; the block's sums must add them alike, for
+        # every column set that shares the vote pattern (0 votes included)
         rng = np.random.default_rng(seed)
         db = random_explicit_db(rng, n_users=6, n_items=7, density=0.7)
         cases = block_cases(rng, db, n_cases)
-        ev = _Evidence(cases, db.index.item_pos)
+        ev = _Evidence(cases, db.index)
         x = rng.normal(size=len(ev.cols)) * 10.0 ** rng.integers(-8, 9, size=len(ev.cols))
-        (got,) = ev.user_sums(db.index.V_csc, x)
-        for row, case in enumerate(cases):
-            for i, u in enumerate(db.users):
-                want = 0.0
-                for k in range(ev.indptr[row], ev.indptr[row + 1]):
-                    vote = db.votes[u].get(db.items[ev.cols[k]])
-                    if vote is not None:
-                        want += float(x[k]) * vote
-                assert got[row, i] == want
+        term = {"M_csc": lambda v: 1.0, "V_csc": lambda v: v, "V2_csc": lambda v: v * v}
+        for name, value in term.items():
+            (got,) = ev.user_sums(getattr(db.index, name), x)
+            assert got.shape == (n_cases, len(db.users))
+            for row, case in enumerate(cases):
+                for i, u in enumerate(db.users):
+                    want = 0.0
+                    for k in range(ev.indptr[row], ev.indptr[row + 1]):
+                        vote = db.votes[u].get(db.items[ev.cols[k]])
+                        if vote is not None:
+                            want += float(x[k]) * value(vote)
+                    assert got[row, i] == want, name
+
+    def test_zero_votes_and_cases_outside_training(self):
+        # a 0 vote is a co-vote: it counts in M and adds 0 * x in V and V2
+        db = make_db([("u", "a", 0), ("u", "b", 4), ("w", "a", 2)])
+        cases = [case_for("t", {"b": 3, "a": 5}), case_for("s", {"zz": 1}), case_for("r", {"a": 1})]
+        ev = _Evidence(cases, db.index)
+        x = np.array([2.0, 3.0, 7.0])
+        count, sx = ev.user_sums(db.index.M_csc, np.ones(3), x)
+        (sv,) = ev.user_sums(db.index.V_csc, x)
+        (sv2,) = ev.user_sums(db.index.V2_csc, x)
+        assert count.tolist() == [[2.0, 1.0], [0.0, 0.0], [1.0, 1.0]]
+        assert sx.tolist() == [[5.0, 3.0], [0.0, 0.0], [7.0, 7.0]]
+        assert sv.tolist() == [[8.0, 6.0], [0.0, 0.0], [0.0, 14.0]]
+        assert sv2.tolist() == [[32.0, 12.0], [0.0, 0.0], [0.0, 28.0]]
+        assert [a.shape for a in _Evidence([], db.index).user_sums(db.index.V_csc, x[:0])] == [(0, 2)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_cases=st.integers(0, 8), implicit=st.booleans())
+    def test_user_sums_equal_the_sparse_product(self, seed, n_cases, implicit):
+        rng = np.random.default_rng(seed)
+        n_users, n_items = int(rng.integers(1, 15)), int(rng.integers(1, 10))
+        if implicit:
+            db = random_implicit_db(rng, n_users=n_users, n_items=n_items, density=0.5)
+        else:
+            db = random_explicit_db(rng, n_users=n_users, n_items=max(n_items, 2), density=0.6)
+        cases = block_cases(rng, db, n_cases)
+        ev = _Evidence(cases, db.index)
+        xs = [rng.normal(size=len(ev.cols)) * 10.0 ** rng.integers(-8, 9, size=len(ev.cols))
+              for _ in range(3)]
+        for columns in (db.index.M_csc, db.index.V_csc, db.index.V2_csc):
+            got = ev.user_sums(columns, *xs)
+            want = evidence_product_sums(ev.indptr, ev.cols, columns, *xs)
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_rows=st.integers(1, 5))
+    def test_item_major_products_equal_user_major(self, seed, n_rows):
+        # predictions multiply the weights into item-major vote matrices,
+        # (X.T @ w.T).T; each item must add its voters' terms as w @ X adds
+        # them on the user-major matrix
+        rng = np.random.default_rng(seed)
+        db = random_explicit_db(rng, n_users=int(rng.integers(1, 15)), n_items=6, density=0.6)
+        shape = (n_rows, len(db.users))
+        w = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+        w[rng.random(shape) < 0.4] = 0.0
+        for item_major in (db.index.V_centered, db.index.M_csc, db.index.V_csc):
+            want = np.asarray(w @ item_major.tocsr())
+            assert (item_major.T @ w.T).T.tobytes() == want.tobytes()
 
     @settings(max_examples=15, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
         implicit=st.booleans(),
-        n_cases=st.integers(1, 2 * BLOCK_CASES + 3),
+        n_cases=st.integers(1, 2 * MAX_BLOCK + 3),
+        block=st.integers(1, MAX_BLOCK),
     )
     # an uncorrelated neighbour whose round-off covariance is 3.2e-17
-    @example(seed=559, implicit=False, n_cases=1)
-    def test_block_equals_block_of_one(self, seed, implicit, n_cases):
+    @example(seed=559, implicit=False, n_cases=1, block=1)
+    def test_block_equals_block_of_one(self, seed, implicit, n_cases, block):
         rng = np.random.default_rng(seed)
         n_users, n_items = int(rng.integers(2, 12)), int(rng.integers(2, 9))
+        # a weight budget that the block rule turns into `block` cases per
+        # block, so that the cases span up to n_cases blocks
+        budget = block * n_users + seed % n_users
         if implicit:
             db = random_implicit_db(rng, n_users=n_users, n_items=n_items, density=0.5)
         else:
@@ -434,7 +496,9 @@ class TestBlocks:
             weights = scorer.weights(cases)
             values, informed = scorer.predict_all(cases)
             pred = MemoryPredictor(db, cfg, name="M")
-            pred.schedule(cases)
+            with mock.patch.object(predictors, "BLOCK_WEIGHTS", budget):
+                assert pred.block_cases == block
+                pred.schedule(cases)
             for row in rng.permutation(n_cases):  # any case may open its block
                 case = cases[row]
                 (alone_v,), (alone_i,) = scorer.predict_all([case])

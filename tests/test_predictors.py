@@ -10,7 +10,6 @@ from cflab.cluster import em_fit
 from cflab.evaluation import run_experiment
 from cflab.memory import DefaultVoting, MemoryConfig, MemoryScorer
 from cflab.predictors import (
-    BLOCK_CASES,
     BayesNetPredictor,
     ClusterPredictor,
     MemoryPredictor,
@@ -190,10 +189,10 @@ class TestBlocks:
         bc = em_fit(train, 2, seed=1, compute_cs=False)[0]
         bn = learn_network(train, LearnConfig(structure_penalty=0.99))
         cases = generate_active_cases(test, Protocol.all_but_1(), seed=3)
-        middle = BLOCK_CASES + BLOCK_CASES // 2  # of the second block
-        assert BLOCK_CASES > 1 and len(cases) > 2 * BLOCK_CASES
+        # by default the bad case shares its block with other cases
+        assert PopularityPredictor(train).block_cases > 1
         bad = ActiveCase("bad", {bn.items[0]: 2.5, bn.items[1]: 4.0}, {bn.items[2]: 5.0})
-        cases.insert(middle, bad)
+        cases.insert(len(cases) // 2, bad)
         memory_configs = [
             MemoryConfig("correlation"),
             MemoryConfig("correlation", DefaultVoting(k=100), True, 2.5),
@@ -207,7 +206,8 @@ class TestBlocks:
             return [r.dumps() for r in reports]
 
         blocked = reports()
-        monkeypatch.setattr(predictors, "BLOCK_CASES", 1)
+        monkeypatch.setattr(predictors, "BLOCK_WEIGHTS", 1)  # a case per block
+        assert PopularityPredictor(train).block_cases == 1
         assert blocked == reports()
         for text in blocked:
             doc = json.loads(text)
