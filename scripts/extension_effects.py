@@ -15,12 +15,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from cflab.evaluation import (  # noqa: E402
-    RankedScoringConfig,
-    max_ranked_utility,
-    normalized_ranked_score,
-    ranked_utility,
-)
+from cflab.evaluation import RankedScoringConfig, run_experiment  # noqa: E402
 from cflab.memory import DefaultVoting, MemoryConfig  # noqa: E402
 from cflab.predictors import MemoryPredictor  # noqa: E402
 from cflab.votedata import (  # noqa: E402
@@ -56,16 +51,9 @@ def taste_db(rng, users_per, prefix):
 
 def ranked_score(train, cases, cfg):
     predictor = MemoryPredictor(train, cfg, name="CR")
-    rc = RankedScoringConfig(5.0, 0.0)
-    utilities, maxima = [], []
-    for c in cases:
-        ranked = predictor.rank(c)
-        m = max_ranked_utility(c.targets, rc)
-        if m <= 0:
-            continue
-        utilities.append(ranked_utility(ranked, c.targets, rc))
-        maxima.append(m)
-    return normalized_ranked_score(utilities, maxima)
+    [report] = run_experiment(train, cases, [predictor], ["ranked"],
+                              ranked_cfg=RankedScoringConfig(5.0, 0.0))
+    return report.aggregate["CR"]
 
 
 def main() -> int:

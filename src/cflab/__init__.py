@@ -42,7 +42,6 @@ from .votedata import (
     load_msweb,
     load_split_manifest,
     load_votes_csv,
-    mean_vote,
     restrict_to_top_items,
     save_split_manifest,
     save_votes_csv,

@@ -116,8 +116,6 @@ class FitReport:
     objective_trace: list[float]
     iterations: int
     converged: bool
-    cs_score: float = float("nan")
-    objective: str = "map"
 
 
 def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
@@ -245,12 +243,14 @@ def em_fit(
     tol: float = 1e-6,
     max_iter: int = 200,
     prior_strength: float = 1.0,
-    compute_cs: bool = True,
 ) -> tuple[ClusterModel, FitReport]:
     """Fit the mixture by EM to a local maximum of the smoothed objective.
 
     Stops when the per-user objective improves by less than `tol` (relative),
-    or after `max_iter` iterations. Deterministic for a fixed seed.
+    or after `max_iter` iterations. Deterministic for a fixed seed. One class
+    needs no special case: every responsibility is exactly 1, so the first
+    M-step gives the smoothed frequencies, the exact optimum, and the second
+    iteration sees no improvement.
     """
     if num_classes < 1:
         raise ValueError("need at least one class")
@@ -263,18 +263,6 @@ def em_fit(
         )
     X, XT = db.index.vote_states, db.index.vote_states_T
     n, t = len(db.users), len(db.items)
-
-    if num_classes == 1:
-        # no hidden variable: the smoothed frequencies are the exact optimum
-        totals, counts = _counts(XT, np.ones((n, 1)), t)
-        prior, cond = map_estimates(totals, counts, prior_strength, n_users=n)
-        model = ClusterModel(db.scale, db.items, prior, cond)
-        ll = float(_logsumexp_rows(_loglik_matrix(X, prior, cond)).sum())
-        obj = ll + _log_prior_term(prior, cond, prior_strength)
-        report = FitReport([obj], iterations=1, converged=True)
-        if compute_cs:
-            report.cs_score = cheeseman_stutz_score(model, db, prior_strength)
-        return model, report
 
     rng = np.random.default_rng(seed)
     prior, cond = _init_params(db, num_classes, rng, prior_strength)
@@ -299,10 +287,7 @@ def em_fit(
             break
         prev = per_user
     model = ClusterModel(db.scale, db.items, prior, cond)
-    report = FitReport(trace, iterations=iterations, converged=converged)
-    if compute_cs:
-        report.cs_score = cheeseman_stutz_score(model, db, prior_strength)
-    return model, report
+    return model, FitReport(trace, iterations=iterations, converged=converged)
 
 
 def _dirichlet_marginal(counts: np.ndarray, alpha: float) -> np.ndarray:
@@ -376,14 +361,12 @@ def select_cluster_model(
             model, report = em_fit(
                 db, c, seed=sub_seed,
                 tol=tol, max_iter=max_iter, prior_strength=prior_strength,
-                compute_cs=False,
             )
             obj = report.objective_trace[-1]
             if best_fit is None or obj > best_fit[2]:
                 best_fit = (model, report, obj)
         model, report, obj = best_fit
         cs = cheeseman_stutz_score(model, db, prior_strength)
-        report.cs_score = cs
         table.append({
             "classes": c,
             "cs_score": cs,

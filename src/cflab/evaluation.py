@@ -185,12 +185,6 @@ class ExperimentReport:
             cols.append(col)
         return np.column_stack(cols)
 
-    def recompute_aggregate(self, name: str) -> float:
-        col = self.scores[name]
-        if self.metric == RANKED:
-            return normalized_ranked_score(col, self.rmax)
-        return float(np.mean(col))
-
     def to_json(self) -> dict:
         # timings are deliberately left out: report bytes must be identical
         # across reruns of the same configuration

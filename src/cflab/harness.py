@@ -107,11 +107,23 @@ def _require(obj: dict, key: str, where: str):
     return obj[key]
 
 
+def _check_keys(obj: dict, allowed: tuple[str, ...], where: str) -> None:
+    """Reject a key that nothing reads: a misspelt key would silently leave
+    its setting at the default."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where}: must be a JSON object")
+    for key in obj:
+        if key not in allowed:
+            raise ConfigError(f"{where}: unknown key {key!r}")
+
+
 def parse_config(doc: dict, base_dir: Path) -> ExperimentConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("config: top level must be a JSON object")
+    _check_keys(doc, ("dataset", "protocols", "algorithms", "metrics", "ranked",
+                      "confidence", "seed", "output_dir"), "config")
 
     ds = _require(doc, "dataset", "config")
+    _check_keys(ds, ("format", "train", "test", "scale", "top_items", "test_fraction",
+                     "split_seed", "min_votes", "train_users"), "dataset")
     fmt = _require(ds, "format", "dataset")
     if fmt not in ("msweb", "csv"):
         raise ConfigError(f"dataset.format: unknown format {fmt!r}")
@@ -129,6 +141,7 @@ def parse_config(doc: dict, base_dir: Path) -> ExperimentConfig:
         raw_scale = ds.get("scale")
         if raw_scale is None:
             raise ConfigError("dataset.scale: required for csv datasets")
+        _check_keys(raw_scale, ("min_vote", "max_vote", "neutral", "implicit"), "dataset.scale")
         try:
             scale = VoteScale(
                 min_vote=int(raw_scale.get("min_vote", 0)),
@@ -169,6 +182,7 @@ def parse_config(doc: dict, base_dir: Path) -> ExperimentConfig:
     algorithms = []
     names = set()
     for i, a in enumerate(raw_algorithms):
+        _check_keys(a, ("name", "kind", "config"), f"algorithms[{i}]")
         name = _require(a, "name", f"algorithms[{i}]")
         kind = _require(a, "kind", f"algorithms[{i}]")
         if kind not in ALGORITHM_KINDS:
@@ -182,6 +196,8 @@ def parse_config(doc: dict, base_dir: Path) -> ExperimentConfig:
                 memory.MemoryConfig.from_json(params)
             except (ValueError, KeyError, TypeError) as exc:
                 raise ConfigError(f"algorithms[{i}].config: {exc}") from None
+        else:
+            _check_keys(params, ALGORITHM_PARAMS[kind], f"algorithms[{i}].config")
         algorithms.append(AlgorithmSpec(name=name, kind=kind, params=params))
 
     metrics = doc.get("metrics", [RANKED])
@@ -196,6 +212,7 @@ def parse_config(doc: dict, base_dir: Path) -> ExperimentConfig:
             )
 
     raw_ranked = doc.get("ranked", {})
+    _check_keys(raw_ranked, ("half_life", "neutral"), "ranked")
     try:
         ranked = RankedScoringConfig(
             half_life=float(raw_ranked.get("half_life", 5.0)),
@@ -269,6 +286,15 @@ def _model_cache_key(train: VoteDatabase, spec: AlgorithmSpec, seed: int) -> str
     return h.hexdigest()[:24]
 
 
+# The config keys that train_model reads for each kind of trained model;
+# popularity reads none, and memory configs check their own keys.
+ALGORITHM_PARAMS = {
+    POPULARITY: (),
+    CLUSTER: ("classes", "max_classes", "restarts", "prior_strength", "max_iter"),
+    BAYESNET: ("structure_penalty", "ess", "max_parents"),
+}
+
+
 def train_model(train: VoteDatabase, spec: AlgorithmSpec, seed: int, cache_dir: Path):
     """Train (or load from cache) the model behind a cluster/bayesnet algorithm."""
     key = _model_cache_key(train, spec, seed)
@@ -303,7 +329,6 @@ def train_model(train: VoteDatabase, spec: AlgorithmSpec, seed: int, cache_dir: 
                 seed=seed,
                 prior_strength=float(params.get("prior_strength", 1.0)),
                 max_iter=int(params.get("max_iter", 200)),
-                compute_cs=False,
             )
         else:
             model, _ = cluster.select_cluster_model(

@@ -65,8 +65,15 @@ class MemoryConfig:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "MemoryConfig":
+        """Parse `to_json`'s form; a key that nothing here reads is an error."""
         dv = obj.get("default_voting")
         amp = obj.get("case_amp")
+        known = ("weight", "iuf", "default_voting", "default_voting.d", "default_voting.k",
+                 "case_amp", "case_amp.p")
+        for key in [*obj, *(f"default_voting.{k}" for k in dv or {}),
+                    *(f"case_amp.{k}" for k in amp or {})]:
+            if key not in known:
+                raise ValueError(f"unknown key {key!r}")
         return cls(
             weight_kind=obj.get("weight", CORRELATION),
             default_voting=None if dv is None else DefaultVoting(
@@ -93,6 +100,11 @@ def _resolve_default(db: VoteDatabase, cfg: MemoryConfig) -> float | None:
     return float(d)
 
 
+def _with_entries(pattern: sp.csr_matrix, data: np.ndarray) -> sp.csr_matrix:
+    """A CSR matrix with `pattern`'s sparsity and the entries `data`."""
+    return sp.csr_matrix((data, pattern.indices, pattern.indptr), shape=pattern.shape)
+
+
 class MemoryScorer:
     """Weight and prediction pipeline for one database and config.
 
@@ -102,33 +114,36 @@ class MemoryScorer:
     terms add in that order whatever else the block holds, so a case's sums,
     and with them its weights and predictions, do not depend on the other
     cases of its block.
+
+    The vote matrices a config needs are built here, once, on the database's
+    two vote patterns: the per-user totals are products with matrices on
+    `V`'s pattern, and the neighbour products w @ X run as (X.T @ w.T).T on
+    item-major (items x users) matrices on `V_csc.T`'s pattern, so that each
+    item adds its voters' terms in user order, as w @ X does.
     """
 
     def __init__(self, db: VoteDatabase, cfg: MemoryConfig) -> None:
         self.db = db
         self.cfg = cfg
-        self.idx = db.index
+        self.idx = idx = db.index
         self.default = _resolve_default(db, cfg)
-        self.f = self.idx.iuf if cfg.inverse_user_frequency else np.ones(len(db.items))
-        idx = self.idx
+        self.f = idx.iuf if cfg.inverse_user_frequency else np.ones(len(db.items))
+        V, votes_T = idx.V, idx.V_csc.T
         if cfg.weight_kind == CORRELATION and self.default is not None:
-            self._sum_f = idx.M @ self.f
-            self._sum_fv = idx.V @ self.f
-            self._sum_fv2 = np.asarray(idx.V2_csc.tocsr() @ self.f).ravel()
+            self._sum_f = _with_entries(V, np.ones(V.nnz)) @ self.f
+            self._sum_fv = V @ self.f
+            self._sum_fv2 = _with_entries(V, V.data**2) @ self.f
         if cfg.weight_kind == VECTOR_SIMILARITY:
-            norms = np.sqrt(np.asarray(idx.V2_csc.tocsr() @ (self.f**2)).ravel())
+            norms = np.sqrt(_with_entries(V, V.data**2) @ (self.f**2))
             self._has_norm = norms > 0
             self._safe_norms = np.maximum(norms, 1e-300)
-        # The neighbour products w @ X run as (X.T @ w.T).T on item-major
-        # (items x users) CSR copies made here once: each item adds its
-        # voters' terms in user order, as w @ X does.
         if self.default is not None:
             self._shift = self.default - idx.user_means
-            self._v_minus_default_T = idx.V_csc.T.copy()
-            self._v_minus_default_T.data -= self.default
+            self._v_minus_default_T = _with_entries(votes_T, votes_T.data - self.default)
         else:
-            self._centered_T = idx.V_centered.T
-            self._mask_T = idx.M_csc.T
+            centered = votes_T.data - idx.user_means[votes_T.indices]
+            self._centered_T = _with_entries(votes_T, centered)
+            self._mask_T = _with_entries(votes_T, np.ones(votes_T.nnz))
 
     # -- weights
 
@@ -151,15 +166,14 @@ class MemoryScorer:
         return w
 
     def _pearson_weights(self, ev: "_Evidence") -> np.ndarray:
-        idx = self.idx
         f_j = self.f[ev.cols]
         fv = f_j * ev.votes
         fvv = fv * ev.votes
         d = self.default
         if d is None:
-            count, sf, sfa, sfaa = ev.user_sums(idx.M_csc, np.ones(len(f_j)), f_j, fv, fvv)
-            sfb, sfab = ev.user_sums(idx.V_csc, f_j, fv)
-            (sfbb,) = ev.user_sums(idx.V2_csc, f_j)
+            count, sf, sfa, sfaa = ev.user_sums(0, np.ones(len(f_j)), f_j, fv, fvv)
+            sfb, sfab = ev.user_sums(1, f_j, fv)
+            (sfbb,) = ev.user_sums(2, f_j)
             num = sf * sfab - sfa * sfb
             var_a = sf * sfaa - sfa**2
             var_b = sf * sfbb - sfb**2
@@ -169,8 +183,8 @@ class MemoryScorer:
         else:
             # the squared sums of the co-voted items enter only through the
             # full-vector totals (_sum_fv2, a_fv2)
-            count, sf, sfa = ev.user_sums(idx.M_csc, np.ones(len(f_j)), f_j, fv)
-            sfb, sfab = ev.user_sums(idx.V_csc, f_j, fv)
+            count, sf, sfa = ev.user_sums(0, np.ones(len(f_j)), f_j, fv)
+            sfb, sfab = ev.user_sums(1, f_j, fv)
             kf = (self.cfg.default_voting.k if self.cfg.default_voting else 0) * \
                 SYNTHETIC_ITEM_FREQUENCY
             a_f, a_fv, a_fv2 = (ev.case_sums(x)[:, None] for x in (f_j, fv, fvv))
@@ -193,7 +207,7 @@ class MemoryScorer:
 
     def _cosine_weights(self, ev: "_Evidence") -> np.ndarray:
         f_j = self.f[ev.cols]
-        (dot,) = ev.user_sums(self.idx.V_csc, f_j * f_j * ev.votes)
+        (dot,) = ev.user_sums(1, f_j * f_j * ev.votes)
         norm_a = np.sqrt(ev.case_sums((f_j * ev.votes) ** 2))[:, None]
         with np.errstate(invalid="ignore", divide="ignore"):
             w = np.where(self._has_norm, dot / (norm_a * self._safe_norms), 0.0)
@@ -233,10 +247,9 @@ class _Evidence:
     """A block's observed training items in observed order, a segment per
     case, and the training votes on them.
 
-    `M_csc`, `V_csc` and `V2_csc` share one sparsity pattern, so a block's
-    co-voter entries are gathered once from it: for each observed item of
-    each case, in observed order, the users who voted on that item, as
-    positions into the columns' `data`.
+    A block's co-voters are gathered once from `V_csc`: for each observed
+    item of each case, in observed order, the users who voted on that item
+    and their votes on it.
     """
 
     def __init__(self, cases: Sequence[ActiveCase], idx: _Index) -> None:
@@ -254,26 +267,27 @@ class _Evidence:
         self.cols = np.asarray(cols, dtype=np.intp)
         self.votes = np.asarray(votes, dtype=float)
         self.shape = (len(cases), len(idx.user_ids))
-        pattern = idx.M_csc
+        pattern = idx.V_csc
         starts = pattern.indptr[self.cols]
         lens = pattern.indptr[self.cols + 1] - starts
         # co-voter k of evidence entry e sits at data[starts[e] + k]
         self._lens = lens
-        self._pos = np.arange(lens.sum()) + np.repeat(starts - (np.cumsum(lens) - lens), lens)
+        pos = np.arange(lens.sum()) + np.repeat(starts - (np.cumsum(lens) - lens), lens)
+        self._covotes = pattern.data[pos]
         case_of = np.repeat(np.arange(len(cases)), np.diff(self.indptr))
-        self._key = np.repeat(case_of * self.shape[1], lens) + pattern.indices[self._pos]
+        self._key = np.repeat(case_of * self.shape[1], lens) + pattern.indices[pos]
 
-    def user_sums(self, columns: sp.csc_matrix, *xs: np.ndarray) -> list[np.ndarray]:
+    def user_sums(self, power: int, *xs: np.ndarray) -> list[np.ndarray]:
         """For each entry vector x, the (cases x users) sums over a case's items
-        j of x_j * columns[user, j], each added in the case's observed order.
+        j of x_j * V[user, j]**power, each added in the case's observed order.
 
-        `columns` has the pattern of `M_csc`. `np.bincount` adds each user's
+        Power 0 counts a 0 vote as a co-vote. `np.bincount` adds each user's
         terms in input order, starting from 0.0, as a row of the sparse
-        product `evidence @ columns.T` would."""
-        data = columns.data[self._pos]
+        product of the evidence with those vote terms would."""
+        terms = self._covotes**power
         size = self.shape[0] * self.shape[1]
         return [
-            np.bincount(self._key, weights=np.repeat(x, self._lens) * data, minlength=size)
+            np.bincount(self._key, weights=np.repeat(x, self._lens) * terms, minlength=size)
             .reshape(self.shape)
             for x in xs
         ]

@@ -111,12 +111,6 @@ class VoteScale:
             return dist[..., 1]
         return self.expected_vote(dist) * dist[..., 1:].sum(axis=-1)
 
-    def value_of_state(self, state: int) -> int | None:
-        """Inverse of state_of; state 0 maps to None."""
-        if state == 0:
-            return None
-        return self.vote_values[state - 1]
-
     def to_json(self) -> dict:
         return {
             "min_vote": self.min_vote,
@@ -141,6 +135,9 @@ IMPLICIT_SCALE = VoteScale(0, 1, 0.0, True)
 class _Index:
     """Array views of a database shared by the vectorized predictors.
 
+    The votes have three encodings: `V` (users x items), `V_csc` (the same
+    votes, item-major) and `vote_states` (one-hot vote states). Matrices
+    derived from the votes are built by the predictors that need them.
     Built lazily and cached on the database; the database is immutable by
     convention so the cache is safe to share across readers.
     """
@@ -159,20 +156,18 @@ class _Index:
                 rows.append(i)
                 cols.append(self.item_pos[it])
                 vals.append(v)
-        shape = (n, t)
+        # every recorded vote is an entry, 0 votes included, so entry counts
+        # are vote counts
         self.V = sp.csr_matrix(
-            (np.asarray(vals, dtype=float), (rows, cols)), shape=shape
+            (np.asarray(vals, dtype=float), (rows, cols)), shape=(n, t)
         )
-        self.M = sp.csr_matrix(
-            (np.ones(len(vals)), (rows, cols)), shape=shape
-        )
-        self.user_counts = np.asarray(self.M.sum(axis=1)).ravel()
+        self.user_counts = np.diff(self.V.indptr).astype(float)
         self.user_sums = np.asarray(self.V.sum(axis=1)).ravel()
         with np.errstate(invalid="ignore"):
             self.user_means = np.where(
                 self.user_counts > 0, self.user_sums / np.maximum(self.user_counts, 1), 0.0
             )
-        self.item_counts = np.asarray(self.M.sum(axis=0)).ravel()
+        self.item_counts = np.bincount(self.V.indices, minlength=t).astype(float)
         self.item_array = np.array(self.item_ids, dtype=object)
         # rank of each item id in sorted order, the tie-break of every ranking
         self.item_sort_rank = np.empty(t, dtype=int)
@@ -213,25 +208,8 @@ class _Index:
 
     @cached_property
     def V_csc(self) -> sp.csc_matrix:
+        """`V` item-major: the same votes, an item's voters in user order."""
         return self.V.tocsc()
-
-    @cached_property
-    def V2_csc(self) -> sp.csc_matrix:
-        m = self.V_csc.copy()
-        m.data = m.data**2
-        return m
-
-    @cached_property
-    def M_csc(self) -> sp.csc_matrix:
-        return self.M.tocsc()
-
-    @cached_property
-    def V_centered(self) -> sp.csc_matrix:
-        """Votes with each user's full-set mean subtracted, on the vote support
-        (item-major, as `V_csc`)."""
-        m = self.V_csc.copy()
-        m.data = m.data - self.user_means[m.indices]
-        return m
 
     @cached_property
     def iuf(self) -> np.ndarray:
@@ -333,14 +311,6 @@ class VoteDatabase:
                 new_users.append(u)
         new_items = tuple(it for it in self.items if it in keep_items)
         return VoteDatabase(tuple(new_users), new_items, new_votes, self.scale)
-
-
-def mean_vote(db: VoteDatabase, user: UserId) -> float:
-    """Arithmetic mean of the user's recorded votes."""
-    per = db.votes.get(user)
-    if not per:
-        raise ValueError(f"user {user!r} has no votes in this database")
-    return sum(per.values()) / len(per)
 
 
 @dataclass(frozen=True)

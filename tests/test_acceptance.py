@@ -20,6 +20,7 @@ import cflab
 from cflab import harness
 from cflab.bayesnet import LearnConfig, learn_network
 from cflab.cluster import (
+    cheeseman_stutz_score,
     em_fit,
     expected_counts,
     map_estimates,
@@ -235,7 +236,7 @@ def test_criterion_5_em_properties():
     rng = np.random.default_rng(55)
     for trial in range(6):
         db = random_implicit_db(rng, n_users=25, n_items=7, density=0.5)
-        _, report = em_fit(db, int(rng.integers(1, 5)), seed=trial, compute_cs=False)
+        _, report = em_fit(db, int(rng.integers(1, 5)), seed=trial)
         assert (np.diff(report.objective_trace) >= -1e-9).all()
 
     # one M step on class-labeled data reproduces smoothed frequencies exactly
@@ -254,7 +255,7 @@ def test_criterion_5_em_properties():
     wins = 0
     for seed in range(20):
         db = two_block_db(np.random.default_rng(1000 + seed))
-        model, _ = em_fit(db, 2, seed=seed, compute_cs=False)
+        model, _ = em_fit(db, 2, seed=seed)
         wins += all(model.posterior(db.votes[u]).max() >= 0.99 for u in db.users)
     assert wins >= 18, f"recovered on only {wins}/20 seeds"
     ok(5, f"EM monotone, closed-form M step, recovery {wins}/20")
@@ -265,7 +266,8 @@ def test_criterion_6_marginal_likelihood_quality():
     for seed in range(5):
         rng = np.random.default_rng(900 + seed)
         db = two_item_two_class_db(rng)
-        best = max(em_fit(db, 2, seed=seed * 13 + r)[1].cs_score for r in range(3))
+        best = max(cheeseman_stutz_score(em_fit(db, 2, seed=seed * 13 + r)[0], db)
+                   for r in range(3))
         exact = exact_mixture_log_marginal(db, 2)
         rel = abs(best - exact) / abs(exact)
         assert rel <= 0.05, f"seed {seed}: relative gap {rel:.3f}"

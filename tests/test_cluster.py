@@ -136,7 +136,8 @@ class TestEmFit:
     def test_single_class_is_smoothed_marginals(self):
         db = random_implicit_db(np.random.default_rng(0), n_users=12, n_items=5)
         model, report = em_fit(db, 1, seed=0)
-        assert report.iterations == 1 and report.converged
+        # every responsibility is 1, so the second iteration changes nothing
+        assert report.iterations == 2 and report.converged
         prior, cond = hand_smoothed_frequencies(db, [0] * len(db.users), 1)
         assert model.class_prior == pytest.approx(prior)
         np.testing.assert_allclose(model.cond, cond, atol=1e-12)
@@ -144,7 +145,7 @@ class TestEmFit:
     def test_two_population_recovery(self):
         rng = np.random.default_rng(1003)
         db = two_block_db(rng)
-        model, _ = em_fit(db, 2, seed=3, compute_cs=False)
+        model, _ = em_fit(db, 2, seed=3)
         posts = np.array([model.posterior(db.votes[u]) for u in db.users])
         assert (posts.max(axis=1) >= 0.99).all()
         # the two blocks land in opposite classes
@@ -161,7 +162,7 @@ class TestEmFit:
     def test_more_classes_than_users_warns_but_fits(self, caplog):
         db = make_db([("u", "a", 1), ("v", "a", 1), ("v", "b", 1)], scale=IMPLICIT_SCALE)
         with caplog.at_level("WARNING"):
-            model, _ = em_fit(db, 5, seed=0, compute_cs=False)
+            model, _ = em_fit(db, 5, seed=0)
         assert model.num_classes == 5
         assert any("classes" in r.message for r in caplog.records)
 
@@ -169,7 +170,7 @@ class TestEmFit:
         rng = np.random.default_rng(7)
         for trial in range(5):
             db = random_implicit_db(rng, n_users=15, n_items=6)
-            _, report = em_fit(db, 3, seed=trial, compute_cs=False)
+            _, report = em_fit(db, 3, seed=trial)
             diffs = np.diff(report.objective_trace)
             assert (diffs >= -1e-9).all()
 
@@ -218,7 +219,7 @@ class TestPosterior:
     def test_posterior_sums_to_one(self):
         rng = np.random.default_rng(5)
         db = random_implicit_db(rng, n_users=20, n_items=6)
-        model, _ = em_fit(db, 4, seed=2, compute_cs=False)
+        model, _ = em_fit(db, 4, seed=2)
         for u in db.users[:5]:
             post = model.posterior(db.votes[u])
             assert post.sum() == pytest.approx(1.0, abs=1e-10)
@@ -265,7 +266,7 @@ class TestClusterPredict:
     def test_expected_vote_within_scale(self):
         rng = np.random.default_rng(31)
         db = random_implicit_db(rng, n_users=15, n_items=6)
-        model, _ = em_fit(db, 3, seed=1, compute_cs=False)
+        model, _ = em_fit(db, 3, seed=1)
         pred = ClusterPredictor(db, model)
         case = case_for("u", {db.items[0]: 1.0})
         for it in db.items[1:]:
@@ -279,7 +280,7 @@ class TestClusterPredict:
     def test_label_permutation_invariance(self):
         rng = np.random.default_rng(12)
         db = random_implicit_db(rng, n_users=15, n_items=6)
-        model, _ = em_fit(db, 3, seed=5, compute_cs=False)
+        model, _ = em_fit(db, 3, seed=5)
         perm = [2, 0, 1]
         permuted = ClusterModel(
             model.scale, model.items,
@@ -295,16 +296,16 @@ class TestClusterPredict:
 class TestCheesemanStutz:
     def test_single_class_equals_exact_marginal(self):
         db = random_implicit_db(np.random.default_rng(3), n_users=7, n_items=2)
-        model, report = em_fit(db, 1)
+        model, _ = em_fit(db, 1)
         exact = exact_mixture_log_marginal(db, 1)
-        assert report.cs_score == pytest.approx(exact, abs=1e-9)
+        assert cheeseman_stutz_score(model, db) == pytest.approx(exact, abs=1e-9)
 
     def test_score_is_negative(self):
         rng = np.random.default_rng(8)
         db = random_implicit_db(rng, n_users=12, n_items=5)
         for c in (1, 2, 3):
-            model, report = em_fit(db, c, seed=c)
-            assert report.cs_score < 0
+            model, _ = em_fit(db, c, seed=c)
+            assert cheeseman_stutz_score(model, db) < 0
 
     def test_matches_enumeration_within_five_percent(self):
         # eight users, two items, two latent taste groups on the 0..5 scale
@@ -312,7 +313,7 @@ class TestCheesemanStutz:
             rng = np.random.default_rng(900 + seed)
             db = two_item_two_class_db(rng)
             best = max(
-                em_fit(db, 2, seed=seed * 13 + r)[1].cs_score for r in range(3)
+                cheeseman_stutz_score(em_fit(db, 2, seed=seed * 13 + r)[0], db) for r in range(3)
             )
             exact = exact_mixture_log_marginal(db, 2)
             assert abs(best - exact) <= 0.05 * abs(exact)
@@ -358,7 +359,7 @@ class TestSelectClusterModel:
 class TestSerialization:
     def test_round_trip_exact(self):
         db = random_implicit_db(np.random.default_rng(4), n_users=10, n_items=5)
-        model, _ = em_fit(db, 2, seed=0, compute_cs=False)
+        model, _ = em_fit(db, 2, seed=0)
         import json
 
         doc = json.loads(json.dumps(model.to_json()))

@@ -271,7 +271,8 @@ class TestRunExperiment:
         db, cases, algs = self._setup()
         [r] = run_experiment(db, cases, algs, ["ranked"])
         for name in r.algorithms:
-            assert r.aggregate[name] == pytest.approx(r.recompute_aggregate(name), abs=1e-9)
+            want = normalized_ranked_score(r.scores[name], r.rmax)
+            assert r.aggregate[name] == pytest.approx(want, abs=1e-9)
 
     def test_failing_algorithm_drops_case_for_all(self):
         db, cases, algs = self._setup()
@@ -351,7 +352,7 @@ class TestOnePass:
             cases.insert(int(rng.integers(len(cases) + 1)), case)
         bad_predict = {cases[int(k)].user for k in rng.choice(len(cases), size=2, replace=False)}
         bad_predict -= {"bad"}
-        bc = em_fit(train, 2, seed=1, compute_cs=False)[0]
+        bc = em_fit(train, 2, seed=1)[0]
         bn = learn_network(train, LearnConfig(structure_penalty=0.99))
 
         def docs(metrics):

@@ -98,6 +98,44 @@ class TestConfigValidation:
         bad.write_text(json.dumps(doc))
         assert run_cli("run", bad) == 2
 
+    @pytest.mark.parametrize("where, misspell", [
+        ("config", lambda doc: doc.update(sed=3)),
+        ("dataset", lambda doc: doc["dataset"].update(min_vote=5)),
+        ("dataset.scale", lambda doc: doc["dataset"]["scale"].update(nuetral=2.0)),
+        ("ranked", lambda doc: doc["ranked"].update(half_live=4.0)),
+        ("algorithms[1]", lambda doc: doc["algorithms"][1].update(confg={})),
+        ("algorithms[0].config", lambda doc: doc["algorithms"][0].update(config={"k": 1})),
+        ("algorithms[2].config", lambda doc: doc["algorithms"][2]["config"].update(
+            case_amplification={"p": 2.5})),
+        ("algorithms[2].config", lambda doc: doc["algorithms"][2]["config"][
+            "default_voting"].update(kk=5)),
+        ("algorithms[4].config", lambda doc: doc["algorithms"][4]["config"].update(clases=3)),
+        ("algorithms[5].config", lambda doc: doc["algorithms"][5]["config"].update(
+            max_parent=1)),
+    ], ids=["top", "dataset", "scale", "ranked", "algorithm", "popularity", "memory",
+            "default_voting", "cluster", "bayesnet"])
+    def test_unknown_key_is_named(self, workdir, capsys, where, misspell):
+        # a misspelt key would otherwise leave its setting at the default
+        doc = json.loads((workdir / "fixture_config.json").read_text())
+        misspell(doc)
+        bad = workdir / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run_cli("run", bad) == 2
+        err = capsys.readouterr().err
+        assert f"{where}: unknown key" in err
+        assert not (workdir / "out").exists()
+
+    def test_benchmark_configs_load(self, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(str(FIXDIR.parent))
+        from cfbench.workloads import WORKLOADS
+
+        for name, workload in WORKLOADS.items():
+            doc = workload.config_doc()
+            for key in ("train", "test"):
+                (tmp_path / doc["dataset"][key]).touch()
+            config = harness.parse_config(doc, tmp_path)
+            assert [a.name for a in config.algorithms] == [a["name"] for a in doc["algorithms"]]
+
     def test_invalid_json_config(self, workdir):
         bad = workdir / "bad.json"
         bad.write_text("{not json")
@@ -453,7 +491,7 @@ class TestModelScoring:
         def reports():
             # fresh models, so that each run's predictors build their own
             # scoring tables
-            bc = em_fit(train, 2, seed=1, compute_cs=False)[0]
+            bc = em_fit(train, 2, seed=1)[0]
             bn = learn_network(train, LearnConfig(structure_penalty=0.99))
             algs = [ClusterPredictor(train, bc), BayesNetPredictor(train, bn)]
             out = []

@@ -3,6 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 
 from cflab import predictors
@@ -395,6 +396,14 @@ def block_cases(rng, db, n):
 MAX_BLOCK = 4
 
 
+def vote_columns(db):
+    """The votes to the powers 0, 1 and 2, each an item-major matrix on the
+    pattern of `V_csc`: the columns that `_Evidence.user_sums` weighs by."""
+    V = db.index.V_csc
+    return [sp.csc_matrix((V.data**power, V.indices, V.indptr), shape=V.shape)
+            for power in range(3)]
+
+
 class TestBlocks:
     """A block's weights and predictions are, row for row and bit for bit,
     those of each case scored alone."""
@@ -404,15 +413,15 @@ class TestBlocks:
     def test_user_sums_add_in_observed_order(self, seed, n_cases):
         # a case alone walks its item columns in observed order, adding each
         # user's terms as it goes; the block's sums must add them alike, for
-        # every column set that shares the vote pattern (0 votes included)
+        # every power of the vote (0 votes included)
         rng = np.random.default_rng(seed)
         db = random_explicit_db(rng, n_users=6, n_items=7, density=0.7)
         cases = block_cases(rng, db, n_cases)
         ev = _Evidence(cases, db.index)
         x = rng.normal(size=len(ev.cols)) * 10.0 ** rng.integers(-8, 9, size=len(ev.cols))
-        term = {"M_csc": lambda v: 1.0, "V_csc": lambda v: v, "V2_csc": lambda v: v * v}
-        for name, value in term.items():
-            (got,) = ev.user_sums(getattr(db.index, name), x)
+        term = {0: lambda v: 1.0, 1: lambda v: v, 2: lambda v: v * v}
+        for power, value in term.items():
+            (got,) = ev.user_sums(power, x)
             assert got.shape == (n_cases, len(db.users))
             for row, case in enumerate(cases):
                 for i, u in enumerate(db.users):
@@ -421,22 +430,29 @@ class TestBlocks:
                         vote = db.votes[u].get(db.items[ev.cols[k]])
                         if vote is not None:
                             want += float(x[k]) * value(vote)
-                    assert got[row, i] == want, name
+                    assert got[row, i] == want, power
+            want = evidence_product_sums(ev.indptr, ev.cols, vote_columns(db)[power], x)
+            assert got.tobytes() == want[0].tobytes(), power
 
     def test_zero_votes_and_cases_outside_training(self):
-        # a 0 vote is a co-vote: it counts in M and adds 0 * x in V and V2
+        # a 0 vote is a co-vote: it counts at power 0 and adds 0 * x at
+        # powers 1 and 2
         db = make_db([("u", "a", 0), ("u", "b", 4), ("w", "a", 2)])
         cases = [case_for("t", {"b": 3, "a": 5}), case_for("s", {"zz": 1}), case_for("r", {"a": 1})]
         ev = _Evidence(cases, db.index)
         x = np.array([2.0, 3.0, 7.0])
-        count, sx = ev.user_sums(db.index.M_csc, np.ones(3), x)
-        (sv,) = ev.user_sums(db.index.V_csc, x)
-        (sv2,) = ev.user_sums(db.index.V2_csc, x)
+        count, sx = ev.user_sums(0, np.ones(3), x)
+        (sv,) = ev.user_sums(1, x)
+        (sv2,) = ev.user_sums(2, x)
         assert count.tolist() == [[2.0, 1.0], [0.0, 0.0], [1.0, 1.0]]
         assert sx.tolist() == [[5.0, 3.0], [0.0, 0.0], [7.0, 7.0]]
         assert sv.tolist() == [[8.0, 6.0], [0.0, 0.0], [0.0, 14.0]]
         assert sv2.tolist() == [[32.0, 12.0], [0.0, 0.0], [0.0, 28.0]]
-        assert [a.shape for a in _Evidence([], db.index).user_sums(db.index.V_csc, x[:0])] == [(0, 2)]
+        columns = vote_columns(db)
+        for power, xs, got in ((0, np.ones(3), count), (0, x, sx), (1, x, sv), (2, x, sv2)):
+            (want,) = evidence_product_sums(ev.indptr, ev.cols, columns[power], xs)
+            assert got.tobytes() == want.tobytes(), power
+        assert [a.shape for a in _Evidence([], db.index).user_sums(1, x[:0])] == [(0, 2)]
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n_cases=st.integers(0, 8), implicit=st.booleans())
@@ -451,25 +467,41 @@ class TestBlocks:
         ev = _Evidence(cases, db.index)
         xs = [rng.normal(size=len(ev.cols)) * 10.0 ** rng.integers(-8, 9, size=len(ev.cols))
               for _ in range(3)]
-        for columns in (db.index.M_csc, db.index.V_csc, db.index.V2_csc):
-            got = ev.user_sums(columns, *xs)
+        for power, columns in enumerate(vote_columns(db)):
+            got = ev.user_sums(power, *xs)
             want = evidence_product_sums(ev.indptr, ev.cols, columns, *xs)
             assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n_rows=st.integers(1, 5))
     def test_item_major_products_equal_user_major(self, seed, n_rows):
-        # predictions multiply the weights into item-major vote matrices,
-        # (X.T @ w.T).T; each item must add its voters' terms as w @ X adds
-        # them on the user-major matrix
+        # predictions multiply the weights into the scorer's item-major
+        # (items x users) vote matrices, (X.T @ w.T).T; each item must add
+        # its voters' terms as w @ X adds them on the user-major matrix
         rng = np.random.default_rng(seed)
         db = random_explicit_db(rng, n_users=int(rng.integers(1, 15)), n_items=6, density=0.6)
         shape = (n_rows, len(db.users))
         w = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
         w[rng.random(shape) < 0.4] = 0.0
-        for item_major in (db.index.V_centered, db.index.M_csc, db.index.V_csc):
-            want = np.asarray(w @ item_major.tocsr())
-            assert (item_major.T @ w.T).T.tobytes() == want.tobytes()
+        plain = MemoryScorer(db, CORR)
+        completed = MemoryScorer(db, MemoryConfig(default_voting=DefaultVoting()))
+        V, means = db.index.V, db.index.user_means
+
+        def on_votes(data):  # user-major, on the pattern of the votes
+            return sp.csr_matrix((data, V.indices, V.indptr), shape=V.shape)
+
+        user_major = {
+            "centred": on_votes(V.data - np.repeat(means, np.diff(V.indptr))),
+            "mask": on_votes(np.ones(V.nnz)),
+            "minus default": on_votes(V.data - completed.default),
+        }
+        item_major = {"centred": plain._centered_T, "mask": plain._mask_T,
+                      "minus default": completed._v_minus_default_T}
+        for name, X_T in item_major.items():
+            assert X_T.shape == (len(db.items), len(db.users)), name
+            assert (X_T.T != user_major[name]).nnz == 0 and X_T.nnz == V.nnz, name
+            want = np.asarray(w @ user_major[name])
+            assert (X_T @ w.T).T.tobytes() == want.tobytes(), name
 
     @settings(max_examples=15, deadline=None)
     @given(

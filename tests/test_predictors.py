@@ -62,7 +62,7 @@ def all_predictors(db):
     return [
         PopularityPredictor(db),
         MemoryPredictor(db, MemoryConfig("correlation"), name="CR"),
-        ClusterPredictor(db, em_fit(db, 2, seed=1, compute_cs=False)[0]),
+        ClusterPredictor(db, em_fit(db, 2, seed=1)[0]),
         BayesNetPredictor(db, learn_network(db, LearnConfig())),
     ]
 
@@ -104,7 +104,7 @@ class TestContract:
 class TestModelFallbacks:
     def test_cluster_ranks_unmodeled_items(self, implicit_db):
         trimmed = restrict_to_top_items(implicit_db, 4)
-        model, _ = em_fit(trimmed, 2, seed=0, compute_cs=False)
+        model, _ = em_fit(trimmed, 2, seed=0)
         pred = ClusterPredictor(implicit_db, model, name="BC")
         case = case_for("t", {implicit_db.items[0]: 1.0})
         ranked = pred.rank(case)
@@ -123,7 +123,7 @@ class TestModelFallbacks:
 
     def test_deviation_predictions_in_scale(self):
         db = random_explicit_db(np.random.default_rng(3), n_users=20, n_items=6, density=0.7)
-        model, _ = em_fit(db, 2, seed=1, compute_cs=False)
+        model, _ = em_fit(db, 2, seed=1)
         pred = ClusterPredictor(db, model, name="BC")
         case = case_for("t", {db.items[0]: 4.0})
         for it in db.items[1:]:
@@ -132,7 +132,7 @@ class TestModelFallbacks:
     def test_item_absent_from_training_predicts_case_mean(self):
         db = random_explicit_db(np.random.default_rng(3), n_users=20, n_items=6, density=0.7)
         case = case_for("t", {db.items[0]: 4.0, db.items[1]: 1.0})
-        bc = ClusterPredictor(db, em_fit(db, 2, seed=1, compute_cs=False)[0], name="BC")
+        bc = ClusterPredictor(db, em_fit(db, 2, seed=1)[0], name="BC")
         bn = BayesNetPredictor(db, learn_network(db, LearnConfig()), name="BN")
         assert "zz" not in db.items
         cr = MemoryPredictor(db, MemoryConfig("correlation"), name="CR")
@@ -170,7 +170,7 @@ class TestArrayRanking:
     @given(seed=st.integers(0, 2**32 - 1), explicit=st.booleans(), top=st.integers(1, 7))
     def test_cluster_matches_item_loop(self, seed, explicit, top):
         rng, db, trimmed = self._train(seed, explicit, top)
-        model, _ = em_fit(trimmed, int(rng.integers(1, 4)), seed=seed, compute_cs=False)
+        model, _ = em_fit(trimmed, int(rng.integers(1, 4)), seed=seed)
         pred = ClusterPredictor(db, model, name="BC")
         for _ in range(6):
             case = random_case(rng, db, max_observed=4)
@@ -186,7 +186,7 @@ class TestBlocks:
         # case; the rest of its block must score as it does case by case
         train = random_grouped_db(np.random.default_rng(5), explicit=True, n_users=80)
         test = random_grouped_db(np.random.default_rng(6), explicit=True, n_users=60)
-        bc = em_fit(train, 2, seed=1, compute_cs=False)[0]
+        bc = em_fit(train, 2, seed=1)[0]
         bn = learn_network(train, LearnConfig(structure_penalty=0.99))
         cases = generate_active_cases(test, Protocol.all_but_1(), seed=3)
         # by default the bad case shares its block with other cases

@@ -14,7 +14,6 @@ from cflab.votedata import (
     load_msweb,
     load_split_manifest,
     load_votes_csv,
-    mean_vote,
     restrict_to_top_items,
     save_split_manifest,
     save_votes_csv,
@@ -53,7 +52,6 @@ class TestVoteScale:
         assert SCALE_0_5.state_of(None) == 0
         assert SCALE_0_5.state_of(0) == 1
         assert SCALE_0_5.state_of(5) == 6
-        assert IMPLICIT_SCALE.value_of_state(1) == 1
 
     def test_vote_state_encoding_matches_state_of(self, tiny_explicit_db):
         db = tiny_explicit_db
@@ -178,22 +176,43 @@ class TestLoadVotesCsv:
             load_votes_csv(p, SCALE_0_5)
 
 
+def user_mean(db, user):
+    return db.index.user_means[db.index.user_pos[user]]
+
+
 class TestMeanVote:
     def test_simple_mean(self):
         db = make_db([("u", "a", 3), ("u", "b", 4), ("u", "c", 5)])
-        assert mean_vote(db, "u") == pytest.approx(4.0)
+        assert user_mean(db, "u") == pytest.approx(4.0)
 
     def test_single_vote(self):
         db = make_db([("u", "a", 2), ("x", "a", 1)])
-        assert mean_vote(db, "u") == 2.0
+        assert user_mean(db, "u") == 2.0
 
     def test_implicit_means_are_one(self):
         db = make_db([("u", "a", 1), ("u", "b", 1)], scale=IMPLICIT_SCALE)
-        assert mean_vote(db, "u") == 1.0
+        assert user_mean(db, "u") == 1.0
 
-    def test_unknown_user_is_error(self, tiny_explicit_db):
-        with pytest.raises(ValueError):
-            mean_vote(tiny_explicit_db, "nobody")
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), implicit=st.booleans())
+    def test_index_totals_walk_the_votes(self, seed, implicit):
+        # a 0 vote is a recorded vote: it counts for its user and item
+        rng = np.random.default_rng(seed)
+        top = 1 if implicit else 5
+        rows = [(f"u{i}", f"i{j}", float(rng.integers(0, top + 1)))
+                for i in range(int(rng.integers(1, 8)))
+                for j in range(6) if rng.random() < 0.5 or j == i % 6]
+        rows.append(("u0", "i5", 0.0))
+        db = make_db(rows, IMPLICIT_SCALE if implicit else SCALE_0_5,
+                     items=[f"i{j}" for j in range(7)])
+        idx = db.index
+        votes = [db.votes[u] for u in db.users]
+        assert idx.user_counts.tolist() == [float(len(per)) for per in votes]
+        assert idx.user_sums.tolist() == [float(sum(per.values())) for per in votes]
+        assert idx.user_means.tolist() == [sum(per.values()) / len(per) for per in votes]
+        assert idx.item_counts.tolist() == [
+            float(sum(it in per for per in votes)) for it in db.items]
+        assert idx.user_counts.dtype == idx.item_counts.dtype == float
 
 
 class TestGenerateActiveCases:
