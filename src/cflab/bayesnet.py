@@ -41,7 +41,6 @@ class LearnConfig:
 
     structure_penalty: float = 0.1
     equivalent_sample_size: float = 10.0
-    max_parents: int | None = None
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -49,8 +48,6 @@ class LearnConfig:
             raise ValueError("structure_penalty must be in (0, 1)")
         if self.equivalent_sample_size <= 0:
             raise ValueError("equivalent_sample_size must be > 0")
-        if self.max_parents is not None and self.max_parents < 1:
-            raise ValueError("max_parents must be >= 1 when set")
 
 
 def leaf_family_score(
@@ -323,33 +320,27 @@ def _family_scores(
 
 
 class _Constraints:
-    """Which split variables keep the parent graph acyclic and within
-    `max_parents`, maintained edge by edge.
+    """Which split variables keep the parent graph acyclic, maintained edge
+    by edge.
 
     `reach[a, b]` is True when b is reachable from a along parent -> child
     edges; every item reaches itself.
     """
 
-    def __init__(self, t: int, max_parents: int | None) -> None:
+    def __init__(self, t: int) -> None:
         self.reach = np.eye(t, dtype=bool)
-        self.parents = np.zeros((t, t), dtype=bool)  # parents[child, parent]
-        self.max_parents = max_parents
 
     def add_edge(self, parent: int, child: int) -> None:
         if self.reach[child, parent]:
             raise RuntimeError("parent graph must stay acyclic")
         # everything that reaches the parent now reaches all the child reaches
         self.reach[self.reach[:, parent]] |= self.reach[child]
-        self.parents[child, parent] = True
 
     def invalid(self, target: int, path: np.ndarray) -> np.ndarray:
         """Mask of the variables a leaf of `target` on `path` may not split on:
         the target, its path, and any variable an edge from which would close
-        a cycle or give the target one parent too many."""
-        bad = self.reach[target] | path
-        if self.max_parents is not None and self.parents[target].sum() >= self.max_parents:
-            bad |= ~self.parents[target]
-        return bad
+        a cycle."""
+        return self.reach[target] | path
 
 
 def learn_network(db: VoteDatabase, cfg: LearnConfig) -> BayesNetModel:
@@ -377,7 +368,7 @@ def learn_network(db: VoteDatabase, cfg: LearnConfig) -> BayesNetModel:
     states[np.repeat(np.arange(n), np.diff(X.indptr)), cols // (r - 1)] = cols % (r - 1) + 1
 
     id_rank = idx.item_sort_rank
-    constraints = _Constraints(t, cfg.max_parents)
+    constraints = _Constraints(t)
     # the model's node arrays, grown as leaves split (see BayesNetModel)
     var, first, order = [-1] * t, list(range(t)), [0] * t
     counts: list[np.ndarray] = []

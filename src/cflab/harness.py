@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -45,7 +46,6 @@ from .votedata import (
     generate_active_cases,
     load_msweb,
     load_votes_csv,
-    restrict_to_top_items,
     save_split_manifest,
     split_users,
 )
@@ -81,7 +81,6 @@ class DatasetSpec:
     train: Path
     test: Path | None
     scale: VoteScale
-    top_items: int | None
     test_fraction: float | None
     split_seed: int
     min_votes: int
@@ -122,7 +121,7 @@ def parse_config(doc: dict, base_dir: Path) -> ExperimentConfig:
                       "confidence", "seed", "output_dir"), "config")
 
     ds = _require(doc, "dataset", "config")
-    _check_keys(ds, ("format", "train", "test", "scale", "top_items", "test_fraction",
+    _check_keys(ds, ("format", "train", "test", "scale", "test_fraction",
                      "split_seed", "min_votes", "train_users"), "dataset")
     fmt = _require(ds, "format", "dataset")
     if fmt not in ("msweb", "csv"):
@@ -159,7 +158,6 @@ def parse_config(doc: dict, base_dir: Path) -> ExperimentConfig:
         train=train,
         test=test,
         scale=scale,
-        top_items=ds.get("top_items"),
         test_fraction=test_fraction,
         split_seed=int(ds.get("split_seed", 0)),
         min_votes=int(ds.get("min_votes", 2)),
@@ -197,7 +195,7 @@ def parse_config(doc: dict, base_dir: Path) -> ExperimentConfig:
             except (ValueError, KeyError, TypeError) as exc:
                 raise ConfigError(f"algorithms[{i}].config: {exc}") from None
         else:
-            _check_keys(params, ALGORITHM_PARAMS[kind], f"algorithms[{i}].config")
+            _model_params(kind, params, f"algorithms[{i}].config")
         algorithms.append(AlgorithmSpec(name=name, kind=kind, params=params))
 
     metrics = doc.get("metrics", [RANKED])
@@ -286,13 +284,40 @@ def _model_cache_key(train: VoteDatabase, spec: AlgorithmSpec, seed: int) -> str
     return h.hexdigest()[:24]
 
 
-# The config keys that train_model reads for each kind of trained model;
-# popularity reads none, and memory configs check their own keys.
+# The config keys that train_model reads for each kind of trained model, each
+# with its default, its type and the bound its value must stay strictly
+# under (and over 0); popularity reads none, and memory configs check their
+# own keys.
 ALGORITHM_PARAMS = {
-    POPULARITY: (),
-    CLUSTER: ("classes", "max_classes", "restarts", "prior_strength", "max_iter"),
-    BAYESNET: ("structure_penalty", "ess", "max_parents"),
+    POPULARITY: {},
+    CLUSTER: {
+        "classes": (None, int, math.inf),  # a fixed class count, in place of the sweep
+        "max_classes": (25, int, math.inf),
+        "restarts": (3, int, math.inf),
+        "prior_strength": (1.0, float, math.inf),
+        "max_iter": (200, int, math.inf),
+    },
+    BAYESNET: {"structure_penalty": (0.1, float, 1), "ess": (10.0, float, math.inf)},
 }
+
+
+def _model_params(kind: str, params: dict, where: str) -> dict:
+    """Every config value of a popularity, cluster or bayesnet algorithm,
+    defaults filled in; an unknown key or a bad value is a ConfigError that
+    names `where` and the key."""
+    allowed = ALGORITHM_PARAMS[kind]
+    _check_keys(params, tuple(allowed), where)
+    if "classes" in params and ("max_classes" in params or "restarts" in params):
+        raise ConfigError(f"{where}: a fixed classes count takes no max_classes or restarts")
+    values = {}
+    for key, (default, typ, high) in allowed.items():
+        value = params.get(key, default)
+        if key in params and (isinstance(value, bool) or not isinstance(value, (int, typ))
+                              or not 0 < value < high):
+            wanted = "an integer >= 1" if typ is int else f"a number in (0, {high})"
+            raise ConfigError(f"{where}.{key}: must be {wanted}, not {value!r}")
+        values[key] = None if value is None else typ(value)
+    return values
 
 
 def train_model(train: VoteDatabase, spec: AlgorithmSpec, seed: int, cache_dir: Path):
@@ -310,8 +335,8 @@ def train_model(train: VoteDatabase, spec: AlgorithmSpec, seed: int, cache_dir: 
             )
             if model.scale != train.scale:
                 raise ValueError(f"scale {model.scale} is not the training scale {train.scale}")
-            if not set(model.items) <= set(train.items):
-                raise ValueError("model items are not all training items")
+            if tuple(model.items) != tuple(train.items):
+                raise ValueError("model items are not the training items in order")
         except (OSError, ValueError, KeyError, TypeError) as exc:
             # a truncated, corrupt or mismatched entry is a miss: retrain and
             # replace it
@@ -320,36 +345,24 @@ def train_model(train: VoteDatabase, spec: AlgorithmSpec, seed: int, cache_dir: 
         else:
             log.info("loaded cached %s model %s", spec.kind, path.name)
             return model, path
+    if spec.kind not in (CLUSTER, BAYESNET):
+        raise ValueError(f"algorithm kind {spec.kind!r} has no trained model")
+    params = _model_params(spec.kind, spec.params, f"{spec.name}.config")
     if spec.kind == CLUSTER:
-        params = spec.params
-        if "classes" in params:
-            model, _ = cluster.em_fit(
-                train,
-                int(params["classes"]),
-                seed=seed,
-                prior_strength=float(params.get("prior_strength", 1.0)),
-                max_iter=int(params.get("max_iter", 200)),
-            )
+        fit = dict(seed=seed, prior_strength=params["prior_strength"], max_iter=params["max_iter"])
+        if params["classes"] is not None:
+            model, _ = cluster.em_fit(train, params["classes"], **fit)
         else:
             model, _ = cluster.select_cluster_model(
-                train,
-                int(params.get("max_classes", 25)),
-                seed=seed,
-                restarts=int(params.get("restarts", 3)),
-                prior_strength=float(params.get("prior_strength", 1.0)),
-                max_iter=int(params.get("max_iter", 200)),
+                train, params["max_classes"], restarts=params["restarts"], **fit
             )
-    elif spec.kind == BAYESNET:
-        params = spec.params
+    else:
         cfg = bayesnet.LearnConfig(
-            structure_penalty=float(params.get("structure_penalty", 0.1)),
-            equivalent_sample_size=float(params.get("ess", 10.0)),
-            max_parents=params.get("max_parents"),
+            structure_penalty=params["structure_penalty"],
+            equivalent_sample_size=params["ess"],
             seed=seed,
         )
         model = bayesnet.learn_network(train, cfg)
-    else:
-        raise ValueError(f"algorithm kind {spec.kind!r} has no trained model")
     # write a temp file beside the cache entry and rename it into place, so a
     # failed write never leaves a truncated model under the cache key
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -363,18 +376,12 @@ def train_model(train: VoteDatabase, spec: AlgorithmSpec, seed: int, cache_dir: 
     return model, path
 
 
-def build_predictor(
-    spec: AlgorithmSpec,
-    train: VoteDatabase,
-    model_train: VoteDatabase,
-    seed: int,
-    cache_dir: Path,
-):
+def build_predictor(spec: AlgorithmSpec, train: VoteDatabase, seed: int, cache_dir: Path):
     if spec.kind == POPULARITY:
         return PopularityPredictor(train, name=spec.name)
     if spec.kind == MEMORY:
         return MemoryPredictor(train, memory.MemoryConfig.from_json(spec.params), name=spec.name)
-    model, _ = train_model(model_train, spec, seed, cache_dir)
+    model, _ = train_model(train, spec, seed, cache_dir)
     if spec.kind == CLUSTER:
         return ClusterPredictor(train, model, name=spec.name)
     return BayesNetPredictor(train, model, name=spec.name)
@@ -399,13 +406,8 @@ def run(config: ExperimentConfig) -> RunResult:
     cache_dir = out / "models"
 
     train, test = load_datasets(config.dataset)
-    model_train = train
-    if config.dataset.top_items:
-        model_train = restrict_to_top_items(train, int(config.dataset.top_items))
-
     predictors = [
-        build_predictor(spec, train, model_train, config.seed, cache_dir)
-        for spec in config.algorithms
+        build_predictor(spec, train, config.seed, cache_dir) for spec in config.algorithms
     ]
 
     reports: dict[tuple[str, str], ExperimentReport] = {}
@@ -456,8 +458,6 @@ def train_models(config: ExperimentConfig, only: str | None = None) -> dict[str,
     """Train and cache the models required by the config's algorithms."""
     kind_filter = {"bc": CLUSTER, "bn": BAYESNET}.get(only) if only else None
     train, _ = load_datasets(config.dataset)
-    if config.dataset.top_items:
-        train = restrict_to_top_items(train, int(config.dataset.top_items))
     out = {}
     for spec in config.algorithms:
         if spec.kind not in (CLUSTER, BAYESNET):

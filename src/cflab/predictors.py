@@ -11,9 +11,9 @@ neighbour voted on (every item under default voting). From there:
   case's mean vote for an item absent from training, and otherwise the
   predictor's expected vote for the item (`_vote`).
 
-Model-based predictors trained on a restricted item set fall back to smoothed
-training marginals for items outside the model, so ranked lists always cover
-the full training item universe.
+A BC or BN model covers exactly the training items, in training order, so its
+own per-item arrays are the scores; a predictor refuses a model over any
+other items.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ class Predictor:
     def scores(self, case: ActiveCase) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
-    def _vote(self, case: ActiveCase, item: ItemId, j: int) -> float:
+    def _vote(self, case: ActiveCase, j: int) -> float:
         """Expected vote of the unobserved training item at position j."""
         raise NotImplementedError
 
@@ -104,7 +104,7 @@ class Predictor:
         j = self.train.index.item_pos.get(item)
         if j is None:
             return case.observed_mean
-        return self._vote(case, item, j)
+        return self._vote(case, j)
 
 
 class PopularityPredictor(Predictor):
@@ -133,34 +133,19 @@ class MemoryPredictor(Predictor):
     def scores(self, case: ActiveCase) -> tuple[np.ndarray, np.ndarray]:
         return self._for_case(case)
 
-    def _vote(self, case: ActiveCase, item: ItemId, j: int) -> float:
+    def _vote(self, case: ActiveCase, j: int) -> float:
         return float(self._for_case(case)[0][j])
 
 
 class _ModelBackedPredictor(Predictor):
-    """Shared scaffolding for the probabilistic predictors.
-
-    A case's scores start from the training items' smoothed training-marginal
-    scores, computed once, and take the model's scores (`_model_scores`, in
-    model item order) where the model covers the item.
-    """
+    """A predictor over a model of exactly the training items, in training
+    order: the model's item positions are the training positions."""
 
     def __init__(self, train: VoteDatabase, model, name: str) -> None:
+        if tuple(model.items) != tuple(train.items):
+            raise ValueError(f"{name}: the model does not cover the training items in order")
         super().__init__(train, name)
         self.model = model
-        totals, counts = cluster.expected_counts(train, np.ones((len(train.users), 1)))
-        self._marginals = cluster.map_estimates(totals, counts)[1][0]  # (items, states)
-        self._fallback_scores = train.scale.rank_score(self._marginals)
-        self._model_cols = np.array([train.index.item_pos[it] for it in model.items], dtype=np.intp)
-
-    def scores(self, case: ActiveCase) -> tuple[np.ndarray, np.ndarray]:
-        score = self._fallback_scores.copy()
-        score[self._model_cols] = self._model_scores(case)
-        return score, self._all_informed
-
-    def _marginal_vote(self, j: int) -> float:
-        """Expected vote of an item outside the model, from its training marginal."""
-        return float(self.train.scale.expected_vote(self._marginals[j]))
 
 
 class ClusterPredictor(_ModelBackedPredictor):
@@ -170,15 +155,12 @@ class ClusterPredictor(_ModelBackedPredictor):
     def _evaluate_block(self, cases: list[ActiveCase]) -> list[np.ndarray]:
         return [self.model.posterior(case.observed) for case in cases]
 
-    def _model_scores(self, case: ActiveCase) -> np.ndarray:
+    def scores(self, case: ActiveCase) -> tuple[np.ndarray, np.ndarray]:
         mixed = np.einsum("c,cjs->js", self._for_case(case), self.model.cond)
-        return self.model.scale.rank_score(mixed)
+        return self.model.scale.rank_score(mixed), self._all_informed
 
-    def _vote(self, case: ActiveCase, item: ItemId, j: int) -> float:
-        pos = self.model.item_pos.get(item)
-        if pos is None:
-            return self._marginal_vote(j)
-        dist = self._for_case(case) @ self.model.cond[:, pos, :]
+    def _vote(self, case: ActiveCase, j: int) -> float:
+        dist = self._for_case(case) @ self.model.cond[:, j, :]
         return float(self.model.scale.expected_vote(dist))
 
 
@@ -191,13 +173,10 @@ class BayesNetPredictor(_ModelBackedPredictor):
     ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         return [self.model.route(case.observed) for case in cases]
 
-    def _model_scores(self, case: ActiveCase) -> np.ndarray:
+    def scores(self, case: ActiveCase) -> tuple[np.ndarray, np.ndarray]:
         leaf, influenced, seen = self._for_case(case)
         self.model.count_lookups(self.stats, influenced, seen)
-        return self.model.score[leaf]
+        return self.model.score[leaf], self._all_informed
 
-    def _vote(self, case: ActiveCase, item: ItemId, j: int) -> float:
-        pos = self.model.item_pos.get(item)
-        if pos is None:
-            return self._marginal_vote(j)
-        return float(self.model.expected[self._for_case(case)[0][pos]])
+    def _vote(self, case: ActiveCase, j: int) -> float:
+        return float(self.model.expected[self._for_case(case)[0][j]])

@@ -409,14 +409,6 @@ def generate_active_cases(
     return cases
 
 
-def restrict_to_top_items(db: VoteDatabase, k: int) -> VoteDatabase:
-    """Keep the k most-voted items (ties to the lower item id)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    keep = set(db.index.ranked({}, -db.index.item_counts)[:k])
-    return db.subset(items=keep)
-
-
 def split_users(
     db: VoteDatabase, test_fraction: float, seed: int
 ) -> tuple[VoteDatabase, VoteDatabase]:
@@ -455,8 +447,7 @@ def save_split_manifest(
         ],
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def load_split_manifest(path, test_db: VoteDatabase) -> list[ActiveCase]:

@@ -350,22 +350,3 @@ def bc_scores_loop(model, case):
 def sorted_ranking(scores):
     """Items of a score dict by descending score, ties to the lower item id."""
     return sorted(scores, key=lambda it: (-scores[it], it))
-
-
-def model_backed_ranking(train, model_scores, case, prior_strength=1.0):
-    """A model predictor's ranked list: the model's scores, plus for every
-    other unobserved training item the score of its smoothed training
-    marginal, counted vote by vote."""
-    scale = train.scale
-    n, s = len(train.users), scale.num_states
-    states = dense_states(train)
-    scores = dict(model_scores)
-    for j, it in enumerate(train.items):
-        if it in case.observed or it in scores:
-            continue
-        counts = [0] * s
-        for i in range(n):
-            counts[states[i, j]] += 1
-        dist = np.array([(k + prior_strength / s) / (n + prior_strength) for k in counts])
-        scores[it] = rank_score_scalar(dist, scale)
-    return sorted_ranking(scores)

@@ -152,22 +152,6 @@ class TestLearnNetwork:
         with pytest.raises(ValueError):
             learn_network(db, LearnConfig())
 
-    def test_max_parents_respected(self):
-        rng = np.random.default_rng(12)
-        rows = []
-        for i in range(3000):
-            a = rng.random() < 0.5
-            b = rng.random() < 0.5
-            c = (a or b) ^ (rng.random() < 0.05)
-            for name, bit in (("A", a), ("B", b), ("C", c)):
-                if bit:
-                    rows.append((i, name, 1.0))
-        db = VoteDatabase.from_votes(
-            [r for r in rows], IMPLICIT_SCALE, items=["A", "B", "C"]
-        )
-        model = learn_network(db, LearnConfig(max_parents=1))
-        assert all(len(model.parents(it)) <= 1 for it in db.items)
-
     def test_near_unit_penalty_recovers_conditionals(self):
         # explicit 0/1 votes on both items, so nothing is ever missing
         scale = VoteScale(0, 1, 0.0, False)
@@ -424,33 +408,24 @@ class TestSplitTables:
             )
 
 
-def _brute_invalid(edges, target, path, max_parents, t):
+def _brute_invalid(edges, target, path, t):
     """The split variables a leaf may not take, from the definition: its
-    target and path, anything the target reaches, and every non-parent once
-    the target has max_parents parents."""
-    bad = transitive_closure(edges, t)[target] | path
-    parents = {p for p, c in edges if c == target}
-    if max_parents is not None and len(parents) >= max_parents:
-        bad |= np.array([v not in parents for v in range(t)])
-    return bad
+    target and path, and anything the target reaches."""
+    return transitive_closure(edges, t)[target] | path
 
 
 class TestConstraints:
     @settings(max_examples=60, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        t=st.integers(1, 8),
-        max_parents=st.one_of(st.none(), st.integers(1, 3)),
-    )
-    def test_mask_matches_brute_force_closure(self, seed, t, max_parents):
+    @given(seed=st.integers(0, 2**32 - 1), t=st.integers(1, 8))
+    def test_mask_matches_brute_force_closure(self, seed, t):
         rng = np.random.default_rng(seed)
-        cons = bayesnet._Constraints(t, max_parents)
+        cons = bayesnet._Constraints(t)
         edges: set = set()
         for _ in range(4 * t):
             target = int(rng.integers(t))
             path = rng.random(t) < 0.2
             bad = cons.invalid(target, path)
-            np.testing.assert_array_equal(bad, _brute_invalid(edges, target, path, max_parents, t))
+            np.testing.assert_array_equal(bad, _brute_invalid(edges, target, path, t))
             free = np.flatnonzero(~bad)
             if free.size:
                 parent = int(rng.choice(free))

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from cflab import cli, harness, predictors
-from cflab.bayesnet import LearnConfig, learn_network
-from cflab.cluster import em_fit
+from cflab.bayesnet import BayesNetModel, LearnConfig, learn_network
+from cflab.cluster import ClusterModel, em_fit
 from cflab.evaluation import run_experiment
 from cflab.predictors import BayesNetPredictor, ClusterPredictor
 from cflab.votedata import (
@@ -67,6 +67,33 @@ def run_cli(*argv):
     return cli.main([str(a) for a in argv])
 
 
+def _reordered_model(doc, kind, edit):
+    """A model file's document with its first two items swapped ("order"),
+    or with one item dropped ("subset"), every other number kept."""
+    items = doc["items"]
+    if edit == "order":
+        cols = [1, 0] + list(range(2, len(items)))
+    elif kind == "cluster":
+        cols = list(range(len(items) - 1))
+    else:
+        # a network can drop an item no tree splits on, which a DAG has
+
+        def splits(node):
+            if "split" in node:
+                yield node["split"]
+                for child in node["children"]:
+                    yield from splits(child)
+
+        used = {it for tree in doc["trees"].values() for it in splits(tree)}
+        drop = next(j for j, it in enumerate(items) if it not in used)
+        cols = [j for j in range(len(items)) if j != drop]
+    if kind == "cluster":
+        return dict(doc, items=[items[j] for j in cols],
+                    cond=[[c[j] for j in cols] for c in doc["cond"]])
+    return dict(doc, items=[items[j] for j in cols],
+                trees={str(k): doc["trees"][str(j)] for k, j in enumerate(cols)})
+
+
 class TestConfigValidation:
     def test_missing_file_names_key(self, workdir, capsys):
         doc = json.loads((workdir / "fixture_config.json").read_text())
@@ -99,21 +126,28 @@ class TestConfigValidation:
         assert run_cli("run", bad) == 2
 
     @pytest.mark.parametrize("where, misspell", [
-        ("config", lambda doc: doc.update(sed=3)),
-        ("dataset", lambda doc: doc["dataset"].update(min_vote=5)),
-        ("dataset.scale", lambda doc: doc["dataset"]["scale"].update(nuetral=2.0)),
-        ("ranked", lambda doc: doc["ranked"].update(half_live=4.0)),
-        ("algorithms[1]", lambda doc: doc["algorithms"][1].update(confg={})),
-        ("algorithms[0].config", lambda doc: doc["algorithms"][0].update(config={"k": 1})),
-        ("algorithms[2].config", lambda doc: doc["algorithms"][2]["config"].update(
-            case_amplification={"p": 2.5})),
-        ("algorithms[2].config", lambda doc: doc["algorithms"][2]["config"][
-            "default_voting"].update(kk=5)),
-        ("algorithms[4].config", lambda doc: doc["algorithms"][4]["config"].update(clases=3)),
-        ("algorithms[5].config", lambda doc: doc["algorithms"][5]["config"].update(
-            max_parent=1)),
+        ("config: unknown key 'sed'", lambda doc: doc.update(sed=3)),
+        ("dataset: unknown key 'min_vote'", lambda doc: doc["dataset"].update(min_vote=5)),
+        ("dataset.scale: unknown key 'nuetral'",
+         lambda doc: doc["dataset"]["scale"].update(nuetral=2.0)),
+        ("ranked: unknown key 'half_live'", lambda doc: doc["ranked"].update(half_live=4.0)),
+        ("algorithms[1]: unknown key 'confg'",
+         lambda doc: doc["algorithms"][1].update(confg={})),
+        ("algorithms[0].config: unknown key 'k'",
+         lambda doc: doc["algorithms"][0].update(config={"k": 1})),
+        ("algorithms[2].config: unknown key 'case_amplification'",
+         lambda doc: doc["algorithms"][2]["config"].update(case_amplification={"p": 2.5})),
+        ("algorithms[2].config: unknown key 'default_voting.kk'",
+         lambda doc: doc["algorithms"][2]["config"]["default_voting"].update(kk=5)),
+        ("algorithms[4].config: unknown key 'clases'",
+         lambda doc: doc["algorithms"][4]["config"].update(clases=3)),
+        ("algorithms[5].config: unknown key 'max_parent'",
+         lambda doc: doc["algorithms"][5]["config"].update(max_parent=1)),
+        ("dataset: unknown key 'top_items'", lambda doc: doc["dataset"].update(top_items=3)),
+        ("algorithms[5].config: unknown key 'max_parents'",
+         lambda doc: doc["algorithms"][5]["config"].update(max_parents=1)),
     ], ids=["top", "dataset", "scale", "ranked", "algorithm", "popularity", "memory",
-            "default_voting", "cluster", "bayesnet"])
+            "default_voting", "cluster", "bayesnet", "top_items", "max_parents"])
     def test_unknown_key_is_named(self, workdir, capsys, where, misspell):
         # a misspelt key would otherwise leave its setting at the default
         doc = json.loads((workdir / "fixture_config.json").read_text())
@@ -122,8 +156,36 @@ class TestConfigValidation:
         bad.write_text(json.dumps(doc))
         assert run_cli("run", bad) == 2
         err = capsys.readouterr().err
-        assert f"{where}: unknown key" in err
+        assert where in err
         assert not (workdir / "out").exists()
+
+    @pytest.mark.parametrize("alg, key, value", [
+        (4, "classes", 0), (4, "classes", "two"), (4, "classes", 1.5), (4, "classes", True),
+        (4, "max_classes", 0), (4, "restarts", -1), (4, "max_iter", 0),
+        (4, "prior_strength", 0), (4, "prior_strength", "1"), (4, "prior_strength", float("inf")),
+        (5, "structure_penalty", 1.5), (5, "structure_penalty", 0), (5, "structure_penalty", 1),
+        (5, "ess", 0), (5, "ess", -2.0), (5, "ess", None),
+    ])
+    def test_bad_model_value_is_named_before_loading(self, workdir, capsys, monkeypatch,
+                                                     alg, key, value):
+        doc = json.loads((workdir / "fixture_config.json").read_text())
+        doc["algorithms"][alg]["config"] = {key: value}
+        bad = workdir / "bad.json"
+        bad.write_text(json.dumps(doc))
+        monkeypatch.setattr(harness, "load_datasets", None)  # fails if data loads
+        assert run_cli("run", bad) == 2
+        assert f"algorithms[{alg}].config.{key}: must be" in capsys.readouterr().err
+        assert run_cli("train", bad) == 2
+
+    @pytest.mark.parametrize("sweep", [{"max_classes": 4}, {"restarts": 2}])
+    def test_fixed_classes_take_no_sweep_keys(self, workdir, capsys, sweep):
+        # the fixed count would otherwise silently win
+        doc = json.loads((workdir / "fixture_config.json").read_text())
+        doc["algorithms"][4]["config"].update(sweep)
+        bad = workdir / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run_cli("run", bad) == 2
+        assert "algorithms[4].config: a fixed classes count" in capsys.readouterr().err
 
     def test_benchmark_configs_load(self, tmp_path, monkeypatch):
         monkeypatch.syspath_prepend(str(FIXDIR.parent))
@@ -274,7 +336,7 @@ class TestRun:
             assert sum("retraining" in r.getMessage() for r in caplog.records) == 2
 
     @pytest.mark.parametrize("kind", ["cluster", "bayesnet"])
-    @pytest.mark.parametrize("edit", ["scale", "items", "shape"])
+    @pytest.mark.parametrize("edit", ["scale", "items", "shape", "order", "subset"])
     def test_mismatched_cached_model_is_retrained(self, workdir, caplog, kind, edit):
         config = harness.load_config(workdir / "fixture_config.json")
         train, _ = harness.load_datasets(config.dataset)
@@ -290,6 +352,12 @@ class TestRun:
             doc["scale"]["neutral"] = 2.0  # still a loadable model
         elif edit == "items":
             doc["items"][0] = "not-a-training-item"
+        elif edit in ("order", "subset"):
+            # a loadable model over the training items in another order, or
+            # over all but one of them
+            doc = _reordered_model(doc, kind, edit)
+            model_class = ClusterModel if kind == "cluster" else BayesNetModel
+            assert set(model_class.from_json(doc).items) <= set(train.items)
         elif kind == "cluster":
             doc["cond"] = [[row[:-1] for row in c] for c in doc["cond"]]  # a state short
         else:
@@ -298,7 +366,7 @@ class TestRun:
         path.write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
         model, again = harness.train_model(train, spec, config.seed, cache)
         assert again == path and path.read_bytes() == good  # retrained and replaced
-        assert model.scale == train.scale and set(model.items) <= set(train.items)
+        assert model.scale == train.scale and model.items == train.items
         assert sum("retraining" in r.getMessage() for r in caplog.records) == 1
 
     def test_cache_key_names_the_model_format(self, workdir, monkeypatch):
@@ -512,7 +580,7 @@ class TestModelScoring:
         config = harness.load_config(FIXDIR / "fixture_config.json")
         train, test = harness.load_datasets(config.dataset)
         algs = [
-            harness.build_predictor(spec, train, train, config.seed, tmp_path)
+            harness.build_predictor(spec, train, config.seed, tmp_path)
             for spec in config.algorithms if spec.kind != harness.POPULARITY
         ]
         evaluated = {alg.name: [] for alg in algs}

@@ -15,14 +15,14 @@ from cflab.predictors import (
     MemoryPredictor,
     PopularityPredictor,
 )
-from cflab.votedata import ActiveCase, Protocol, generate_active_cases, restrict_to_top_items
+from cflab.votedata import ActiveCase, Protocol, VoteDatabase, generate_active_cases
 
 from conftest import case_for, random_case, random_explicit_db, random_grouped_db, random_implicit_db
 from reference import (
     bc_scores_loop,
     bn_scores_walk,
     bn_vote_walk,
-    model_backed_ranking,
+    sorted_ranking,
 )
 
 
@@ -100,27 +100,19 @@ class TestContract:
                 with pytest.raises(ValueError):
                     pred.predict(case, item)
 
+    def test_model_over_other_items_is_refused(self, db):
+        # a model's item positions are the training positions
+        other = random_explicit_db(np.random.default_rng(4), n_users=20, n_items=7, density=0.7)
+        dropped = db.subset(items=db.items[1:])
+        swapped = VoteDatabase(db.users, (db.items[1], db.items[0]) + db.items[2:], db.votes, db.scale)
+        for model_db in (other, dropped, swapped):
+            models = [em_fit(model_db, 2, seed=1)[0], learn_network(model_db, LearnConfig())]
+            for kind, model in zip((ClusterPredictor, BayesNetPredictor), models):
+                with pytest.raises(ValueError, match="training items"):
+                    kind(db, model)
+
 
 class TestModelFallbacks:
-    def test_cluster_ranks_unmodeled_items(self, implicit_db):
-        trimmed = restrict_to_top_items(implicit_db, 4)
-        model, _ = em_fit(trimmed, 2, seed=0)
-        pred = ClusterPredictor(implicit_db, model, name="BC")
-        case = case_for("t", {implicit_db.items[0]: 1.0})
-        ranked = pred.rank(case)
-        assert set(ranked) == set(implicit_db.items) - {implicit_db.items[0]}
-        outside = next(it for it in implicit_db.items if it not in model.items)
-        assert 0.0 <= pred.predict(case, outside) <= 1.0
-
-    def test_bayesnet_ranks_unmodeled_items(self, implicit_db):
-        trimmed = restrict_to_top_items(implicit_db, 4)
-        model = learn_network(trimmed, LearnConfig())
-        pred = BayesNetPredictor(implicit_db, model, name="BN")
-        case = case_for("t", {implicit_db.items[0]: 1.0})
-        ranked = pred.rank(case)
-        assert set(ranked) == set(implicit_db.items) - {implicit_db.items[0]}
-        assert pred.stats.get("lookups", 0) > 0
-
     def test_deviation_predictions_in_scale(self):
         db = random_explicit_db(np.random.default_rng(3), n_users=20, n_items=6, density=0.7)
         model, _ = em_fit(db, 2, seed=1)
@@ -145,37 +137,36 @@ class TestArrayRanking:
     """Model predictors' array ranking against per-item dicts sorted in Python."""
 
     @staticmethod
-    def _train(seed, explicit, top):
+    def _train(seed, explicit):
         rng = np.random.default_rng(seed)
-        db = random_grouped_db(rng, explicit, n_users=int(rng.integers(20, 60)))
-        return rng, db, restrict_to_top_items(db, top)
+        return rng, random_grouped_db(rng, explicit, n_users=int(rng.integers(20, 60)))
 
     @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), explicit=st.booleans(), top=st.integers(1, 7))
-    def test_bayesnet_matches_tree_walk(self, seed, explicit, top):
-        rng, db, trimmed = self._train(seed, explicit, top)
-        model = learn_network(trimmed, LearnConfig(structure_penalty=0.9))
+    @given(seed=st.integers(0, 2**32 - 1), explicit=st.booleans())
+    def test_bayesnet_matches_tree_walk(self, seed, explicit):
+        rng, db = self._train(seed, explicit)
+        model = learn_network(db, LearnConfig(structure_penalty=0.9))
         pred = BayesNetPredictor(db, model, name="BN")
         lookups = influenced = 0
         for _ in range(6):
             case = random_case(rng, db, max_observed=4)
             scores, n, hits = bn_scores_walk(model, case)
             lookups, influenced = lookups + n, influenced + hits
-            assert pred.rank(case) == model_backed_ranking(db, scores, case)
+            assert pred.rank(case) == sorted_ranking(scores)
             for it in scores:
                 assert pred.predict(case, it) == bn_vote_walk(model, case, it)
         assert pred.stats == {"lookups": lookups, "influenced": influenced}
 
     @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), explicit=st.booleans(), top=st.integers(1, 7))
-    def test_cluster_matches_item_loop(self, seed, explicit, top):
-        rng, db, trimmed = self._train(seed, explicit, top)
-        model, _ = em_fit(trimmed, int(rng.integers(1, 4)), seed=seed)
+    @given(seed=st.integers(0, 2**32 - 1), explicit=st.booleans())
+    def test_cluster_matches_item_loop(self, seed, explicit):
+        rng, db = self._train(seed, explicit)
+        model, _ = em_fit(db, int(rng.integers(1, 4)), seed=seed)
         pred = ClusterPredictor(db, model, name="BC")
         for _ in range(6):
             case = random_case(rng, db, max_observed=4)
             scores = bc_scores_loop(model, case)
-            assert pred.rank(case) == model_backed_ranking(db, scores, case)
+            assert pred.rank(case) == sorted_ranking(scores)
             got = dict(zip(db.items, pred.scores(case)[0]))
             assert all(got[it] == score for it, score in scores.items())  # bitwise
 

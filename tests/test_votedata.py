@@ -14,7 +14,6 @@ from cflab.votedata import (
     load_msweb,
     load_split_manifest,
     load_votes_csv,
-    restrict_to_top_items,
     save_split_manifest,
     save_votes_csv,
     split_users,
@@ -88,10 +87,12 @@ class TestVoteScale:
         wide[:, 1:-1] = dist
         for rule, scalar in ((scale.rank_score, rank_score_scalar),
                              (scale.expected_vote, expected_vote_scalar)):
-            want = [scalar(d, scale) for d in dist]
-            np.testing.assert_array_equal(rule(dist), want)
-            np.testing.assert_array_equal(rule(wide[:, 1:-1]), want)  # strided rows
-            np.testing.assert_array_equal([rule(d) for d in dist], want)
+            # a draw with no mass on the vote states scores NaN on both sides
+            with np.errstate(invalid="ignore"):
+                want = [scalar(d, scale) for d in dist]
+                got = [rule(dist), rule(wide[:, 1:-1]), [rule(d) for d in dist]]  # strided rows
+            for stack in got:
+                np.testing.assert_array_equal(stack, want)
 
 
 class TestLoadMsweb:
@@ -266,51 +267,6 @@ class TestGenerateActiveCases:
                 merged = dict(c.observed) | dict(c.targets)
                 assert merged == db.votes[c.user]
                 assert not set(c.observed) & set(c.targets)
-
-
-class TestRestrictToTopItems:
-    def test_identity_when_k_large(self, tiny_explicit_db):
-        out = restrict_to_top_items(tiny_explicit_db, 99)
-        assert out.items == tiny_explicit_db.items
-        assert out.num_votes == tiny_explicit_db.num_votes
-
-    def test_forced_selection(self):
-        rows = [(f"u{i}", "a", 1) for i in range(5)]
-        rows += [(f"u{i}", "b", 1) for i in range(5)]
-        rows += [(f"u{i}", "c", 1) for i in range(2)]
-        db = make_db(rows, scale=IMPLICIT_SCALE)
-        out = restrict_to_top_items(db, 2)
-        assert set(out.items) == {"a", "b"}
-
-    def test_tie_breaks_to_lower_item_id(self):
-        rows = [(f"u{i}", "z", 1) for i in range(5)]
-        rows += [(f"u{i}", "b", 1) for i in range(5)]
-        db = make_db(rows, scale=IMPLICIT_SCALE)
-        out = restrict_to_top_items(db, 1)
-        assert out.items == ("b",)
-
-    @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 12))
-    def test_matches_literal_count(self, seed, k):
-        # few voters over many items: counts tie often; items are declared
-        # out of id order and some get no votes
-        rng = np.random.default_rng(seed)
-        items = [f"i{j}" for j in rng.permutation(10)]
-        rows = [(f"u{i}", it, 1) for i in range(4) for it in items[:8] if rng.random() < 0.4]
-        db = make_db(rows or [("u0", items[0], 1)], scale=IMPLICIT_SCALE, items=items)
-        counts = {it: 0 for it in db.items}
-        for u in db.users:
-            for it in db.votes[u]:
-                counts[it] += 1
-        want = sorted(db.items, key=lambda it: (-counts[it], it))[:k]
-        assert set(restrict_to_top_items(db, k).items) == set(want)
-
-    def test_vote_multiset_is_subset(self):
-        db = random_explicit_db(np.random.default_rng(0), n_users=10, n_items=8)
-        out = restrict_to_top_items(db, 3)
-        assert len(out.items) <= 3
-        full = set(db.iter_votes())
-        assert set(out.iter_votes()) <= full
 
 
 class TestSplitUsers:
