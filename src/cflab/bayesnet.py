@@ -12,6 +12,14 @@ A model holds all its trees in one set of flat node arrays
 (`BayesNetModel`): the search grows them, scoring routes whole cases
 through them, and the model file nests them back into one JSON tree per
 item.
+
+Each live leaf keeps a table of pair counts, [a, b, s] = its users with item
+s in state a and the target in state b, so that score sums run over
+contiguous rows of candidates; closed candidates are scored, then ruled out.
+A split's children share target, path and pseudo-count: one call scores them
+all. A leaf without users is never scored: its r children would score
+(r-1) ln p each, against its own (r-1) ln p, a gain of (r-1)^2 ln p < 0.
+Root tables come from the co-vote product of the vote encoding, in chunks.
 """
 
 from __future__ import annotations
@@ -67,14 +75,14 @@ def leaf_family_score(
         raise ValueError("prior counts must be positive")
     if (n < 0).any():
         raise ValueError("counts must be nonnegative")
-    return _leaf_score(n, a, math.log(structure_penalty))
+    return float(_leaf_score(n, a, math.log(structure_penalty)))
 
 
-def _leaf_score(n: np.ndarray, a: np.ndarray, log_penalty: float) -> float:
-    """`leaf_family_score` of float count and prior arrays known to be valid."""
-    a_total = a.sum()  # not len(a) * alpha, which can differ in the last bit
-    marginal = gammaln(a_total) - gammaln(a_total + n.sum()) + (gammaln(a + n) - gammaln(a)).sum()
-    return float(marginal + (len(n) - 1) * log_penalty)
+def _leaf_score(n: np.ndarray, a: np.ndarray, log_penalty: float):
+    """`leaf_family_score` of each row of valid float counts `n`."""
+    a_total = a.sum(axis=-1)  # not len(a) * alpha, which can differ in the last bit
+    lg = gammaln(a_total) - gammaln(a_total + n.sum(axis=-1))
+    return lg + (gammaln(a + n) - gammaln(a)).sum(axis=-1) + (n.shape[-1] - 1) * log_penalty
 
 
 class BayesNetModel:
@@ -231,19 +239,20 @@ class BayesNetModel:
 
 # --- learning ---------------------------------------------------------------
 
+# Root tables are built and scored at most this many table cells at a time.
+_ROOT_CELLS = 1 << 14
 
+
+@dataclass(slots=True, eq=False)
 class _LiveLeaf:
     """Mutable leaf bookkeeping during search."""
 
-    __slots__ = ("target", "node", "users", "path", "score", "table")
-
-    def __init__(self, target: int, node: int, users, path, score, table):
-        self.target = target
-        self.node = node  # its node number in the model's arrays
-        self.users = users
-        self.path = path  # boolean mask of the split variables above this leaf
-        self.score = score
-        self.table = table  # the users' pair counts (`_pair_counts`); None once spent
+    target: int
+    node: int  # its node number in the model's arrays
+    users: np.ndarray
+    path: np.ndarray  # boolean mask of the split variables above this leaf
+    score: float
+    table: np.ndarray | None  # the users' pair counts (`_pair_counts`); None once spent
 
 
 def _pair_counts(
@@ -252,8 +261,8 @@ def _pair_counts(
     """Contingency tables of every candidate variable against the target.
 
     `X` is the database's `vote_states` encoding and `target_states` every
-    user's state of the target item. Returns (items, r, r) counts:
-    counts[s, a, b] is the number of `users` (sorted positions) whose item s
+    user's state of the target item. Returns (r, r, items) counts:
+    counts[a, b, s] is the number of `users` (sorted positions) whose item s
     is in state a while the target is in state b. Only the users' recorded
     votes are visited; the no-vote row a = 0 is the target's state totals
     minus the vote rows. The dtype is the smallest signed integer type that
@@ -265,33 +274,54 @@ def _pair_counts(
     # positions of the users' nonzeros: each row's run of starts[k] + 0..lens[k]-1
     pos = np.repeat(starts - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
     tstate = target_states[users]
-    codes = X.indices[pos].astype(np.int64) * r + np.repeat(tstate, lens)
-    votes = np.bincount(codes, minlength=items * (r - 1) * r).reshape(items, r - 1, r)
-    counts = np.empty((items, r, r), dtype=np.min_scalar_type(-len(target_states) - 1))
-    counts[:, 1:] = votes
-    counts[:, 0] = np.bincount(tstate, minlength=r)[None, :] - votes.sum(axis=1)
+    cols = X.indices[pos]
+    codes = ((cols % (r - 1)) * r + np.repeat(tstate, lens)) * items + cols // (r - 1)
+    counts = np.empty((r, r, items), dtype=np.min_scalar_type(-len(target_states) - 1))
+    counts[1:] = np.bincount(codes, minlength=(r - 1) * r * items).reshape(r - 1, r, items)
+    counts[0] = np.bincount(tstate, minlength=r)[:, None] - counts[1:].sum(axis=0)
     return counts
+
+
+def _root_tables(X: sp.csr_matrix, target_totals: np.ndarray, dtype):
+    """Yields (first target, (targets, r, r, items) tables): every item's
+    `_pair_counts` table over all users, given `target_totals[j]`, item j's
+    state totals. The vote cells are co-vote counts `X.T @ X`, exact in float;
+    the no-vote row and column are totals minus the vote cells."""
+    r = target_totals.shape[1]
+    items = X.shape[1] // (r - 1)
+    voters = np.bincount(X.indices, minlength=X.shape[1]).reshape(items, r - 1).T
+    step = max(1, _ROOT_CELLS // (r * r * items))
+    for j0 in range(0, items, step):
+        k = min(step, items - j0)
+        co = (X.T @ X[:, j0 * (r - 1):(j0 + k) * (r - 1)]).toarray()
+        tables = np.empty((k, r, r, items), dtype=dtype)
+        tables[:, 1:, 1:] = co.reshape(items, r - 1, k, r - 1).transpose(2, 1, 3, 0)
+        tables[:, 1:, 0] = voters - tables[:, 1:, 1:].sum(axis=2)
+        tables[:, 0] = target_totals[j0:j0 + k, :, None] - tables[:, 1:].sum(axis=1)
+        yield j0, tables
 
 
 def _split_tables(
     X: sp.csr_matrix, table: np.ndarray, target_states: np.ndarray,
     users: np.ndarray, split_states: np.ndarray, svar: int,
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray | None]]:
     """Partition a leaf on item `svar`: per state a, the users whose
     `split_states` (every user's state of svar) is a, their target-state
-    counts and their pair-count table.
+    counts and their pair-count table, None for a child with no users.
 
-    The counts are row [svar, a] of the leaf's `table`. Only the smaller
+    The counts are row a of the leaf's `table[:, :, svar]`. Only the smaller
     children are counted with `_pair_counts`; the largest child's table is
     `table` minus theirs, computed in place, so `table` is spent.
     """
-    r = table.shape[1]
+    r = table.shape[0]
+    counts = table[:, :, svar].astype(float)
+    sizes = table[:, :, svar].sum(axis=1)
     sub = split_states[users]
-    parts = [users[sub == a] for a in range(r)]
-    counts = [table[svar, a].astype(float) for a in range(r)]
-    largest = max(range(r), key=lambda a: len(parts[a]))
+    # a child with all or none of the users takes no pass over them
+    parts = [users[sub == a] if 0 < size < len(users) else users[:size] for a, size in enumerate(sizes)]
+    largest = int(np.argmax(sizes))
     tables: list = [None] * r
-    for a in range(r):
+    for a in np.flatnonzero(sizes):
         if a != largest:
             tables[a] = _pair_counts(X, target_states, parts[a], r)
             table -= tables[a]
@@ -302,21 +332,24 @@ def _split_tables(
 def _family_scores(
     tables: np.ndarray, lg_alpha: np.ndarray, lg_total: np.ndarray, penalty: float
 ) -> np.ndarray:
-    """Score of splitting a leaf on each candidate variable, vectorized.
+    """Score of splitting leaves on each candidate variable, vectorized.
 
-    `tables` is (items, r_parent, r_target); each row of a table is one child
-    leaf's counts under pseudo-counts alpha_child per state. `lg_alpha[k]` is
-    gammaln(alpha_child + k) and `lg_total[k]` gammaln(r_target * alpha_child
-    + k), looked up instead of computed per cell.
+    `tables` is (..., r_parent, r_target, items) in `_pair_counts`' layout;
+    each [a, :, s] column is one child leaf's counts under pseudo-counts
+    alpha_child per state. `lg_alpha[k]` is gammaln(alpha_child + k) and
+    `lg_total[k]` gammaln(r_target * alpha_child + k), looked up instead of
+    computed per cell. Returns (..., items). Both state sums add in state
+    order; the one over target states goes a state at a time, so that no
+    float temporary is the size of the tables.
     """
-    r = tables.shape[2]
-    child = (
-        lg_total[0]
-        - lg_total[tables.sum(axis=2)]
-        + (lg_alpha[tables] - lg_alpha[0]).sum(axis=2)
-        + (r - 1) * math.log(penalty)
-    )
-    return child.sum(axis=1)
+    r = tables.shape[-2]
+    n = tables[..., 0, :].astype(np.intp)
+    cells = lg_alpha[n] - lg_alpha[0]
+    for b in range(1, r):
+        n += tables[..., b, :]
+        cells += lg_alpha[tables[..., b, :]] - lg_alpha[0]
+    child = lg_total[0] - lg_total[n] + cells + (r - 1) * math.log(penalty)
+    return child.sum(axis=-2)
 
 
 class _Constraints:
@@ -376,7 +409,6 @@ def learn_network(db: VoteDatabase, cfg: LearnConfig) -> BayesNetModel:
     next_order = [1] * t
     total_score = 0.0
     heap: list = []
-    seq = 0
     # per child pseudo-count alpha: gammaln(alpha + k) and gammaln(r * alpha + k)
     # for every count k a table can hold
     lgamma: dict[float, tuple[np.ndarray, np.ndarray]] = {}
@@ -387,50 +419,46 @@ def learn_network(db: VoteDatabase, cfg: LearnConfig) -> BayesNetModel:
             lgamma[alpha] = gammaln(alpha + k), gammaln(alpha * r + k)
         return lgamma[alpha]
 
-    def best_candidate(leaf: _LiveLeaf):
-        # only the variables the constraints leave open are scored
-        open_vars = np.flatnonzero(~constraints.invalid(leaf.target, leaf.path))
-        if len(open_vars):
-            alpha = float(alphas[leaf.node][0]) / r
-            deltas = _family_scores(leaf.table[open_vars], *lookups(alpha), penalty) - leaf.score
-            best = deltas.max()
-            if best > 0.0:
-                # the largest gain, ties to the lowest item id
-                tied = open_vars[deltas == best]
-                return float(best), int(tied[np.argmin(id_rank[tied])])
-        leaf.table = None  # constraints only tighten: the leaf is final
-        return None
-
-    def push_candidate(leaf: _LiveLeaf):
-        nonlocal seq
-        cand = best_candidate(leaf)
-        if cand is None:
-            return
-        delta, svar = cand
-        seq += 1
-        heapq.heappush(
-            heap,
-            (-delta, int(id_rank[leaf.target]), order[leaf.node], int(id_rank[svar]), seq, leaf, svar),
-        )
+    def push_candidates(leaves: list[_LiveLeaf], tables: np.ndarray) -> None:
+        """Score leaves of one pseudo-count in one call; push each one's best."""
+        alpha = float(alphas[leaves[0].node][0]) / r
+        gains = _family_scores(tables, *lookups(alpha), penalty)
+        gains -= np.array([leaf.score for leaf in leaves])[:, None]
+        # closed variables are scored too, then ruled out: selecting the open
+        # ones would copy the tables with strides
+        gains[np.array([constraints.invalid(leaf.target, leaf.path) for leaf in leaves])] = -math.inf
+        best = gains.max(axis=1)
+        # the largest gain, ties to the lowest item id
+        svars = np.where(gains == best[:, None], id_rank, t).argmin(axis=1)
+        for leaf, delta, svar in zip(leaves, best.tolist(), svars.tolist()):
+            if delta > 0.0:
+                heapq.heappush(
+                    heap,
+                    (-delta, int(id_rank[leaf.target]), order[leaf.node], int(id_rank[svar]), leaf, svar),
+                )
+            else:
+                leaf.table = None  # constraints only tighten: the leaf is final
 
     all_users = np.arange(n)
     no_path = np.zeros(t, dtype=bool)
-    for j in range(t):
-        counts.append(np.bincount(states[:, j], minlength=r).astype(float))
-        alphas.append(np.full(r, ess / r))
-        live = _LiveLeaf(
-            target=j, node=j, users=all_users, path=no_path,
-            score=_leaf_score(counts[j], alphas[j], log_penalty),
-            table=_pair_counts(X, states[:, j], all_users, r),
-        )
-        total_score += live.score
-        push_candidate(live)
+    totals = np.stack([np.bincount(states[:, j], minlength=r) for j in range(t)])
+    counts.extend(totals.astype(float))
+    alphas.extend([np.full(r, ess / r)] * t)
+    root_scores = _leaf_score(np.array(counts), alphas[0], log_penalty).tolist()
+    for j0, tables in _root_tables(X, totals, np.min_scalar_type(-n - 1)):
+        roots = []
+        for j in range(j0, j0 + len(tables)):
+            # a copy, so that the chunk is freed once scored
+            roots.append(_LiveLeaf(j, j, all_users, no_path, root_scores[j], tables[j - j0].copy()))
+            total_score += root_scores[j]
+        push_candidates(roots, tables)
 
     while heap:
-        # a leaf has at most one heap entry: pushed when created or rescored
-        neg_delta, _, _, _, _, leaf, svar = heapq.heappop(heap)
+        # a leaf has at most one heap entry (pushed when created or rescored),
+        # so no two keys tie on (target, order) and leaves are never compared
+        neg_delta, _, _, _, leaf, svar = heapq.heappop(heap)
         if constraints.invalid(leaf.target, leaf.path)[svar]:
-            push_candidate(leaf)  # constraints tightened since scoring; rescore
+            push_candidates([leaf], leaf.table[None])  # constraints tightened since scoring; rescore
             continue
         delta = -neg_delta
         j = leaf.target
@@ -442,14 +470,9 @@ def learn_network(db: VoteDatabase, cfg: LearnConfig) -> BayesNetModel:
         child_path = leaf.path.copy()
         child_path[svar] = True
         new_live = []
-        for users_a, counts_a, table_a in children:
-            new_live.append(
-                _LiveLeaf(
-                    target=j, node=len(var), users=users_a, path=child_path,
-                    score=_leaf_score(counts_a, child_alpha, log_penalty),
-                    table=table_a,
-                )
-            )
+        child_scores = _leaf_score(np.array([c for _, c, _ in children]), child_alpha, log_penalty)
+        for (users_a, counts_a, table_a), score in zip(children, child_scores.tolist()):
+            new_live.append(_LiveLeaf(j, len(var), users_a, child_path, score, table_a))
             var.append(-1)
             first.append(len(first))
             counts.append(counts_a)
@@ -464,7 +487,8 @@ def learn_network(db: VoteDatabase, cfg: LearnConfig) -> BayesNetModel:
         if not new_total >= total_score:
             raise RuntimeError("total score must not decrease")
         total_score = new_total
-        for nl in new_live:
-            push_candidate(nl)
+        # a leaf without users cannot gain (module docstring): final, unscored
+        scored = [nl for nl in new_live if nl.table is not None]
+        push_candidates(scored, np.stack([nl.table for nl in scored]))
 
     return BayesNetModel(scale, db.items, var, first, counts, alphas, order)

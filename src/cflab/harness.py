@@ -116,6 +116,15 @@ def _check_keys(obj: dict, allowed: tuple[str, ...], where: str) -> None:
             raise ConfigError(f"{where}: unknown key {key!r}")
 
 
+def _number(value, typ: type, where: str, high: float = math.inf, low: int = 0):
+    """`value` as `typ` if it is a JSON number of that type (never a bool)
+    strictly between `low` and `high`, else a ConfigError naming `where`."""
+    if isinstance(value, bool) or not isinstance(value, (int, typ)) or not low < value < high:
+        wanted = f"an integer >= {low + 1}" if typ is int else f"a number in ({low}, {high})"
+        raise ConfigError(f"{where}: must be {wanted}, not {value!r}")
+    return typ(value)
+
+
 def parse_config(doc: dict, base_dir: Path) -> ExperimentConfig:
     _check_keys(doc, ("dataset", "protocols", "algorithms", "metrics", "ranked",
                       "confidence", "seed", "output_dir"), "config")
@@ -150,7 +159,7 @@ def parse_config(doc: dict, base_dir: Path) -> ExperimentConfig:
             )
         except (VoteDataError, TypeError, ValueError) as exc:
             raise ConfigError(f"dataset.scale: {exc}") from None
-    test_fraction = ds.get("test_fraction")
+    test_fraction, train_users = ds.get("test_fraction"), ds.get("train_users")
     if test is None and test_fraction is None:
         raise ConfigError("dataset: need either a test file or a test_fraction split")
     dataset = DatasetSpec(
@@ -158,10 +167,12 @@ def parse_config(doc: dict, base_dir: Path) -> ExperimentConfig:
         train=train,
         test=test,
         scale=scale,
-        test_fraction=test_fraction,
-        split_seed=int(ds.get("split_seed", 0)),
-        min_votes=int(ds.get("min_votes", 2)),
-        train_users=ds.get("train_users"),
+        test_fraction=None if test_fraction is None else _number(
+            test_fraction, float, "dataset.test_fraction", 1),
+        split_seed=_number(ds.get("split_seed", 0), int, "dataset.split_seed", low=-1),
+        min_votes=_number(ds.get("min_votes", 2), int, "dataset.min_votes"),
+        train_users=None if train_users is None else _number(
+            train_users, int, "dataset.train_users"),
     )
 
     raw_protocols = _require(doc, "protocols", "config")
@@ -228,8 +239,8 @@ def parse_config(doc: dict, base_dir: Path) -> ExperimentConfig:
         algorithms=algorithms,
         metrics=list(metrics),
         ranked=ranked,
-        confidence=float(doc.get("confidence", 0.90)),
-        seed=int(doc.get("seed", 0)),
+        confidence=_number(doc.get("confidence", 0.90), float, "confidence", 1),
+        seed=_number(doc.get("seed", 0), int, "seed", low=-1),
         output_dir=output_dir,
     )
 
@@ -309,15 +320,10 @@ def _model_params(kind: str, params: dict, where: str) -> dict:
     _check_keys(params, tuple(allowed), where)
     if "classes" in params and ("max_classes" in params or "restarts" in params):
         raise ConfigError(f"{where}: a fixed classes count takes no max_classes or restarts")
-    values = {}
-    for key, (default, typ, high) in allowed.items():
-        value = params.get(key, default)
-        if key in params and (isinstance(value, bool) or not isinstance(value, (int, typ))
-                              or not 0 < value < high):
-            wanted = "an integer >= 1" if typ is int else f"a number in (0, {high})"
-            raise ConfigError(f"{where}.{key}: must be {wanted}, not {value!r}")
-        values[key] = None if value is None else typ(value)
-    return values
+    return {
+        key: _number(params[key], typ, f"{where}.{key}", high) if key in params else default
+        for key, (default, typ, high) in allowed.items()
+    }
 
 
 def train_model(train: VoteDatabase, spec: AlgorithmSpec, seed: int, cache_dir: Path):

@@ -6,11 +6,15 @@ the library (centered means instead of expanded sums, explicit enumeration
 instead of closed forms), so agreement is meaningful.
 """
 
+import heapq
 import itertools
 import math
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.special import gammaln
+
+from cflab.bayesnet import BayesNetModel, leaf_family_score
 
 
 def _iuf_map(db):
@@ -191,6 +195,82 @@ def dense_pair_counts(states, users, t, r):
     offs = np.arange(sub.shape[1], dtype=np.int64) * (r * r)
     flat = (codes + offs[None, :]).ravel()
     return np.bincount(flat, minlength=sub.shape[1] * r * r).reshape(sub.shape[1], r, r)
+
+
+def learn_network_dense(db, cfg):
+    """`bayesnet.learn_network`'s greedy search written plainly: each leaf's
+    table is `dense_pair_counts` over its own users, each leaf is scored
+    alone over the variables its constraints leave open (reach recomputed by
+    `transitive_closure`), and the best gain is taken first, with the same
+    tie rule. No table comes from a subtraction or a co-vote product, no
+    scoring call is shared, and a leaf without users is scored like any
+    other. The gains are computed as the library computes them, so that the
+    models must agree bit for bit."""
+    t, r = len(db.items), db.scale.num_states
+    penalty = cfg.structure_penalty
+    states = dense_states(db)
+    rank = np.empty(t, dtype=int)
+    rank[sorted(range(t), key=lambda j: db.items[j])] = np.arange(t)
+    edges = set()
+    var, first, counts, alphas, order = [], [], [], [], []
+    next_order = [1] * t
+    heap, leaves = [], []
+
+    def add_leaf(target, users, path, alpha, leaf_order):
+        """Append a leaf node; returns its leaf number."""
+        c = np.bincount(states[users, target], minlength=r).astype(float)
+        a = np.full(r, alpha)
+        leaves.append((target, len(var), users, path, alpha, leaf_family_score(c, a, penalty)))
+        var.append(-1)
+        first.append(len(first))
+        counts.append(c)
+        alphas.append(a)
+        order.append(leaf_order)
+        return len(leaves) - 1
+
+    def push(k):
+        target, node, users, path, alpha, score = leaves[k]
+        bad = transitive_closure(edges, t)[target] | path
+        open_vars = np.flatnonzero(~bad)
+        if not len(open_vars):
+            return
+        table = dense_pair_counts(states, users, target, r)[open_vars]  # [s, a, b]
+        a = alpha / r  # the children's pseudo-count
+        child = (
+            gammaln(a * r)
+            - gammaln(a * r + table.sum(axis=2))
+            + (gammaln(a + table) - gammaln(a)).sum(axis=2)
+            + (r - 1) * math.log(penalty)
+        )
+        gains = child.sum(axis=1) - score
+        best = gains.max()
+        if best > 0.0:
+            tied = open_vars[gains == best]
+            svar = int(tied[np.argmin(rank[tied])])
+            heapq.heappush(heap, (-float(best), int(rank[target]), order[node], int(rank[svar]), k, svar))
+
+    for j in range(t):
+        add_leaf(j, np.arange(len(db.users)), np.zeros(t, dtype=bool), cfg.equivalent_sample_size / r, 0)
+    for k in range(t):
+        push(k)
+    while heap:
+        _, _, _, _, k, svar = heapq.heappop(heap)
+        target, node, users, path, alpha, _ = leaves[k]
+        if (transitive_closure(edges, t)[target] | path)[svar]:
+            push(k)
+            continue
+        var[node], first[node] = svar, len(var)
+        child_path = path.copy()
+        child_path[svar] = True
+        kids = []
+        for a in range(r):
+            kids.append(add_leaf(target, users[states[users, svar] == a], child_path, alpha / r,
+                                 next_order[target]))
+            next_order[target] += 1
+        edges.add((svar, target))
+        for kid in kids:
+            push(kid)
+    return BayesNetModel(db.scale, db.items, var, first, counts, alphas, order)
 
 
 def transitive_closure(edges, t):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import gammaln
 
 import cflab
 from cflab import bayesnet
@@ -31,6 +33,7 @@ from reference import (
     dense_pair_counts,
     dense_states,
     leaf_distribution,
+    learn_network_dense,
     lookup_with_path,
     model_trees,
     sorted_ranking,
@@ -366,9 +369,38 @@ class TestSparsePairCounts:
         users = np.array(sorted(leaf), dtype=np.int64)  # the empty leaf included
         states = dense_states(db)
         got = bayesnet._pair_counts(db.index.vote_states, states[:, target], users, r)
-        want = dense_pair_counts(states, users, target, r)
+        want = dense_pair_counts(states, users, target, r).transpose(1, 2, 0)
         assert got.dtype.kind == "i"
         np.testing.assert_array_equal(got, want)
+
+
+class TestRootTables:
+    """Every root table from the chunked co-vote product."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        explicit=st.booleans(),
+        n_users=st.integers(1, 25),
+        n_items=st.integers(1, 7),
+        cells=st.sampled_from([1, 60, 1 << 13]),
+    )
+    def test_match_dense_reference(self, seed, explicit, n_users, n_items, cells):
+        db = search_db(np.random.default_rng(seed), explicit, n_users, n_items, 0.4)
+        t, r = len(db.items), db.scale.num_states
+        states = dense_states(db)
+        totals = np.stack([np.bincount(states[:, j], minlength=r) for j in range(t)])
+        seen = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bayesnet, "_ROOT_CELLS", cells)  # one to all targets per chunk
+            chunks = list(bayesnet._root_tables(db.index.vote_states, totals, np.int16))
+        for j0, tables in chunks:
+            assert tables.dtype == np.int16
+            for j in range(j0, j0 + len(tables)):
+                want = dense_pair_counts(states, np.arange(n_users), j, r).transpose(1, 2, 0)
+                np.testing.assert_array_equal(tables[j - j0], want)
+                seen.append(j)
+        assert seen == list(range(t))
 
 
 class TestSplitTables:
@@ -396,16 +428,37 @@ class TestSplitTables:
         )
         leaf = data.draw(st.sets(st.integers(0, n_users - 1)), label="leaf users")
         users = np.array(sorted(leaf), dtype=np.int64)  # the empty leaf included
+        if not len(users):
+            return  # the search splits no leaf without users
         table = bayesnet._pair_counts(X, states[:, target], users, r)
         children = bayesnet._split_tables(X, table, states[:, target], users, states[:, svar], svar)
         assert len(children) == r
         for a, (users_a, counts_a, table_a) in enumerate(children):
             np.testing.assert_array_equal(users_a, users[states[users, svar] == a])
-            assert table_a.dtype == table.dtype and np.iinfo(table.dtype).max >= n_users
-            np.testing.assert_array_equal(table_a, dense_pair_counts(states, users_a, target, r))
             np.testing.assert_array_equal(
                 counts_a, np.bincount(states[users_a, target], minlength=r)
             )
+            if not len(users_a):
+                assert table_a is None  # an empty child is never scored
+                continue
+            assert table_a.dtype == table.dtype and np.iinfo(table.dtype).max >= n_users
+            want = dense_pair_counts(states, users_a, target, r).transpose(1, 2, 0)
+            np.testing.assert_array_equal(table_a, want)
+
+
+class TestEmptyLeaf:
+    """A leaf without users never gains from a split, so the search skips
+    its scoring."""
+
+    @pytest.mark.parametrize("r", [2, 7])
+    @pytest.mark.parametrize("penalty", [1e-6, 0.1, 0.999999])
+    @pytest.mark.parametrize("alpha", [1e-3, 0.5, 10.0 / 7])
+    def test_every_split_of_an_empty_leaf_loses(self, r, penalty, alpha):
+        child, k = alpha / r, np.arange(4)  # the lookups `learn_network` builds
+        lookups = gammaln(child + k), gammaln(child * r + k)
+        gains = bayesnet._family_scores(np.zeros((r, r, 5), dtype=np.int16), *lookups, penalty)
+        gains -= bayesnet._leaf_score(np.zeros(r), np.full(r, alpha), math.log(penalty))
+        assert (gains < 0).all()
 
 
 def _brute_invalid(edges, target, path, t):
@@ -435,6 +488,56 @@ class TestConstraints:
         for parent, child in edges:
             with pytest.raises(RuntimeError, match="acyclic"):
                 cons.add_edge(child, parent)
+
+
+def search_db(rng, explicit, n_users, n_items, density, idle=True):
+    """Random database over n_items voted items, plus one that nobody votes
+    on if `idle`; every user has at least one vote. Item ids are shuffled
+    over the positions, so that a tie broken on position is not one broken
+    on id."""
+    scale = SCALE_0_5 if explicit else IMPLICIT_SCALE
+    names = [f"i{k}" for k in rng.permutation(n_items + idle)]
+    rows = []
+    for i in range(n_users):
+        voted = np.flatnonzero(rng.random(n_items) < density)
+        if not len(voted):
+            voted = [int(rng.integers(n_items))]
+        rows += [(f"u{i}", names[j], int(rng.integers(6)) if explicit else 1) for j in voted]
+    return make_db(rows, scale, items=names)
+
+
+# SHA-256 of the model file of `TestSearchOracle.test_sparse_model_keeps_its_digest`
+SPARSE_MODEL_DIGEST = "229efca4be23bbb89838693826a19681f7844a2755ea3d676c8c13e740fa30e4"
+
+
+class TestSearchOracle:
+    """The search against `reference.learn_network_dense`, model file for
+    model file."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        explicit=st.booleans(),
+        n_users=st.integers(1, 40),
+        n_items=st.integers(1, 8),
+        density=st.sampled_from([0.05, 0.2, 0.5]),
+        idle=st.booleans(),
+        penalty=st.sampled_from([0.1, 0.5, 0.99]),
+        ess=st.sampled_from([0.5, 2.0, 10.0, 40.0]),
+    )
+    def test_matches_dense_search(self, seed, explicit, n_users, n_items, density, idle,
+                                  penalty, ess):
+        # sparse implicit draws leave many split children without users
+        db = search_db(np.random.default_rng(seed), explicit, n_users, n_items, density, idle)
+        cfg = LearnConfig(structure_penalty=penalty, equivalent_sample_size=ess)
+        assert learn_network(db, cfg).to_json() == learn_network_dense(db, cfg).to_json()
+
+    def test_sparse_model_keeps_its_digest(self):
+        # sparse visits and a high penalty: 201 of the 659 leaves have no users
+        db = random_implicit_db(np.random.default_rng(2024), n_users=300, n_items=60, density=0.05)
+        model = learn_network(db, LearnConfig(structure_penalty=0.9))
+        doc = json.dumps(model.to_json(), sort_keys=True)  # as the model cache writes it
+        assert hashlib.sha256(doc.encode()).hexdigest() == SPARSE_MODEL_DIGEST
 
 
 class TestSearchChecks:

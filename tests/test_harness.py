@@ -177,6 +177,27 @@ class TestConfigValidation:
         assert f"algorithms[{alg}].config.{key}: must be" in capsys.readouterr().err
         assert run_cli("train", bad) == 2
 
+    @pytest.mark.parametrize("where, value", [
+        ("dataset.min_votes", "two"), ("dataset.min_votes", 0), ("dataset.min_votes", 2.0),
+        ("dataset.train_users", "x"), ("dataset.train_users", 0), ("dataset.train_users", True),
+        ("dataset.test_fraction", 1.5), ("dataset.test_fraction", 0), ("dataset.test_fraction", "0.4"),
+        ("dataset.split_seed", 1.5), ("dataset.split_seed", -1), ("dataset.split_seed", False),
+        ("confidence", "high"), ("confidence", 1.5), ("confidence", True), ("confidence", None),
+        ("seed", "s"), ("seed", 2.0), ("seed", -3),
+    ])
+    def test_bad_dataset_or_top_value_is_named_before_loading(self, workdir, capsys, monkeypatch,
+                                                              where, value):
+        doc = json.loads((workdir / "fixture_config.json").read_text())
+        *parent, key = where.split(".")
+        (doc["dataset"] if parent else doc)[key] = value
+        bad = workdir / "bad.json"
+        bad.write_text(json.dumps(doc))
+        monkeypatch.setattr(harness, "load_datasets", None)  # fails if data loads
+        assert run_cli("run", bad) == 2
+        assert f"{where}: must be" in capsys.readouterr().err
+        assert not (workdir / "out").exists()
+        assert run_cli("train", bad) == 2
+
     @pytest.mark.parametrize("sweep", [{"max_classes": 4}, {"restarts": 2}])
     def test_fixed_classes_take_no_sweep_keys(self, workdir, capsys, sweep):
         # the fixed count would otherwise silently win
