@@ -430,3 +430,181 @@ def bc_scores_loop(model, case):
 def sorted_ranking(scores):
     """Items of a score dict by descending score, ties to the lower item id."""
     return sorted(scores, key=lambda it: (-scores[it], it))
+
+
+# --- whole experiment reports ---------------------------------------------------
+
+# oracle scores closer than this may come out of the library in either order
+NEAR = 1e-9
+
+
+def _case_oracle(alg, train, case):
+    """One predictor's view of one case from the component oracles: per
+    unobserved training item its (rank score, informed) pair, the expected
+    vote of such an item (None if the predictor does not predict votes), and
+    the work counts the ranked report adds up. Raises where the predictor
+    fails the case. A predictor with an `oracle(case, items)` method is its
+    own oracle."""
+    from cflab.predictors import ClusterPredictor, MemoryPredictor, PopularityPredictor
+
+    items = [it for it in train.items if it not in case.observed]
+    if hasattr(alg, "oracle"):
+        return alg.oracle(case, items)
+    if isinstance(alg, PopularityPredictor):
+        counts = {it: 0 for it in train.items}
+        for _, it, _ in train.iter_votes():
+            counts[it] += 1
+        return {it: (float(counts[it]), True) for it in items}, None, {}
+    if isinstance(alg, MemoryPredictor):
+        values = {it: brute_predict(case, it, train, alg.scorer.cfg) for it in items}
+        return values, lambda it: values[it][0], {}
+    model = alg.model
+    for it, v in case.observed.items():
+        if it in model.item_pos:
+            model.scale.state_of(v)  # an off-scale vote on a model item fails the case
+    if isinstance(alg, ClusterPredictor):
+        post = model.posterior(case.observed)
+        scores = bc_scores_loop(model, case)
+        return ({it: (s, True) for it, s in scores.items()},
+                lambda it: expected_vote_scalar(post @ model.cond[:, model.item_pos[it]],
+                                                model.scale), {})
+    scores, lookups, influenced = bn_scores_walk(model, case)
+    return ({it: (s, True) for it, s in scores.items()},
+            lambda it: bn_vote_walk(model, case, it),
+            {"lookups": lookups, "influenced": influenced})
+
+
+def _sort_key(entry):
+    """Descending score with NaN last, informed first, then the item id."""
+    it, (score, informed) = entry
+    return (math.isnan(score), 0.0 if math.isnan(score) else -score, not informed, it)
+
+
+def _ranked_oracle(scores, targets, half_life, neutral):
+    """The utility of the oracle's ranking (a plain sort of the scores), and
+    the least and greatest utility over the orders that swap oracle scores
+    closer than NEAR."""
+    ranked = [it for it, _ in sorted(scores.items(), key=_sort_key)]
+    exact = brute_ranked_utility(ranked, targets, half_life, neutral)
+    spans = []
+    for it, v in targets.items():
+        gain = max(v - neutral, 0.0)
+        if gain <= 0 or it not in scores:
+            continue
+        s = scores[it][0]
+        near = sum(1 for other, (o, _) in scores.items()
+                   if other != it and 0 < abs(o - s) <= NEAR)
+        first = ranked.index(it) - sum(1 for other in ranked[:ranked.index(it)]
+                                       if 0 < abs(scores[other][0] - s) <= NEAR)
+        spans.append((gain, first, first + near))
+    if all(lo == hi for _, lo, hi in spans):
+        return exact, exact, exact
+    least = sum(g / 2 ** (hi / (half_life - 1)) for g, _, hi in spans)
+    most = sum(g / 2 ** (lo / (half_life - 1)) for g, lo, _ in spans)
+    return exact, least, most
+
+
+def _blocked_anova_difference(rows, confidence):
+    """Bonferroni required difference from a loop-based two-way blocked ANOVA
+    of a cases-by-algorithms list of rows."""
+    from scipy import stats as sstats
+
+    b, m = len(rows), len(rows[0])
+    grand = sum(sum(r) for r in rows) / (b * m)
+    row_means = [sum(r) / m for r in rows]
+    col_means = [sum(r[k] for r in rows) / b for k in range(m)]
+    sse = sum((rows[i][k] - row_means[i] - col_means[k] + grand) ** 2
+              for i in range(b) for k in range(m))
+    df = (m - 1) * (b - 1)
+    mse = sse / df
+    if mse <= 0:
+        return 0.0
+    alpha = (1 - confidence) / (m * (m - 1) / 2)
+    return float(sstats.t.ppf(1 - alpha / 2, df)) * math.sqrt(2 * mse / b)
+
+
+def reference_reports(train, cases, algorithms, metrics, ranked_cfg, confidence=0.90):
+    """Every metric's report, in `ExperimentReport.to_json` form, composed
+    from the component oracles one case and one predictor at a time: no
+    blocks, no counting of positions.
+
+    A case is scored for a metric only if every predictor scores it there: a
+    predictor whose oracle raises fails the case for every metric, one whose
+    vote raises fails it for deviation. Ranked scoring skips the cases with
+    zero maximum utility. A report's `extras` add each predictor's work
+    counts over the cases the ranked report keeps (zeros in the deviation
+    report), for the predictors that count work, when the ranked metric runs.
+    Each report also carries `utility_span`: per predictor and kept ranked
+    case, the least and greatest utility over the orders of near-tied scores.
+    """
+    hl, neutral = ranked_cfg.half_life, ranked_cfg.neutral
+    names = [alg.name for alg in algorithms]
+    kept = {m: [] for m in metrics}
+    excluded = {m: {"zero_max_utility": [], "failed": []} for m in metrics}
+    work = {}
+    for case in cases:
+        ideal = sorted(case.targets, key=lambda it: -case.targets[it])
+        rmax = brute_ranked_utility(ideal, case.targets, hl, neutral)
+        todo = [m for m in metrics if m != "ranked" or rmax > 0]
+        if len(todo) < len(metrics):
+            excluded["ranked"]["zero_max_utility"].append(case.user)
+        rows = {m: {} for m in todo}
+        counts = {}
+        for alg in algorithms:
+            try:
+                scores, vote, counts[alg.name] = _case_oracle(alg, train, case)
+            except Exception:
+                continue
+            if "ranked" in todo:
+                rows["ranked"][alg.name] = _ranked_oracle(scores, case.targets, hl, neutral)
+            if "deviation" in todo:
+                try:
+                    if vote is None:
+                        raise NotImplementedError(alg.name)
+                    errors = [abs((vote(it) if it in train.index.item_pos
+                                   else case.observed_mean) - v)
+                              for it, v in case.targets.items()]
+                except Exception:
+                    continue
+                rows["deviation"][alg.name] = sum(errors) / len(errors)
+        for m in todo:
+            if len(rows[m]) < len(algorithms):
+                excluded[m]["failed"].append(case.user)
+                continue
+            kept[m].append((case.user, rows[m], rmax))
+            if m == "ranked":
+                for name, c in counts.items():
+                    for k, v in c.items():
+                        work.setdefault(name, dict.fromkeys(c, 0))[k] += v
+    docs = []
+    for m in metrics:
+        ranked = m == "ranked"
+        cols = {n: [row[n] for _, row, _ in kept[m]] for n in names}
+        scores = {n: [x[0] for x in col] if ranked else col for n, col in cols.items()}
+        rmaxes = [r for _, _, r in kept[m]]
+        if not kept[m]:
+            aggregate = None  # run_experiment refuses to report nothing
+        elif ranked:
+            aggregate = {n: 100.0 * sum(s) / sum(rmaxes) for n, s in scores.items()}
+            matrix = [[100.0 * scores[n][i] / rmaxes[i] for n in names]
+                      for i in range(len(rmaxes))]
+        else:
+            aggregate = {n: sum(s) / len(s) for n, s in scores.items()}
+            matrix = [[scores[n][i] for n in names] for i in range(len(kept[m]))]
+        extras = {} if "ranked" not in metrics else {
+            name: {k: v if ranked else 0 for k, v in c.items()} for name, c in work.items()}
+        docs.append({
+            "version": 1, "kind": "experiment_report", "protocol": None, "metric": m,
+            "algorithms": names, "case_count": len(kept[m]),
+            "case_ids": [user for user, _, _ in kept[m]], "scores": scores,
+            "aggregate": aggregate,
+            "required_difference": _blocked_anova_difference(matrix, confidence)
+            if len(names) >= 2 and len(matrix) >= 2 else None,
+            "rmax": rmaxes if ranked else None, "excluded": excluded[m],
+            "confidence": confidence, "seed": None,
+            "half_life": hl if ranked else None, "neutral": neutral if ranked else None,
+            "extras": extras,
+            "utility_span": {n: [x[1:] for x in col] for n, col in cols.items()}
+            if ranked else None,
+        })
+    return docs

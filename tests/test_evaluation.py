@@ -1,9 +1,11 @@
 import json
 import math
+import zlib
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy import stats as sstats
 
 from cflab.bayesnet import LearnConfig, learn_network
@@ -19,12 +21,19 @@ from cflab.evaluation import (
     ranked_utility,
     run_experiment,
 )
-from cflab.memory import MemoryConfig
-from cflab.predictors import BayesNetPredictor, ClusterPredictor, MemoryPredictor
-from cflab.votedata import ActiveCase, Protocol, generate_active_cases
+from cflab import predictors
+from cflab.memory import DefaultVoting, MemoryConfig
+from cflab.predictors import (
+    BayesNetPredictor,
+    ClusterPredictor,
+    MemoryPredictor,
+    PopularityPredictor,
+    Predictor,
+)
+from cflab.votedata import ActiveCase, Protocol, VoteDataError, generate_active_cases
 
 from conftest import case_for, make_db, random_grouped_db, random_implicit_db
-from reference import brute_ranked_utility
+from reference import brute_ranked_utility, reference_reports
 
 CFG5 = RankedScoringConfig(half_life=5.0, neutral=0.0)
 
@@ -394,3 +403,130 @@ class TestOnePass:
         for metrics in ([], ["ranked", "ranked"], ["precision"], "ranked"):
             with pytest.raises(ValueError):
                 run_experiment(db, cases, algs, metrics)
+
+
+class _Scripted(Predictor):
+    """Scores drawn from a fixed hash of (user, item) among ties, +-0.0 and
+    NaN, with a hashed informed mask; every call on a `fail_users` case
+    raises, and so does a vote on a `vote_fail_users` case. It is its own
+    oracle."""
+
+    VALUES = (0.0, -0.0, 1.0, 1.0, 2.5, math.nan)
+
+    def __init__(self, train, fail_users=(), vote_fail_users=()):
+        super().__init__(train, "S")
+        self.fail_users = set(fail_users)
+        self.vote_fail_users = set(vote_fail_users)
+
+    @staticmethod
+    def _hash(*key):
+        return zlib.crc32(repr(key).encode())
+
+    def _row(self, case):
+        if case.user in self.fail_users:
+            raise RuntimeError("scripted failure")
+        items = self.train.items
+        scores = np.array([self.VALUES[self._hash(case.user, it) % 6] for it in items])
+        informed = np.array([self._hash(it, case.user) % 3 > 0 for it in items])
+        return scores, informed
+
+    def _evaluate_block(self, cases):
+        return [self._row(case) for case in cases]
+
+    def scores(self, case):
+        return self._for_case(case)
+
+    def _vote(self, case, j):
+        self._for_case(case)
+        if case.user in self.vote_fail_users:
+            raise RuntimeError("scripted vote failure")
+        return float(self._hash(case.user, j) % 6)
+
+    def oracle(self, case, items):
+        scores, informed = self._row(case)
+        pos = self.train.index.item_pos
+        return ({it: (float(scores[pos[it]]), bool(informed[pos[it]])) for it in items},
+                lambda it: self._vote(case, pos[it]), {})
+
+
+def _has_residual_weights(alg, cases):
+    """A memory predictor's round-off residual weights decide its votes, where
+    the oracle has none: such draws are not compared."""
+    if not isinstance(alg, MemoryPredictor):
+        return False
+    w = alg.scorer.weights(cases)
+    return bool(np.any((w != 0) & (np.abs(w) < 1e-9)))
+
+
+class TestAgainstReference:
+    """`run_experiment` against the reference runner, which composes the
+    component oracles case by case."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        explicit=st.booleans(),
+        given2=st.booleans(),
+        metrics=st.sampled_from([["ranked"], ["deviation"], ["ranked", "deviation"],
+                                 ["deviation", "ranked"]]),
+        per_block=st.integers(1, 4),
+    )
+    def test_reports_match(self, seed, explicit, given2, metrics, per_block):
+        rng = np.random.default_rng(seed)
+        train = random_grouped_db(rng, explicit, n_users=int(rng.integers(15, 35)))
+        test = random_grouped_db(rng, explicit, n_users=10)  # users share ids with train
+        protocol = Protocol.given(2) if given2 else Protocol.all_but_1()
+        try:
+            cases = generate_active_cases(test, protocol, seed=seed % 1000)
+        except VoteDataError:
+            assume(False)
+        # an off-scale vote on a model item: BN and BC fail this case
+        i0, i1, i2 = train.items[:3]
+        bad = ActiveCase("bad", {i0: 2.5 if explicit else 0.5, i1: 1.0}, {i2: 1.0})
+        cases.insert(int(rng.integers(len(cases) + 1)), bad)
+        users = [case.user for case in cases]
+        algs = [
+            MemoryPredictor(train, MemoryConfig("correlation", DefaultVoting(k=20), True, 2.5),
+                            "CR+"),
+            MemoryPredictor(train, MemoryConfig("vector_similarity", None, True), "VSIM"),
+            ClusterPredictor(train, em_fit(train, 2, seed=1)[0]),
+            BayesNetPredictor(train, learn_network(train, LearnConfig(structure_penalty=0.99))),
+        ]
+        # first, so that no predictor's work counts on the cases it fails
+        algs.insert(0, _Scripted(train, rng.choice(users, 1), rng.choice(users, 2)))
+        if "deviation" not in metrics:
+            algs.insert(int(rng.integers(len(algs) + 1)), PopularityPredictor(train))
+        assume(not any(_has_residual_weights(alg, cases) for alg in algs))
+        cfg = RankedScoringConfig(half_life=5.0, neutral=float(train.scale.neutral))
+        want = reference_reports(train, cases, algs, metrics, cfg)
+        with mock.patch.object(predictors, "BLOCK_WEIGHTS", per_block * len(train.users)):
+            try:
+                got = [r.to_json() for r in run_experiment(train, cases, algs, metrics, cfg)]
+            except ValueError as exc:  # every case excluded from some metric
+                assert any(doc["case_count"] == 0 for doc in want), exc
+                return
+        for g, w in zip(got, want):
+            _assert_report_matches(g, w)
+
+
+def _assert_report_matches(got, want):
+    """Exact where the oracle is exact, 1e-9 on round-off, near ties either way."""
+    exact = ("metric", "algorithms", "case_count", "case_ids", "rmax", "excluded",
+             "half_life", "neutral", "extras")
+    assert {k: got[k] for k in exact} == {k: want[k] for k in exact}
+    for name in want["algorithms"]:
+        if want["metric"] == "ranked":
+            for u, (lo, hi), exact_u in zip(got["scores"][name], want["utility_span"][name],
+                                           want["scores"][name]):
+                if lo == hi:
+                    assert u == exact_u, name
+                else:
+                    assert lo - 1e-12 <= u <= hi + 1e-12, name
+        else:
+            assert got["scores"][name] == pytest.approx(want["scores"][name], abs=1e-9)
+        assert got["aggregate"][name] == pytest.approx(want["aggregate"][name], abs=1e-9)
+    if want["required_difference"] is None:
+        assert got["required_difference"] is None
+    else:
+        assert got["required_difference"] == pytest.approx(want["required_difference"],
+                                                           rel=1e-9, abs=1e-9)
