@@ -28,7 +28,7 @@ import graphlib
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -127,33 +127,32 @@ class BayesNetModel:
         except graphlib.CycleError:
             raise ValueError("parent graph must be acyclic") from None
 
-    def route(self, observed: Mapping[ItemId, float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every item's leaf for a case whose unobserved items are no-vote,
-        whether an observed vote steered that item's path, and the mask of
-        observed model items. One numpy step moves all items down a level."""
+    def route(
+        self, observed: Sequence[Mapping[ItemId, float]]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A row per case of observed votes, whose unobserved items are
+        no-vote: every item's leaf, whether an observed vote steered that
+        item's path, and the mask of observed model items. One numpy step
+        moves every case's items down a level."""
         t = len(self.items)
-        # position t (reached through var -1) is a no-vote, unobserved sentinel
-        state = np.zeros(t + 1, dtype=np.intp)
-        seen = np.zeros(t + 1, dtype=bool)
-        for it, v in observed.items():
-            j = self.item_pos.get(it)
-            if j is not None:
-                state[j] = self.scale.state_of(v)
-                seen[j] = True
-        node = np.arange(t)
-        influenced = np.zeros(t, dtype=bool)
+        # column t (reached through var -1) is a no-vote, unobserved sentinel
+        state = np.zeros((len(observed), t + 1), dtype=np.intp)
+        seen = np.zeros((len(observed), t + 1), dtype=bool)
+        for row, votes in enumerate(observed):
+            for it, v in votes.items():
+                j = self.item_pos.get(it)
+                if j is not None:
+                    state[row, j] = self.scale.state_of(v)
+                    seen[row, j] = True
+        # a row's split items, as indices into the flattened arrays
+        offset = np.arange(0, seen.size, t + 1)[:, None]
+        node = np.tile(np.arange(t), (len(observed), 1))
+        influenced = np.zeros((len(observed), t), dtype=bool)
         for _ in range(self.depth):
-            var = self.var[node]
-            influenced |= seen[var]
-            node = self.first[node] + state[var]
-        return node, influenced, seen[:t]
-
-    @staticmethod
-    def count_lookups(stats: dict, influenced: np.ndarray, seen: np.ndarray) -> None:
-        """Add a routed case's unobserved items, and those of them an
-        observed vote steered, to `stats`."""
-        stats["lookups"] = stats.get("lookups", 0) + int((~seen).sum())
-        stats["influenced"] = stats.get("influenced", 0) + int((influenced & ~seen).sum())
+            var = self.var[node] + offset
+            influenced |= seen.ravel()[var]
+            node = self.first[node] + state.ravel()[var]
+        return node, influenced, seen[:, :t]
 
     def parent_graph(self) -> dict[ItemId, set[ItemId]]:
         """Edges parent -> children implied by the split variables."""

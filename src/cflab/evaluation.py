@@ -1,5 +1,10 @@
-"""Scoring metrics, the blocked experiment runner (one pass over the cases for
-every metric), and significance statistics."""
+"""Scoring metrics, the blocked experiment runner, and significance statistics.
+
+The runner makes one pass over the cases for every metric, in blocks: each
+predictor evaluates a block into score, informed and vote arrays (see
+`predictors`), ranked scoring counts each target's list position from them
+(NaN scores last) rather than building a list, and a block whose evaluation
+raises is evaluated one case at a time."""
 
 from __future__ import annotations
 
@@ -8,11 +13,12 @@ import logging
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Mapping, Protocol as TypingProtocol, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy import stats as sstats
 
+from .predictors import Block, Predictor, block_cases
 from .votedata import ActiveCase, ItemId, VoteDatabase
 
 log = logging.getLogger(__name__)
@@ -60,8 +66,14 @@ def ranked_utility(
                 hits.append((ranked.index(item), gain))
             except ValueError:
                 continue  # not in the list
+    return _walk(hits, cfg)
+
+
+def _walk(hits: list[tuple[int, float]], cfg: RankedScoringConfig) -> float:
+    """Utility of the (0-based list position, gain) hits, added in list order
+    as a walk down the list adds them."""
     total = 0.0
-    for pos, gain in sorted(hits):  # in list order, as a walk down the list adds them
+    for pos, gain in sorted(hits):
         total += gain / _decay(pos + 1, cfg.half_life)
     return total
 
@@ -125,18 +137,6 @@ def bonferroni_required_difference(
     return t * float(np.sqrt(2.0 * mse / b))
 
 
-class RankingPredictor(TypingProtocol):
-    name: str
-
-    def schedule(self, cases: Sequence[ActiveCase]) -> None:
-        """The cases about to be scored, in order; each is then ranked,
-        predicted, or both."""
-
-    def rank(self, case: ActiveCase) -> list[ItemId]: ...
-
-    def predict(self, case: ActiveCase, item: ItemId) -> float: ...
-
-
 @dataclass
 class ExperimentReport:
     """Per-case scores for every algorithm on one protocol and metric.
@@ -160,8 +160,13 @@ class ExperimentReport:
     seed: int | None
     half_life: float | None
     neutral: float | None
-    timing: dict[str, float] = field(default_factory=dict)
     extras: dict[str, dict] = field(default_factory=dict)
+    block_seconds: dict[str, list[float]] = field(default_factory=dict)
+
+    @property
+    def timing(self) -> dict[str, float]:
+        """Seconds per algorithm over the blocks this report's metric read."""
+        return {n: sum(t) for n, t in self.block_seconds.items()}
 
     @property
     def case_count(self) -> int:
@@ -234,7 +239,7 @@ class ExperimentReport:
 def run_experiment(
     train: VoteDatabase,
     cases: Sequence[ActiveCase],
-    algorithms: Sequence[RankingPredictor],
+    algorithms: Sequence[Predictor],
     metrics: Sequence[str],
     ranked_cfg: RankedScoringConfig | None = None,
     confidence: float = 0.90,
@@ -244,15 +249,17 @@ def run_experiment(
     """Score every algorithm on every case under a randomized block design,
     for every metric in one pass; one report per metric, in `metrics` order.
 
-    All algorithms see identical observed votes per case. Each algorithm is
-    told once the cases that some metric scores (`schedule`), and per case
-    ranks it for ranked scoring and predicts each target for deviation
-    scoring. Each metric keeps its own exclusions, so its blocks stay
-    complete: a case with zero maximum utility is dropped from ranked scoring
-    only, and a case where a call raised is dropped, for all algorithms, from
-    that call's metric only. A report's `timing` and `extras` (what its
-    metric's calls added to each predictor's `stats`) count its metric's
-    calls alone.
+    The cases that some metric scores are walked in blocks of
+    `block_cases(train)`; each algorithm evaluates a block once for every
+    metric (see `predictors`). A block whose evaluation raises is evaluated
+    one case at a time. Each metric keeps its own exclusions, so its blocks
+    stay complete: a case with zero maximum utility is dropped from ranked
+    scoring only, and a case where an evaluation or a metric's reading
+    failed is dropped, for all algorithms, from the metrics that failed. A
+    report's `extras` add the algorithms' work `counts` over the cases the
+    ranked report keeps (zeros in the deviation report) when the ranked
+    metric runs; its `timing` and `block_seconds` time the blocks its metric
+    reads, whose time the metrics share.
     """
     metrics = list(metrics)
     if not metrics or len(set(metrics)) != len(metrics) or not set(metrics) <= set(METRICS):
@@ -267,10 +274,10 @@ def run_experiment(
     if ranked_cfg is None:
         ranked_cfg = RankedScoringConfig(half_life=5.0, neutral=float(train.scale.neutral))
 
-    timing = {m: {n: 0.0 for n in names} for m in metrics}
+    block_seconds = {m: {n: [] for n in names} for m in metrics}
     excluded = {m: {"zero_max_utility": [], "failed": []} for m in metrics}
     kept = {m: [] for m in metrics}  # (user, score per algorithm, rmax) per kept case
-    stats_added = {m: {n: Counter() for n in names} for m in metrics}
+    work: dict[str, Counter] = {}  # per algorithm, its counts over the kept ranked cases
 
     scored = []
     for case in cases:
@@ -280,33 +287,33 @@ def run_experiment(
             excluded[RANKED]["zero_max_utility"].append(case.user)
         if todo:
             scored.append((case, rmax, todo))
-    for alg in algorithms:
-        alg.schedule([case for case, _, _ in scored])
 
-    for case, rmax, todo in scored:
-        for metric in todo:
-            row = {}
-            for alg in algorithms:
-                before = dict(getattr(alg, "stats", {}))
-                t0 = time.perf_counter()
-                try:
-                    if metric == RANKED:
-                        row[alg.name] = ranked_utility(alg.rank(case), case.targets, ranked_cfg)
-                    else:
-                        preds = {it: alg.predict(case, it) for it in case.targets}
-                        row[alg.name] = absolute_deviation(preds, case.targets)
-                except Exception:
-                    log.exception("%s scoring: algorithm %s failed on case %r",
-                                  metric, alg.name, case.user)
-                    break
-                finally:
-                    timing[metric][alg.name] += time.perf_counter() - t0
-                    for k, v in getattr(alg, "stats", {}).items():
-                        stats_added[metric][alg.name][k] += v - before.get(k, 0)
-            if len(row) < len(algorithms):
-                excluded[metric]["failed"].append(case.user)
-            else:
-                kept[metric].append((case.user, row, rmax))
+    size = block_cases(train)
+    for lo in range(0, len(scored), size):
+        chunk = scored[lo:lo + size]
+        frame = _Frame(train, chunk, ranked_cfg)
+        rows = [{m: {} for m in todo} for _, _, todo in chunk]  # a case's scores per metric
+        counts = [{} for _ in chunk]  # a case's work counts per algorithm
+        for alg in algorithms:
+            t0 = time.perf_counter()
+            for first, block in _evaluate(alg, frame.cases):
+                for metric, read in ((RANKED, frame.utilities), (DEVIATION, frame.deviations)):
+                    for k, score in read(alg.name, first, block).items():
+                        rows[k][metric][alg.name] = score
+                for row in range(len(block.scores) if block.counts else 0):
+                    counts[first + row][alg.name] = {
+                        name: int(c[row]) for name, c in block.counts.items()}
+            for m in metrics:
+                if any(m in todo for _, _, todo in chunk):
+                    block_seconds[m][alg.name].append(time.perf_counter() - t0)
+        for k, (case, rmax, todo) in enumerate(chunk):
+            for m in todo:
+                if len(rows[k][m]) < len(algorithms):
+                    excluded[m]["failed"].append(case.user)
+                    continue
+                kept[m].append((case.user, rows[k][m], rmax))
+                for name, c in counts[k].items() if m == RANKED else ():
+                    work.setdefault(name, Counter()).update(c)
 
     reports = []
     for metric in metrics:
@@ -323,9 +330,10 @@ def run_experiment(
             required_difference=None, rmax=rmaxes if ranked else None,
             excluded=excluded[metric], confidence=confidence, seed=seed,
             half_life=ranked_cfg.half_life if ranked else None,
-            neutral=ranked_cfg.neutral if ranked else None, timing=timing[metric],
-            extras={alg.name: {k: stats_added[metric][alg.name][k] for k in alg.stats}
-                    for alg in algorithms if getattr(alg, "stats", None)},
+            neutral=ranked_cfg.neutral if ranked else None,
+            extras={name: {k: v if ranked else 0 for k, v in c.items()}
+                    for name, c in work.items()},
+            block_seconds=block_seconds[metric],
         )
         if len(names) >= 2 and report.case_count >= 2:
             report.required_difference = float(
@@ -333,3 +341,76 @@ def run_experiment(
             )
         reports.append(report)
     return reports
+
+
+def _evaluate(alg: Predictor, cases: list[ActiveCase]) -> list[tuple[int, Block]]:
+    """The (first case, block) parts that `alg` evaluated: the whole block,
+    or, if that raises, each case alone that does not."""
+    try:
+        return [(0, alg.evaluate(cases))]
+    except Exception:
+        if len(cases) == 1:
+            log.exception("algorithm %s failed on case %r", alg.name, cases[0].user)
+            return []
+    # a case can fail its whole block: only the failing case fails
+    return [(k, block) for k, case in enumerate(cases) for _, block in _evaluate(alg, [case])]
+
+
+class _Frame:
+    """What a block's algorithms share, and each metric's reading of a part
+    of the block (the block's cases from `first` on): the scores of the
+    cases that the metric scores, less those whose reading raised.
+
+    Ranked scoring counts each target's list position
+    (`_Index.positions`) and adds the gains in list order, as
+    `ranked_utility` does. Its targets are (case, training position, gain)
+    triples in case and target order, with the observed training items of
+    each target's case (`skip`); an item outside training adds nothing.
+    Deviation scoring reads each target's expected vote, or the case's mean
+    vote for an item outside training."""
+
+    def __init__(self, train: VoteDatabase, chunk, cfg: RankedScoringConfig) -> None:
+        self.index = index = train.index
+        self.cfg = cfg
+        self.cases = [case for case, _, _ in chunk]
+        self.todo = [todo for _, _, todo in chunk]
+        skip = np.zeros((len(chunk), len(index.item_ids)), dtype=bool)
+        targets = []
+        for k, (case, _, todo) in enumerate(chunk):
+            skip[k, [index.item_pos[it] for it in case.observed if it in index.item_pos]] = True
+            targets += [(k, index.item_pos[it], max(v - cfg.neutral, 0.0))
+                        for it, v in case.targets.items() if RANKED in todo
+                        and v - cfg.neutral > 0 and it in index.item_pos]
+        self.case_of, self.cols = (np.array([t[i] for t in targets], dtype=np.intp)
+                                   for i in (0, 1))
+        self.gains = np.array([t[2] for t in targets])
+        self.skip = skip[self.case_of]
+
+    def utilities(self, name: str, first: int, block: Block) -> dict[int, float]:
+        part = range(first, first + len(block.scores))
+        pick = (self.case_of >= part.start) & (self.case_of < part.stop)
+        case_of = self.case_of[pick]
+        try:
+            pos = self.index.positions(self.skip[pick], ~block.informed[case_of - first],
+                                       -block.scores[case_of - first], self.cols[pick])
+        except Exception:
+            log.exception("ranked scoring: algorithm %s failed on a block", name)
+            return {}
+        hits = {k: [] for k in part if RANKED in self.todo[k]}
+        for k, p, gain in zip(case_of.tolist(), pos.tolist(), self.gains[pick].tolist()):
+            hits[k].append((p, gain))
+        return {k: _walk(h, self.cfg) for k, h in hits.items()}
+
+    def deviations(self, name: str, first: int, block: Block) -> dict[int, float]:
+        got = {}
+        for k in range(first, first + len(block.scores)):
+            case = self.cases[k]
+            try:
+                if DEVIATION in self.todo[k]:
+                    got[k] = absolute_deviation({
+                        it: case.observed_mean if (j := self.index.item_pos.get(it)) is None
+                        else block.vote(k - first, j) for it in case.targets}, case.targets)
+            except Exception:
+                log.exception("deviation scoring: algorithm %s failed on case %r",
+                              name, case.user)
+        return got

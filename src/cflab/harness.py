@@ -4,9 +4,10 @@ A run is described by one JSON config: the dataset, the protocols, the named
 algorithms, and the metrics. The runner trains (and caches) any required
 models, scores each protocol's cases once for every metric, and writes
 deterministic report artifacts: rerunning an unchanged config reproduces the
-report files byte for byte. Volatile data (wall-clock timings), the case
-counts of each metric and protocol, and each predictor's cases per scoring
-block go to a separate `run_meta.json` so the reports stay comparable.
+report files byte for byte. Volatile data (wall-clock timings, with each
+algorithm's scoring block count and median block time), the case counts of
+each metric and protocol, and the cases per scoring block go to a separate
+`run_meta.json` so the reports stay comparable.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .predictors import (
     ClusterPredictor,
     MemoryPredictor,
     PopularityPredictor,
+    block_cases,
 )
 from .votedata import (
     IMPLICIT_SCALE,
@@ -448,8 +450,11 @@ def run(config: ExperimentConfig) -> RunResult:
     meta = {
         "wall_seconds": time.perf_counter() - t_start,
         "timing": {f"{m}/{p}": r.timing for (m, p), r in reports.items()},
+        "blocks": {f"{m}/{p}": {n: {"count": len(t), "median_ms": 1e3 * float(np.median(t))}
+                                for n, t in r.block_seconds.items()}
+                   for (m, p), r in reports.items()},
         "cases": {f"{m}/{p}": r.case_counts() for (m, p), r in reports.items()},
-        "block_cases": {alg.name: alg.block_cases for alg in predictors},
+        "block_cases": block_cases(train),
         "train_users": len(train.users),
         "train_items": len(train.items),
         "test_users": len(test.users),

@@ -1,15 +1,22 @@
 """Named predictor adapters that the experiment runner scores.
 
-The one predictor contract: for a case, `scores(case)` returns a score per
-training item (in `train.items` order) and an `informed` mask. POP, BN and
-BC inform every item; a memory predictor informs the items a weighted
-neighbour voted on (every item under default voting). From there:
+The one predictor contract: `evaluate(cases)` evaluates a block of cases at
+once and returns a `Block`, a row per case and a column per training item (in
+`train.items` order) of rank `scores` and an `informed` mask; `vote(row, j)`,
+the expected vote of the row's case for the unobserved training item at
+position j (POP's raises); and `counts`, per-case tallies of the work that
+the ranked metric reports (BN's `lookups` and `influenced`). POP, BN and BC
+inform every item; a memory predictor informs the items a weighted
+neighbour voted on (every item under default voting).
 
-- `rank(case)` lists the unobserved training items by descending score,
-  informed before uninformed on equal scores, ties to the lower item id;
-- `predict(case, item)` raises ValueError for an observed item, returns the
-  case's mean vote for an item absent from training, and otherwise the
-  predictor's expected vote for the item (`_vote`).
+A case's ranked list holds its unobserved training items in `np.lexsort`
+order of (-score, not informed, item id): descending score with NaN last,
+informed first on equal scores, ties to the lower item id; -0.0 ties 0.0
+and NaN ties NaN. The runner counts each target's position in that order
+(`votedata._Index.positions`); `rank(case)` lists it for a block of one.
+`predict(case, item)`, also a block of one, raises ValueError for an
+observed item, returns the case's mean vote for an item absent from
+training, and otherwise the block's `vote`.
 
 A BC or BN model covers exactly the training items, in training order, so its
 own per-item arrays are the scores; a predictor refuses a model over any
@@ -18,7 +25,8 @@ other items.
 
 from __future__ import annotations
 
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -33,70 +41,41 @@ from .votedata import ActiveCase, ItemId, VoteDatabase
 BLOCK_WEIGHTS = 2**13
 
 
-class Predictor:
-    """The shared ranking and vote-prediction rules over `scores`.
+def block_cases(train: VoteDatabase) -> int:
+    """Cases per block: as many as BLOCK_WEIGHTS weight entries hold, at least
+    one."""
+    return max(1, BLOCK_WEIGHTS // max(1, len(train.users)))
 
-    What a predictor derives from a case (`_evaluate_block`) is computed for
-    a block of up to `block_cases` cases at once: `schedule` splits the cases
-    about to be scored into blocks, and the first call on a case evaluates its
-    whole block. One block's results are kept, keyed by case identity; a case
-    that was not scheduled is a block of one.
-    """
+
+@dataclass(frozen=True)
+class Block:
+    """A predictor's evaluation of a block of cases (see the module doc)."""
+
+    scores: np.ndarray
+    informed: np.ndarray
+    vote: Callable[[int, int], float]
+    counts: Mapping[str, np.ndarray] = field(default_factory=dict)
+
+
+class Predictor:
+    """The one-case library calls over `evaluate`."""
 
     def __init__(self, train: VoteDatabase, name: str) -> None:
         self.name = name
         self.train = train
-        self.stats: dict = {}
-        self._all_informed = np.ones(len(train.items), dtype=bool)
-        self._block_of: dict[int, list[ActiveCase]] = {}
-        self._evaluated: dict[int, tuple[ActiveCase, object]] = {}
+        self.stats: dict = {}  # the work `rank` calls counted
 
-    @property
-    def block_cases(self) -> int:
-        """Cases per block: as many as BLOCK_WEIGHTS weight entries hold, at
-        least one."""
-        return max(1, BLOCK_WEIGHTS // max(1, len(self.train.users)))
-
-    def schedule(self, cases: Sequence[ActiveCase]) -> None:
-        """Split the cases about to be scored, in scoring order, into blocks."""
-        size = self.block_cases
-        blocks = [list(cases[i:i + size]) for i in range(0, len(cases), size)]
-        # the blocks hold their cases, so no other live case shares an id
-        self._block_of = {id(case): block for block in blocks for case in block}
-
-    def _for_case(self, case: ActiveCase):
-        hit = self._evaluated.get(id(case))
-        if hit is not None and hit[0] is case:
-            return hit[1]
-        block = self._block_of.get(id(case), [case])
-        try:
-            values = self._evaluate_block(block)
-        except Exception:
-            if len(block) == 1:
-                raise
-            # a case can fail its whole block: score the block's cases one at
-            # a time, so that only the failing case fails
-            for other in block:
-                del self._block_of[id(other)]
-            block = [case]
-            values = self._evaluate_block(block)
-        self._evaluated = {id(c): (c, v) for c, v in zip(block, values)}
-        return self._evaluated[id(case)][1]
-
-    def _evaluate_block(self, cases: list[ActiveCase]) -> list:
-        """What the predictor derives from each of the cases, in order."""
+    def evaluate(self, cases: Sequence[ActiveCase]) -> Block:
         raise NotImplementedError
 
-    def scores(self, case: ActiveCase) -> tuple[np.ndarray, np.ndarray]:
-        raise NotImplementedError
-
-    def _vote(self, case: ActiveCase, j: int) -> float:
-        """Expected vote of the unobserved training item at position j."""
-        raise NotImplementedError
+    def _all_informed(self, cases: Sequence[ActiveCase]) -> np.ndarray:
+        return np.ones((len(cases), len(self.train.items)), dtype=bool)
 
     def rank(self, case: ActiveCase) -> list[ItemId]:
-        scores, informed = self.scores(case)
-        return self.train.index.ranked(case.observed, ~informed, -scores)
+        block = self.evaluate([case])
+        for k, per_case in block.counts.items():
+            self.stats[k] = self.stats.get(k, 0) + int(per_case[0])
+        return self.train.index.ranked(case.observed, ~block.informed[0], -block.scores[0])
 
     def predict(self, case: ActiveCase, item: ItemId) -> float:
         if item in case.observed:
@@ -104,7 +83,7 @@ class Predictor:
         j = self.train.index.item_pos.get(item)
         if j is None:
             return case.observed_mean
-        return self._vote(case, j)
+        return self.evaluate([case]).vote(0, j)
 
 
 class PopularityPredictor(Predictor):
@@ -113,10 +92,13 @@ class PopularityPredictor(Predictor):
     def __init__(self, train: VoteDatabase, name: str = "POP") -> None:
         super().__init__(train, name)
 
-    def scores(self, case: ActiveCase) -> tuple[np.ndarray, np.ndarray]:
-        return self.train.index.item_counts, self._all_informed
+    def evaluate(self, cases: Sequence[ActiveCase]) -> Block:
+        counts = self.train.index.item_counts
+        return Block(np.broadcast_to(counts, (len(cases), len(counts))),
+                     self._all_informed(cases), self._no_vote)
 
-    def predict(self, case: ActiveCase, item: ItemId) -> float:
+    @staticmethod
+    def _no_vote(row: int, j: int) -> float:
         raise NotImplementedError("popularity baseline does not predict vote values")
 
 
@@ -127,14 +109,9 @@ class MemoryPredictor(Predictor):
         super().__init__(train, name)
         self.scorer = memory.MemoryScorer(train, cfg)
 
-    def _evaluate_block(self, cases: list[ActiveCase]) -> list[tuple[np.ndarray, np.ndarray]]:
-        return list(zip(*self.scorer.predict_all(cases)))
-
-    def scores(self, case: ActiveCase) -> tuple[np.ndarray, np.ndarray]:
-        return self._for_case(case)
-
-    def _vote(self, case: ActiveCase, j: int) -> float:
-        return float(self._for_case(case)[0][j])
+    def evaluate(self, cases: Sequence[ActiveCase]) -> Block:
+        values, informed = self.scorer.predict_all(cases)
+        return Block(values, informed, lambda row, j: float(values[row, j]))
 
 
 class _ModelBackedPredictor(Predictor):
@@ -152,31 +129,25 @@ class ClusterPredictor(_ModelBackedPredictor):
     def __init__(self, train: VoteDatabase, model: cluster.ClusterModel, name: str = "BC") -> None:
         super().__init__(train, model, name)
 
-    def _evaluate_block(self, cases: list[ActiveCase]) -> list[np.ndarray]:
-        return [self.model.posterior(case.observed) for case in cases]
-
-    def scores(self, case: ActiveCase) -> tuple[np.ndarray, np.ndarray]:
-        mixed = np.einsum("c,cjs->js", self._for_case(case), self.model.cond)
-        return self.model.scale.rank_score(mixed), self._all_informed
-
-    def _vote(self, case: ActiveCase, j: int) -> float:
-        dist = self._for_case(case) @ self.model.cond[:, j, :]
-        return float(self.model.scale.expected_vote(dist))
+    def evaluate(self, cases: Sequence[ActiveCase]) -> Block:
+        cond, scale = self.model.cond, self.model.scale
+        post = [self.model.posterior(case.observed) for case in cases]
+        # a case's mixture is its own einsum: `post @ cond` or a block einsum
+        # need not add the classes in the same order
+        mixed = np.array([np.einsum("c,cjs->js", p, cond) for p in post])
+        return Block(scale.rank_score(mixed), self._all_informed(cases),
+                     lambda row, j: float(scale.expected_vote(post[row] @ cond[:, j, :])))
 
 
 class BayesNetPredictor(_ModelBackedPredictor):
     def __init__(self, train: VoteDatabase, model: bayesnet.BayesNetModel, name: str = "BN") -> None:
         super().__init__(train, model, name)
 
-    def _evaluate_block(
-        self, cases: list[ActiveCase]
-    ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        return [self.model.route(case.observed) for case in cases]
-
-    def scores(self, case: ActiveCase) -> tuple[np.ndarray, np.ndarray]:
-        leaf, influenced, seen = self._for_case(case)
-        self.model.count_lookups(self.stats, influenced, seen)
-        return self.model.score[leaf], self._all_informed
-
-    def _vote(self, case: ActiveCase, j: int) -> float:
-        return float(self.model.expected[self._for_case(case)[0][j]])
+    def evaluate(self, cases: Sequence[ActiveCase]) -> Block:
+        leaf, influenced, seen = self.model.route([case.observed for case in cases])
+        expected = self.model.expected
+        # every unobserved item is a lookup; `influenced` those an observed
+        # vote steered
+        counts = {"lookups": (~seen).sum(axis=1), "influenced": (influenced & ~seen).sum(axis=1)}
+        return Block(self.model.score[leaf], self._all_informed(cases),
+                     lambda row, j: float(expected[leaf[row, j]]), counts)

@@ -182,6 +182,23 @@ class _Index:
         order = np.lexsort((self.item_sort_rank, *keys))
         return self.item_array[order[~skip[order]]].tolist()
 
+    def positions(
+        self, skip: np.ndarray, uninformed: np.ndarray, key: np.ndarray, cols: np.ndarray
+    ) -> np.ndarray:
+        """Where `ranked(observed, uninformed, key)` lists item position
+        cols[k], counted without a list: the number of items outside `skip`
+        whose (key, uninformed, item id) sorts ahead of the item's. The
+        arrays hold a row per k. As in `np.lexsort`, NaN sorts after every
+        number and ties with NaN, and -0.0 ties 0.0."""
+        at = np.arange(len(cols)), cols
+        own = key[at][:, None]
+        nan, own_nan = np.isnan(key), np.isnan(own)
+        ahead = (key < own) | (own_nan & ~nan)
+        tied = (key == own) | (own_nan & nan)
+        second = uninformed * len(self.item_ids) + self.item_sort_rank
+        ahead |= tied & (second < second[at][:, None])
+        return (ahead & ~skip).sum(axis=1)
+
     @cached_property
     def vote_states(self) -> sp.csr_matrix:
         """One-hot users x (item, vote state) encoding of the recorded votes.

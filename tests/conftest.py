@@ -88,3 +88,9 @@ def random_case(rng, db, max_observed=3, absent=("zz",)):
         if not observed or rng.random() < 0.3:
             observed[it] = float(values[0])
     return case_for("t", observed)
+
+
+def scores_of(pred, case):
+    """A predictor's rank scores and informed mask for one case: a block of one."""
+    block = pred.evaluate([case])
+    return block.scores[0], block.informed[0]

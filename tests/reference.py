@@ -583,7 +583,7 @@ def reference_reports(train, cases, algorithms, metrics, ranked_cfg, confidence=
         scores = {n: [x[0] for x in col] if ranked else col for n, col in cols.items()}
         rmaxes = [r for _, _, r in kept[m]]
         if not kept[m]:
-            aggregate = None  # run_experiment refuses to report nothing
+            aggregate, matrix = None, []  # run_experiment refuses to report nothing
         elif ranked:
             aggregate = {n: 100.0 * sum(s) / sum(rmaxes) for n, s in scores.items()}
             matrix = [[100.0 * scores[n][i] / rmaxes[i] for n in names]

@@ -25,6 +25,7 @@ from conftest import (
     random_explicit_db,
     random_grouped_db,
     random_implicit_db,
+    scores_of,
 )
 from reference import (
     EvidenceError,
@@ -593,7 +594,7 @@ class TestCompiledNetwork:
         for model in (learned, BayesNetModel.from_json(learned.to_json())):
             for _ in range(5):
                 case = random_case(rng, model, max_observed=4)
-                leaf, influenced, seen = model.route(case.observed)
+                (leaf,), (influenced,), (seen,) = model.route([case.observed])
                 assert (model.var[leaf] == -1).all()
                 for j, it in enumerate(model.items):
                     state_of = lambda var: model.scale.state_of(case.observed.get(var))
@@ -638,7 +639,7 @@ class TestCompiledNetwork:
         preds = [BayesNetPredictor(db, m) for m in (learned, again)]
         for _ in range(5):
             case = random_case(rng, learned, max_observed=4)
-            (s1, i1), (s2, i2) = (p.scores(case) for p in preds)
+            (s1, i1), (s2, i2) = (scores_of(p, case) for p in preds)
             assert s1.tobytes() == s2.tobytes() and i1.tobytes() == i2.tobytes()
             assert preds[0].rank(case) == preds[1].rank(case)
             for it in learned.items:
@@ -650,7 +651,7 @@ class TestCompiledNetwork:
     def test_leaf_only_network_routes_in_zero_steps(self):
         model = TestRanking()._two_item_model()
         assert model.depth == 0
-        leaf, influenced, seen = model.route({"hi": 1.0})
+        (leaf,), (influenced,), (seen,) = model.route([{"hi": 1.0}])
         assert leaf.tolist() == [0, 1] and not influenced.any()
         assert seen.tolist() == [True, False]
 

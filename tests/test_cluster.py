@@ -26,6 +26,7 @@ from conftest import (
     random_explicit_db,
     random_grouped_db,
     random_implicit_db,
+    scores_of,
 )
 from reference import exact_mixture_log_marginal, init_params_loop, log_posterior_loop
 
@@ -245,7 +246,7 @@ class TestClusterPredict:
         case = case_for("u", {"other": 1.0})
         assert pred.predict(case, "t") == pytest.approx(2.5)
         # the ranking score keeps the no-vote mass: P(vote) 0.6 times 2.5
-        assert pred.scores(case)[0] == pytest.approx([1.5])
+        assert scores_of(pred, case)[0] == pytest.approx([1.5])
 
     def test_hand_mixture(self):
         eps = 1e-9
@@ -290,7 +291,7 @@ class TestClusterPredict:
         case = case_for("u", {db.items[0]: 1.0, db.items[2]: 1.0})
         for it in (db.items[1], db.items[3]):
             assert a.predict(case, it) == pytest.approx(b.predict(case, it), abs=1e-12)
-        assert a.scores(case)[0] == pytest.approx(b.scores(case)[0], abs=1e-12)
+        assert scores_of(a, case)[0] == pytest.approx(scores_of(b, case)[0], abs=1e-12)
 
 
 class TestCheesemanStutz:

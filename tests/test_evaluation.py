@@ -27,13 +27,14 @@ from cflab.predictors import (
     BayesNetPredictor,
     ClusterPredictor,
     MemoryPredictor,
+    Block,
     PopularityPredictor,
     Predictor,
 )
 from cflab.votedata import ActiveCase, Protocol, VoteDataError, generate_active_cases
 
 from conftest import case_for, make_db, random_grouped_db, random_implicit_db
-from reference import brute_ranked_utility, reference_reports
+from reference import bn_scores_walk, brute_ranked_utility, reference_reports
 
 CFG5 = RankedScoringConfig(half_life=5.0, neutral=0.0)
 
@@ -206,39 +207,33 @@ class TestRequiredDifference:
 
 
 class _ConstantRanker:
-    """Deterministic stub: ranks items in a fixed order."""
+    """Deterministic stub: ranks the training items in a fixed order and
+    predicts one vote."""
 
-    def __init__(self, name, order, value=3.0):
+    def __init__(self, train, name, order, value=3.0):
         self.name = name
-        self.order = list(order)
         self.value = value
+        position = {it: k for k, it in enumerate(order)}
+        self.row = np.array([-float(position[it]) for it in train.items])
 
-    def schedule(self, cases):
-        pass
+    def evaluate(self, cases):
+        scores = np.tile(self.row, (len(cases), 1))
+        return Block(scores, np.ones(scores.shape, dtype=bool),
+                     lambda row, j: self._vote(cases[row]))
 
-    def rank(self, case):
-        return [it for it in self.order if it not in case.observed]
-
-    def predict(self, case, item):
+    def _vote(self, case):
         return self.value
 
 
-class _FailingOnUser:
-    def __init__(self, name, bad_user, order):
-        self.name = name
+class _FailingOnUser(_ConstantRanker):
+    def __init__(self, train, name, bad_user, order):
+        super().__init__(train, name, order, value=1.0)
         self.bad_user = bad_user
-        self.order = list(order)
 
-    def schedule(self, cases):
-        pass
-
-    def rank(self, case):
-        if case.user == self.bad_user:
+    def evaluate(self, cases):
+        if any(case.user == self.bad_user for case in cases):
             raise RuntimeError("boom")
-        return [it for it in self.order if it not in case.observed]
-
-    def predict(self, case, item):
-        return 1.0
+        return super().evaluate(cases)
 
 
 def _implicit_cases(db, n_observed=1):
@@ -260,8 +255,8 @@ class TestRunExperiment:
         cases = _implicit_cases(db)
         items = list(db.items)
         algs = [
-            _ConstantRanker("A", items),
-            _ConstantRanker("B", list(reversed(items))),
+            _ConstantRanker(db, "A", items),
+            _ConstantRanker(db, "B", list(reversed(items))),
         ]
         return db, cases, algs
 
@@ -286,7 +281,7 @@ class TestRunExperiment:
     def test_failing_algorithm_drops_case_for_all(self):
         db, cases, algs = self._setup()
         bad_user = cases[0].user
-        algs = [algs[0], _FailingOnUser("F", bad_user, list(db.items))]
+        algs = [algs[0], _FailingOnUser(db, "F", bad_user, list(db.items))]
         [r] = run_experiment(db, cases, algs, ["ranked"])
         assert bad_user not in r.case_ids
         assert bad_user in r.excluded["failed"]
@@ -302,7 +297,7 @@ class TestRunExperiment:
             ActiveCase("u", {"a": 1.0}, {"b": 2.0}),  # target below neutral
             ActiveCase("v", {"a": 4.0}, {"b": 5.0}),
         ]
-        algs = [_ConstantRanker("A", ["a", "b"]), _ConstantRanker("B", ["b", "a"])]
+        algs = [_ConstantRanker(db, "A", ["a", "b"]), _ConstantRanker(db, "B", ["b", "a"])]
         [r] = run_experiment(
             db, cases, algs, ["ranked"],
             ranked_cfg=RankedScoringConfig(half_life=5.0, neutral=3.0),
@@ -312,8 +307,8 @@ class TestRunExperiment:
 
     def test_deviation_metric(self):
         db, cases, _ = self._setup()
-        algs = [_ConstantRanker("A", list(db.items), value=1.0),
-                _ConstantRanker("B", list(db.items), value=0.0)]
+        algs = [_ConstantRanker(db, "A", list(db.items), value=1.0),
+                _ConstantRanker(db, "B", list(db.items), value=0.0)]
         [r] = run_experiment(db, cases, algs, ["deviation"])
         # implicit targets are all ones, so the constant-1 predictor is exact
         assert r.aggregate["A"] == pytest.approx(0.0)
@@ -330,14 +325,27 @@ class TestRunExperiment:
 class _FailingPredict(_ConstantRanker):
     """Ranks every case; fails to predict on the given users' cases."""
 
-    def __init__(self, name, order, bad_users):
-        super().__init__(name, order)
+    def __init__(self, train, name, order, bad_users):
+        super().__init__(train, name, order)
         self.bad_users = set(bad_users)
 
-    def predict(self, case, item):
+    def _vote(self, case):
         if case.user in self.bad_users:
             raise RuntimeError("boom")
         return self.value
+
+
+class _FailingPopularity(PopularityPredictor):
+    """POP that fails every block holding a case of one user."""
+
+    def __init__(self, train, bad_user):
+        super().__init__(train, "F")
+        self.bad_user = bad_user
+
+    def evaluate(self, cases):
+        if any(case.user == self.bad_user for case in cases):
+            raise RuntimeError("boom")
+        return super().evaluate(cases)
 
 
 class TestOnePass:
@@ -370,7 +378,7 @@ class TestOnePass:
                 MemoryPredictor(train, MemoryConfig("correlation"), "CR"),
                 BayesNetPredictor(train, bn),
                 ClusterPredictor(train, bc),
-                _FailingPredict("F", train.items, bad_predict),
+                _FailingPredict(train, "F", train.items, bad_predict),
             ]
             reports = run_experiment(train, cases, algs, metrics, seed=7)
             assert [r.metric for r in reports] == list(metrics)
@@ -397,6 +405,28 @@ class TestOnePass:
         assert deviation["excluded"]["zero_max_utility"] == []
         assert "low" in deviation["case_ids"] or "low" in bad_predict
         assert bad_predict <= set(ranked["case_ids"]) | set(ranked["excluded"]["zero_max_utility"])
+
+    def test_extras_do_not_depend_on_algorithm_order(self):
+        # a predictor that fails a case listed before or after BN: BN's
+        # extras count its work on the cases the report keeps either way
+        rng = np.random.default_rng(3)
+        train = random_grouped_db(rng, explicit=True, n_users=40)
+        test = random_grouped_db(rng, explicit=True, n_users=16)
+        cases = generate_active_cases(test, Protocol.all_but_1(), seed=1)
+        bn = learn_network(train, LearnConfig(structure_penalty=0.99))
+
+        def report(order):
+            algs = {"F": _FailingPopularity(train, "u2"), "BN": BayesNetPredictor(train, bn)}
+            [r] = run_experiment(train, cases, [algs[n] for n in order], ["ranked"])
+            return r.to_json()
+
+        first, last = report(["F", "BN"]), report(["BN", "F"])
+        assert first["excluded"]["failed"] == ["u2"]
+        assert first.pop("required_difference") == pytest.approx(last.pop("required_difference"))
+        assert first.pop("algorithms") == last.pop("algorithms")[::-1]
+        assert first == last
+        kept = [case for case in cases if case.user in first["case_ids"]]
+        assert first["extras"]["BN"]["lookups"] == sum(bn_scores_walk(bn, c)[1] for c in kept)
 
     def test_metrics_must_be_a_list_of_known_distinct_names(self):
         db, cases, algs = TestRunExperiment()._setup()
@@ -430,14 +460,12 @@ class _Scripted(Predictor):
         informed = np.array([self._hash(it, case.user) % 3 > 0 for it in items])
         return scores, informed
 
-    def _evaluate_block(self, cases):
-        return [self._row(case) for case in cases]
-
-    def scores(self, case):
-        return self._for_case(case)
+    def evaluate(self, cases):
+        rows = [self._row(case) for case in cases]
+        return Block(np.array([s for s, _ in rows]), np.array([i for _, i in rows]),
+                     lambda row, j: self._vote(cases[row], j))
 
     def _vote(self, case, j):
-        self._for_case(case)
         if case.user in self.vote_fail_users:
             raise RuntimeError("scripted vote failure")
         return float(self._hash(case.user, j) % 6)
@@ -492,10 +520,11 @@ class TestAgainstReference:
             ClusterPredictor(train, em_fit(train, 2, seed=1)[0]),
             BayesNetPredictor(train, learn_network(train, LearnConfig(structure_penalty=0.99))),
         ]
-        # first, so that no predictor's work counts on the cases it fails
-        algs.insert(0, _Scripted(train, rng.choice(users, 1), rng.choice(users, 2)))
+        others = [_Scripted(train, rng.choice(users, 1), rng.choice(users, 2))]
         if "deviation" not in metrics:
-            algs.insert(int(rng.integers(len(algs) + 1)), PopularityPredictor(train))
+            others.append(PopularityPredictor(train))
+        for alg in others:
+            algs.insert(int(rng.integers(len(algs) + 1)), alg)
         assume(not any(_has_residual_weights(alg, cases) for alg in algs))
         cfg = RankedScoringConfig(half_life=5.0, neutral=float(train.scale.neutral))
         want = reference_reports(train, cases, algs, metrics, cfg)

@@ -1,6 +1,7 @@
 import errno
 import hashlib
 import json
+import math
 import shutil
 from pathlib import Path
 
@@ -255,7 +256,16 @@ class TestRun:
             assert digests == FIXTURE_REPORT_DIGESTS, budget
             meta = json.loads((workdir / "out" / "run_meta.json").read_text())
             block = max(1, budget // meta["train_users"])
-            assert meta["block_cases"] == {name: block for name in FIXTURE_ALGORITHMS}
+            assert meta["block_cases"] == block
+            for key, per_algorithm in meta["blocks"].items():
+                cases = meta["cases"][key]
+                assert set(per_algorithm) == set(FIXTURE_ALGORITHMS)
+                for name, blocks in per_algorithm.items():
+                    # the config scores one metric: its blocks walk its kept
+                    # and failed cases
+                    want = math.ceil((cases["kept"] + cases["failed"]) / block)
+                    assert blocks["count"] == want, (key, name)
+                    assert 0 < blocks["median_ms"] <= 1e3 * meta["timing"][key][name]
 
     def test_rerun_is_byte_identical(self, workdir):
         cfg = workdir / "fixture_config.json"
@@ -606,18 +616,18 @@ class TestModelScoring:
         ]
         evaluated = {alg.name: [] for alg in algs}
         for alg in algs:
-            def counting(block, alg=alg, evaluate=alg._evaluate_block):
+            def counting(block, alg=alg, evaluate=alg.evaluate):
                 evaluated[alg.name].extend(id(case) for case in block)
                 return evaluate(block)
 
-            alg._evaluate_block = counting
+            alg.evaluate = counting
         for protocol in config.protocols:
             cases = generate_active_cases(test, protocol, config.seed)
             reports = run_experiment(train, cases, algs, ["ranked", "deviation"],
                                      ranked_cfg=config.ranked, seed=config.seed)
             assert reports[0].excluded["zero_max_utility"] or protocol.label != "AllBut1"
             assert not any(r.excluded["failed"] for r in reports)
-            # every case is scheduled, as deviation scores them all
+            # every case is in a block, as deviation scores them all
             for alg in algs:
                 assert sorted(evaluated[alg.name]) == sorted(id(case) for case in cases)
                 evaluated[alg.name].clear()

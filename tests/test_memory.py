@@ -11,7 +11,7 @@ from cflab.memory import DefaultVoting, MemoryConfig, MemoryScorer, _Evidence
 from cflab.predictors import MemoryPredictor, PopularityPredictor
 from cflab.votedata import IMPLICIT_SCALE
 
-from conftest import case_for, make_db, random_explicit_db, random_implicit_db
+from conftest import case_for, make_db, random_explicit_db, random_implicit_db, scores_of
 from reference import brute_predict, brute_weight, evidence_product_sums
 
 CORR = MemoryConfig(weight_kind="correlation")
@@ -208,7 +208,7 @@ class TestCaseAmplify:
 
 
 def informed(pred, case, item):
-    return bool(pred.scores(case)[1][pred.train.index.item_pos[item]])
+    return bool(scores_of(pred, case)[1][pred.train.index.item_pos[item]])
 
 
 class TestPredictVote:
@@ -285,7 +285,7 @@ class TestRankItems:
         db = make_db([("i", "a", 1), ("i", "b", 5), ("i", "j", 3), ("x", "c", 4), ("x", "d", 2)])
         case = case_for("act", {"a": 1.0, "b": 5.0})
         pred = MemoryPredictor(db, CORR, name="CR")
-        scores, informed = pred.scores(case)
+        scores, informed = scores_of(pred, case)
         assert scores[2:].tolist() == [3.0] * 3 and informed[2:].tolist() == [True, False, False]
         assert pred.rank(case) == ["j", "c", "d"]
 
@@ -529,17 +529,18 @@ class TestBlocks:
             values, informed = scorer.predict_all(cases)
             pred = MemoryPredictor(db, cfg, name="M")
             with mock.patch.object(predictors, "BLOCK_WEIGHTS", budget):
-                assert pred.block_cases == block
-                pred.schedule(cases)
-            for row in rng.permutation(n_cases):  # any case may open its block
-                case = cases[row]
+                assert predictors.block_cases(db) == block
+            # the predictor's evaluation of the runner's blocks
+            blocks = [pred.evaluate(cases[lo:lo + block]) for lo in range(0, n_cases, block)]
+            got_v = np.concatenate([b.scores for b in blocks])
+            got_i = np.concatenate([b.informed for b in blocks])
+            for row, case in enumerate(cases):
                 (alone_v,), (alone_i,) = scorer.predict_all([case])
                 assert weights[row].tobytes() == scorer.weights([case]).tobytes(), cfg
                 assert values[row].tobytes() == alone_v.tobytes(), cfg
                 assert informed[row].tobytes() == alone_i.tobytes(), cfg
-                got_v, got_i = pred.scores(case)  # from the predictor's blocks
-                assert got_v.tobytes() == alone_v.tobytes(), cfg
-                assert got_i.tobytes() == alone_i.tobytes(), cfg
+                assert got_v[row].tobytes() == alone_v.tobytes(), cfg
+                assert got_i[row].tobytes() == alone_i.tobytes(), cfg
             row = int(rng.integers(n_cases))
             case = cases[row]
             for i, u in enumerate(db.users):

@@ -17,7 +17,14 @@ from cflab.predictors import (
 )
 from cflab.votedata import ActiveCase, Protocol, VoteDatabase, generate_active_cases
 
-from conftest import case_for, random_case, random_explicit_db, random_grouped_db, random_implicit_db
+from conftest import (
+    case_for,
+    random_case,
+    random_explicit_db,
+    random_grouped_db,
+    random_implicit_db,
+    scores_of,
+)
 from reference import (
     bc_scores_loop,
     bn_scores_walk,
@@ -78,7 +85,7 @@ class TestContract:
     def test_scores_cover_training_items(self, db):
         case = case_for("t", {db.items[0]: 4.0, "zz": 1.0})
         for pred in all_predictors(db):
-            scores, informed = pred.scores(case)
+            scores, informed = scores_of(pred, case)
             assert scores.shape == informed.shape == (len(db.items),)
             if not isinstance(pred, MemoryPredictor):
                 assert informed.all()
@@ -86,12 +93,34 @@ class TestContract:
     def test_rank_is_the_shared_rule(self, db):
         case = case_for("t", {db.items[0]: 4.0, db.items[3]: 1.0})
         for pred in all_predictors(db):
-            scores, informed = pred.scores(case)
+            scores, informed = scores_of(pred, case)
             want = sorted(
                 (it for it in db.items if it not in case.observed),
                 key=lambda it: (-scores[db.items.index(it)], not informed[db.items.index(it)], it),
             )
             assert pred.rank(case) == want, pred.name
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), explicit=st.booleans())
+    def test_rank_lists_the_counted_order(self, seed, explicit):
+        # the runner's counted positions of every unobserved item, over a
+        # block of cases, are the positions rank(case) lists them at
+        rng = np.random.default_rng(seed)
+        db = random_grouped_db(rng, explicit, n_users=30)
+        cases = [random_case(rng, db, max_observed=4) for _ in range(4)]
+        index = db.index
+        for pred in all_predictors(db):
+            block = pred.evaluate(cases)
+            for row, case in enumerate(cases):
+                cols = np.array([j for j, it in enumerate(db.items) if it not in case.observed])
+                skip = np.isin(np.arange(len(db.items)), [index.item_pos[it] for it in case.observed
+                                                          if it in index.item_pos])
+                rows = np.ones((len(cols), 1), dtype=bool)
+                pos = index.positions(rows * skip, rows * ~block.informed[row],
+                                      rows * -block.scores[row], cols)
+                assert sorted(pos.tolist()) == list(range(len(cols)))
+                counted = [db.items[j] for _, j in sorted(zip(pos.tolist(), cols))]
+                assert pred.rank(case) == counted, pred.name
 
     def test_observed_item_is_refused(self, db):
         case = case_for("t", {db.items[0]: 4.0, "zz": 1.0})
@@ -167,7 +196,7 @@ class TestArrayRanking:
             case = random_case(rng, db, max_observed=4)
             scores = bc_scores_loop(model, case)
             assert pred.rank(case) == sorted_ranking(scores)
-            got = dict(zip(db.items, pred.scores(case)[0]))
+            got = dict(zip(db.items, scores_of(pred, case)[0]))
             assert all(got[it] == score for it, score in scores.items())  # bitwise
 
 
@@ -181,7 +210,7 @@ class TestBlocks:
         bn = learn_network(train, LearnConfig(structure_penalty=0.99))
         cases = generate_active_cases(test, Protocol.all_but_1(), seed=3)
         # by default the bad case shares its block with other cases
-        assert PopularityPredictor(train).block_cases > 1
+        assert predictors.block_cases(train) > 1
         bad = ActiveCase("bad", {bn.items[0]: 2.5, bn.items[1]: 4.0}, {bn.items[2]: 5.0})
         cases.insert(len(cases) // 2, bad)
         memory_configs = [
@@ -198,7 +227,7 @@ class TestBlocks:
 
         blocked = reports()
         monkeypatch.setattr(predictors, "BLOCK_WEIGHTS", 1)  # a case per block
-        assert PopularityPredictor(train).block_cases == 1
+        assert predictors.block_cases(train) == 1
         assert blocked == reports()
         for text in blocked:
             doc = json.loads(text)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -334,3 +335,30 @@ class TestDatabaseValidation:
             Protocol.parse("bogus")
         with pytest.raises(ValueError):
             Protocol.given(0)
+
+
+class TestCountedPositions:
+    """`_Index.positions` counts the position that `_Index.ranked` lists."""
+
+    KEYS = (0.0, -0.0, 1.0, 1.0, -1.0, 2.5, math.nan, math.nan, math.inf, -math.inf)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ids=st.permutations(range(12)).map(lambda p: p[:int(p[0]) + 1]),
+        int_ids=st.booleans(),
+        data=st.data(),
+    )
+    def test_count_is_the_listed_position(self, ids, int_ids, data):
+        items = list(ids) if int_ids else [f"i{k}" for k in ids]  # "i10" sorts before "i2"
+        index = make_db([("u", items[0], 1)], IMPLICIT_SCALE, items=items).index
+        t = len(items)
+        for _ in range(3):
+            keys = np.array(data.draw(st.lists(st.sampled_from(self.KEYS), min_size=t, max_size=t)))
+            uninformed = np.array(data.draw(st.lists(st.booleans(), min_size=t, max_size=t)))
+            skip = np.array(data.draw(st.lists(st.booleans(), min_size=t, max_size=t)))
+            observed = {items[j]: 1.0 for j in np.flatnonzero(skip)}
+            ranked = index.ranked(observed, uninformed, keys)
+            cols = np.flatnonzero(~skip)
+            rows = np.ones((len(cols), 1), dtype=bool)
+            got = index.positions(rows * skip, rows * uninformed, rows * keys, cols)
+            assert got.tolist() == [ranked.index(items[j]) for j in cols]
