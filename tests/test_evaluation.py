@@ -501,8 +501,12 @@ class TestAgainstReference:
     )
     def test_reports_match(self, seed, explicit, given2, metrics, per_block):
         rng = np.random.default_rng(seed)
-        train = random_grouped_db(rng, explicit, n_users=int(rng.integers(15, 35)))
-        test = random_grouped_db(rng, explicit, n_users=10)  # users share ids with train
+        # up to 13 items, so that a Given2 case can hold three or more targets,
+        # whose gains add to different bits in another order
+        n_items = int(rng.integers(6, 13))
+        train = random_grouped_db(rng, explicit, n_users=int(rng.integers(15, 35)), n_items=n_items)
+        # users share ids with train
+        test = random_grouped_db(rng, explicit, n_users=10, n_items=n_items)
         protocol = Protocol.given(2) if given2 else Protocol.all_but_1()
         try:
             cases = generate_active_cases(test, protocol, seed=seed % 1000)
