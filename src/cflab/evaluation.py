@@ -375,15 +375,18 @@ class _Frame:
         self.cases = [case for case, _, _ in chunk]
         self.todo = [todo for _, _, todo in chunk]
         skip = np.zeros((len(chunk), len(index.item_ids)), dtype=bool)
-        targets = []
+        case_of, cols, gains = [], [], []
         for k, (case, _, todo) in enumerate(chunk):
             skip[k, [index.item_pos[it] for it in case.observed if it in index.item_pos]] = True
-            targets += [(k, index.item_pos[it], max(v - cfg.neutral, 0.0))
-                        for it, v in case.targets.items() if RANKED in todo
-                        and v - cfg.neutral > 0 and it in index.item_pos]
-        self.case_of, self.cols = (np.array([t[i] for t in targets], dtype=np.intp)
-                                   for i in (0, 1))
-        self.gains = np.array([t[2] for t in targets])
+            for it, v in case.targets.items() if RANKED in todo else ():
+                gain = max(v - cfg.neutral, 0.0)
+                if gain > 0 and it in index.item_pos:
+                    case_of.append(k)
+                    cols.append(index.item_pos[it])
+                    gains.append(gain)
+        self.case_of = np.asarray(case_of, dtype=np.intp)
+        self.cols = np.asarray(cols, dtype=np.intp)
+        self.gains = np.asarray(gains)
         self.skip = skip[self.case_of]
 
     def utilities(self, name: str, first: int, block: Block) -> dict[int, float]:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy import stats as sstats
 
+from cflab import predictors
 from cflab.bayesnet import LearnConfig, learn_network
 from cflab.cluster import em_fit
 from cflab.evaluation import (
@@ -21,13 +22,12 @@ from cflab.evaluation import (
     ranked_utility,
     run_experiment,
 )
-from cflab import predictors
 from cflab.memory import DefaultVoting, MemoryConfig
 from cflab.predictors import (
     BayesNetPredictor,
+    Block,
     ClusterPredictor,
     MemoryPredictor,
-    Block,
     PopularityPredictor,
     Predictor,
 )
