@@ -63,7 +63,6 @@ class Predictor:
     def __init__(self, train: VoteDatabase, name: str) -> None:
         self.name = name
         self.train = train
-        self.stats: dict = {}  # the work `rank` calls counted
 
     def evaluate(self, cases: Sequence[ActiveCase]) -> Block:
         raise NotImplementedError
@@ -73,8 +72,6 @@ class Predictor:
 
     def rank(self, case: ActiveCase) -> list[ItemId]:
         block = self.evaluate([case])
-        for k, per_case in block.counts.items():
-            self.stats[k] = self.stats.get(k, 0) + int(per_case[0])
         return self.train.index.ranked(case.observed, ~block.informed[0], -block.scores[0])
 
     def predict(self, case: ActiveCase, item: ItemId) -> float:

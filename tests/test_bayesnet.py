@@ -290,12 +290,10 @@ class TestRanking:
         tree = split("parent", leaf(0.2, 1), leaf(0.9, 2))
         model = model_of({"t": tree, "parent": leaf(0.5), "other": leaf(0.5)})
         pred = bn_for(model)
-        pred.rank(case_for("u", {"parent": 1.0}))
-        assert pred.stats["influenced"] >= 1  # the parent vote steered t's path
-        pred2 = bn_for(model)
-        pred2.rank(case_for("u", {"other": 1.0}))
+        counts = pred.evaluate([case_for("u", {"parent": 1.0}), case_for("u", {"other": 1.0})]).counts
+        assert counts["influenced"][0] >= 1  # the parent vote steered t's path
         # observing only a non-parent leaves every lookup no-vote driven
-        assert pred2.stats.get("influenced", 0) == 0
+        assert counts["influenced"][1] == 0
 
 
 class TestModelStructure:
@@ -617,7 +615,8 @@ class TestCompiledNetwork:
             pred = BayesNetPredictor(db, model)  # the model covers every training item
             scores, lookups, influenced = bn_scores_walk(model, case)
             assert pred.rank(case) == sorted_ranking(scores)
-            assert pred.stats == {"lookups": lookups, "influenced": influenced}
+            counts = pred.evaluate([case]).counts
+            assert (counts["lookups"][0], counts["influenced"][0]) == (lookups, influenced)
             for it in scores:
                 want = bn_vote_walk(model, case, it)
                 assert pred.predict(case, it) == want  # bitwise
@@ -646,7 +645,8 @@ class TestCompiledNetwork:
                 if it not in case.observed:
                     a, b = (p.predict(case, it) for p in preds)
                     assert np.float64(a).tobytes() == np.float64(b).tobytes()
-        assert preds[0].stats == preds[1].stats
+            c1, c2 = (p.evaluate([case]).counts for p in preds)
+            assert all((c1[k] == c2[k]).all() for k in ("lookups", "influenced"))
 
     def test_leaf_only_network_routes_in_zero_steps(self):
         model = TestRanking()._two_item_model()

@@ -176,15 +176,19 @@ class TestArrayRanking:
         rng, db = self._train(seed, explicit)
         model = learn_network(db, LearnConfig(structure_penalty=0.9))
         pred = BayesNetPredictor(db, model, name="BN")
-        lookups = influenced = 0
+        cases, lookups, influenced = [], [], []
         for _ in range(6):
             case = random_case(rng, db, max_observed=4)
             scores, n, hits = bn_scores_walk(model, case)
-            lookups, influenced = lookups + n, influenced + hits
+            cases.append(case)
+            lookups.append(n)
+            influenced.append(hits)
             assert pred.rank(case) == sorted_ranking(scores)
             for it in scores:
                 assert pred.predict(case, it) == bn_vote_walk(model, case, it)
-        assert pred.stats == {"lookups": lookups, "influenced": influenced}
+        counts = pred.evaluate(cases).counts  # per case, from one block
+        assert counts["lookups"].tolist() == lookups
+        assert counts["influenced"].tolist() == influenced
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), explicit=st.booleans())
