@@ -4,6 +4,14 @@ Each user is a full assignment of every item to a state (a vote value or the
 explicit no-vote state); a hidden class variable renders items independent.
 Parameters are fit with EM against a smoothed (MAP-style) objective, and the
 number of classes is chosen by an approximate marginal likelihood.
+
+A class count's restarts are fit as one batch: their parameters are stacked,
+and each E-step evaluates every distinct vote record once for all of them
+(`_Index.vote_patterns`) before gathering the results back to users. Every
+sum over users then adds the same terms in user order as a fit of its own
+over every user row would, so models and selection tables are bitwise those
+of one fit after the other (`tests/reference.py` keeps that form as the
+oracle).
 """
 
 from __future__ import annotations
@@ -122,27 +130,53 @@ def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
     """log(sum(exp(a), axis=1)) of a finite 2-d array, with the arithmetic of
     `scipy.special.logsumexp(a, axis=1)`: every entry equal to the row maximum
     is taken out of the sum and counted instead, so the result is bitwise
-    scipy's without its per-call overhead."""
-    a_max = a.max(axis=1, keepdims=True)
-    tied = a == a_max
-    m = tied.sum(axis=1, keepdims=True, dtype=a.dtype)
-    s = np.exp(np.where(tied, -np.inf, a) - a_max).sum(axis=1, keepdims=True)
-    s = np.where(s == 0, s, s / m)
-    return (np.log1p(s) + np.log(m) + a_max)[:, 0]
+    scipy's without its per-call overhead.
 
-
-def _loglik_matrix(
-    X: sp.csr_matrix, class_prior: np.ndarray, cond: np.ndarray
-) -> np.ndarray:
-    """Per-user, per-class joint log probability of the completed record.
-
-    `X` is the database's `vote_states` encoding: the no-vote state has no
-    column, so every item starts at no-vote and each vote adds its change.
+    The maxima and tie counts are exact in any order, so they reduce a
+    class-major copy, one pass over contiguous rows each. An entry ties
+    exactly when its difference from the maximum is 0, and a tie adds exp(0)
+    times 0 to the sum of exponentials, the 0 that scipy's exp(-inf) adds.
+    That sum keeps numpy's row sum over a contiguous last axis.
     """
-    logc = np.log(cond)
-    base = logc[:, :, 0].sum(axis=1)  # all items at no-vote
-    delta = (logc[:, :, 1:] - logc[:, :, :1]).reshape(len(class_prior), -1)
-    return np.log(class_prior)[None, :] + base[None, :] + X @ delta.T
+    by_class = a.T.copy()
+    a_max = by_class.max(axis=0)
+    m = (by_class == a_max).sum(axis=0, dtype=a.dtype)
+    d = a - a_max[:, None]
+    s = (np.exp(d) * (d != 0)).sum(axis=1)
+    s = np.where(s == 0, s, s / m)
+    return np.log1p(s) + np.log(m) + a_max
+
+
+def _log_joint(
+    X: sp.csr_matrix, log_prior: np.ndarray, logc: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's joint log probability with each class of each fit, as a
+    (rows, fits, classes) array, and its log-sum-exp over classes, (rows,
+    fits). `log_prior` and `logc` stack the fits' log class priors (fits,
+    classes) and log conditionals (fits, classes, items, states).
+
+    `X` holds rows of the `vote_states` encoding: the no-vote state has no
+    column, so every item starts at no-vote and each vote adds its change.
+    One sparse product serves all fits, and each of its columns adds a row's
+    terms in the row's order whatever the other columns hold.
+    """
+    r, c = log_prior.shape
+    const = (log_prior + logc[..., 0].sum(axis=2)).ravel()  # all items at no-vote
+    delta = (logc[..., 1:] - logc[..., :1]).reshape(r * c, -1)
+    L = const + X @ delta.T
+    norm = _logsumexp_rows(L.reshape(-1, c))
+    return L.reshape(X.shape[0], r, c), norm.reshape(X.shape[0], r)
+
+
+def _state_counts(totals: np.ndarray, vote_counts: np.ndarray, t: int) -> np.ndarray:
+    """(classes, items, states) counts from the class totals and the
+    (item, vote state) x classes vote counts; the no-vote count is the rest."""
+    c = len(totals)
+    vote_counts = vote_counts.T.reshape(c, t, -1)
+    counts = np.empty((c, t, vote_counts.shape[2] + 1))
+    counts[:, :, 1:] = vote_counts
+    counts[:, :, 0] = totals[:, None] - vote_counts.sum(axis=2)
+    return np.clip(counts, 0.0, None)
 
 
 def _counts(XT: sp.csc_matrix, gamma: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
@@ -150,13 +184,8 @@ def _counts(XT: sp.csc_matrix, gamma: np.ndarray, t: int) -> tuple[np.ndarray, n
 
     `XT` is the database's transposed encoding `vote_states_T`.
     """
-    c = gamma.shape[1]
     totals = gamma.sum(axis=0)
-    vote_counts = np.asarray(XT @ gamma).T.reshape(c, t, -1)
-    counts = np.empty((c, t, vote_counts.shape[2] + 1))
-    counts[:, :, 1:] = vote_counts
-    counts[:, :, 0] = totals[:, None] - vote_counts.sum(axis=2)
-    return totals, np.clip(counts, 0.0, None)
+    return totals, _state_counts(totals, np.asarray(XT @ gamma), t)
 
 
 def expected_counts(
@@ -178,24 +207,24 @@ def map_estimates(
     """Smoothed frequency estimates from (expected) complete-data counts.
 
     Each distribution gets a symmetric pseudo-count of `prior_strength`
-    split over its states, which keeps every probability positive.
+    split over its states, which keeps every probability positive. Leading
+    axes before (classes, items, states) stack independent fits; those need
+    `n_users`.
     """
-    c, _, s = state_counts.shape
+    c, s = state_counts.shape[-3], state_counts.shape[-1]
     n = float(class_totals.sum()) if n_users is None else float(n_users)
     prior = (class_totals + prior_strength / c) / (n + prior_strength)
     cond = (state_counts + prior_strength / s) / (
-        class_totals[:, None, None] + prior_strength
+        class_totals[..., None, None] + prior_strength
     )
     return prior, cond
 
 
 def _log_prior_term(
-    class_prior: np.ndarray, cond: np.ndarray, prior_strength: float
+    log_prior: np.ndarray, logc: np.ndarray, prior_strength: float
 ) -> float:
-    c, _, s = cond.shape
-    a_pi = prior_strength / c
-    a_s = prior_strength / s
-    return float(a_pi * np.log(class_prior).sum() + a_s * np.log(cond).sum())
+    c, _, s = logc.shape
+    return float(prior_strength / c * log_prior.sum() + prior_strength / s * logc.sum())
 
 
 def _dirichlet_rows(rng: np.random.Generator, alpha: np.ndarray) -> np.ndarray:
@@ -236,6 +265,86 @@ def _init_params(
     return prior, cond
 
 
+def _fit_restarts(
+    db: VoteDatabase,
+    num_classes: int,
+    seeds: list[int],
+    tol: float,
+    max_iter: int,
+    prior_strength: float,
+) -> list[tuple[ClusterModel, FitReport]]:
+    """One EM fit from each seed's starting point, all run as one batch.
+
+    The E-step evaluates each distinct vote row once for every fit in the
+    batch (`_Index.vote_patterns`) and gathers the results back to users, so
+    the M-step's sums and the objective add the same terms in user order as
+    a fit over every user would. A fit that converges leaves the batch.
+    """
+    if num_classes < 1:
+        raise ValueError("need at least one class")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    if not db.users:
+        raise ValueError("empty database")
+    if num_classes > len(db.users):
+        log.warning(
+            "%d classes for %d users; some classes may collapse",
+            num_classes, len(db.users),
+        )
+    X, inverse = db.index.vote_patterns
+    XT = db.index.vote_states_T
+    n, t, c = len(db.users), len(db.items), num_classes
+
+    starts = [_init_params(db, c, np.random.default_rng(seed), prior_strength) for seed in seeds]
+    prior = np.stack([p for p, _ in starts])
+    cond = np.stack([q for _, q in starts])
+    L, norm = _log_joint(X, np.log(prior), np.log(cond))
+    live = list(range(len(seeds)))  # the batch's fits, by position in `seeds`
+    traces: list[list[float]] = [[] for _ in seeds]
+    prev = [-np.inf] * len(seeds)
+    fits: dict[int, tuple[ClusterModel, FitReport]] = {}
+
+    def finish(k: int, r: int, iterations: int, converged: bool) -> None:
+        model = ClusterModel(db.scale, db.items, prior[k].copy(), cond[k].copy())
+        fits[r] = model, FitReport(traces[r], iterations=iterations, converged=converged)
+
+    for it in range(1, max_iter + 1):
+        gamma = np.take(np.exp(L - norm[:, :, None]), inverse, axis=0)
+        # each fit's column sums add its users in order, as a sum over that
+        # fit alone does; with one class numpy would sum a lone column
+        # pairwise instead, but every responsibility is then exactly 1
+        totals = gamma.sum(axis=0)
+        vote_counts = np.asarray(XT @ gamma.reshape(n, -1))
+        # each fit's vote counts copied out in the layout of its own product,
+        # so that the sums over vote states run in its order
+        counts = np.stack([
+            _state_counts(totals[k], np.ascontiguousarray(vote_counts[:, k * c:(k + 1) * c]), t)
+            for k in range(len(live))
+        ])
+        prior, cond = map_estimates(totals, counts, prior_strength, n_users=n)
+        log_prior, logc = np.log(prior), np.log(cond)
+        L, norm = _log_joint(X, log_prior, logc)  # these objectives, and the next E-step
+        user_norm = np.take(norm.T, inverse, axis=1)
+        stay = []
+        for k, r in enumerate(live):
+            obj = float(user_norm[k].sum()) + _log_prior_term(log_prior[k], logc[k], prior_strength)
+            traces[r].append(obj)
+            per_user = obj / n
+            if (per_user - prev[r]) < tol * max(1.0, abs(per_user)):
+                finish(k, r, it, converged=True)
+            else:
+                prev[r] = per_user
+                stay.append(k)
+        if len(stay) < len(live):
+            live = [live[k] for k in stay]
+            prior, cond, L, norm = prior[stay], cond[stay], L[:, stay], norm[:, stay]
+            if not live:
+                break
+    for k, r in enumerate(live):
+        finish(k, r, max_iter, converged=False)
+    return [fits[r] for r in range(len(seeds))]
+
+
 def em_fit(
     db: VoteDatabase,
     num_classes: int,
@@ -252,42 +361,7 @@ def em_fit(
     M-step gives the smoothed frequencies, the exact optimum, and the second
     iteration sees no improvement.
     """
-    if num_classes < 1:
-        raise ValueError("need at least one class")
-    if not db.users:
-        raise ValueError("empty database")
-    if num_classes > len(db.users):
-        log.warning(
-            "%d classes for %d users; some classes may collapse",
-            num_classes, len(db.users),
-        )
-    X, XT = db.index.vote_states, db.index.vote_states_T
-    n, t = len(db.users), len(db.items)
-
-    rng = np.random.default_rng(seed)
-    prior, cond = _init_params(db, num_classes, rng, prior_strength)
-    trace: list[float] = []
-    converged = False
-    L = _loglik_matrix(X, prior, cond)
-    norm = _logsumexp_rows(L)
-    prev = -np.inf
-    iterations = 0
-    for it in range(1, max_iter + 1):
-        iterations = it
-        gamma = np.exp(L - norm[:, None])
-        totals, counts = _counts(XT, gamma, t)
-        prior, cond = map_estimates(totals, counts, prior_strength, n_users=n)
-        L = _loglik_matrix(X, prior, cond)
-        norm = _logsumexp_rows(L)  # this objective, and the next E-step
-        obj = float(norm.sum()) + _log_prior_term(prior, cond, prior_strength)
-        trace.append(obj)
-        per_user = obj / n
-        if (per_user - prev) < tol * max(1.0, abs(per_user)):
-            converged = True
-            break
-        prev = per_user
-    model = ClusterModel(db.scale, db.items, prior, cond)
-    return model, FitReport(trace, iterations=iterations, converged=converged)
+    return _fit_restarts(db, num_classes, [seed], tol, max_iter, prior_strength)[0]
 
 
 def _dirichlet_marginal(counts: np.ndarray, alpha: float) -> np.ndarray:
@@ -319,19 +393,18 @@ def cheeseman_stutz_score(
         raise ValueError("model and database cover different items")
     c = model.num_classes
     s = model.cond.shape[2]
-    L = _loglik_matrix(db.index.vote_states, model.class_prior, model.cond)
-    norm = _logsumexp_rows(L)
-    observed_ll = float(norm.sum())
-    gamma = np.exp(L - norm[:, None])
+    X, inverse = db.index.vote_patterns
+    log_prior, (logc, _) = np.log(model.class_prior), model.log_tables
+    L, norm = _log_joint(X, log_prior[None], logc[None])
+    observed_ll = float(np.take(norm[:, 0], inverse).sum())
+    gamma = np.take(np.exp(L[:, 0] - norm), inverse, axis=0)
     totals, counts = _counts(db.index.vote_states_T, gamma, len(db.items))
 
     complete_marginal = float(
         _dirichlet_marginal(totals[None, :], prior_strength / c)[0]
         + _dirichlet_marginal(counts, prior_strength / s).sum()
     )
-    complete_ll = float(
-        totals @ np.log(model.class_prior) + (counts * np.log(model.cond)).sum()
-    )
+    complete_ll = float(totals @ log_prior + (counts * logc).sum())
     return complete_marginal - complete_ll + observed_ll + math.lgamma(c + 1)
 
 
@@ -347,32 +420,42 @@ def select_cluster_model(
     """Fit 1..max_classes classes (several restarts each) and keep the best score.
 
     Returns the winning model plus the per-class-count score table. Ties go
-    to the smaller model.
+    to the smaller model. A row describes the count's best restart (the
+    first of equal objectives) and lists every restart's iterations,
+    converged flag and final objective.
     """
     if max_classes < 1:
         raise ValueError("max_classes must be >= 1")
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
     table: list[dict] = []
     best_model = None
     best_score = -np.inf
     for c in range(1, max_classes + 1):
-        best_fit = None
-        for r in range(max(1, restarts)):
-            sub_seed = int(np.random.SeedSequence([seed, c, r]).generate_state(1)[0])
-            model, report = em_fit(
-                db, c, seed=sub_seed,
-                tol=tol, max_iter=max_iter, prior_strength=prior_strength,
-            )
-            obj = report.objective_trace[-1]
-            if best_fit is None or obj > best_fit[2]:
-                best_fit = (model, report, obj)
-        model, report, obj = best_fit
+        seeds = [
+            int(np.random.SeedSequence([seed, c, r]).generate_state(1)[0])
+            for r in range(restarts)
+        ]
+        fits = _fit_restarts(db, c, seeds, tol, max_iter, prior_strength)
+        model, report = fits[0]
+        for other in fits[1:]:
+            if other[1].objective_trace[-1] > report.objective_trace[-1]:
+                model, report = other
         cs = cheeseman_stutz_score(model, db, prior_strength)
         table.append({
             "classes": c,
             "cs_score": cs,
-            "objective": obj,
+            "objective": report.objective_trace[-1],
             "converged": report.converged,
             "iterations": report.iterations,
+            "restarts": [
+                {
+                    "iterations": r.iterations,
+                    "converged": r.converged,
+                    "objective": r.objective_trace[-1],
+                }
+                for _, r in fits
+            ],
         })
         if cs > best_score:
             best_score = cs

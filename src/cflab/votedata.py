@@ -224,6 +224,21 @@ class _Index:
         return self.vote_states.T
 
     @cached_property
+    def vote_patterns(self) -> tuple[sp.csr_matrix, np.ndarray]:
+        """The distinct rows of `vote_states` in first-seen order, and each
+        user's position among them. Rows are equal when they list the same
+        columns in the same order, so a product over a distinct row adds
+        its terms as over the row of each of its users."""
+        X = self.vote_states
+        first: dict[bytes, int] = {}
+        inverse = np.fromiter(
+            (first.setdefault(X.indices[a:b].tobytes(), len(first))
+             for a, b in zip(X.indptr[:-1].tolist(), X.indptr[1:].tolist())),
+            dtype=np.intp, count=X.shape[0],
+        )
+        return X[np.unique(inverse, return_index=True)[1]], inverse
+
+    @cached_property
     def V_csc(self) -> sp.csc_matrix:
         """`V` item-major: the same votes, an item's voters in user order."""
         return self.V.tocsc()

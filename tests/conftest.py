@@ -94,3 +94,21 @@ def scores_of(pred, case):
     """A predictor's rank scores and informed mask for one case: a block of one."""
     block = pred.evaluate([case])
     return block.scores[0], block.informed[0]
+
+
+def duplicated_db(rng, scale, n_users=60, n_items=6, profiles=5, density=0.4):
+    """Random database whose users copy one of `profiles` random vote
+    records each, so that most users share their record with others."""
+    values = scale.vote_values
+    drawn = []
+    for _ in range(profiles):
+        voted = np.flatnonzero(rng.random(n_items) < density)
+        if not len(voted):
+            voted = [int(rng.integers(n_items))]
+        drawn.append([(f"i{j}", float(values[rng.integers(len(values))])) for j in voted])
+    rows = [
+        (f"u{i}", it, v)
+        for i in range(n_users)
+        for it, v in drawn[int(rng.integers(profiles))]
+    ]
+    return make_db(rows, scale, items=[f"i{j}" for j in range(n_items)])

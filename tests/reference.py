@@ -12,9 +12,10 @@ import math
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import gammaln
+from scipy.special import gammaln, logsumexp
 
 from cflab.bayesnet import BayesNetModel, leaf_family_score
+from cflab.cluster import ClusterModel, map_estimates
 
 
 def _iuf_map(db):
@@ -608,3 +609,97 @@ def reference_reports(train, cases, algorithms, metrics, ranked_cfg, confidence=
             if ranked else None,
         })
     return docs
+
+
+def _bc_loglik_rows(X, class_prior, cond):
+    """Every user's log joint with every class, then its log-sum-exp."""
+    logc = np.log(cond)
+    base = logc[:, :, 0].sum(axis=1)
+    delta = (logc[:, :, 1:] - logc[:, :, :1]).reshape(len(class_prior), -1)
+    L = np.log(class_prior)[None, :] + base[None, :] + X @ delta.T
+    return L, logsumexp(L, axis=1)
+
+
+def _bc_counts(XT, gamma, t):
+    c = gamma.shape[1]
+    totals = gamma.sum(axis=0)
+    vote_counts = np.asarray(XT @ gamma).T.reshape(c, t, -1)
+    counts = np.empty((c, t, vote_counts.shape[2] + 1))
+    counts[:, :, 1:] = vote_counts
+    counts[:, :, 0] = totals[:, None] - vote_counts.sum(axis=2)
+    return totals, np.clip(counts, 0.0, None)
+
+
+def em_fit_loop(db, c, seed=0, tol=1e-6, max_iter=200, prior_strength=1.0):
+    """BC's EM as one fit over every user row per iteration: the E-step on
+    all users, the M-step's smoothed counts, and the objective with its
+    prior term. Returns the model and its (trace, iterations, converged)."""
+    X, XT = db.index.vote_states, db.index.vote_states_T
+    n, t, s = len(db.users), len(db.items), db.scale.num_states
+    prior, cond = init_params_loop(db, c, np.random.default_rng(seed), prior_strength)
+    L, norm = _bc_loglik_rows(X, prior, cond)
+    trace, prev, converged, iterations = [], -np.inf, False, 0
+    for it in range(1, max_iter + 1):
+        iterations = it
+        totals, counts = _bc_counts(XT, np.exp(L - norm[:, None]), t)
+        prior, cond = map_estimates(totals, counts, prior_strength, n_users=n)
+        L, norm = _bc_loglik_rows(X, prior, cond)
+        log_prior = (prior_strength / c) * np.log(prior).sum()
+        log_prior = float(log_prior + (prior_strength / s) * np.log(cond).sum())
+        obj = float(norm.sum()) + log_prior
+        trace.append(obj)
+        per_user = obj / n
+        if (per_user - prev) < tol * max(1.0, abs(per_user)):
+            converged = True
+            break
+        prev = per_user
+    return ClusterModel(db.scale, db.items, prior, cond), (trace, iterations, converged)
+
+
+def _dirichlet_marginal_rows(counts, alpha):
+    total_alpha = alpha * counts.shape[-1]
+    return (
+        gammaln(total_alpha)
+        - gammaln(total_alpha + counts.sum(axis=-1))
+        + (gammaln(alpha + counts) - gammaln(alpha)).sum(axis=-1)
+    )
+
+
+def cheeseman_stutz_loop(model, db, prior_strength=1.0):
+    """The Cheeseman-Stutz score from every user row's responsibilities."""
+    c, _, s = model.cond.shape
+    L, norm = _bc_loglik_rows(db.index.vote_states, model.class_prior, model.cond)
+    totals, counts = _bc_counts(db.index.vote_states_T, np.exp(L - norm[:, None]), len(db.items))
+    complete_marginal = float(
+        _dirichlet_marginal_rows(totals[None, :], prior_strength / c)[0]
+        + _dirichlet_marginal_rows(counts, prior_strength / s).sum()
+    )
+    complete_ll = float(
+        totals @ np.log(model.class_prior) + (counts * np.log(model.cond)).sum()
+    )
+    return complete_marginal - complete_ll + float(norm.sum()) + math.lgamma(c + 1)
+
+
+def select_cluster_model_loop(db, max_classes, seed=0, restarts=3, tol=1e-6, max_iter=200,
+                              prior_strength=1.0):
+    """Model selection with one EM fit per (class count, restart) after the
+    other: the best objective of a count's restarts (the first on ties) is
+    scored, and the best score (the smallest count on ties) wins. Returns
+    the model, the table and every fit's (trace, iterations, converged)."""
+    table, fits, best_model, best_score = [], [], None, -np.inf
+    for c in range(1, max_classes + 1):
+        runs = []
+        for r in range(restarts):
+            sub_seed = int(np.random.SeedSequence([seed, c, r]).generate_state(1)[0])
+            runs.append(em_fit_loop(db, c, sub_seed, tol, max_iter, prior_strength))
+        fits.append([report for _, report in runs])
+        model, (trace, iterations, converged) = runs[0]
+        for other, report in runs[1:]:
+            if report[0][-1] > trace[-1]:
+                model, (trace, iterations, converged) = other, report
+        cs = cheeseman_stutz_loop(model, db, prior_strength)
+        table.append({"classes": c, "cs_score": cs, "objective": trace[-1],
+                      "converged": converged, "iterations": iterations})
+        if cs > best_score:
+            best_model, best_score = model, cs
+    return best_model, table, fits

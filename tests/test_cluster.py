@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -20,6 +22,7 @@ from cflab.votedata import IMPLICIT_SCALE, VoteDatabase, VoteScale
 from conftest import (
     SCALE_0_5,
     case_for,
+    duplicated_db,
     items_db,
     make_db,
     random_case,
@@ -28,7 +31,20 @@ from conftest import (
     random_implicit_db,
     scores_of,
 )
-from reference import exact_mixture_log_marginal, init_params_loop, log_posterior_loop
+from reference import (
+    cheeseman_stutz_loop,
+    em_fit_loop,
+    exact_mixture_log_marginal,
+    init_params_loop,
+    log_posterior_loop,
+    select_cluster_model_loop,
+)
+
+SCALE_0_10 = VoteScale(0, 10, 5.0, False)  # 11 vote states
+SCALES = {"implicit": IMPLICIT_SCALE, "0..5": SCALE_0_5, "0..10": SCALE_0_10}
+
+# SHA-256 of the model file of `TestAgainstReference.test_duplicate_model_keeps_its_digest`
+DUPLICATE_MODEL_DIGEST = "57d02f55deb8e5bb5d20015a908a0e89b4c3b40e04da35b48aceba177e550815"
 
 
 def two_block_db(rng, n_per=40, items_per=4, p_own=0.92, p_other=0.02):
@@ -159,6 +175,11 @@ class TestEmFit:
         db = VoteDatabase((), ("a",), {}, IMPLICIT_SCALE)
         with pytest.raises(ValueError):
             em_fit(db, 2)
+
+    def test_zero_iterations_is_error(self):
+        db = random_implicit_db(np.random.default_rng(0), n_users=6, n_items=4)
+        with pytest.raises(ValueError, match="max_iter"):
+            em_fit(db, 2, max_iter=0)
 
     def test_more_classes_than_users_warns_but_fits(self, caplog):
         db = make_db([("u", "a", 1), ("v", "a", 1), ("v", "b", 1)], scale=IMPLICIT_SCALE)
@@ -350,6 +371,25 @@ class TestSelectClusterModel:
         assert model.num_classes == 1
         assert len(table) == 1
 
+    def test_zero_iterations_is_error(self):
+        db = one_class_db(np.random.default_rng(0), n=20)
+        with pytest.raises(ValueError, match="max_iter"):
+            select_cluster_model(db, 2, max_iter=0)
+
+    def test_zero_restarts_is_error(self):
+        db = one_class_db(np.random.default_rng(0), n=20)
+        with pytest.raises(ValueError, match="restarts"):
+            select_cluster_model(db, 2, restarts=0)
+
+    def test_rows_list_every_restart(self):
+        db = three_class_db(np.random.default_rng(3000), n_per=20)
+        _, table = select_cluster_model(db, 3, seed=1, restarts=3, max_iter=10)
+        for row in table:
+            assert len(row["restarts"]) == 3
+            best = max(row["restarts"], key=lambda r: r["objective"])
+            assert row["objective"] == best["objective"]
+            assert (row["iterations"], row["converged"]) == (best["iterations"], best["converged"])
+
     def test_table_covers_all_counts(self):
         db = one_class_db(np.random.default_rng(5), n=40, t=5)
         _, table = select_cluster_model(db, 3, seed=1, restarts=1)
@@ -427,3 +467,80 @@ class TestLogPosteriorCache:
             assert got.tobytes() == want
             got += 1.0  # the caller's own array, not the cached one
             assert model.log_posterior(observed).tobytes() == want
+
+
+def model_file(model):
+    return json.dumps(model.to_json(), sort_keys=True)  # as the model cache writes it
+
+
+class TestAgainstReference:
+    """The batched fit over distinct vote rows against `reference`'s fits over
+    every user row, one restart after the other, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from(sorted(SCALES)),
+        n_users=st.integers(1, 40),
+        profiles=st.integers(1, 10),
+        classes=st.integers(1, 12),
+        restarts=st.integers(1, 3),
+        max_iter=st.integers(1, 12),
+    )
+    def test_restarts_match_one_fit_each(self, seed, scale, n_users, profiles, classes,
+                                         restarts, max_iter):
+        db = duplicated_db(np.random.default_rng(seed), SCALES[scale], n_users, 6, profiles)
+        seeds = [seed + r for r in range(restarts)]
+        fits = cluster._fit_restarts(db, classes, seeds, 1e-6, max_iter, 1.0)
+        for s, (model, report) in zip(seeds, fits):
+            want, (trace, iterations, converged) = em_fit_loop(db, classes, s, max_iter=max_iter)
+            assert model_file(model) == model_file(want)
+            assert (report.objective_trace, report.iterations, report.converged) == (
+                trace, iterations, converged)
+            assert cheeseman_stutz_score(model, db) == cheeseman_stutz_loop(model, db)
+        model, report = em_fit(db, classes, seed=seeds[-1], max_iter=max_iter)
+        assert model_file(model) == model_file(fits[-1][0])
+        assert report == fits[-1][1]
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from(sorted(SCALES)),
+        n_users=st.integers(1, 40),
+        profiles=st.integers(1, 10),
+        max_classes=st.integers(1, 12),
+        restarts=st.integers(1, 3),
+        max_iter=st.integers(1, 10),
+    )
+    def test_selection(self, seed, scale, n_users, profiles, max_classes, restarts, max_iter):
+        db = duplicated_db(np.random.default_rng(seed), SCALES[scale], n_users, 6, profiles)
+        self.check_selection(db, max_classes, seed, restarts, max_iter)
+
+    def test_selection_wide_scale_with_early_stops(self):
+        # 0..10 votes and 9-12 classes: numpy sums 9 or more terms in another
+        # order than fewer; at 8 iterations some restarts of one count have
+        # converged while others stop at the cap
+        db = duplicated_db(np.random.default_rng(0), SCALE_0_10, 60, 8, profiles=12)
+        table = self.check_selection(db, 12, 0, 3, 8)
+        mixed = [row["classes"] for row in table
+                 if len({r["converged"] for r in row["restarts"]}) == 2]
+        assert any(c >= 9 for c in mixed)
+
+    def check_selection(self, db, max_classes, seed, restarts, max_iter):
+        model, table = select_cluster_model(
+            db, max_classes, seed=seed, restarts=restarts, max_iter=max_iter)
+        want, want_table, fits = select_cluster_model_loop(
+            db, max_classes, seed=seed, restarts=restarts, max_iter=max_iter)
+        assert model_file(model) == model_file(want)
+        assert [{k: v for k, v in row.items() if k != "restarts"} for row in table] == want_table
+        assert [
+            [(r["iterations"], r["converged"], r["objective"]) for r in row["restarts"]]
+            for row in table
+        ] == [[(it, conv, trace[-1]) for trace, it, conv in row] for row in fits]
+        return table
+
+    def test_duplicate_model_keeps_its_digest(self):
+        # 300 users share 30 vote records on the 0..10 scale
+        db = duplicated_db(np.random.default_rng(1414), SCALE_0_10, 300, 12, profiles=30)
+        model, _ = select_cluster_model(db, 6, seed=7, restarts=3, max_iter=40)
+        assert hashlib.sha256(model_file(model).encode()).hexdigest() == DUPLICATE_MODEL_DIGEST

@@ -20,7 +20,7 @@ from cflab.votedata import (
     split_users,
 )
 
-from conftest import SCALE_0_5, make_db, random_explicit_db
+from conftest import SCALE_0_5, duplicated_db, make_db, random_explicit_db
 from reference import expected_vote_scalar, rank_score_scalar
 
 MSWEB_FIXTURE = """\
@@ -362,3 +362,26 @@ class TestCountedPositions:
             rows = np.ones((len(cols), 1), dtype=bool)
             got = index.positions(rows * skip, rows * uninformed, rows * keys, cols)
             assert got.tolist() == [ranked.index(items[j]) for j in cols]
+
+
+class TestVotePatterns:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        explicit=st.booleans(),
+        n_users=st.integers(1, 50),
+        profiles=st.integers(1, 8),
+    )
+    def test_gather_rebuilds_vote_states(self, seed, explicit, n_users, profiles):
+        scale = SCALE_0_5 if explicit else IMPLICIT_SCALE
+        db = duplicated_db(np.random.default_rng(seed), scale, n_users, 6, profiles)
+        X, inverse = db.index.vote_patterns
+        states = db.index.vote_states
+        back = X[inverse]
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(back, name), getattr(states, name))
+        # distinct rows, numbered in the order of their first user
+        assert len({X.indices[a:b].tobytes() for a, b in zip(X.indptr[:-1], X.indptr[1:])}) == X.shape[0]
+        ids, first = np.unique(inverse, return_index=True)
+        assert np.array_equal(ids, np.arange(X.shape[0]))
+        assert (np.diff(first) > 0).all()
