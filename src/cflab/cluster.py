@@ -437,10 +437,7 @@ def select_cluster_model(
             for r in range(restarts)
         ]
         fits = _fit_restarts(db, c, seeds, tol, max_iter, prior_strength)
-        model, report = fits[0]
-        for other in fits[1:]:
-            if other[1].objective_trace[-1] > report.objective_trace[-1]:
-                model, report = other
+        model, report = max(fits, key=lambda fit: fit[1].objective_trace[-1])
         cs = cheeseman_stutz_score(model, db, prior_strength)
         table.append({
             "classes": c,
@@ -449,11 +446,8 @@ def select_cluster_model(
             "converged": report.converged,
             "iterations": report.iterations,
             "restarts": [
-                {
-                    "iterations": r.iterations,
-                    "converged": r.converged,
-                    "objective": r.objective_trace[-1],
-                }
+                {"iterations": r.iterations, "converged": r.converged,
+                 "objective": r.objective_trace[-1]}
                 for _, r in fits
             ],
         })
