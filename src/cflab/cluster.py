@@ -169,13 +169,14 @@ def _log_joint(
 
 
 def _state_counts(totals: np.ndarray, vote_counts: np.ndarray, t: int) -> np.ndarray:
-    """(classes, items, states) counts from the class totals and the
-    (item, vote state) x classes vote counts; the no-vote count is the rest."""
-    c = len(totals)
-    vote_counts = vote_counts.T.reshape(c, t, -1)
-    counts = np.empty((c, t, vote_counts.shape[2] + 1))
-    counts[:, :, 1:] = vote_counts
-    counts[:, :, 0] = totals[:, None] - vote_counts.sum(axis=2)
+    """(fits, classes, items, states) counts from the (fits, classes) class
+    totals and the (item, vote state) x (fit, class) vote counts; the
+    no-vote count is what the votes leave of a total."""
+    r, c = totals.shape
+    votes = vote_counts.reshape(t, -1, r, c)
+    counts = np.empty((r, c, t, votes.shape[1] + 1))
+    counts[..., 1:] = votes.transpose(2, 3, 0, 1)
+    counts[..., 0] = totals[..., None] - votes.sum(axis=1).transpose(1, 2, 0)
     return np.clip(counts, 0.0, None)
 
 
@@ -185,7 +186,7 @@ def _counts(XT: sp.csc_matrix, gamma: np.ndarray, t: int) -> tuple[np.ndarray, n
     `XT` is the database's transposed encoding `vote_states_T`.
     """
     totals = gamma.sum(axis=0)
-    return totals, _state_counts(totals, np.asarray(XT @ gamma), t)
+    return totals, _state_counts(totals[None], np.asarray(XT @ gamma), t)[0]
 
 
 def expected_counts(
@@ -310,17 +311,13 @@ def _fit_restarts(
 
     for it in range(1, max_iter + 1):
         gamma = np.take(np.exp(L - norm[:, :, None]), inverse, axis=0)
-        # each fit's column sums add its users in order, as a sum over that
-        # fit alone does; with one class numpy would sum a lone column
-        # pairwise instead, but every responsibility is then exactly 1
+        # numpy adds along an axis other than the innermost term by term, so
+        # each fit's sums over users and over vote states add in the order of
+        # a fit of its own; with one class numpy would sum a lone column
+        # pairwise instead, but every responsibility is then exactly 1 and
+        # every such sum an exact integer
         totals = gamma.sum(axis=0)
-        vote_counts = np.asarray(XT @ gamma.reshape(n, -1))
-        # each fit's vote counts copied out in the layout of its own product,
-        # so that the sums over vote states run in its order
-        counts = np.stack([
-            _state_counts(totals[k], np.ascontiguousarray(vote_counts[:, k * c:(k + 1) * c]), t)
-            for k in range(len(live))
-        ])
+        counts = _state_counts(totals, np.asarray(XT @ gamma.reshape(n, -1)), t)
         prior, cond = map_estimates(totals, counts, prior_strength, n_users=n)
         log_prior, logc = np.log(prior), np.log(cond)
         L, norm = _log_joint(X, log_prior, logc)  # these objectives, and the next E-step
