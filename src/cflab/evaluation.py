@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import stats as sstats
+from scipy.special import stdtrit
 
 from .predictors import Block, Predictor, block_cases
 from .votedata import ActiveCase, ItemId, VoteDatabase
@@ -116,6 +116,12 @@ def bonferroni_required_difference(
     `scores` is cases (blocks) by algorithms. A two-way blocked ANOVA gives
     the residual mean square; the threshold is the two-sided Student-t
     quantile at the pairwise-corrected level times sqrt(2 * MSE / blocks).
+
+    The quantile is `scipy.special.stdtrit(df, q)`. Student t's `ppf` in
+    scipy's statistics package returns `stdtrit(df, q) * 1.0 + 0.0`, and
+    neither step changes a positive quantile, so the two agree bit for bit.
+    Importing that package for one call would cost more start-up time and
+    memory than everything else cflab loads.
     """
     x = np.asarray(scores, dtype=float)
     if x.ndim != 2:
@@ -133,7 +139,7 @@ def bonferroni_required_difference(
         return 0.0
     n_pairs = m * (m - 1) / 2
     alpha_pair = (1.0 - confidence) / n_pairs
-    t = float(sstats.t.ppf(1.0 - alpha_pair / 2.0, df))
+    t = float(stdtrit(df, 1.0 - alpha_pair / 2.0))
     return t * float(np.sqrt(2.0 * mse / b))
 
 

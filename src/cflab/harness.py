@@ -5,9 +5,10 @@ algorithms, and the metrics. The runner trains (and caches) any required
 models, scores each protocol's cases once for every metric, and writes
 deterministic report artifacts: rerunning an unchanged config reproduces the
 report files byte for byte. Volatile data (wall-clock timings, with each
-algorithm's scoring block count and median block time), the case counts of
-each metric and protocol, and the cases per scoring block go to a separate
-`run_meta.json` so the reports stay comparable.
+algorithm's scoring block count and median block time), the wall seconds
+of each stage of the run, the process's peak resident set size, the case
+counts of each metric and protocol, and the cases per scoring block go to a
+separate `run_meta.json` so the reports stay comparable.
 """
 
 from __future__ import annotations
@@ -17,9 +18,16 @@ import json
 import logging
 import math
 import os
+import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
+
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
 
 import numpy as np
 
@@ -406,49 +414,79 @@ class RunResult:
     output_dir: Path
 
 
+def peak_rss_mb() -> float | None:
+    """The process's peak resident set size so far in MiB, or None where the
+    `resource` module is missing. `ru_maxrss` counts KiB on Linux and bytes
+    on macOS."""
+    if resource is None:
+        return None
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return rss / 2**20 if sys.platform == "darwin" else rss / 2**10
+
+
+@contextmanager
+def _stage(stages: dict, key: str):
+    """Record the wall seconds of the `with` body as `stages[key]`."""
+    t0 = time.perf_counter()
+    yield
+    stages[key] = time.perf_counter() - t0
+
+
 def run(config: ExperimentConfig) -> RunResult:
     t_start = time.perf_counter()
     out = config.output_dir
     (out / "reports").mkdir(parents=True, exist_ok=True)
     (out / "splits").mkdir(parents=True, exist_ok=True)
     cache_dir = out / "models"
+    stages: dict = {"build_predictors": {}, "protocols": {}}
 
-    train, test = load_datasets(config.dataset)
-    predictors = [
-        build_predictor(spec, train, config.seed, cache_dir) for spec in config.algorithms
-    ]
+    with _stage(stages, "load_datasets"):
+        train, test = load_datasets(config.dataset)
+    predictors = []
+    for spec in config.algorithms:
+        with _stage(stages["build_predictors"], spec.name):
+            predictors.append(build_predictor(spec, train, config.seed, cache_dir))
 
     reports: dict[tuple[str, str], ExperimentReport] = {}
     report_paths: list[Path] = []
     for protocol in config.protocols:
-        cases = generate_active_cases(test, protocol, config.seed)
-        save_split_manifest(
-            out / "splits" / f"{protocol.label}.json", cases, protocol, config.seed
-        )
-        for report in run_experiment(
-            train, cases, predictors, config.metrics, ranked_cfg=config.ranked,
-            confidence=config.confidence, seed=config.seed, protocol_label=protocol.label,
-        ):
-            reports[(report.metric, protocol.label)] = report
-            path = out / "reports" / f"{report.metric}_{protocol.label}.json"
-            path.write_text(report.dumps(), encoding="utf-8")
-            report_paths.append(path)
+        times = stages["protocols"][protocol.label] = {}
+        with _stage(times, "cases"):
+            cases = generate_active_cases(test, protocol, config.seed)
+        with _stage(times, "manifest"):
+            save_split_manifest(
+                out / "splits" / f"{protocol.label}.json", cases, protocol, config.seed
+            )
+        with _stage(times, "experiment"):
+            protocol_reports = run_experiment(
+                train, cases, predictors, config.metrics, ranked_cfg=config.ranked,
+                confidence=config.confidence, seed=config.seed, protocol_label=protocol.label,
+            )
+        with _stage(times, "reports"):
+            for report in protocol_reports:
+                reports[(report.metric, protocol.label)] = report
+                path = out / "reports" / f"{report.metric}_{protocol.label}.json"
+                path.write_text(report.dumps(), encoding="utf-8")
+                report_paths.append(path)
 
     summary_paths = []
-    for metric in config.metrics:
-        summary = summarize(
-            [reports[(metric, p.label)] for p in config.protocols]
-        )
-        jpath = out / "reports" / f"summary_{metric}.json"
-        jpath.write_text(
-            json.dumps(summary, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
-        tpath = out / "reports" / f"summary_{metric}.txt"
-        tpath.write_text(render_summary(summary, "text"), encoding="utf-8")
-        summary_paths.extend([jpath, tpath])
+    with _stage(stages, "summaries"):
+        for metric in config.metrics:
+            summary = summarize(
+                [reports[(metric, p.label)] for p in config.protocols]
+            )
+            jpath = out / "reports" / f"summary_{metric}.json"
+            jpath.write_text(
+                json.dumps(summary, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+            )
+            tpath = out / "reports" / f"summary_{metric}.txt"
+            tpath.write_text(render_summary(summary, "text"), encoding="utf-8")
+            summary_paths.extend([jpath, tpath])
 
     meta = {
         "wall_seconds": time.perf_counter() - t_start,
+        "stages": stages,
+        "peak_rss_mb": peak_rss_mb(),
         "timing": {f"{m}/{p}": r.timing for (m, p), r in reports.items()},
         "blocks": {f"{m}/{p}": {n: {"count": len(t), "median_ms": 1e3 * float(np.median(t))}
                                 for n, t in r.block_seconds.items()}

@@ -1,11 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy import stats as sstats
 
 from cflab import predictors
@@ -165,6 +169,16 @@ class TestAbsoluteDeviation:
         )
 
 
+@st.composite
+def _score_shapes(draw):
+    """(cases, algorithms): 2-12 algorithms and up to 2e6 scores (16 MB an
+    array), so up to 10^6 cases at two algorithms and 166666 at twelve; the
+    case count is log-uniform, so that large ones are drawn as often as small."""
+    algorithms = draw(st.integers(2, 12))
+    most = 2 * 10**6 // algorithms
+    return int(2 ** draw(st.floats(1, math.log2(most)))), algorithms
+
+
 class TestRequiredDifference:
     def test_identical_columns_give_zero(self):
         x = np.tile(np.array([[1.0], [2.0], [5.0]]), (1, 3))
@@ -177,7 +191,7 @@ class TestRequiredDifference:
         x = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 3.0]])
         t_crit = sstats.t.ppf(1 - 0.05, 2)
         expected = t_crit * math.sqrt(2 * 0.5 / 3)
-        assert bonferroni_required_difference(x, 0.90) == pytest.approx(expected, abs=1e-9)
+        assert bonferroni_required_difference(x, 0.90) == expected
         assert bonferroni_required_difference(x, 0.90) == pytest.approx(1.6858544608, abs=1e-6)
 
     def test_three_algorithms_bonferroni_correction(self):
@@ -187,9 +201,21 @@ class TestRequiredDifference:
         grand = x.mean()
         resid = x - x.mean(1, keepdims=True) - x.mean(0, keepdims=True) + grand
         mse = (resid**2).sum() / ((m - 1) * (b - 1))
-        alpha_pair = 0.10 / 3  # three pairwise comparisons
+        alpha_pair = (1 - 0.90) / 3  # three pairwise comparisons
         expected = sstats.t.ppf(1 - alpha_pair / 2, (m - 1) * (b - 1)) * math.sqrt(2 * mse / b)
-        assert bonferroni_required_difference(x, 0.90) == pytest.approx(expected, abs=1e-9)
+        assert bonferroni_required_difference(x, 0.90) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape=_score_shapes(), seed=st.integers(0, 2**32 - 1), decimals=st.integers(0, 3),
+           confidence=st.one_of(st.just(0.90),
+                                st.floats(0, 1, exclude_min=True, exclude_max=True)))
+    @example(shape=(5, 3), seed=0, decimals=1, confidence=0.90)
+    @example(shape=(10**6, 2), seed=1, decimals=3, confidence=0.90)
+    @example(shape=(166666, 12), seed=2, decimals=3, confidence=0.90)
+    def test_same_bits_as_t_ppf(self, shape, seed, decimals, confidence):
+        x = np.round(np.random.default_rng(seed).normal(size=shape), decimals)
+        got = bonferroni_required_difference(x, confidence)
+        assert float.hex(got) == float.hex(_rd_with_t_ppf(x, confidence))
 
     def test_block_shift_invariance(self):
         rng = np.random.default_rng(21)
@@ -204,6 +230,35 @@ class TestRequiredDifference:
             bonferroni_required_difference(np.ones((1, 3)))
         with pytest.raises(ValueError):
             bonferroni_required_difference(np.ones((3, 1)))
+
+
+def _rd_with_t_ppf(x, confidence):
+    """`bonferroni_required_difference`'s formula, with the quantile from
+    `scipy.stats.t.ppf`."""
+    b, m = x.shape
+    resid = x - x.mean(axis=1, keepdims=True) - x.mean(axis=0, keepdims=True) + x.mean()
+    df = (m - 1) * (b - 1)
+    mse = float((resid**2).sum()) / df
+    if mse <= 0.0:
+        return 0.0
+    alpha_pair = (1.0 - confidence) / (m * (m - 1) / 2)
+    return float(sstats.t.ppf(1.0 - alpha_pair / 2.0, df)) * float(np.sqrt(2.0 * mse / b))
+
+
+def test_import_leaves_out_scipy_stats():
+    # scipy.stats costs more memory and start-up time than everything else
+    # cflab imports together; the CLI's import path must not load it
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import json, sys\nimport cflab, cflab.cli\n"
+            "print(json.dumps({name: hasattr(mod, '__path__') for name, mod in "
+            "sys.modules.items() if name.startswith('scipy.')}))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), check=True)
+    loaded = json.loads(proc.stdout)  # scipy module name: is it a package
+    assert not [name for name in loaded if name.split(".")[1] == "stats"]
+    public = {name for name, is_package in loaded.items() if is_package
+              and name.count(".") == 1 and not name.split(".")[1].startswith("_")}
+    assert public == {"scipy.sparse", "scipy.special"}
 
 
 class _ConstantRanker:

@@ -4,6 +4,7 @@ import json
 import math
 import shutil
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -320,6 +321,39 @@ class TestRun:
                     f"{counts['failed']} excluded as failed") in out.splitlines()
         assert meta["cases"]["ranked/AllBut1"]["zero_max_utility"] > 0
         assert meta["cases"]["deviation/AllBut1"]["zero_max_utility"] == 0
+
+    def test_run_meta_records_stages_and_peak_rss(self, workdir):
+        assert run_cli("run", workdir / "fixture_config.json") == 0
+        meta = json.loads((workdir / "out" / "run_meta.json").read_text())
+        stages = meta["stages"]
+        assert set(stages) == {"load_datasets", "build_predictors", "protocols", "summaries"}
+        assert set(stages["build_predictors"]) == set(FIXTURE_ALGORITHMS)
+        assert set(stages["protocols"]) == {"AllBut1", "Given2"}
+        for times in stages["protocols"].values():
+            assert set(times) == {"cases", "manifest", "experiment", "reports"}
+        seconds = [stages["load_datasets"], stages["summaries"],
+                   *stages["build_predictors"].values(),
+                   *(t for times in stages["protocols"].values() for t in times.values())]
+        assert all(t > 0 for t in seconds)
+        assert sum(seconds) <= meta["wall_seconds"]
+        # the fixture run's own arrays alone take more than a MiB; a whole
+        # Python process with numpy stays under a few GiB
+        assert 1 < meta["peak_rss_mb"] < 4096
+
+    @pytest.mark.parametrize("platform, maxrss", [("linux", 3 * 2**10), ("darwin", 3 * 2**20)])
+    def test_peak_rss_units(self, monkeypatch, platform, maxrss):
+        # ru_maxrss counts KiB on Linux and bytes on macOS
+        fake = SimpleNamespace(RUSAGE_SELF=0,
+                               getrusage=lambda _: SimpleNamespace(ru_maxrss=maxrss))
+        monkeypatch.setattr(harness, "resource", fake)
+        monkeypatch.setattr(harness.sys, "platform", platform)
+        assert harness.peak_rss_mb() == 3.0
+
+    def test_peak_rss_is_null_without_resource(self, workdir, monkeypatch):
+        monkeypatch.setattr(harness, "resource", None)
+        assert run_cli("run", workdir / "fixture_config.json") == 0
+        meta = json.loads((workdir / "out" / "run_meta.json").read_text())
+        assert meta["peak_rss_mb"] is None
 
     def test_train_users_subsample(self, workdir):
         doc = json.loads((workdir / "fixture_config.json").read_text())
