@@ -28,7 +28,7 @@ import graphlib
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 import scipy.sparse as sp
@@ -128,26 +128,23 @@ class BayesNetModel:
             raise ValueError("parent graph must be acyclic") from None
 
     def route(
-        self, observed: Sequence[Mapping[ItemId, float]]
+        self, n: int, rows: np.ndarray, cols: np.ndarray, states: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """A row per case of observed votes, whose unobserved items are
-        no-vote: every item's leaf, whether an observed vote steered that
-        item's path, and the mask of observed model items. One numpy step
-        moves every case's items down a level."""
+        """n cases whose observed votes are (case row, item position, state)
+        triples, their unobserved items at no-vote: a row per case of every
+        item's leaf, whether an observed vote steered that item's path, and
+        the mask of observed items. One numpy step moves every case's items
+        down a level."""
         t = len(self.items)
         # column t (reached through var -1) is a no-vote, unobserved sentinel
-        state = np.zeros((len(observed), t + 1), dtype=np.intp)
-        seen = np.zeros((len(observed), t + 1), dtype=bool)
-        for row, votes in enumerate(observed):
-            for it, v in votes.items():
-                j = self.item_pos.get(it)
-                if j is not None:
-                    state[row, j] = self.scale.state_of(v)
-                    seen[row, j] = True
+        state = np.zeros((n, t + 1), dtype=np.intp)
+        seen = np.zeros((n, t + 1), dtype=bool)
+        state[rows, cols] = states
+        seen[rows, cols] = True
         # a row's split items, as indices into the flattened arrays
         offset = np.arange(0, seen.size, t + 1)[:, None]
-        node = np.tile(np.arange(t), (len(observed), 1))
-        influenced = np.zeros((len(observed), t), dtype=bool)
+        node = np.tile(np.arange(t), (n, 1))
+        influenced = np.zeros((n, t), dtype=bool)
         for _ in range(self.depth):
             var = self.var[node] + offset
             influenced |= seen.ravel()[var]

@@ -80,13 +80,12 @@ class ClusterModel:
     def log_posterior(self, observed: Mapping[ItemId, float]) -> np.ndarray:
         """Unnormalized log class posterior for a completed vote vector."""
         pos = self.item_pos
+        # items outside the model carry no evidence
+        items = [it for it in observed if it in pos]
         logc, score = self.log_tables
         score = score.copy()
-        for it, v in observed.items():
-            j = pos.get(it)
-            if j is None:
-                continue  # items outside the model carry no evidence
-            s = self.scale.state_of(v)
+        for it, s in zip(items, self.scale.states_of([observed[it] for it in items])):
+            j = pos[it]
             score = score + logc[:, j, s] - logc[:, j, 0]
         return score
 

@@ -381,9 +381,9 @@ class _Frame:
         self.cases = [case for case, _, _ in chunk]
         self.todo = [todo for _, _, todo in chunk]
         skip = np.zeros((len(chunk), len(index.item_ids)), dtype=bool)
+        skip[index.observed_votes(self.cases)[:2]] = True
         case_of, cols, gains = [], [], []
         for k, (case, _, todo) in enumerate(chunk):
-            skip[k, [index.item_pos[it] for it in case.observed if it in index.item_pos]] = True
             for it, v in case.targets.items() if RANKED in todo else ():
                 gain = max(v - cfg.neutral, 0.0)
                 if gain > 0 and it in index.item_pos:

@@ -194,6 +194,8 @@ def parse_config(doc: dict, base_dir: Path) -> ExperimentConfig:
             protocols.append(Protocol.parse(p) if isinstance(p, str) else Protocol.given(int(p["given"])))
         except (ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"protocols[{i}]: {exc}") from None
+        if protocols[-1] in protocols[:-1]:
+            raise ConfigError(f"protocols[{i}]: duplicate protocol {protocols[-1].label}")
 
     raw_algorithms = _require(doc, "algorithms", "config")
     if not raw_algorithms:
@@ -220,9 +222,13 @@ def parse_config(doc: dict, base_dir: Path) -> ExperimentConfig:
         algorithms.append(AlgorithmSpec(name=name, kind=kind, params=params))
 
     metrics = doc.get("metrics", [RANKED])
-    for m in metrics:
+    if not isinstance(metrics, list) or not metrics:
+        raise ConfigError(f"metrics: must be a non-empty list, not {metrics!r}")
+    for i, m in enumerate(metrics):
         if m not in METRICS:
             raise ConfigError(f"metrics: unknown metric {m!r}")
+        if m in metrics[:i]:
+            raise ConfigError(f"metrics: duplicate metric {m!r}")
     for spec in algorithms:
         if DEVIATION in metrics and spec.kind == POPULARITY:
             raise ConfigError(

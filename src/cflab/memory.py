@@ -244,8 +244,8 @@ class MemoryScorer:
 
 
 class _Evidence:
-    """A block's observed training items in observed order, a segment per
-    case, and the training votes on them.
+    """A block's observed votes on training items (`_Index.observed_votes`),
+    a segment per case in observed order, and the training votes on them.
 
     A block's co-voters are gathered once from `V_csc`: for each observed
     item of each case, in observed order, the users who voted on that item
@@ -253,19 +253,8 @@ class _Evidence:
     """
 
     def __init__(self, cases: Sequence[ActiveCase], idx: _Index) -> None:
-        indptr = [0]
-        cols: list[int] = []
-        votes: list[float] = []
-        for case in cases:
-            for it, v in case.observed.items():
-                j = idx.item_pos.get(it)
-                if j is not None:
-                    cols.append(j)
-                    votes.append(v)
-            indptr.append(len(cols))
-        self.indptr = np.asarray(indptr)
-        self.cols = np.asarray(cols, dtype=np.intp)
-        self.votes = np.asarray(votes, dtype=float)
+        case_of, self.cols, self.votes = idx.observed_votes(cases)
+        self.indptr = np.searchsorted(case_of, np.arange(len(cases) + 1))
         self.shape = (len(cases), len(idx.user_ids))
         pattern = idx.V_csc
         starts = pattern.indptr[self.cols]
@@ -274,7 +263,6 @@ class _Evidence:
         self._lens = lens
         pos = np.arange(lens.sum()) + np.repeat(starts - (np.cumsum(lens) - lens), lens)
         self._covotes = pattern.data[pos]
-        case_of = np.repeat(np.arange(len(cases)), np.diff(self.indptr))
         self._key = np.repeat(case_of * self.shape[1], lens) + pattern.indices[pos]
 
     def user_sums(self, power: int, *xs: np.ndarray) -> list[np.ndarray]:

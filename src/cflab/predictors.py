@@ -9,11 +9,12 @@ the ranked metric reports (BN's `lookups` and `influenced`). POP, BN and BC
 inform every item; a memory predictor informs the items a weighted
 neighbour voted on (every item under default voting).
 
-A case's ranked list holds its unobserved training items in `np.lexsort`
-order of (-score, not informed, item id): descending score with NaN last,
-informed first on equal scores, ties to the lower item id; -0.0 ties 0.0
-and NaN ties NaN. The runner counts each target's position in that order
-(`votedata._Index.positions`); `rank(case)` lists it for a block of one.
+A case's ranked list holds its unobserved training items in descending
+score with NaN last, informed first on equal scores, ties to the lower item
+id; -0.0 ties 0.0 and NaN ties NaN. `votedata._Index.positions` is the one
+ranking rule: it counts an item's position in that order. The runner counts
+each target's position; `rank(case)` lists a block of one in the order of
+its items' positions.
 `predict(case, item)`, also a block of one, raises ValueError for an
 observed item, returns the case's mean vote for an item absent from
 training, and otherwise the block's `vote`.
@@ -71,8 +72,14 @@ class Predictor:
         return np.ones((len(cases), len(self.train.items)), dtype=bool)
 
     def rank(self, case: ActiveCase) -> list[ItemId]:
+        index = self.train.index
         block = self.evaluate([case])
-        return self.train.index.ranked(case.observed, ~block.informed[0], -block.scores[0])
+        skip = np.zeros((1, len(index.item_ids)), dtype=bool)
+        skip[index.observed_votes([case])[:2]] = True
+        cols = np.flatnonzero(~skip[0])
+        row = np.zeros(len(cols), dtype=np.intp)
+        pos = index.positions(skip[row], ~block.informed[row], -block.scores[row], cols)
+        return index.item_array[cols[np.argsort(pos)]].tolist()
 
     def predict(self, case: ActiveCase, item: ItemId) -> float:
         if item in case.observed:
@@ -141,7 +148,9 @@ class BayesNetPredictor(_ModelBackedPredictor):
         super().__init__(train, model, name)
 
     def evaluate(self, cases: Sequence[ActiveCase]) -> Block:
-        leaf, influenced, seen = self.model.route([case.observed for case in cases])
+        rows, cols, votes = self.train.index.observed_votes(cases)
+        leaf, influenced, seen = self.model.route(len(cases), rows, cols,
+                                                  self.model.scale.states_of(votes))
         expected = self.model.expected
         # every unobserved item is a lookup; `influenced` those an observed
         # vote steered

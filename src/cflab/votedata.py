@@ -8,7 +8,7 @@ import json
 import logging
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -59,31 +59,18 @@ class VoteScale:
         """State count for the probabilistic models: no-vote plus each vote value."""
         return 1 + len(self.vote_values)
 
-    def state_of(self, vote: float | None) -> int:
-        """Map a vote (or None for no-vote) to its state index; no-vote is state 0."""
-        if vote is None:
-            return 0
-        v = int(round(vote))
-        if abs(vote - v) > 1e-9 or not self.contains(v):
-            raise VoteDataError(f"vote {vote!r} is not an integral value on this scale")
-        if self.implicit:
-            if v != 1:
-                raise VoteDataError("implicit scales record only votes of 1")
-            return 1
-        return 1 + (v - self.min_vote)
-
     def states_of(self, votes: np.ndarray) -> np.ndarray:
-        """`state_of` over an array of recorded votes, with the same check."""
+        """The state index of each recorded vote: 1 + its place among
+        `vote_values` (state 0, no-vote, is never recorded). A vote that is
+        not one of the values raises VoteDataError naming the first such vote."""
         votes = np.asarray(votes, dtype=float)
+        first = self.vote_values[0]
         v = np.rint(votes)
-        ok = (np.abs(votes - v) <= 1e-9) & (v >= self.min_vote) & (v <= self.max_vote)
-        if self.implicit:
-            ok &= v == 1
+        ok = (np.abs(votes - v) <= 1e-9) & (v >= first) & (v <= self.max_vote)
         if not ok.all():
-            self.state_of(float(votes[np.argmin(ok)]))  # raises, naming the vote
-        if self.implicit:
-            return np.ones(len(votes), dtype=np.int64)
-        return 1 + (v.astype(np.int64) - self.min_vote)
+            raise VoteDataError(
+                f"vote {float(votes[np.argmin(ok)])!r} is not a vote value on this scale")
+        return (v - (first - 1)).astype(np.int64)
 
     def expected_vote(self, dist: np.ndarray) -> np.ndarray:
         """Expected vote of each state distribution along the last axis: the
@@ -137,9 +124,11 @@ class _Index:
 
     The votes have three encodings: `V` (users x items), `V_csc` (the same
     votes, item-major) and `vote_states` (one-hot vote states). Matrices
-    derived from the votes are built by the predictors that need them.
-    Built lazily and cached on the database; the database is immutable by
-    convention so the cache is safe to share across readers.
+    derived from the votes are built by the predictors that need them. A
+    block of active cases has one encoding, `observed_votes`: the (case row,
+    training position, vote) arrays that every predictor and the runner
+    read. Built lazily and cached on the database; the database is
+    immutable by convention so the cache is safe to share across readers.
     """
 
     def __init__(self, db: "VoteDatabase") -> None:
@@ -173,23 +162,32 @@ class _Index:
         self.item_sort_rank = np.empty(t, dtype=int)
         self.item_sort_rank[sorted(range(t), key=self.item_ids.__getitem__)] = np.arange(t)
 
-    def ranked(self, observed: Mapping[ItemId, float], *keys: np.ndarray) -> list[ItemId]:
-        """The one ranking rule: the items outside `observed`, in `np.lexsort`
-        order of `keys` (the last key is the primary one), ties to the lower
-        item id."""
-        skip = np.zeros(len(self.item_ids), dtype=bool)
-        skip[[self.item_pos[it] for it in observed if it in self.item_pos]] = True
-        order = np.lexsort((self.item_sort_rank, *keys))
-        return self.item_array[order[~skip[order]]].tolist()
+    def observed_votes(
+        self, cases: Sequence["ActiveCase"]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The block's observed votes on training items as (case row,
+        training position, vote) arrays: case by case, each case's votes in
+        observed order. An item outside training carries no vote."""
+        rows, cols, votes = [], [], []
+        for k, case in enumerate(cases):
+            for it, v in case.observed.items():
+                j = self.item_pos.get(it)
+                if j is not None:
+                    rows.append(k)
+                    cols.append(j)
+                    votes.append(v)
+        return (np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp),
+                np.asarray(votes, dtype=float))
 
     def positions(
         self, skip: np.ndarray, uninformed: np.ndarray, key: np.ndarray, cols: np.ndarray
     ) -> np.ndarray:
-        """Where `ranked(observed, uninformed, key)` lists item position
-        cols[k], counted without a list: the number of items outside `skip`
-        whose (key, uninformed, item id) sorts ahead of the item's. The
-        arrays hold a row per k. As in `np.lexsort`, NaN sorts after every
-        number and ties with NaN, and -0.0 ties 0.0."""
+        """The one ranking rule: the list position of item position cols[k],
+        counted as the number of items outside `skip` whose (key, uninformed,
+        item id) sorts ahead of the item's. The arrays hold a row per k. NaN
+        sorts after every number and ties with NaN, and -0.0 ties 0.0. Ties
+        fall back to the item id, so the positions of one case's items
+        outside `skip` are a permutation."""
         at = np.arange(len(cols)), cols
         own = key[at][:, None]
         nan, own_nan = np.isnan(key), np.isnan(own)
@@ -204,7 +202,7 @@ class _Index:
         """One-hot users x (item, vote state) encoding of the recorded votes.
 
         Column `j * (num_states - 1) + state - 1` marks a vote on item
-        position j in `scale.state_of` state `state`. The no-vote state 0 has
+        position j in `scale.states_of` state `state`. The no-vote state 0 has
         no column: it is what remains of a total. Built on first use, so a
         vote that is not integral on the scale raises VoteDataError only for
         the models that need states.

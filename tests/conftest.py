@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cflab.predictors import Block, Predictor
 from cflab.votedata import IMPLICIT_SCALE, ActiveCase, VoteDatabase, VoteScale
 
 SCALE_0_5 = VoteScale(0, 5, 3.0, False)
@@ -88,6 +89,19 @@ def random_case(rng, db, max_observed=3, absent=("zz",)):
         if not observed or rng.random() < 0.3:
             observed[it] = float(values[0])
     return case_for("t", observed)
+
+
+class FixedScores(Predictor):
+    """A predictor that gives every case the same scores and informed mask."""
+
+    def __init__(self, train, scores, informed):
+        super().__init__(train, "fixed")
+        self.scores, self.informed = scores, informed
+
+    def evaluate(self, cases):
+        shape = (len(cases), len(self.scores))
+        return Block(np.broadcast_to(self.scores, shape), np.broadcast_to(self.informed, shape),
+                     None)
 
 
 def scores_of(pred, case):

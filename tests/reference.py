@@ -16,6 +16,27 @@ from scipy.special import gammaln, logsumexp
 
 from cflab.bayesnet import BayesNetModel, leaf_family_score
 from cflab.cluster import ClusterModel, map_estimates
+from cflab.votedata import VoteDataError
+
+
+def state_of(scale, vote):
+    """One vote's state index on `scale`, None (no-vote) being state 0; a
+    vote that is not a vote value raises VoteDataError naming it."""
+    if vote is None:
+        return 0
+    for state, value in enumerate(scale.vote_values, start=1):
+        if abs(vote - value) <= 1e-9:
+            return state
+    raise VoteDataError(f"vote {float(vote)!r} is not a vote value on this scale")
+
+
+def lexsort_ranked(index, observed, *keys):
+    """The items of `index` outside `observed`, in `np.lexsort` order of
+    `keys` (the last key is the primary one), ties to the lower item id."""
+    skip = np.zeros(len(index.item_ids), dtype=bool)
+    skip[[index.item_pos[it] for it in observed if it in index.item_pos]] = True
+    order = np.lexsort((index.item_sort_rank, *keys))
+    return index.item_array[order[~skip[order]]].tolist()
 
 
 def _iuf_map(db):
@@ -157,7 +178,7 @@ def exact_mixture_log_marginal(db, num_classes, prior_strength=1.0):
     for u in db.users:
         row = [0] * t
         for it, v in db.votes[u].items():
-            row[db.items.index(it)] = scale.state_of(v)
+            row[db.items.index(it)] = state_of(scale, v)
         state.append(row)
     a_pi = prior_strength / num_classes
     a_s = prior_strength / s
@@ -180,11 +201,11 @@ def exact_mixture_log_marginal(db, num_classes, prior_strength=1.0):
 
 
 def dense_states(db):
-    """users x items state matrix built vote by vote with `scale.state_of`."""
+    """users x items state matrix built vote by vote with `state_of`."""
     states = np.zeros((len(db.users), len(db.items)), dtype=np.uint8)
     for i, u in enumerate(db.users):
         for it, v in db.votes[u].items():
-            states[i, db.items.index(it)] = db.scale.state_of(v)
+            states[i, db.items.index(it)] = state_of(db.scale, v)
     return states
 
 
@@ -316,7 +337,7 @@ def log_posterior_loop(model, observed):
         j = pos.get(it)
         if j is None:
             continue
-        s = model.scale.state_of(v)
+        s = state_of(model.scale, v)
         score = score + logc[:, j, s] - logc[:, j, 0]
     return score
 
@@ -381,7 +402,7 @@ def tree_lookup(model, item, evidence):
     missing = [v for v in split_items(tree) if v not in evidence]
     if missing:
         raise EvidenceError(f"evidence missing split variable(s) {missing!r}")
-    leaf, _ = lookup_with_path(tree, lambda var: model.scale.state_of(evidence[var]))
+    leaf, _ = lookup_with_path(tree, lambda var: state_of(model.scale, evidence[var]))
     return leaf_distribution(leaf)
 
 
@@ -389,12 +410,7 @@ def case_lookup(model, tree, case):
     """One tree's leaf distribution from a walk (unobserved items are
     no-vote), and whether an observed vote steered the path."""
     observed = case.observed
-
-    def state_fn(var):
-        v = observed.get(var)
-        return model.scale.state_of(v) if v is not None else 0
-
-    leaf, path = lookup_with_path(tree, state_fn)
+    leaf, path = lookup_with_path(tree, lambda var: state_of(model.scale, observed.get(var)))
     return leaf_distribution(leaf), any(var in observed for var in path)
 
 
@@ -462,7 +478,7 @@ def _case_oracle(alg, train, case):
     model = alg.model
     for it, v in case.observed.items():
         if it in model.item_pos:
-            model.scale.state_of(v)  # an off-scale vote on a model item fails the case
+            state_of(model.scale, v)  # an off-scale vote on a model item fails the case
     if isinstance(alg, ClusterPredictor):
         post = model.posterior(case.observed)
         scores = bc_scores_loop(model, case)

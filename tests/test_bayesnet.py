@@ -38,6 +38,7 @@ from reference import (
     lookup_with_path,
     model_trees,
     sorted_ranking,
+    state_of,
     transitive_closure,
     tree_lookup,
 )
@@ -586,17 +587,19 @@ class TestCompiledNetwork:
         penalty=st.sampled_from([0.1, 0.5, 0.99]),
     )
     def test_routing_matches_tree_walk(self, seed, explicit, penalty):
-        rng, _, learned = self._network(seed, explicit, penalty)
+        rng, db, learned = self._network(seed, explicit, penalty)
         trees = model_trees(learned)
         # numbered in creation order, and breadth first from the file form
         for model in (learned, BayesNetModel.from_json(learned.to_json())):
             for _ in range(5):
                 case = random_case(rng, model, max_observed=4)
-                (leaf,), (influenced,), (seen,) = model.route([case.observed])
+                rows, cols, votes = db.index.observed_votes([case])
+                (leaf,), (influenced,), (seen,) = model.route(1, rows, cols,
+                                                              model.scale.states_of(votes))
                 assert (model.var[leaf] == -1).all()
                 for j, it in enumerate(model.items):
-                    state_of = lambda var: model.scale.state_of(case.observed.get(var))
-                    want, path = lookup_with_path(trees[it], state_of)
+                    want, path = lookup_with_path(
+                        trees[it], lambda var: state_of(model.scale, case.observed.get(var)))
                     # a leaf is its tree and its creation order there
                     assert (model.tree[leaf[j]], model.order[leaf[j]]) == (j, want["order"])
                     assert influenced[j] == any(var in case.observed for var in path)
@@ -651,7 +654,7 @@ class TestCompiledNetwork:
     def test_leaf_only_network_routes_in_zero_steps(self):
         model = TestRanking()._two_item_model()
         assert model.depth == 0
-        (leaf,), (influenced,), (seen,) = model.route([{"hi": 1.0}])
+        (leaf,), (influenced,), (seen,) = model.route(1, [0], [model.item_pos["hi"]], [1])
         assert leaf.tolist() == [0, 1] and not influenced.any()
         assert seen.tolist() == [True, False]
 

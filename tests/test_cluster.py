@@ -38,6 +38,7 @@ from reference import (
     init_params_loop,
     log_posterior_loop,
     select_cluster_model_loop,
+    state_of,
 )
 
 SCALE_0_10 = VoteScale(0, 10, 5.0, False)  # 11 vote states
@@ -112,7 +113,7 @@ def hand_smoothed_frequencies(db, assignment, num_classes, strength=1.0):
         class_counts[c] += 1
         for j, it in enumerate(db.items):
             v = db.votes[u].get(it)
-            state_counts[c][j][scale.state_of(v) if v is not None else 0] += 1
+            state_counts[c][j][state_of(scale, v)] += 1
     prior = [(class_counts[c] + strength / num_classes) / (n + strength) for c in range(num_classes)]
     cond = [
         [

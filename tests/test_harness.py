@@ -200,6 +200,26 @@ class TestConfigValidation:
         assert not (workdir / "out").exists()
         assert run_cli("train", bad) == 2
 
+    @pytest.mark.parametrize("key, value, where", [
+        ("protocols", ["allbut1", "AllBut1"], "protocols[1]: duplicate protocol AllBut1"),
+        ("protocols", ["Given2", "AllBut1", {"given": 2}],
+         "protocols[2]: duplicate protocol Given2"),
+        ("metrics", [], "metrics: must be a non-empty list"),
+        ("metrics", "ranked", "metrics: must be a non-empty list"),
+        ("metrics", ["ranked", "ranked"], "metrics: duplicate metric 'ranked'"),
+    ])
+    def test_bad_protocols_or_metrics_are_named_before_loading(self, workdir, capsys, monkeypatch,
+                                                               key, value, where):
+        doc = json.loads((workdir / "fixture_config.json").read_text())
+        doc[key] = value
+        bad = workdir / "bad.json"
+        bad.write_text(json.dumps(doc))
+        monkeypatch.setattr(harness, "load_datasets", None)  # fails if data loads
+        assert run_cli("run", bad) == 2
+        assert where in capsys.readouterr().err
+        assert not (workdir / "out").exists()
+        assert run_cli("train", bad) == 2
+
     @pytest.mark.parametrize("sweep", [{"max_classes": 4}, {"restarts": 2}])
     def test_fixed_classes_take_no_sweep_keys(self, workdir, capsys, sweep):
         # the fixed count would otherwise silently win
@@ -240,6 +260,28 @@ class TestRun:
         assert (workdir / "out" / "reports" / "summary_ranked.json").exists()
         assert (workdir / "out" / "splits" / "AllBut1.json").exists()
         assert (workdir / "out" / "run_meta.json").exists()
+
+    def test_traced_run_keeps_its_reports(self, workdir, monkeypatch):
+        # the benchmark's traced mode swaps cflab callables by name: one that
+        # is renamed or deleted breaks it
+        monkeypatch.syspath_prepend(str(FIXDIR.parent))
+        from cfbench.tracing import Tracer, installed
+
+        config = workdir / "fixture_config.json"
+        assert run_cli("run", config) == 0
+        reports = workdir / "out" / "reports"
+        want = {p.name: p.read_bytes() for p in reports.iterdir()}
+        shutil.rmtree(workdir / "out")
+        with installed(Tracer()) as tracer:
+            assert run_cli("train", config) == 0
+            assert run_cli("run", config) == 0
+        assert {p.name: p.read_bytes() for p in reports.iterdir()} == want
+        names = {s.name for s in tracer.spans}
+        assert {"harness.load_datasets", "harness.train_model", "harness.build_predictor",
+                "bayesnet.learn_network", "cluster.em_fit", "memory.MemoryScorer",
+                "votedata.generate_active_cases", "votedata.save_split_manifest",
+                "evaluation.run_experiment", "evaluation.max_ranked_utility",
+                "evaluation.bonferroni_required_difference"} <= names, sorted(names)
 
     def test_fixture_reports_keep_their_digests(self, workdir, monkeypatch):
         # at a case per block, at the default blocks, and with every case of

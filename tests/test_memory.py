@@ -11,8 +11,9 @@ from cflab.memory import DefaultVoting, MemoryConfig, MemoryScorer, _Evidence
 from cflab.predictors import MemoryPredictor, PopularityPredictor
 from cflab.votedata import IMPLICIT_SCALE
 
-from conftest import case_for, make_db, random_explicit_db, random_implicit_db, scores_of
-from reference import brute_predict, brute_weight, evidence_product_sums
+from conftest import (FixedScores, case_for, make_db, random_explicit_db, random_implicit_db,
+                      scores_of)
+from reference import brute_predict, brute_weight, evidence_product_sums, lexsort_ranked
 
 CORR = MemoryConfig(weight_kind="correlation")
 VSIM = MemoryConfig(weight_kind="vector_similarity")
@@ -590,4 +591,5 @@ class TestRankingRule:
             (it for it in db.items if it not in observed),
             key=lambda it: (-values[db.items.index(it)], not flag[db.items.index(it)], it),
         )
-        assert db.index.ranked(case.observed, ~flag, -values) == want
+        assert lexsort_ranked(db.index, case.observed, ~flag, -values) == want
+        assert FixedScores(db, values, flag).rank(case) == want

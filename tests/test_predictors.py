@@ -1,8 +1,9 @@
 import json
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cflab import predictors
 from cflab.bayesnet import LearnConfig, learn_network
@@ -15,10 +16,12 @@ from cflab.predictors import (
     MemoryPredictor,
     PopularityPredictor,
 )
-from cflab.votedata import ActiveCase, Protocol, VoteDatabase, generate_active_cases
+from cflab.votedata import IMPLICIT_SCALE, ActiveCase, Protocol, VoteDatabase, generate_active_cases
 
 from conftest import (
+    FixedScores,
     case_for,
+    make_db,
     random_case,
     random_explicit_db,
     random_grouped_db,
@@ -29,6 +32,7 @@ from reference import (
     bc_scores_loop,
     bn_scores_walk,
     bn_vote_walk,
+    lexsort_ranked,
     sorted_ranking,
 )
 
@@ -121,6 +125,29 @@ class TestContract:
                 assert sorted(pos.tolist()) == list(range(len(cols)))
                 counted = [db.items[j] for _, j in sorted(zip(pos.tolist(), cols))]
                 assert pred.rank(case) == counted, pred.name
+
+    KEYS = (0.0, -0.0, 1.0, 1.0, -1.0, 2.5, math.nan, math.nan, math.inf, -math.inf)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        ids=st.permutations(range(12)).map(lambda p: p[:int(p[0]) + 1]),
+        int_ids=st.booleans(),
+        outside=st.integers(0, 2),
+        data=st.data(),
+    )
+    def test_rank_is_the_lexsort_list(self, ids, int_ids, outside, data):
+        # NaN, -0.0, tied scores, uninformed items, and observed items both
+        # in and outside training
+        items = list(ids) if int_ids else [f"i{k}" for k in ids]  # "i10" sorts before "i2"
+        train = make_db([("u", items[0], 1)], IMPLICIT_SCALE, items=items)
+        t = len(items)
+        scores = np.array(data.draw(st.lists(st.sampled_from(self.KEYS), min_size=t, max_size=t)))
+        informed = np.array(data.draw(st.lists(st.booleans(), min_size=t, max_size=t)))
+        picks = data.draw(st.lists(st.sampled_from(items), unique=True, max_size=t))
+        observed = {it: 1.0 for it in [*picks, *(f"x{k}" for k in range(outside))]}
+        assume(observed)
+        got = FixedScores(train, scores, informed).rank(case_for("t", observed))
+        assert got == lexsort_ranked(train.index, observed, ~informed, -scores)
 
     def test_observed_item_is_refused(self, db):
         case = case_for("t", {db.items[0]: 4.0, "zz": 1.0})

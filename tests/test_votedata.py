@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cflab.votedata import (
     IMPLICIT_SCALE,
@@ -20,8 +20,9 @@ from cflab.votedata import (
     split_users,
 )
 
-from conftest import SCALE_0_5, duplicated_db, make_db, random_explicit_db
-from reference import expected_vote_scalar, rank_score_scalar
+from conftest import (SCALE_0_5, case_for, duplicated_db, make_db, random_explicit_db,
+                      random_implicit_db)
+from reference import expected_vote_scalar, lexsort_ranked, rank_score_scalar, state_of
 
 MSWEB_FIXTURE = """\
 I,4,"www.example.com","created by getlog.c"
@@ -49,9 +50,29 @@ class TestVoteScale:
     def test_states_include_no_vote(self):
         assert SCALE_0_5.num_states == 7
         assert IMPLICIT_SCALE.num_states == 2
-        assert SCALE_0_5.state_of(None) == 0
-        assert SCALE_0_5.state_of(0) == 1
-        assert SCALE_0_5.state_of(5) == 6
+        assert state_of(SCALE_0_5, None) == 0
+        assert SCALE_0_5.states_of([0, 5]).tolist() == [1, 6]
+        assert [state_of(SCALE_0_5, v) for v in (0, 5)] == [1, 6]
+        assert IMPLICIT_SCALE.states_of([1.0]).tolist() == [state_of(IMPLICIT_SCALE, 1.0)] == [1]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        scale=st.sampled_from([SCALE_0_5, VoteScale(1, 3, 2.0, False), VoteScale(-2, 7, 1.0, False),
+                               IMPLICIT_SCALE]),
+        votes=st.lists(st.sampled_from([-3, -2, -0.0, 0, 0.5, 1, 1 + 1e-12, 1.01, 2, 2.5, 3, 5, 7,
+                                        8, math.nan]), max_size=6),
+    )
+    def test_states_of_is_state_of_of_each_vote(self, scale, votes):
+        # the first vote that is not a value names the error
+        try:
+            want = [state_of(scale, v) for v in votes]
+        except VoteDataError as exc:
+            with pytest.raises(VoteDataError) as got:
+                scale.states_of(votes)
+            assert str(got.value) == str(exc)
+        else:
+            got = scale.states_of(votes)
+            assert got.dtype == np.int64 and got.tolist() == want
 
     def test_vote_state_encoding_matches_state_of(self, tiny_explicit_db):
         db = tiny_explicit_db
@@ -59,7 +80,7 @@ class TestVoteScale:
         s_votes = db.scale.num_states - 1
         want = np.zeros((len(db.users), len(db.items) * s_votes))
         for u, it, v in db.iter_votes():
-            want[idx.user_pos[u], idx.item_pos[it] * s_votes + db.scale.state_of(v) - 1] = 1
+            want[idx.user_pos[u], idx.item_pos[it] * s_votes + state_of(db.scale, v) - 1] = 1
         np.testing.assert_array_equal(idx.vote_states.toarray(), want)
 
     @pytest.mark.parametrize("scale, vote", [(SCALE_0_5, 2.5), (IMPLICIT_SCALE, 0.0)])
@@ -68,7 +89,7 @@ class TestVoteScale:
         with pytest.raises(VoteDataError) as got:
             db.index.vote_states
         with pytest.raises(VoteDataError) as want:
-            scale.state_of(vote)
+            state_of(scale, vote)
         assert str(got.value) == str(want.value)
 
 
@@ -338,7 +359,8 @@ class TestDatabaseValidation:
 
 
 class TestCountedPositions:
-    """`_Index.positions` counts the position that `_Index.ranked` lists."""
+    """`_Index.positions` counts the position that `np.lexsort` lists
+    (`reference.lexsort_ranked`)."""
 
     KEYS = (0.0, -0.0, 1.0, 1.0, -1.0, 2.5, math.nan, math.nan, math.inf, -math.inf)
 
@@ -357,11 +379,33 @@ class TestCountedPositions:
             uninformed = np.array(data.draw(st.lists(st.booleans(), min_size=t, max_size=t)))
             skip = np.array(data.draw(st.lists(st.booleans(), min_size=t, max_size=t)))
             observed = {items[j]: 1.0 for j in np.flatnonzero(skip)}
-            ranked = index.ranked(observed, uninformed, keys)
+            ranked = lexsort_ranked(index, observed, uninformed, keys)
             cols = np.flatnonzero(~skip)
             rows = np.ones((len(cols), 1), dtype=bool)
             got = index.positions(rows * skip, rows * uninformed, rows * keys, cols)
             assert got.tolist() == [ranked.index(items[j]) for j in cols]
+
+
+class TestObservedVotes:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_cases=st.integers(0, 5), explicit=st.booleans())
+    @example(seed=0, n_cases=0, explicit=True)  # an empty block
+    def test_equals_a_walk_over_each_case(self, seed, n_cases, explicit):
+        rng = np.random.default_rng(seed)
+        db = random_explicit_db(rng, 4, 6) if explicit else random_implicit_db(rng, 4, 6)
+        pool = list(db.items) + ["zz", "yy"]  # two items outside training
+        cases = []
+        for _ in range(n_cases):
+            # any order, and 0 votes on the explicit scale
+            picks = rng.permutation(len(pool))[:int(rng.integers(1, len(pool) + 1))]
+            values = db.scale.vote_values
+            cases.append(case_for("t", {pool[k]: float(values[rng.integers(len(values))])
+                                        for k in picks}))
+        rows, cols, votes = db.index.observed_votes(cases)
+        assert (rows.dtype, cols.dtype, votes.dtype) == (np.intp, np.intp, np.float64)
+        want = [(k, db.items.index(it), v) for k, case in enumerate(cases)
+                for it, v in case.observed.items() if it in db.items]
+        assert list(zip(rows.tolist(), cols.tolist(), votes.tolist())) == want
 
 
 class TestVotePatterns:
