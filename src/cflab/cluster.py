@@ -77,23 +77,40 @@ class ClusterModel:
         logc = np.log(self.cond)
         return logc, np.log(self.class_prior) + logc[:, :, 0].sum(axis=1)
 
-    def log_posterior(self, observed: Mapping[ItemId, float]) -> np.ndarray:
-        """Unnormalized log class posterior for a completed vote vector."""
-        pos = self.item_pos
-        # items outside the model carry no evidence
-        items = [it for it in observed if it in pos]
-        logc, score = self.log_tables
-        score = score.copy()
-        for it, s in zip(items, self.scale.states_of([observed[it] for it in items])):
-            j = pos[it]
-            score = score + logc[:, j, s] - logc[:, j, 0]
+    def log_posteriors(
+        self, n: int, rows: np.ndarray, cols: np.ndarray, states: np.ndarray
+    ) -> np.ndarray:
+        """Unnormalized log class posteriors of n cases, a row each, whose
+        observed votes are (case row, item position, state) triples in
+        `_Index.observed_votes` order. A case adds its votes in observed order:
+        one step adds every case's k-th vote."""
+        logc, prior = self.log_tables
+        score = np.tile(prior, (n, 1))
+        kth = np.arange(len(rows)) - np.searchsorted(rows, rows)
+        for k in range(kth.max(initial=-1) + 1):
+            r, j, s = rows[kth == k], cols[kth == k], states[kth == k]
+            score[r] = score[r] + logc[:, j, s].T - logc[:, j, 0].T
         return score
 
+    def posteriors(
+        self, n: int, rows: np.ndarray, cols: np.ndarray, states: np.ndarray
+    ) -> np.ndarray:
+        """Class posteriors, a row per case (see `log_posteriors`)."""
+        score = self.log_posteriors(n, rows, cols, states)
+        p = np.exp(score - score.max(axis=1, keepdims=True))
+        return p / p.sum(axis=1, keepdims=True)
+
+    def _one_case(self, observed: Mapping[ItemId, float]) -> tuple:
+        items = [it for it in observed if it in self.item_pos]  # others carry no evidence
+        cols = np.array([self.item_pos[it] for it in items], dtype=np.intp)
+        return 1, np.zeros_like(cols), cols, self.scale.states_of([observed[it] for it in items])
+
+    def log_posterior(self, observed: Mapping[ItemId, float]) -> np.ndarray:
+        """Unnormalized log class posterior for a completed vote vector."""
+        return self.log_posteriors(*self._one_case(observed))[0]
+
     def posterior(self, observed: Mapping[ItemId, float]) -> np.ndarray:
-        score = self.log_posterior(observed)
-        score = score - score.max()
-        p = np.exp(score)
-        return p / p.sum()
+        return self.posteriors(*self._one_case(observed))[0]
 
     def to_json(self) -> dict:
         return {
@@ -186,16 +203,6 @@ def _counts(XT: sp.csc_matrix, gamma: np.ndarray, t: int) -> tuple[np.ndarray, n
     """
     totals = gamma.sum(axis=0)
     return totals, _state_counts(totals[None], np.asarray(XT @ gamma), t)[0]
-
-
-def expected_counts(
-    db: VoteDatabase, gamma: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Class totals and per-class item-state counts for given responsibilities."""
-    gamma = np.asarray(gamma, dtype=float)
-    if gamma.ndim != 2 or gamma.shape[0] != len(db.users):
-        raise ValueError("responsibilities must be users by classes")
-    return _counts(db.index.vote_states_T, gamma, len(db.items))
 
 
 def map_estimates(

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.special import stdtrit
 
-from .predictors import Block, Predictor, block_cases
+from .predictors import Block, Predictor
 from .votedata import ActiveCase, ItemId, VoteDatabase
 
 log = logging.getLogger(__name__)
@@ -26,6 +26,15 @@ log = logging.getLogger(__name__)
 RANKED = "ranked"
 DEVIATION = "deviation"
 METRICS = (RANKED, DEVIATION)
+
+# Cells (cases x training items) of a block's `_Frame`: a skip mask row per
+# case, and a row per target, a few per case, in the ranked reading.
+BLOCK_CELLS = 2**13
+
+
+def block_cases(train: VoteDatabase) -> int:
+    """Cases per block of the runner: as many as BLOCK_CELLS cells hold."""
+    return max(1, BLOCK_CELLS // max(1, len(train.items)))
 
 
 @dataclass(frozen=True)
@@ -255,7 +264,7 @@ def run_experiment(
     """Score every algorithm on every case under a randomized block design,
     for every metric in one pass; one report per metric, in `metrics` order.
 
-    The cases that some metric scores are walked in blocks of
+    The cases that some metric scores are walked in this module's blocks,
     `block_cases(train)`; each algorithm evaluates a block once for every
     metric (see `predictors`). A block whose evaluation raises is evaluated
     one case at a time. Each metric keeps its own exclusions, so its blocks

@@ -7,8 +7,9 @@ deterministic report artifacts: rerunning an unchanged config reproduces the
 report files byte for byte. Volatile data (wall-clock timings, with each
 algorithm's scoring block count and median block time), the wall seconds
 of each stage of the run, the process's peak resident set size, the case
-counts of each metric and protocol, and the cases per scoring block go to a
-separate `run_meta.json` so the reports stay comparable.
+counts of each metric and protocol, and the cases per block of the runner
+and of a memory scorer go to a separate `run_meta.json` so the reports stay
+comparable.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .evaluation import (
     RANKED,
     ExperimentReport,
     RankedScoringConfig,
+    block_cases,
     run_experiment,
 )
 from .predictors import (
@@ -45,7 +47,6 @@ from .predictors import (
     ClusterPredictor,
     MemoryPredictor,
     PopularityPredictor,
-    block_cases,
 )
 from .votedata import (
     IMPLICIT_SCALE,
@@ -499,6 +500,7 @@ def run(config: ExperimentConfig) -> RunResult:
                    for (m, p), r in reports.items()},
         "cases": {f"{m}/{p}": r.case_counts() for (m, p), r in reports.items()},
         "block_cases": block_cases(train),
+        "memory_block_cases": memory.block_cases(train),
         "train_users": len(train.users),
         "train_items": len(train.items),
         "test_users": len(test.users),

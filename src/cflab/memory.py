@@ -24,6 +24,16 @@ VECTOR_SIMILARITY = "vector_similarity"
 # frequency-weighted correlation; real items use ln(n / n_j).
 SYNTHETIC_ITEM_FREQUENCY = 1.0
 
+# Weight entries (cases x training users) that one scoring block may hold: a
+# case holds about fifteen arrays of one float per training user as its
+# weights are computed, so blocks sized by users bound that memory at any size.
+BLOCK_WEIGHTS = 2**13
+
+
+def block_cases(db: VoteDatabase) -> int:
+    """Cases per scoring block: as many as BLOCK_WEIGHTS weight entries hold."""
+    return max(1, BLOCK_WEIGHTS // max(1, len(db.users)))
+
 
 @dataclass(frozen=True)
 class DefaultVoting:
@@ -218,7 +228,11 @@ class MemoryScorer:
 
     def predict_all(self, cases: Sequence[ActiveCase]) -> tuple[np.ndarray, np.ndarray]:
         """Predicted votes and informed flags, a row per case and a column per
-        database item."""
+        database item, scored in blocks of `block_cases` cases."""
+        size = block_cases(self.db)
+        if len(cases) > size:
+            parts = [self.predict_all(cases[lo:lo + size]) for lo in range(0, len(cases), size)]
+            return tuple(np.concatenate(arrays) for arrays in zip(*parts))
         scale = self.db.scale
         base = np.array([case.observed_mean for case in cases])[:, None]
         w = self.weights(cases)

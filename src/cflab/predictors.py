@@ -7,7 +7,8 @@ the expected vote of the row's case for the unobserved training item at
 position j (POP's raises); and `counts`, per-case tallies of the work that
 the ranked metric reports (BN's `lookups` and `influenced`). POP, BN and BC
 inform every item; a memory predictor informs the items a weighted
-neighbour voted on (every item under default voting).
+neighbour voted on (every item under default voting), and scores a block in
+the sub-blocks that bound its weight arrays (`memory.block_cases`).
 
 A case's ranked list holds its unobserved training items in descending
 score with NaN last, informed first on equal scores, ties to the lower item
@@ -33,20 +34,6 @@ import numpy as np
 
 from . import bayesnet, cluster, memory
 from .votedata import ActiveCase, ItemId, VoteDatabase
-
-# Weight entries (cases x training users) that one block may hold. Cases in
-# a block share the fixed cost of a memory predictor's per-block work, while
-# each case holds about fifteen arrays of one float per training user as its
-# weights are computed: sizing blocks by training users bounds that memory
-# at any training size.
-BLOCK_WEIGHTS = 2**13
-
-
-def block_cases(train: VoteDatabase) -> int:
-    """Cases per block: as many as BLOCK_WEIGHTS weight entries hold, at least
-    one."""
-    return max(1, BLOCK_WEIGHTS // max(1, len(train.users)))
-
 
 @dataclass(frozen=True)
 class Block:
@@ -135,7 +122,8 @@ class ClusterPredictor(_ModelBackedPredictor):
 
     def evaluate(self, cases: Sequence[ActiveCase]) -> Block:
         cond, scale = self.model.cond, self.model.scale
-        post = [self.model.posterior(case.observed) for case in cases]
+        rows, cols, votes = self.train.index.observed_votes(cases)
+        post = self.model.posteriors(len(cases), rows, cols, scale.states_of(votes))
         # a case's mixture is its own einsum: `post @ cond` or a block einsum
         # need not add the classes in the same order
         mixed = np.array([np.einsum("c,cjs->js", p, cond) for p in post])

@@ -17,12 +17,11 @@ import pytest
 from scipy import stats as sstats
 
 import cflab
-from cflab import harness
+from cflab import cluster, harness
 from cflab.bayesnet import LearnConfig, learn_network
 from cflab.cluster import (
     cheeseman_stutz_score,
     em_fit,
-    expected_counts,
     map_estimates,
     select_cluster_model,
 )
@@ -245,7 +244,7 @@ def test_criterion_5_em_properties():
     gamma = np.zeros((len(db.users), 3))
     for i, c in enumerate(assignment):
         gamma[i, c] = 1.0
-    totals, counts = expected_counts(db, gamma)
+    totals, counts = cluster._counts(db.index.vote_states_T, gamma, len(db.items))
     prior, cond = map_estimates(totals, counts, prior_strength=1.0)
     exp_prior, exp_cond = hand_smoothed_frequencies(db, assignment, 3)
     np.testing.assert_array_equal(prior, exp_prior)

@@ -12,7 +12,6 @@ from cflab.cluster import (
     ClusterModel,
     cheeseman_stutz_score,
     em_fit,
-    expected_counts,
     map_estimates,
     select_cluster_model,
 )
@@ -203,7 +202,7 @@ class TestEmFit:
         gamma = np.zeros((len(db.users), 2))
         for i, c in enumerate(assignment):
             gamma[i, c] = 1.0
-        totals, counts = expected_counts(db, gamma)
+        totals, counts = cluster._counts(db.index.vote_states_T, gamma, len(db.items))
         prior, cond = map_estimates(totals, counts, prior_strength=1.0)
         exp_prior, exp_cond = hand_smoothed_frequencies(db, assignment, 2)
         np.testing.assert_array_equal(prior, exp_prior)

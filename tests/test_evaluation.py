@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy import stats as sstats
 
-from cflab import predictors
+from cflab import evaluation, memory
 from cflab.bayesnet import LearnConfig, learn_network
 from cflab.cluster import em_fit
 from cflab.evaluation import (
@@ -552,9 +552,12 @@ class TestAgainstReference:
         given2=st.booleans(),
         metrics=st.sampled_from([["ranked"], ["deviation"], ["ranked", "deviation"],
                                  ["deviation", "ranked"]]),
-        per_block=st.integers(1, 4),
+        # the runner's cases per block and the memory scorer's, each drawn
+        # apart; None puts every case in one block
+        per_block=st.sampled_from([1, 2, 3, 4, None]),
+        per_memory_block=st.sampled_from([1, 2, 3, None]),
     )
-    def test_reports_match(self, seed, explicit, given2, metrics, per_block):
+    def test_reports_match(self, seed, explicit, given2, metrics, per_block, per_memory_block):
         rng = np.random.default_rng(seed)
         # up to 13 items, so that a Given2 case can hold three or more targets,
         # whose gains add to different bits in another order
@@ -587,7 +590,12 @@ class TestAgainstReference:
         assume(not any(_has_residual_weights(alg, cases) for alg in algs))
         cfg = RankedScoringConfig(half_life=5.0, neutral=float(train.scale.neutral))
         want = reference_reports(train, cases, algs, metrics, cfg)
-        with mock.patch.object(predictors, "BLOCK_WEIGHTS", per_block * len(train.users)):
+        cells = 2**40 if per_block is None else per_block * len(train.items)
+        weights = 2**40 if per_memory_block is None else per_memory_block * len(train.users)
+        with mock.patch.object(evaluation, "BLOCK_CELLS", cells), \
+                mock.patch.object(memory, "BLOCK_WEIGHTS", weights):
+            assert per_block is None or evaluation.block_cases(train) == per_block
+            assert per_memory_block is None or memory.block_cases(train) == per_memory_block
             try:
                 got = [r.to_json() for r in run_experiment(train, cases, algs, metrics, cfg)]
             except ValueError as exc:  # every case excluded from some metric

@@ -1,5 +1,6 @@
 import errno
 import hashlib
+import itertools
 import json
 import math
 import shutil
@@ -9,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cflab import cli, harness, predictors
+from cflab import cli, evaluation, harness, memory
 from cflab.bayesnet import BayesNetModel, LearnConfig, learn_network
 from cflab.cluster import ClusterModel, em_fit
 from cflab.evaluation import run_experiment
@@ -284,10 +285,13 @@ class TestRun:
                 "evaluation.bonferroni_required_difference"} <= names, sorted(names)
 
     def test_fixture_reports_keep_their_digests(self, workdir, monkeypatch):
-        # at a case per block, at the default blocks, and with every case of
-        # a protocol in one block
-        for budget in (1, predictors.BLOCK_WEIGHTS, 2**40):
-            monkeypatch.setattr(predictors, "BLOCK_WEIGHTS", budget)
+        # the runner's blocks and the memory scorer's, each at a case per
+        # block, at the default blocks, and with every case of a protocol in
+        # one block
+        budgets = (1, evaluation.BLOCK_CELLS, 2**40), (1, memory.BLOCK_WEIGHTS, 2**40)
+        for cells, weights in itertools.product(*budgets):
+            monkeypatch.setattr(evaluation, "BLOCK_CELLS", cells)
+            monkeypatch.setattr(memory, "BLOCK_WEIGHTS", weights)
             for out in workdir.glob("out*"):
                 shutil.rmtree(out)
             assert run_cli("run", workdir / "fixture_config.json") == 0
@@ -296,16 +300,17 @@ class TestRun:
                 p.relative_to(workdir).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
                 for p in sorted(workdir.glob("out*/reports/*"))
             }
-            assert digests == FIXTURE_REPORT_DIGESTS, budget
+            assert digests == FIXTURE_REPORT_DIGESTS, (cells, weights)
             meta = json.loads((workdir / "out" / "run_meta.json").read_text())
-            block = max(1, budget // meta["train_users"])
+            block = max(1, cells // meta["train_items"])
             assert meta["block_cases"] == block
+            assert meta["memory_block_cases"] == max(1, weights // meta["train_users"])
             for key, per_algorithm in meta["blocks"].items():
                 cases = meta["cases"][key]
                 assert set(per_algorithm) == set(FIXTURE_ALGORITHMS)
                 for name, blocks in per_algorithm.items():
                     # the config scores one metric: its blocks walk its kept
-                    # and failed cases
+                    # and failed cases, whatever the memory scorer's blocks
                     want = math.ceil((cases["kept"] + cases["failed"]) / block)
                     assert blocks["count"] == want, (key, name)
                     assert 0 < blocks["median_ms"] <= 1e3 * meta["timing"][key][name]

@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 
-from cflab import predictors
+from cflab import memory
 from cflab.memory import DefaultVoting, MemoryConfig, MemoryScorer, _Evidence
 from cflab.predictors import MemoryPredictor, PopularityPredictor
 from cflab.votedata import IMPLICIT_SCALE
@@ -517,7 +517,7 @@ class TestBlocks:
         rng = np.random.default_rng(seed)
         n_users, n_items = int(rng.integers(2, 12)), int(rng.integers(2, 9))
         # a weight budget that the block rule turns into `block` cases per
-        # block, so that the cases span up to n_cases blocks
+        # block, so that predict_all splits the cases into up to n_cases blocks
         budget = block * n_users + seed % n_users
         if implicit:
             db = random_implicit_db(rng, n_users=n_users, n_items=n_items, density=0.5)
@@ -526,15 +526,16 @@ class TestBlocks:
         cases = block_cases(rng, db, n_cases)
         for cfg in _configs_for(implicit):
             scorer = MemoryScorer(db, cfg)
+            # the default budget holds every case in one block
+            assert memory.block_cases(db) >= n_cases
             weights = scorer.weights(cases)
             values, informed = scorer.predict_all(cases)
             pred = MemoryPredictor(db, cfg, name="M")
-            with mock.patch.object(predictors, "BLOCK_WEIGHTS", budget):
-                assert predictors.block_cases(db) == block
-            # the predictor's evaluation of the runner's blocks
-            blocks = [pred.evaluate(cases[lo:lo + block]) for lo in range(0, n_cases, block)]
-            got_v = np.concatenate([b.scores for b in blocks])
-            got_i = np.concatenate([b.informed for b in blocks])
+            with mock.patch.object(memory, "BLOCK_WEIGHTS", budget):
+                assert memory.block_cases(db) == block
+                # the predictor's evaluation of every case, in the scorer's blocks
+                got = pred.evaluate(cases)
+            got_v, got_i = got.scores, got.informed
             for row, case in enumerate(cases):
                 (alone_v,), (alone_i,) = scorer.predict_all([case])
                 assert weights[row].tobytes() == scorer.weights([case]).tobytes(), cfg

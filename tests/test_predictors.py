@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cflab import predictors
+from cflab import evaluation, memory
 from cflab.bayesnet import LearnConfig, learn_network
 from cflab.cluster import em_fit
 from cflab.evaluation import run_experiment
@@ -240,8 +240,8 @@ class TestBlocks:
         bc = em_fit(train, 2, seed=1)[0]
         bn = learn_network(train, LearnConfig(structure_penalty=0.99))
         cases = generate_active_cases(test, Protocol.all_but_1(), seed=3)
-        # by default the bad case shares its block with other cases
-        assert predictors.block_cases(train) > 1
+        # by default the bad case shares its runner block with other cases
+        assert evaluation.block_cases(train) > 1
         bad = ActiveCase("bad", {bn.items[0]: 2.5, bn.items[1]: 4.0}, {bn.items[2]: 5.0})
         cases.insert(len(cases) // 2, bad)
         memory_configs = [
@@ -257,8 +257,8 @@ class TestBlocks:
             return [r.dumps() for r in reports]
 
         blocked = reports()
-        monkeypatch.setattr(predictors, "BLOCK_WEIGHTS", 1)  # a case per block
-        assert predictors.block_cases(train) == 1
+        monkeypatch.setattr(evaluation, "BLOCK_CELLS", 1)  # a case per block
+        assert evaluation.block_cases(train) == 1
         assert blocked == reports()
         for text in blocked:
             doc = json.loads(text)
@@ -266,3 +266,22 @@ class TestBlocks:
             assert doc["case_count"] == len(cases) - 1 - len(doc["excluded"]["zero_max_utility"])
         extras = json.loads(blocked[0])["extras"]["BN"]
         assert extras["lookups"] > 0 and extras["influenced"] > 0
+
+    def test_weight_budget_bounds_only_memory_blocks(self):
+        # more training users than a memory scoring block's weight entries
+        # hold: the memory scorer takes a case at a time, while the runner
+        # still hands every predictor blocks of many cases
+        rng = np.random.default_rng(8)
+        train = random_grouped_db(rng, explicit=False, n_users=memory.BLOCK_WEIGHTS + 100)
+        test = random_grouped_db(rng, explicit=False, n_users=30)
+        cases = generate_active_cases(test, Protocol.all_but_1(), seed=3)
+        assert memory.block_cases(train) == 1
+        size = evaluation.block_cases(train)
+        assert size > 1
+        algs = [PopularityPredictor(train), ClusterPredictor(train, em_fit(train, 2, seed=1)[0]),
+                BayesNetPredictor(train, learn_network(train, LearnConfig())),
+                MemoryPredictor(train, MemoryConfig("vector_similarity"), "VSIM")]
+        (report,) = run_experiment(train, cases, algs, ["ranked"])
+        assert report.excluded["failed"] == []
+        assert {name: len(t) for name, t in report.block_seconds.items()} == dict.fromkeys(
+            ["POP", "BC", "BN", "VSIM"], math.ceil(report.case_count / size))
