@@ -16,15 +16,19 @@ item.
 Each live leaf keeps a table of pair counts, [a, b, s] = its users with item
 s in state a and the target in state b, so that score sums run over
 contiguous rows of candidates; closed candidates are scored, then ruled out.
-A split's children share target, path and pseudo-count: one call scores them
-all. A leaf without users is never scored: its r children would score
-(r-1) ln p each, against its own (r-1) ln p, a gain of (r-1)^2 ln p < 0.
-Root tables come from the co-vote product of the vote encoding, in chunks.
+The search numbers items by id, so the first of equal gains is the lowest
+id. A split's children share target, path and pseudo-count: one call scores
+them all, and one mask row rules out their closed candidates. A leaf without
+users is never scored: its r children would score (r-1) ln p each, against
+its own (r-1) ln p, a gain of (r-1)^2 ln p < 0. Scores read lookup tables of
+`gammaln` differences built once per pseudo-count (`_lookups`). Root tables
+are cut, a few targets at a time, from integer co-vote products of the vote
+encoding that each cover several such chunks.
 """
 
 from __future__ import annotations
 
-import graphlib
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -104,28 +108,44 @@ class BayesNetModel:
         self.item_pos = {it: j for j, it in enumerate(self.items)}
         self.var = np.asarray(var, dtype=np.intp)
         self.first = np.asarray(first, dtype=np.intp)
-        r = scale.num_states
+        r, t = scale.num_states, len(self.items)
         self.counts = np.asarray(counts, dtype=float).reshape(len(self.var), r)
         self.alpha = np.asarray(alpha, dtype=float).reshape(len(self.var), r)
         self.order = np.asarray(order, dtype=np.intp)
-        self.tree = np.arange(len(self.var))
-        depth = np.zeros(len(self.var), dtype=np.intp)
-        for n in np.flatnonzero(self.var >= 0):  # children come after their parent
-            kids = slice(self.first[n], self.first[n] + r)
-            self.tree[kids] = self.tree[n]
-            depth[kids] = depth[n] + 1
-        self.depth = int(depth.max(initial=0))
         leaves = self.var < 0
-        total = self.counts[leaves] + self.alpha[leaves]
+        counts, alpha = self.counts[leaves], self.alpha[leaves]
+        total = counts + alpha
+        if not ((counts >= 0).all() and (alpha > 0).all() and np.isfinite(total).all()):
+            raise ValueError("a leaf needs finite counts >= 0 and finite pseudo-counts > 0")
         dist = total / total.sum(axis=1, keepdims=True)
         self.score = np.full(len(self.var), math.nan)
         self.expected = np.full(len(self.var), math.nan)
         self.score[leaves] = scale.rank_score(dist)
         self.expected[leaves] = scale.expected_vote(dist)
-        try:
-            graphlib.TopologicalSorter(self.parent_graph()).prepare()
-        except graphlib.CycleError:
-            raise ValueError("parent graph must be acyclic") from None
+        # the trees a level at a time, from the roots' splits down
+        self.tree = np.arange(len(self.var))
+        self.depth = 0
+        level = np.flatnonzero(~leaves[:t])
+        while len(level):
+            kids = (self.first[level, None] + np.arange(r)).ravel()
+            self.tree[kids] = np.repeat(self.tree[level], r)
+            self.depth += 1
+            level = kids[~leaves[kids]]
+        # the parent graph's edges (parent, child), each once, by parent: an
+        # item is ordered once all its parents are, and a cycle never is
+        edges = np.unique(self.var[~leaves] * t + self.tree[~leaves])
+        parent, child = np.divmod(edges, t)
+        waiting = np.bincount(child, minlength=t).tolist()
+        starts = np.searchsorted(parent, np.arange(t + 1)).tolist()
+        child = child.tolist()
+        ordered = [k for k in range(t) if not waiting[k]]
+        for k in ordered:  # grows as items are ordered
+            for c in child[starts[k]:starts[k + 1]]:
+                waiting[c] -= 1
+                if not waiting[c]:
+                    ordered.append(c)
+        if len(ordered) < t:
+            raise ValueError("parent graph must be acyclic")
 
     def route(
         self, n: int, rows: np.ndarray, cols: np.ndarray, states: np.ndarray
@@ -151,25 +171,21 @@ class BayesNetModel:
             node = self.first[node] + state.ravel()[var]
         return node, influenced, seen[:, :t]
 
-    def parent_graph(self) -> dict[ItemId, set[ItemId]]:
-        """Edges parent -> children implied by the split variables."""
-        edges: dict[ItemId, set[ItemId]] = {it: set() for it in self.items}
-        for n in np.flatnonzero(self.var >= 0):
-            edges[self.items[self.var[n]]].add(self.items[self.tree[n]])
-        return edges
-
     def parents(self, item: ItemId) -> set[ItemId]:
         splits = (self.var >= 0) & (self.tree == self.item_pos[item])
         return {self.items[k] for k in self.var[splits]}
 
     def structure_stats(self) -> dict:
         """Learned-structure summary: parent and leaf counts per item."""
-        parent_counts = [len(self.parents(it)) for it in self.items]
-        leaf_counts = np.bincount(self.tree[self.var < 0], minlength=len(self.items))
+        t = len(self.items)
+        splits = self.var >= 0
+        edges = np.unique(self.tree[splits] * t + self.var[splits])
+        parent_counts = np.bincount(edges // t, minlength=t)
+        leaf_counts = np.bincount(self.tree[~splits], minlength=t)
         return {
-            "items": len(self.items),
+            "items": t,
             "mean_parents": float(np.mean(parent_counts)),
-            "max_parents": int(max(parent_counts)),
+            "max_parents": int(parent_counts.max()),
             "mean_leaves": float(np.mean(leaf_counts)),
             "max_leaves": int(leaf_counts.max()),
         }
@@ -209,7 +225,8 @@ class BayesNetModel:
         pos = {it: j for j, it in enumerate(items)}
         r = scale.num_states
         nodes = [obj["trees"][str(j)] for j in range(len(items))]
-        var, first, counts, alpha, order = [], [], [], [], []
+        var, first, order = [], [], []
+        leaf_nodes, leaf_counts, leaf_alpha = [], [], []
         for n, node in enumerate(nodes):  # reaches the children appended below
             if "split" in node:
                 if node["split"] not in pos or len(node["children"]) != r:
@@ -217,31 +234,36 @@ class BayesNetModel:
                 var.append(pos[node["split"]])
                 first.append(len(nodes))
                 nodes.extend(node["children"])
-                counts.append(np.zeros(r))
-                alpha.append(np.zeros(r))
                 order.append(-1)
             else:
-                c = np.asarray(node["counts"], dtype=float)
-                a = np.asarray(node["alpha"], dtype=float)
-                if c.shape != (r,) or a.shape != (r,):
-                    raise ValueError(f"a leaf needs {r} counts and {r} pseudo-counts")
                 var.append(-1)
                 first.append(n)
-                counts.append(c)
-                alpha.append(a)
                 order.append(int(node["order"]))
+                leaf_nodes.append(n)
+                leaf_counts.append(node["counts"])
+                leaf_alpha.append(node["alpha"])
+        # every leaf's row converted at once; splits keep zero rows
+        counts, alpha = np.zeros((len(var), r)), np.zeros((len(var), r))
+        for rows, values in ((counts, leaf_counts), (alpha, leaf_alpha)):
+            values = np.array(values, dtype=float)
+            if values.shape != (len(leaf_nodes), r):
+                raise ValueError(f"a leaf needs {r} counts and {r} pseudo-counts")
+            rows[leaf_nodes] = values
         return cls(scale, items, var, first, counts, alpha, order)
 
 
 # --- learning ---------------------------------------------------------------
 
-# Root tables are built and scored at most this many table cells at a time.
+# Root tables are scored at most this many table cells at a time, cut from
+# co-vote products of at most this many dense cells each.
 _ROOT_CELLS = 1 << 14
+_PRODUCT_CELLS = 1 << 15
 
 
 @dataclass(slots=True, eq=False)
 class _LiveLeaf:
-    """Mutable leaf bookkeeping during search."""
+    """Mutable leaf bookkeeping during search; items are numbered by id, as
+    the search numbers them."""
 
     target: int
     node: int  # its node number in the model's arrays
@@ -281,20 +303,30 @@ def _pair_counts(
 def _root_tables(X: sp.csr_matrix, target_totals: np.ndarray, dtype):
     """Yields (first target, (targets, r, r, items) tables): every item's
     `_pair_counts` table over all users, given `target_totals[j]`, item j's
-    state totals. The vote cells are co-vote counts `X.T @ X`, exact in float;
+    state totals, at most `_ROOT_CELLS` cells at a time. The vote cells are
+    co-vote counts `X.T @ X` in the tables' integer type, each product
+    covering whole chunks of targets in at most `_PRODUCT_CELLS` dense cells;
     the no-vote row and column are totals minus the vote cells."""
     r = target_totals.shape[1]
     items = X.shape[1] // (r - 1)
     voters = np.bincount(X.indices, minlength=X.shape[1]).reshape(items, r - 1).T
     step = max(1, _ROOT_CELLS // (r * r * items))
-    for j0 in range(0, items, step):
-        k = min(step, items - j0)
-        co = (X.T @ X[:, j0 * (r - 1):(j0 + k) * (r - 1)]).toarray()
-        tables = np.empty((k, r, r, items), dtype=dtype)
-        tables[:, 1:, 1:] = co.reshape(items, r - 1, k, r - 1).transpose(2, 1, 3, 0)
-        tables[:, 1:, 0] = voters - tables[:, 1:, 1:].sum(axis=2)
-        tables[:, 0] = target_totals[j0:j0 + k, :, None] - tables[:, 1:].sum(axis=1)
-        yield j0, tables
+    block = step * max(1, _PRODUCT_CELLS // (step * (r - 1) ** 2 * items))
+    # integer products over column slices of a CSC copy take less time and
+    # memory than float products over CSR column selections
+    Y = X.astype(dtype)
+    Y_cols = Y.tocsc()
+    for p0 in range(0, items, block):
+        pk = min(block, items - p0)
+        co = (Y.T @ Y_cols[:, p0 * (r - 1):(p0 + pk) * (r - 1)]).toarray()
+        co = co.reshape(items, r - 1, pk, r - 1).transpose(2, 1, 3, 0)
+        for j0 in range(p0, p0 + pk, step):
+            k = min(step, p0 + pk - j0)
+            tables = np.empty((k, r, r, items), dtype=dtype)
+            tables[:, 1:, 1:] = co[j0 - p0:j0 - p0 + k]
+            tables[:, 1:, 0] = voters - tables[:, 1:, 1:].sum(axis=2)
+            tables[:, 0] = target_totals[j0:j0 + k, :, None] - tables[:, 1:].sum(axis=1)
+            yield j0, tables
 
 
 def _split_tables(
@@ -310,42 +342,63 @@ def _split_tables(
     `table` minus theirs, computed in place, so `table` is spent.
     """
     r = table.shape[0]
-    counts = table[:, :, svar].astype(float)
-    sizes = table[:, :, svar].sum(axis=1)
+    counts = table[:, :, svar].copy()
+    sizes = counts.sum(axis=1).tolist()
+    largest = sizes.index(max(sizes))
     sub = split_states[users]
-    # a child with all or none of the users takes no pass over them
-    parts = [users[sub == a] if 0 < size < len(users) else users[:size] for a, size in enumerate(sizes)]
-    largest = int(np.argmax(sizes))
-    tables: list = [None] * r
-    for a in np.flatnonzero(sizes):
-        if a != largest:
+    parts, tables = [], [None] * r
+    for a, size in enumerate(sizes):
+        # a child with all or none of the users takes no pass over them
+        parts.append(users[sub == a] if 0 < size < len(users) else users[:size])
+        if size and a != largest:
             tables[a] = _pair_counts(X, target_states, parts[a], r)
             table -= tables[a]
     tables[largest] = table
     return list(zip(parts, counts, tables))
 
 
+def _lookups(alpha: float, r: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Score terms of an r-state leaf under pseudo-count `alpha` per state,
+    for every count k = 0..n a table can hold: gammaln(alpha + k) -
+    gammaln(alpha), gammaln(r alpha) - gammaln(r alpha + k), and the latter
+    at the prior total that `_leaf_score` sums (which can differ from
+    r * alpha in the last bit). Built once per pseudo-count, so that no score
+    calls `gammaln` per cell."""
+    k = np.arange(n + 1)
+    total = np.full(r, alpha).sum()
+    cell = gammaln(alpha + k) - gammaln(alpha)
+    family = gammaln(alpha * r) - gammaln(alpha * r + k)
+    leaf = family if total == alpha * r else gammaln(total) - gammaln(total + k)
+    return cell, family, leaf
+
+
 def _family_scores(
-    tables: np.ndarray, lg_alpha: np.ndarray, lg_total: np.ndarray, penalty: float
+    tables: np.ndarray, cell: np.ndarray, family: np.ndarray, penalty: float
 ) -> np.ndarray:
     """Score of splitting leaves on each candidate variable, vectorized.
 
     `tables` is (..., r_parent, r_target, items) in `_pair_counts`' layout;
-    each [a, :, s] column is one child leaf's counts under pseudo-counts
-    alpha_child per state. `lg_alpha[k]` is gammaln(alpha_child + k) and
-    `lg_total[k]` gammaln(r_target * alpha_child + k), looked up instead of
-    computed per cell. Returns (..., items). Both state sums add in state
-    order; the one over target states goes a state at a time, so that no
-    float temporary is the size of the tables.
+    each [a, :, s] column is one child leaf's counts under the pseudo-count
+    whose `_lookups` are `cell` and `family`. Returns (..., items). Both
+    state sums add in state order; the one over target states goes a state
+    at a time, so that no float temporary is the size of the tables.
     """
     r = tables.shape[-2]
-    n = tables[..., 0, :].astype(np.intp)
-    cells = lg_alpha[n] - lg_alpha[0]
+    cells = cell[tables[..., 0, :]]
     for b in range(1, r):
-        n += tables[..., b, :]
-        cells += lg_alpha[tables[..., b, :]] - lg_alpha[0]
-    child = lg_total[0] - lg_total[n] + cells + (r - 1) * math.log(penalty)
+        cells += cell[tables[..., b, :]]
+    child = family[tables.sum(axis=-2)]
+    child += cells
+    child += (r - 1) * math.log(penalty)
     return child.sum(axis=-2)
+
+
+def _leaf_scores(
+    counts: np.ndarray, cell: np.ndarray, leaf: np.ndarray, log_penalty: float
+) -> np.ndarray:
+    """`_leaf_score` of each row of integer `counts`, from the `cell` and
+    `leaf` lookups of the rows' pseudo-count: the same sums, term for term."""
+    return leaf[counts.sum(axis=-1)] + cell[counts].sum(axis=-1) + (counts.shape[-1] - 1) * log_penalty
 
 
 class _Constraints:
@@ -362,14 +415,20 @@ class _Constraints:
     def add_edge(self, parent: int, child: int) -> None:
         if self.reach[child, parent]:
             raise RuntimeError("parent graph must stay acyclic")
-        # everything that reaches the parent now reaches all the child reaches
-        self.reach[self.reach[:, parent]] |= self.reach[child]
+        # everything that reaches the parent now reaches all the child
+        # reaches; what already reaches the child already does
+        rows = (self.reach[:, parent] > self.reach[:, child]).nonzero()[0]
+        self.reach[rows] |= self.reach[child]
 
     def invalid(self, target: int, path: np.ndarray) -> np.ndarray:
         """Mask of the variables a leaf of `target` on `path` may not split on:
         the target, its path, and any variable an edge from which would close
         a cycle."""
         return self.reach[target] | path
+
+    def closed(self, target: int, path: np.ndarray, var: int) -> bool:
+        """`invalid(target, path)[var]`, in two scalar reads."""
+        return bool(self.reach[target, var] or path[var])
 
 
 def learn_network(db: VoteDatabase, cfg: LearnConfig) -> BayesNetModel:
@@ -390,88 +449,91 @@ def learn_network(db: VoteDatabase, cfg: LearnConfig) -> BayesNetModel:
     log_penalty = math.log(penalty)
     ess = cfg.equivalent_sample_size
 
+    # The search numbers items by id (item k is the k-th id, at model
+    # position by_id[k]), so that the first of equal gains is the lowest id.
+    id_rank = idx.item_sort_rank
+    by_id = np.argsort(id_rank)
     X = idx.vote_states
+    X = sp.csr_matrix(
+        (X.data, (id_rank[:, None] * (r - 1) + np.arange(r - 1)).ravel()[X.indices], X.indptr),
+        shape=X.shape,
+    )
     # states[:, j]: every user's state of item j, no-vote 0
     states = np.zeros((n, t), dtype=np.uint8, order="F")
     cols = X.indices
     states[np.repeat(np.arange(n), np.diff(X.indptr)), cols // (r - 1)] = cols % (r - 1) + 1
 
-    id_rank = idx.item_sort_rank
     constraints = _Constraints(t)
-    # the model's node arrays, grown as leaves split (see BayesNetModel)
+    # the model's node arrays, grown as leaves split (see BayesNetModel):
+    # item k's root is node by_id[k]; `counts` holds a block of rows per
+    # split, and `alphas` each node's pseudo-count per state
     var, first, order = [-1] * t, list(range(t)), [0] * t
-    counts: list[np.ndarray] = []
-    alphas: list[np.ndarray] = []
+    alphas = [ess / r] * t
     next_order = [1] * t
     total_score = 0.0
     heap: list = []
-    # per child pseudo-count alpha: gammaln(alpha + k) and gammaln(r * alpha + k)
-    # for every count k a table can hold
-    lgamma: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+    lookup = functools.cache(lambda alpha: _lookups(alpha, r, n))  # by child pseudo-count
 
-    def lookups(alpha: float) -> tuple[np.ndarray, np.ndarray]:
-        if alpha not in lgamma:
-            k = np.arange(n + 1)
-            lgamma[alpha] = gammaln(alpha + k), gammaln(alpha * r + k)
-        return lgamma[alpha]
-
-    def push_candidates(leaves: list[_LiveLeaf], tables: np.ndarray) -> None:
-        """Score leaves of one pseudo-count in one call; push each one's best."""
-        alpha = float(alphas[leaves[0].node][0]) / r
-        gains = _family_scores(tables, *lookups(alpha), penalty)
+    def push_candidates(leaves: list[_LiveLeaf], tables: np.ndarray, closed: np.ndarray) -> None:
+        """Score leaves of one pseudo-count in one call, the variables
+        `closed` (a row per leaf, or one for all) ruled out; push each one's
+        best."""
+        cell, family, _ = lookup(alphas[leaves[0].node] / r)
+        gains = _family_scores(tables, cell, family, penalty)
         gains -= np.array([leaf.score for leaf in leaves])[:, None]
         # closed variables are scored too, then ruled out: selecting the open
         # ones would copy the tables with strides
-        gains[np.array([constraints.invalid(leaf.target, leaf.path) for leaf in leaves])] = -math.inf
-        best = gains.max(axis=1)
+        np.copyto(gains, -math.inf, where=closed)
         # the largest gain, ties to the lowest item id
-        svars = np.where(gains == best[:, None], id_rank, t).argmin(axis=1)
-        for leaf, delta, svar in zip(leaves, best.tolist(), svars.tolist()):
+        for leaf, row, svar in zip(leaves, gains, gains.argmax(axis=1).tolist()):
+            delta = float(row[svar])
             if delta > 0.0:
-                heapq.heappush(
-                    heap,
-                    (-delta, int(id_rank[leaf.target]), order[leaf.node], int(id_rank[svar]), leaf, svar),
-                )
+                heapq.heappush(heap, (-delta, leaf.target, order[leaf.node], svar, leaf))
             else:
                 leaf.table = None  # constraints only tighten: the leaf is final
 
     all_users = np.arange(n)
     no_path = np.zeros(t, dtype=bool)
-    totals = np.stack([np.bincount(states[:, j], minlength=r) for j in range(t)])
-    counts.extend(totals.astype(float))
-    alphas.extend([np.full(r, ess / r)] * t)
-    root_scores = _leaf_score(np.array(counts), alphas[0], log_penalty).tolist()
+    # every item's state totals: its votes per state, the rest no-vote
+    totals = np.empty((t, r), dtype=np.intp)
+    totals[:, 1:] = np.bincount(X.indices, minlength=X.shape[1]).reshape(t, r - 1)
+    totals[:, 0] = n - totals[:, 1:].sum(axis=1)
+    counts = [totals[id_rank]]
+    root_scores = _leaf_score(totals.astype(float), np.full(r, ess / r), log_penalty).tolist()
     for j0, tables in _root_tables(X, totals, np.min_scalar_type(-n - 1)):
         roots = []
         for j in range(j0, j0 + len(tables)):
             # a copy, so that the chunk is freed once scored
-            roots.append(_LiveLeaf(j, j, all_users, no_path, root_scores[j], tables[j - j0].copy()))
+            roots.append(_LiveLeaf(j, int(by_id[j]), all_users, no_path, root_scores[j],
+                                   tables[j - j0].copy()))
             total_score += root_scores[j]
-        push_candidates(roots, tables)
+        # a root may split on any item but its own
+        push_candidates(roots, tables, constraints.reach[j0:j0 + len(tables)])
 
     while heap:
         # a leaf has at most one heap entry (pushed when created or rescored),
         # so no two keys tie on (target, order) and leaves are never compared
-        neg_delta, _, _, _, leaf, svar = heapq.heappop(heap)
-        if constraints.invalid(leaf.target, leaf.path)[svar]:
-            push_candidates([leaf], leaf.table[None])  # constraints tightened since scoring; rescore
+        neg_delta, j, _, svar, leaf = heapq.heappop(heap)
+        if constraints.closed(j, leaf.path, svar):
+            # constraints tightened since scoring; rescore
+            push_candidates([leaf], leaf.table[None], constraints.invalid(j, leaf.path))
             continue
         delta = -neg_delta
-        j = leaf.target
         children = _split_tables(X, leaf.table, states[:, j], leaf.users, states[:, svar], svar)
         leaf.table = None
         # the leaf becomes a split whose children are appended in state order
-        var[leaf.node], first[leaf.node] = svar, len(var)
+        var[leaf.node], first[leaf.node] = int(by_id[svar]), len(var)
         child_alpha = alphas[leaf.node] / r
         child_path = leaf.path.copy()
         child_path[svar] = True
         new_live = []
-        child_scores = _leaf_score(np.array([c for _, c, _ in children]), child_alpha, log_penalty)
-        for (users_a, counts_a, table_a), score in zip(children, child_scores.tolist()):
+        cell, _, leaf_terms = lookup(child_alpha)
+        counts.append(np.array([c for _, c, _ in children]))
+        child_scores = _leaf_scores(counts[-1], cell, leaf_terms, log_penalty)
+        for (users_a, _, table_a), score in zip(children, child_scores.tolist()):
             new_live.append(_LiveLeaf(j, len(var), users_a, child_path, score, table_a))
             var.append(-1)
             first.append(len(first))
-            counts.append(counts_a)
             alphas.append(child_alpha)
             order.append(next_order[j])
             next_order[j] += 1
@@ -485,6 +547,8 @@ def learn_network(db: VoteDatabase, cfg: LearnConfig) -> BayesNetModel:
         total_score = new_total
         # a leaf without users cannot gain (module docstring): final, unscored
         scored = [nl for nl in new_live if nl.table is not None]
-        push_candidates(scored, np.stack([nl.table for nl in scored]))
+        # the children share target and path: one mask row serves them all
+        push_candidates(scored, np.array([nl.table for nl in scored]), constraints.invalid(j, child_path))
 
-    return BayesNetModel(scale, db.items, var, first, counts, alphas, order)
+    alphas = np.repeat(np.array(alphas)[:, None], r, axis=1)
+    return BayesNetModel(scale, db.items, var, first, np.concatenate(counts), alphas, order)

@@ -392,6 +392,13 @@ def split_items(tree):
     return {tree["split"]}.union(*(split_items(c) for c in tree["children"]))
 
 
+def parent_graph(model):
+    """Edges parent -> children implied by the split items of each tree in
+    the model's file form."""
+    trees = model_trees(model)
+    return {p: {c for c, tree in trees.items() if p in split_items(tree)} for p in model.items}
+
+
 def tree_lookup(model, item, evidence):
     """The item's leaf distribution for evidence that assigns a state (a vote
     value, or None for no-vote) to every split item of its tree; a missing

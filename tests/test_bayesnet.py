@@ -1,3 +1,4 @@
+import graphlib
 import hashlib
 import json
 import math
@@ -7,8 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
-from scipy.special import gammaln
 
 import cflab
 from cflab import bayesnet
@@ -37,6 +38,7 @@ from reference import (
     learn_network_dense,
     lookup_with_path,
     model_trees,
+    parent_graph,
     sorted_ranking,
     state_of,
     transitive_closure,
@@ -315,6 +317,10 @@ class TestModelStructure:
             {"counts": [0.0, 0.0, 0.0], "alpha": [1.0, 1.0], "order": 0},
             {"counts": [0.0, 0.0], "alpha": [1.0], "order": 0},
             split("b", leaf(0.2, 1), {"counts": [0.0], "alpha": [1.0, 1.0], "order": 2}),
+            {"counts": [-5.0, 1.0], "alpha": [-1.0, 2.0], "order": 0},  # would score -1.0
+            {"counts": [0.0, 0.0], "alpha": [0.0, 0.0], "order": 0},  # would score NaN
+            {"counts": [math.inf, 0.0], "alpha": [1.0, 1.0], "order": 0},
+            split("b", leaf(0.2, 1), {"counts": [0.0, 1.0], "alpha": [math.nan, 1.0], "order": 2}),
         ],
     )
     def test_malformed_tree_is_rejected(self, tree):
@@ -334,12 +340,41 @@ class TestModelStructure:
         assert BayesNetPredictor(db, again).rank(case) == BayesNetPredictor(db, model).rank(case)
 
     def test_parent_graph_matches_split_vars(self):
-        db = noisy_copy_db(np.random.default_rng(1), n=2000)
-        model = learn_network(db, LearnConfig())
-        graph = model.parent_graph()
+        db = random_grouped_db(np.random.default_rng(1), explicit=False, n_users=80)
+        model = learn_network(db, LearnConfig(structure_penalty=0.9))
+        graph = parent_graph(model)
         for it in model.items:
-            for parent in model.parents(it):
-                assert it in graph[parent]
+            assert model.parents(it) == {p for p in model.items if it in graph[p]}
+        assert any(graph.values())
+
+    @settings(max_examples=60, deadline=None)
+    @given(t=st.integers(1, 6), data=st.data())
+    def test_acyclicity_matches_topological_sort(self, t, data):
+        # item c's tree splits on each of its parents in turn
+        items = [f"i{k}" for k in range(t)]
+        parents = {
+            c: data.draw(st.lists(st.sampled_from(items), unique=True, max_size=3), label=c)
+            for c in items
+        }
+        trees = {}
+        for c, ps in parents.items():
+            tree = leaf(0.5, len(ps))
+            for depth, p in enumerate(reversed(ps)):
+                tree = split(p, leaf(0.5, depth), tree)
+            trees[c] = tree
+        graph = {p: {c for c in items if p in parents[c]} for p in items}
+        try:
+            graphlib.TopologicalSorter(graph).prepare()
+        except graphlib.CycleError:
+            with pytest.raises(ValueError, match="acyclic"):
+                model_of(trees)
+            return
+        model = model_of(trees)
+        assert parent_graph(model) == graph
+        assert model.depth == max(len(ps) for ps in parents.values())
+        stats = model.structure_stats()
+        assert stats["max_parents"] == max(len(ps) for ps in parents.values())
+        assert stats["mean_leaves"] == pytest.approx(np.mean([len(ps) + 1 for ps in parents.values()]))
 
     def test_structure_stats(self):
         db = noisy_copy_db(np.random.default_rng(2), n=10000)
@@ -402,6 +437,37 @@ class TestRootTables:
                 seen.append(j)
         assert seen == list(range(t))
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        explicit=st.booleans(),
+        n_users=st.integers(1, 25),
+        n_items=st.integers(1, 7),
+        cells=st.sampled_from([1, 60, 1 << 13]),
+        products=st.sampled_from([1, 40, 300, 1 << 13]),
+    )
+    def test_products_are_cut_into_chunks(self, seed, explicit, n_users, n_items, cells, products):
+        db = search_db(np.random.default_rng(seed), explicit, n_users, n_items, 0.4)
+        t, r = len(db.items), db.scale.num_states
+        states = dense_states(db)
+        totals = np.stack([np.bincount(states[:, j], minlength=r) for j in range(t)])
+        calls = []
+        matmul = sp.csc_matrix.__matmul__
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bayesnet, "_ROOT_CELLS", cells)
+            mp.setattr(bayesnet, "_PRODUCT_CELLS", products)
+            mp.setattr(sp.csc_matrix, "__matmul__", lambda a, b: calls.append(b.shape) or matmul(a, b))
+            chunks = list(bayesnet._root_tables(db.index.vote_states, totals, np.int16))
+        step = max(1, cells // (r * r * t))  # targets per chunk
+        per_product = max(1, products // ((r - 1) ** 2 * t))  # targets a product may cover
+        block = step * max(1, per_product // step)
+        assert [j0 for j0, _ in chunks] == list(range(0, t, step))
+        assert [cols // (r - 1) for _, cols in calls] == [min(block, t - p0) for p0 in range(0, t, block)]
+        for j0, tables in chunks:
+            for j in range(j0, j0 + len(tables)):
+                want = dense_pair_counts(states, np.arange(n_users), j, r).transpose(1, 2, 0)
+                np.testing.assert_array_equal(tables[j - j0], want)
+
 
 class TestSplitTables:
     """A split's child tables: the smaller children counted, the largest
@@ -454,9 +520,8 @@ class TestEmptyLeaf:
     @pytest.mark.parametrize("penalty", [1e-6, 0.1, 0.999999])
     @pytest.mark.parametrize("alpha", [1e-3, 0.5, 10.0 / 7])
     def test_every_split_of_an_empty_leaf_loses(self, r, penalty, alpha):
-        child, k = alpha / r, np.arange(4)  # the lookups `learn_network` builds
-        lookups = gammaln(child + k), gammaln(child * r + k)
-        gains = bayesnet._family_scores(np.zeros((r, r, 5), dtype=np.int16), *lookups, penalty)
+        cell, family, _ = bayesnet._lookups(alpha / r, r, 3)  # as `learn_network` builds them
+        gains = bayesnet._family_scores(np.zeros((r, r, 5), dtype=np.int16), cell, family, penalty)
         gains -= bayesnet._leaf_score(np.zeros(r), np.full(r, alpha), math.log(penalty))
         assert (gains < 0).all()
 
@@ -506,8 +571,25 @@ def search_db(rng, explicit, n_users, n_items, density, idle=True):
     return make_db(rows, scale, items=names)
 
 
-# SHA-256 of the model file of `TestSearchOracle.test_sparse_model_keeps_its_digest`
+def msweb_like_db(rng, n_users=300, n_items=150, idle=50):
+    """Implicit visits shaped like the web-visit benchmark: Zipf popularity
+    over the visited items, one visit per user plus a Poisson(2) number
+    more, and `idle` items that nobody visits. Item ids are shuffled over
+    the positions."""
+    visited = n_items - idle
+    p = 1.0 / np.arange(1, visited + 1)
+    names = [f"i{k}" for k in rng.permutation(n_items)]
+    rows = []
+    for i in range(n_users):
+        k = min(visited, 1 + rng.poisson(2.0))
+        rows += [(f"u{i}", names[j], 1) for j in rng.choice(visited, size=k, replace=False, p=p / p.sum())]
+    return make_db(rows, IMPLICIT_SCALE, items=names)
+
+
+# SHA-256 of the model files of `TestSearchOracle.test_sparse_model_keeps_its_digest`
+# and `test_msweb_shaped_model_keeps_its_digest`
 SPARSE_MODEL_DIGEST = "229efca4be23bbb89838693826a19681f7844a2755ea3d676c8c13e740fa30e4"
+MSWEB_MODEL_DIGEST = "49be9fc9b8c35b06d8608b68bc3458f9b1fafeccd4563399748bf7a8ee04d884"
 
 
 class TestSearchOracle:
@@ -538,6 +620,29 @@ class TestSearchOracle:
         model = learn_network(db, LearnConfig(structure_penalty=0.9))
         doc = json.dumps(model.to_json(), sort_keys=True)  # as the model cache writes it
         assert hashlib.sha256(doc.encode()).hexdigest() == SPARSE_MODEL_DIGEST
+
+    def test_msweb_shaped_model_keeps_its_digest(self):
+        # the benchmark's settings on two-state visits: over a third of the
+        # items have no visits, and their trees still split
+        db = msweb_like_db(np.random.default_rng(1998))
+        model = learn_network(db, LearnConfig())
+        idle = np.flatnonzero(np.diff(db.index.V_csc.indptr) == 0)
+        assert len(idle) >= 50 and (model.var[np.isin(model.tree, idle)] >= 0).any()
+        doc = json.dumps(model.to_json(), sort_keys=True)
+        assert hashlib.sha256(doc.encode()).hexdigest() == MSWEB_MODEL_DIGEST
+
+    @pytest.mark.parametrize("explicit", [False, True])
+    def test_closed_best_variable_is_rescored(self, explicit, monkeypatch):
+        # a popped leaf whose best variable an edge has closed since it was
+        # scored is scored again on its unchanged table
+        rescored = []
+        closed = bayesnet._Constraints.closed
+        monkeypatch.setattr(bayesnet._Constraints, "closed",
+                            lambda *args: rescored.append(closed(*args)) or rescored[-1])
+        db = search_db(np.random.default_rng(0), explicit, 40, 8, 0.2)
+        cfg = LearnConfig(structure_penalty=0.99)
+        assert learn_network(db, cfg).to_json() == learn_network_dense(db, cfg).to_json()
+        assert sum(rescored) >= 3
 
 
 class TestSearchChecks:

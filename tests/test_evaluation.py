@@ -375,6 +375,9 @@ class TestRunExperiment:
         [r] = run_experiment(db, cases, algs, ["ranked"], seed=5, protocol_label="Given1")
         again = ExperimentReport.from_json(r.to_json())
         assert again.dumps() == r.dumps()
+        for report in (r, again):  # per-case values as float64 arrays, as a run holds them
+            for values in (*report.scores.values(), report.rmax):
+                assert values.dtype == np.float64 and values.shape == (report.case_count,)
 
 
 class _FailingPredict(_ConstantRanker):

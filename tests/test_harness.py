@@ -481,6 +481,30 @@ class TestRun:
         assert model.scale == train.scale and model.items == train.items
         assert sum("retraining" in r.getMessage() for r in caplog.records) == 1
 
+    @pytest.mark.parametrize("counts, alpha", [
+        ([-5.0, 1.0], [-1.0, 2.0]),  # would load and score -1.0
+        ([0.0, 0.0], [0.0, 0.0]),  # would load and score NaN
+    ])
+    def test_invalid_bayesnet_leaf_is_retrained(self, workdir, caplog, counts, alpha):
+        config = harness.load_config(workdir / "fixture_config.json")
+        train, _ = harness.load_datasets(config.dataset)
+        spec = next(s for s in config.algorithms if s.kind == "bayesnet")
+        cache = workdir / "cache"
+        _, path = harness.train_model(train, spec, config.seed, cache)
+        good = path.read_bytes()
+        doc = json.loads(good)
+        node = doc["trees"]["0"]
+        while "split" in node:
+            node = node["children"][0]
+        pad = [1.0] * (len(node["counts"]) - 2)  # the other states keep valid values
+        node["counts"], node["alpha"] = counts + pad, alpha + pad
+        path.write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
+        caplog.clear()
+        model, again = harness.train_model(train, spec, config.seed, cache)
+        assert again == path and path.read_bytes() == good  # retrained and replaced
+        assert np.isfinite(model.score[model.var < 0]).all()
+        assert sum("retraining" in r.getMessage() for r in caplog.records) == 1
+
     def test_cache_key_names_the_model_format(self, workdir, monkeypatch):
         config = harness.load_config(workdir / "fixture_config.json")
         train, _ = harness.load_datasets(config.dataset)
