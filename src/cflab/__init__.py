@@ -10,7 +10,6 @@ ranked utility, absolute deviation, and blocked significance statistics.
 from .bayesnet import (
     BayesNetModel,
     LearnConfig,
-    leaf_family_score,
     learn_network,
 )
 from .cluster import (

@@ -38,7 +38,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import gammaln
 
-from .votedata import ItemId, VoteDatabase, VoteScale
+from .votedata import VoteDatabase, VoteScale
 
 
 @dataclass(frozen=True)
@@ -62,33 +62,6 @@ class LearnConfig:
             raise ValueError("equivalent_sample_size must be > 0")
 
 
-def leaf_family_score(
-    counts, prior_counts, structure_penalty: float = 1.0
-) -> float:
-    """Log marginal likelihood of one leaf's counts plus its structure penalty.
-
-    The marginal is the closed-form integral of the multinomial likelihood
-    against the leaf's pseudo-count prior; the penalty charges
-    ln(structure_penalty) per free parameter (states - 1).
-    """
-    n = np.asarray(counts, dtype=float)
-    a = np.asarray(prior_counts, dtype=float)
-    if n.shape != a.shape:
-        raise ValueError("counts and prior counts must align")
-    if (a <= 0).any():
-        raise ValueError("prior counts must be positive")
-    if (n < 0).any():
-        raise ValueError("counts must be nonnegative")
-    return float(_leaf_score(n, a, math.log(structure_penalty)))
-
-
-def _leaf_score(n: np.ndarray, a: np.ndarray, log_penalty: float):
-    """`leaf_family_score` of each row of valid float counts `n`."""
-    a_total = a.sum(axis=-1)  # not len(a) * alpha, which can differ in the last bit
-    lg = gammaln(a_total) - gammaln(a_total + n.sum(axis=-1))
-    return lg + (gammaln(a + n) - gammaln(a)).sum(axis=-1) + (n.shape[-1] - 1) * log_penalty
-
-
 class BayesNetModel:
     """A network of per-item decision trees, held as flat node arrays.
 
@@ -105,7 +78,6 @@ class BayesNetModel:
     def __init__(self, scale: VoteScale, items, var, first, counts, alpha, order) -> None:
         self.scale = scale
         self.items = tuple(items)
-        self.item_pos = {it: j for j, it in enumerate(self.items)}
         self.var = np.asarray(var, dtype=np.intp)
         self.first = np.asarray(first, dtype=np.intp)
         r, t = scale.num_states, len(self.items)
@@ -170,10 +142,6 @@ class BayesNetModel:
             influenced |= seen.ravel()[var]
             node = self.first[node] + state.ravel()[var]
         return node, influenced, seen[:, :t]
-
-    def parents(self, item: ItemId) -> set[ItemId]:
-        splits = (self.var >= 0) & (self.tree == self.item_pos[item])
-        return {self.items[k] for k in self.var[splits]}
 
     def structure_stats(self) -> dict:
         """Learned-structure summary: parent and leaf counts per item."""
@@ -361,9 +329,9 @@ def _lookups(alpha: float, r: int, n: int) -> tuple[np.ndarray, np.ndarray, np.n
     """Score terms of an r-state leaf under pseudo-count `alpha` per state,
     for every count k = 0..n a table can hold: gammaln(alpha + k) -
     gammaln(alpha), gammaln(r alpha) - gammaln(r alpha + k), and the latter
-    at the prior total that `_leaf_score` sums (which can differ from
-    r * alpha in the last bit). Built once per pseudo-count, so that no score
-    calls `gammaln` per cell."""
+    at the prior total summed state by state (which can differ from r * alpha
+    in the last bit). Built once per pseudo-count, so that no score calls
+    `gammaln` per cell."""
     k = np.arange(n + 1)
     total = np.full(r, alpha).sum()
     cell = gammaln(alpha + k) - gammaln(alpha)
@@ -396,8 +364,10 @@ def _family_scores(
 def _leaf_scores(
     counts: np.ndarray, cell: np.ndarray, leaf: np.ndarray, log_penalty: float
 ) -> np.ndarray:
-    """`_leaf_score` of each row of integer `counts`, from the `cell` and
-    `leaf` lookups of the rows' pseudo-count: the same sums, term for term."""
+    """The score of a leaf with each row of integer `counts`: the log of the
+    closed-form marginal likelihood of the counts under the rows'
+    pseudo-count prior, whose `_lookups` are `cell` and `leaf`, plus
+    `log_penalty` per free parameter (states - 1)."""
     return leaf[counts.sum(axis=-1)] + cell[counts].sum(axis=-1) + (counts.shape[-1] - 1) * log_penalty
 
 
@@ -499,7 +469,8 @@ def learn_network(db: VoteDatabase, cfg: LearnConfig) -> BayesNetModel:
     totals[:, 1:] = np.bincount(X.indices, minlength=X.shape[1]).reshape(t, r - 1)
     totals[:, 0] = n - totals[:, 1:].sum(axis=1)
     counts = [totals[id_rank]]
-    root_scores = _leaf_score(totals.astype(float), np.full(r, ess / r), log_penalty).tolist()
+    cell, _, leaf_terms = lookup(ess / r)
+    root_scores = _leaf_scores(totals, cell, leaf_terms, log_penalty).tolist()
     for j0, tables in _root_tables(X, totals, np.min_scalar_type(-n - 1)):
         roots = []
         for j in range(j0, j0 + len(tables)):

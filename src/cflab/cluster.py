@@ -60,16 +60,13 @@ class ClusterModel:
         sums = self.cond.sum(axis=2)
         if np.abs(sums - 1.0).max() > 1e-10:
             raise ValueError("every conditional must sum to 1")
-        if (self.class_prior <= 0).any() or (self.cond <= 0).any():
+        # asked as > 0, which a NaN fails; it passes every check above
+        if not ((self.class_prior > 0).all() and (self.cond > 0).all()):
             raise ValueError("all probabilities must be positive")
 
     @property
     def num_classes(self) -> int:
         return len(self.class_prior)
-
-    @cached_property
-    def item_pos(self) -> dict[ItemId, int]:
-        return {it: j for j, it in enumerate(self.items)}
 
     @cached_property
     def log_tables(self) -> tuple[np.ndarray, np.ndarray]:
@@ -99,18 +96,6 @@ class ClusterModel:
         score = self.log_posteriors(n, rows, cols, states)
         p = np.exp(score - score.max(axis=1, keepdims=True))
         return p / p.sum(axis=1, keepdims=True)
-
-    def _one_case(self, observed: Mapping[ItemId, float]) -> tuple:
-        items = [it for it in observed if it in self.item_pos]  # others carry no evidence
-        cols = np.array([self.item_pos[it] for it in items], dtype=np.intp)
-        return 1, np.zeros_like(cols), cols, self.scale.states_of([observed[it] for it in items])
-
-    def log_posterior(self, observed: Mapping[ItemId, float]) -> np.ndarray:
-        """Unnormalized log class posterior for a completed vote vector."""
-        return self.log_posteriors(*self._one_case(observed))[0]
-
-    def posterior(self, observed: Mapping[ItemId, float]) -> np.ndarray:
-        return self.posteriors(*self._one_case(observed))[0]
 
     def to_json(self) -> dict:
         return {

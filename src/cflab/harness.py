@@ -215,7 +215,7 @@ def parse_config(doc: dict, base_dir: Path) -> ExperimentConfig:
         params = a.get("config", {})
         if kind == MEMORY:
             try:
-                memory.MemoryConfig.from_json(params)
+                memory._resolve_default(scale, memory.MemoryConfig.from_json(params))
             except (ValueError, KeyError, TypeError) as exc:
                 raise ConfigError(f"algorithms[{i}].config: {exc}") from None
         else:

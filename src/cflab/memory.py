@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .votedata import ActiveCase, VoteDatabase, _Index
+from .votedata import ActiveCase, VoteDatabase, VoteScale, _Index
 
 CORRELATION = "correlation"
 VECTOR_SIMILARITY = "vector_similarity"
@@ -65,17 +65,9 @@ class MemoryConfig:
         if self.case_amplification is not None and self.case_amplification <= 0:
             raise ValueError("case amplification power must be > 0")
 
-    def to_json(self) -> dict:
-        out: dict = {"weight": self.weight_kind, "iuf": self.inverse_user_frequency}
-        if self.default_voting is not None:
-            out["default_voting"] = {"d": self.default_voting.d, "k": self.default_voting.k}
-        if self.case_amplification is not None:
-            out["case_amp"] = {"p": self.case_amplification}
-        return out
-
     @classmethod
     def from_json(cls, obj: Mapping) -> "MemoryConfig":
-        """Parse `to_json`'s form; a key that nothing here reads is an error."""
+        """Parse a config's JSON form; a key that nothing here reads is an error."""
         dv = obj.get("default_voting")
         amp = obj.get("case_amp")
         known = ("weight", "iuf", "default_voting", "default_voting.d", "default_voting.k",
@@ -95,14 +87,15 @@ class MemoryConfig:
         )
 
 
-def _resolve_default(db: VoteDatabase, cfg: MemoryConfig) -> float | None:
+def _resolve_default(scale: VoteScale, cfg: MemoryConfig) -> float | None:
+    """The default vote on `scale`, None without default voting; a config
+    that cannot run on the scale raises ValueError."""
     if cfg.default_voting is None:
         return None
-    dv = cfg.default_voting
-    d = dv.d
+    d = cfg.default_voting.d
     if d is None:
-        d = 0.0 if db.scale.implicit else float(db.scale.neutral)
-    if cfg.weight_kind == VECTOR_SIMILARITY and not (db.scale.implicit and d == 0.0):
+        d = 0.0 if scale.implicit else float(scale.neutral)
+    if cfg.weight_kind == VECTOR_SIMILARITY and not (scale.implicit and d == 0.0):
         raise ValueError(
             "default voting with vector similarity only completes implicit "
             "vote vectors with zeros"
@@ -136,7 +129,7 @@ class MemoryScorer:
         self.db = db
         self.cfg = cfg
         self.idx = idx = db.index
-        self.default = _resolve_default(db, cfg)
+        self.default = _resolve_default(db.scale, cfg)
         self.f = idx.iuf if cfg.inverse_user_frequency else np.ones(len(db.items))
         V, votes_T = idx.V, idx.V_csc.T
         if cfg.weight_kind == CORRELATION and self.default is not None:
@@ -195,8 +188,7 @@ class MemoryScorer:
             # full-vector totals (_sum_fv2, a_fv2)
             count, sf, sfa = ev.user_sums(0, np.ones(len(f_j)), f_j, fv)
             sfb, sfab = ev.user_sums(1, f_j, fv)
-            kf = (self.cfg.default_voting.k if self.cfg.default_voting else 0) * \
-                SYNTHETIC_ITEM_FREQUENCY
+            kf = self.cfg.default_voting.k * SYNTHETIC_ITEM_FREQUENCY
             a_f, a_fv, a_fv2 = (ev.case_sums(x)[:, None] for x in (f_j, fv, fvv))
             tf = a_f + self._sum_f - sf + kf
             tva = a_fv + d * (self._sum_f - sf) + kf * d

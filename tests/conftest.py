@@ -47,6 +47,15 @@ def case_for(user, observed, targets=None):
     return ActiveCase(user=user, observed=observed, targets=targets or {})
 
 
+def block_votes(model, observed):
+    """Observed-vote dicts, one per case, as the (cases, case rows, item
+    positions, states) over a model's items that its block methods take,
+    encoded as predictors encode a block (`_Index.observed_votes`)."""
+    cases = [case_for("t", obs) for obs in observed]
+    rows, cols, votes = items_db(model).index.observed_votes(cases)
+    return len(cases), rows, cols, model.scale.states_of(votes)
+
+
 @pytest.fixture
 def tiny_explicit_db():
     return make_db(

@@ -14,7 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import gammaln, logsumexp
 
-from cflab.bayesnet import BayesNetModel, leaf_family_score
+from cflab.bayesnet import BayesNetModel
 from cflab.cluster import ClusterModel, map_estimates
 from cflab.votedata import VoteDataError
 
@@ -200,6 +200,27 @@ def exact_mixture_log_marginal(db, num_classes, prior_strength=1.0):
     return m + math.log(sum(math.exp(x - m) for x in logs))
 
 
+def leaf_family_score(counts, prior_counts, structure_penalty=1.0):
+    """Log marginal likelihood of one leaf's counts plus its structure penalty.
+
+    The marginal is the closed-form integral of the multinomial likelihood
+    against the leaf's pseudo-count prior; the penalty charges
+    ln(structure_penalty) per free parameter (states - 1). The prior total
+    is the sum of the pseudo-counts, which can differ from states * alpha in
+    the last bit.
+    """
+    n = np.asarray(counts, dtype=float)
+    a = np.asarray(prior_counts, dtype=float)
+    if n.shape != a.shape:
+        raise ValueError("counts and prior counts must align")
+    if (a <= 0).any():
+        raise ValueError("prior counts must be positive")
+    if (n < 0).any():
+        raise ValueError("counts must be nonnegative")
+    lg = gammaln(a.sum()) - gammaln(a.sum() + n.sum())
+    return float(lg + (gammaln(a + n) - gammaln(a)).sum() + (len(n) - 1) * math.log(structure_penalty))
+
+
 def dense_states(db):
     """users x items state matrix built vote by vote with `state_of`."""
     states = np.zeros((len(db.users), len(db.items)), dtype=np.uint8)
@@ -342,6 +363,14 @@ def log_posterior_loop(model, observed):
     return score
 
 
+def posterior_loop(model, observed):
+    """BC's class posterior: `log_posterior_loop` exponentiated from its
+    maximum and normalized."""
+    score = log_posterior_loop(model, observed)
+    p = np.exp(score - score.max())
+    return p / p.sum()
+
+
 def expected_vote_scalar(dist, scale):
     """Expected vote of one state distribution, its vote states renormalized."""
     votes = np.asarray(scale.vote_values, dtype=float)
@@ -444,7 +473,7 @@ def bn_scores_walk(model, case):
 
 def bc_scores_loop(model, case):
     """Per-item dict of BC ranking scores of the unobserved model items."""
-    mixed = np.einsum("c,cjs->js", model.posterior(case.observed), model.cond)
+    mixed = np.einsum("c,cjs->js", posterior_loop(model, case.observed), model.cond)
     return {
         it: rank_score_scalar(mixed[j], model.scale)
         for j, it in enumerate(model.items) if it not in case.observed
@@ -483,15 +512,15 @@ def _case_oracle(alg, train, case):
         values = {it: brute_predict(case, it, train, alg.scorer.cfg) for it in items}
         return values, lambda it: values[it][0], {}
     model = alg.model
+    pos = {it: j for j, it in enumerate(model.items)}
     for it, v in case.observed.items():
-        if it in model.item_pos:
+        if it in pos:
             state_of(model.scale, v)  # an off-scale vote on a model item fails the case
     if isinstance(alg, ClusterPredictor):
-        post = model.posterior(case.observed)
+        post = posterior_loop(model, case.observed)
         scores = bc_scores_loop(model, case)
         return ({it: (s, True) for it, s in scores.items()},
-                lambda it: expected_vote_scalar(post @ model.cond[:, model.item_pos[it]],
-                                                model.scale), {})
+                lambda it: expected_vote_scalar(post @ model.cond[:, pos[it]], model.scale), {})
     scores, lookups, influenced = bn_scores_walk(model, case)
     return ({it: (s, True) for it, s in scores.items()},
             lambda it: bn_vote_walk(model, case, it),

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import cflab
 from cflab import bayesnet
-from cflab.bayesnet import BayesNetModel, LearnConfig, leaf_family_score, learn_network
+from cflab.bayesnet import BayesNetModel, LearnConfig, learn_network
 from cflab.predictors import BayesNetPredictor
 from cflab.votedata import IMPLICIT_SCALE, VoteDatabase, VoteDataError, VoteScale, load_votes_csv
 
@@ -35,17 +35,24 @@ from reference import (
     dense_pair_counts,
     dense_states,
     leaf_distribution,
+    leaf_family_score,
     learn_network_dense,
     lookup_with_path,
     model_trees,
     parent_graph,
     sorted_ranking,
+    split_items,
     state_of,
     transitive_closure,
     tree_lookup,
 )
 
 FIXTURE_VOTES = Path(__file__).resolve().parent.parent / "fixtures" / "fixture_votes.csv"
+
+
+def parents(model, item):
+    """An item's parents, read from its tree in the model's file form."""
+    return split_items(model_trees(model)[item])
 
 
 def leaf(p, order=0, weight=2.0):
@@ -119,12 +126,28 @@ class TestLeafFamilyScore:
         with pytest.raises(ValueError):
             leaf_family_score([-1, 0], [1.0, 1.0], 0.1)
 
+    @pytest.mark.parametrize("r, alpha, differ", [
+        (2, 0.1, False), (2, 10.0 / 7, False),
+        (7, 10.0 / 7, False), (7, 0.1, True), (7, 10.0 / 343, True),
+    ])
+    def test_lookups_match_reference_bitwise(self, r, alpha, differ):
+        # the search's one leaf-score rule against the oracle's gammaln sums,
+        # also where the summed prior total is not r * alpha
+        assert (np.full(r, alpha).sum() != r * alpha) == differ
+        n, penalty = 50, 0.1
+        counts = np.random.default_rng(r).multinomial(n, np.full(r, 1.0 / r), size=20)
+        counts[0] = 0
+        cell, _, leaf_terms = bayesnet._lookups(alpha, r, n)
+        got = bayesnet._leaf_scores(counts, cell, leaf_terms, math.log(penalty))
+        want = [leaf_family_score(c, np.full(r, alpha), penalty) for c in counts]
+        assert got.tobytes() == np.array(want).tobytes()
+
 
 class TestLearnNetwork:
     def test_single_item_stays_root_only(self):
         db = make_db([("u", "a", 1), ("v", "a", 1)], scale=IMPLICIT_SCALE)
         model = learn_network(db, LearnConfig())
-        assert model.parents("a") == set()
+        assert parents(model, "a") == set()
         root = model_trees(model)["a"]
         assert "split" not in root
         # smoothed marginal: ess 10 over 2 states, both users voted
@@ -135,7 +158,7 @@ class TestLearnNetwork:
         for seed in range(20):
             db = noisy_copy_db(np.random.default_rng(4000 + seed))
             model = learn_network(db, LearnConfig())
-            wins += ("A" in model.parents("B")) or ("B" in model.parents("A"))
+            wins += ("A" in parents(model, "B")) or ("B" in parents(model, "A"))
         assert wins >= 18
 
     def test_independent_items_stay_root_only(self):
@@ -143,7 +166,7 @@ class TestLearnNetwork:
         for seed in range(20):
             db = independent_db(np.random.default_rng(5000 + seed))
             model = learn_network(db, LearnConfig(structure_penalty=0.1))
-            wins += all(not model.parents(it) for it in db.items)
+            wins += all(not parents(model, it) for it in db.items)
         assert wins >= 18
 
     def test_deterministic_given_config(self):
@@ -174,7 +197,7 @@ class TestLearnNetwork:
             rows += [(i, "A", float(a)), (i, "B", float(b))]
         db = VoteDatabase.from_votes(rows, scale, items=["A", "B"])
         model = learn_network(db, LearnConfig(structure_penalty=0.999))
-        assert ("A" in model.parents("B")) or ("B" in model.parents("A"))
+        assert ("A" in parents(model, "B")) or ("B" in parents(model, "A"))
         # compare the implied joint over vote values with the sample joint
         sample = joint / n
         implied = np.zeros((2, 2))
@@ -185,8 +208,8 @@ class TestLearnNetwork:
                 ev_a = {"B": float(b)}
                 pa = tree_lookup(model, "A", ev_a)[1 + a]
                 pb_given = tree_lookup(model, "B", ev_b)[1 + b]
-                if "A" in model.parents("B"):
-                    marg_a = tree_lookup(model, "A", ev_a) if model.parents("A") else leaf_distribution(roots["A"])
+                if "A" in parents(model, "B"):
+                    marg_a = tree_lookup(model, "A", ev_a) if parents(model, "A") else leaf_distribution(roots["A"])
                     implied[a, b] = marg_a[1 + a] * pb_given
                 else:
                     marg_b = leaf_distribution(roots["B"])
@@ -340,12 +363,14 @@ class TestModelStructure:
         assert BayesNetPredictor(db, again).rank(case) == BayesNetPredictor(db, model).rank(case)
 
     def test_parent_graph_matches_split_vars(self):
+        # the node arrays' parent counts against the file form's split items
         db = random_grouped_db(np.random.default_rng(1), explicit=False, n_users=80)
         model = learn_network(db, LearnConfig(structure_penalty=0.9))
         graph = parent_graph(model)
-        for it in model.items:
-            assert model.parents(it) == {p for p in model.items if it in graph[p]}
-        assert any(graph.values())
+        sizes = [sum(it in graph[p] for p in model.items) for it in model.items]
+        stats = model.structure_stats()
+        assert stats["mean_parents"] == pytest.approx(np.mean(sizes))
+        assert stats["max_parents"] == max(sizes) > 0
 
     @settings(max_examples=60, deadline=None)
     @given(t=st.integers(1, 6), data=st.data())
@@ -522,7 +547,8 @@ class TestEmptyLeaf:
     def test_every_split_of_an_empty_leaf_loses(self, r, penalty, alpha):
         cell, family, _ = bayesnet._lookups(alpha / r, r, 3)  # as `learn_network` builds them
         gains = bayesnet._family_scores(np.zeros((r, r, 5), dtype=np.int16), cell, family, penalty)
-        gains -= bayesnet._leaf_score(np.zeros(r), np.full(r, alpha), math.log(penalty))
+        cell, _, leaf_terms = bayesnet._lookups(alpha, r, 3)
+        gains -= bayesnet._leaf_scores(np.zeros(r, dtype=np.intp), cell, leaf_terms, math.log(penalty))
         assert (gains < 0).all()
 
 
@@ -759,7 +785,7 @@ class TestCompiledNetwork:
     def test_leaf_only_network_routes_in_zero_steps(self):
         model = TestRanking()._two_item_model()
         assert model.depth == 0
-        (leaf,), (influenced,), (seen,) = model.route(1, [0], [model.item_pos["hi"]], [1])
+        (leaf,), (influenced,), (seen,) = model.route(1, [0], [model.items.index("hi")], [1])
         assert leaf.tolist() == [0, 1] and not influenced.any()
         assert seen.tolist() == [True, False]
 

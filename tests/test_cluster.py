@@ -20,6 +20,7 @@ from cflab.votedata import IMPLICIT_SCALE, VoteDatabase, VoteScale
 
 from conftest import (
     SCALE_0_5,
+    block_votes,
     case_for,
     duplicated_db,
     items_db,
@@ -163,7 +164,7 @@ class TestEmFit:
         rng = np.random.default_rng(1003)
         db = two_block_db(rng)
         model, _ = em_fit(db, 2, seed=3)
-        posts = np.array([model.posterior(db.votes[u]) for u in db.users])
+        posts = model.posteriors(*block_votes(model, [db.votes[u] for u in db.users]))
         assert (posts.max(axis=1) >= 0.99).all()
         # the two blocks land in opposite classes
         first, second = posts[: len(db.users) // 2], posts[len(db.users) // 2:]
@@ -223,7 +224,8 @@ class TestPosterior:
     def test_single_class(self):
         db = random_implicit_db(np.random.default_rng(1), n_users=6, n_items=4)
         model, _ = em_fit(db, 1)
-        assert model.posterior({db.items[0]: 1.0}) == pytest.approx([1.0])
+        post = model.posteriors(*block_votes(model, [{db.items[0]: 1.0}]))[0]
+        assert post == pytest.approx([1.0])
 
     def test_symmetric_evidence_is_uninformative(self):
         # the classes mirror each other, so voting on both items is a wash
@@ -232,18 +234,19 @@ class TestPosterior:
             [[0.7, 0.3], [0.3, 0.7]],
         ])
         model = ClusterModel(IMPLICIT_SCALE, ("p", "q"), np.array([0.5, 0.5]), cond)
-        assert model.posterior({"p": 1.0, "q": 1.0}) == pytest.approx([0.5, 0.5])
+        assert model.posteriors(*block_votes(model, [{"p": 1.0, "q": 1.0}]))[0] == pytest.approx(
+            [0.5, 0.5])
 
     def test_hand_bayes_rule(self):
         model = hand_model_two_classes()
-        assert model.posterior({"x": 1.0}) == pytest.approx([0.9, 0.1], abs=1e-12)
+        assert model.posteriors(*block_votes(model, [{"x": 1.0}]))[0] == pytest.approx(
+            [0.9, 0.1], abs=1e-12)
 
     def test_posterior_sums_to_one(self):
         rng = np.random.default_rng(5)
         db = random_implicit_db(rng, n_users=20, n_items=6)
         model, _ = em_fit(db, 4, seed=2)
-        for u in db.users[:5]:
-            post = model.posterior(db.votes[u])
+        for post in model.posteriors(*block_votes(model, [db.votes[u] for u in db.users[:5]])):
             assert post.sum() == pytest.approx(1.0, abs=1e-10)
             assert (post > 0).all()
 
@@ -282,7 +285,8 @@ class TestClusterPredict:
         cond = np.stack([np.stack([e_c1, t_c1]), np.stack([e_c2, t_c2])])
         model = ClusterModel(scale, ("e", "t"), np.array([0.5, 0.5]), cond)
         case = case_for("u", {"e": 0.0})
-        assert model.posterior(case.observed) == pytest.approx([0.9, 0.1], abs=1e-6)
+        assert model.posteriors(*block_votes(model, [case.observed]))[0] == pytest.approx(
+            [0.9, 0.1], abs=1e-6)
         assert bc_for(model).predict(case, "t") == pytest.approx(1.4, abs=1e-6)
 
     def test_expected_vote_within_scale(self):
@@ -417,6 +421,16 @@ class TestSerialization:
             ClusterModel(IMPLICIT_SCALE, ("x",), np.array([1.0]),
                          np.array([[[1.0, 0.0]]]))
 
+    @pytest.mark.parametrize("where", ["class_prior", "cond"])
+    def test_nan_probability_rejected(self, where):
+        doc = hand_model_two_classes().to_json()
+        if where == "class_prior":
+            doc["class_prior"] = [0.5, math.nan]
+        else:
+            doc["cond"][1][0] = [math.nan, 1.0]
+        with pytest.raises(ValueError, match="positive"):
+            ClusterModel.from_json(json.loads(json.dumps(doc)))
+
 
 class TestInitDraw:
     @settings(max_examples=100, deadline=None)
@@ -460,13 +474,13 @@ class TestLogPosteriorCache:
         cond = rng.dirichlet(np.ones(scale.num_states), size=(classes, n_items))
         prior = rng.dirichlet(np.ones(classes))
         model = ClusterModel(scale, items, prior, cond)
-        for _ in range(5):
-            observed = random_case(rng, db, max_observed=5).observed  # some outside the model
-            want = log_posterior_loop(model, observed).tobytes()
-            got = model.log_posterior(observed)
-            assert got.tobytes() == want
-            got += 1.0  # the caller's own array, not the cached one
-            assert model.log_posterior(observed).tobytes() == want
+        # some votes outside the model; one block of cases, each its own row
+        observed = [random_case(rng, db, max_observed=5).observed for _ in range(5)]
+        want = np.array([log_posterior_loop(model, obs) for obs in observed]).tobytes()
+        got = model.log_posteriors(*block_votes(model, observed))
+        assert got.tobytes() == want
+        got += 1.0  # the caller's own array, not the cached one
+        assert model.log_posteriors(*block_votes(model, observed)).tobytes() == want
 
 
 def model_file(model):

@@ -231,6 +231,20 @@ class TestConfigValidation:
         assert run_cli("run", bad) == 2
         assert "algorithms[4].config: a fixed classes count" in capsys.readouterr().err
 
+    def test_vsim_default_voting_on_explicit_scale_is_named_before_loading(
+            self, workdir, capsys, monkeypatch):
+        # under vector similarity default voting completes implicit votes only
+        doc = json.loads((workdir / "fixture_config_deviation.json").read_text())
+        doc["algorithms"].append({"name": "VSIM", "kind": "memory", "config": {
+            "weight": "vector_similarity", "default_voting": {}}})
+        bad = workdir / "bad.json"
+        bad.write_text(json.dumps(doc))
+        monkeypatch.setattr(harness, "load_datasets", None)  # fails if data loads
+        assert run_cli("run", bad) == 2
+        assert "algorithms[3].config: default voting with vector similarity" in \
+            capsys.readouterr().err
+        assert run_cli("train", bad) == 2
+
     def test_benchmark_configs_load(self, tmp_path, monkeypatch):
         monkeypatch.syspath_prepend(str(FIXDIR.parent))
         from cfbench.workloads import WORKLOADS
@@ -503,6 +517,27 @@ class TestRun:
         model, again = harness.train_model(train, spec, config.seed, cache)
         assert again == path and path.read_bytes() == good  # retrained and replaced
         assert np.isfinite(model.score[model.var < 0]).all()
+        assert sum("retraining" in r.getMessage() for r in caplog.records) == 1
+
+    @pytest.mark.parametrize("where", ["class_prior", "cond"])
+    def test_nan_cluster_model_is_retrained(self, workdir, caplog, where):
+        # NaN passes the sum checks; the positivity check must catch it
+        config = harness.load_config(workdir / "fixture_config.json")
+        train, _ = harness.load_datasets(config.dataset)
+        spec = next(s for s in config.algorithms if s.kind == "cluster")
+        cache = workdir / "cache"
+        _, path = harness.train_model(train, spec, config.seed, cache)
+        good = path.read_bytes()
+        doc = json.loads(good)
+        if where == "class_prior":
+            doc["class_prior"][-1] = math.nan
+        else:
+            doc["cond"][0][0][-1] = math.nan
+        path.write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")  # loads as NaN
+        caplog.clear()
+        model, again = harness.train_model(train, spec, config.seed, cache)
+        assert again == path and path.read_bytes() == good  # retrained and replaced
+        assert np.isfinite(model.class_prior).all() and np.isfinite(model.cond).all()
         assert sum("retraining" in r.getMessage() for r in caplog.records) == 1
 
     def test_cache_key_names_the_model_format(self, workdir, monkeypatch):
