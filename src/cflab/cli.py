@@ -64,12 +64,16 @@ def _cmd_ingest(args) -> int:
     if args.format == "msweb":
         db = load_msweb(args.path)
     else:
-        scale = VoteScale(
-            min_vote=args.min_vote,
-            max_vote=args.max_vote,
-            neutral=args.neutral if args.neutral is not None else args.min_vote,
-            implicit=args.implicit,
-        )
+        try:
+            scale = VoteScale(
+                min_vote=args.min_vote,
+                max_vote=args.max_vote,
+                neutral=args.neutral if args.neutral is not None else args.min_vote,
+                implicit=args.implicit,
+            )
+        except VoteDataError as exc:  # the flags, not the data, are at fault
+            print(f"usage error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         db = load_votes_csv(args.path, scale)
     save_votes_csv(db, args.out)
     print(f"{len(db.users)} users, {len(db.items)} items, {db.num_votes} votes -> {args.out}")

@@ -111,155 +111,194 @@ class ExperimentConfig:
     output_dir: Path
 
 
-def _require(obj: dict, key: str, where: str):
-    if key not in obj:
-        raise ConfigError(f"{where}.{key}: missing required key")
-    return obj[key]
+# --- config rules ------------------------------------------------------------
+
+_REQUIRED = object()  # the default of a key that a config must give
 
 
-def _check_keys(obj: dict, allowed: tuple[str, ...], where: str) -> None:
-    """Reject a key that nothing reads: a misspelt key would silently leave
-    its setting at the default."""
+def _walk(obj: dict, table: dict, where: str) -> dict:
+    """`table` maps each key to (default, rule): each key's value in `obj`,
+    or its default if left out, checked by its rule. A key whose default is
+    None may also be given as null, which leaves it unset. A key that nothing
+    reads is an error, so that a misspelt key cannot silently leave its
+    setting at the default. The top level's `where` is empty."""
     if not isinstance(obj, dict):
-        raise ConfigError(f"{where}: must be a JSON object")
+        raise ConfigError(f"{where or 'config'}: must be a JSON object, not {obj!r}")
     for key in obj:
-        if key not in allowed:
-            raise ConfigError(f"{where}: unknown key {key!r}")
+        if key not in table:
+            raise ConfigError(f"{where or 'config'}: unknown key {key!r}")
+    out = {}
+    for key, (default, rule) in table.items():
+        value, path = obj.get(key, default), f"{where}.{key}".lstrip(".")
+        if value is _REQUIRED:
+            raise ConfigError(f"{path}: missing required key")
+        out[key] = None if value is None and default is None else rule(value, path)
+    return out
 
 
-def _number(value, typ: type, where: str, high: float = math.inf, low: int = 0):
-    """`value` as `typ` if it is a JSON number of that type (never a bool)
-    strictly between `low` and `high`, else a ConfigError naming `where`."""
-    if isinstance(value, bool) or not isinstance(value, (int, typ)) or not low < value < high:
-        wanted = f"an integer >= {low + 1}" if typ is int else f"a number in ({low}, {high})"
-        raise ConfigError(f"{where}: must be {wanted}, not {value!r}")
-    return typ(value)
+def _rule(wanted: str, ok, convert=lambda value, where: value):
+    """A rule takes a value and its key path, and returns `convert(value,
+    path)` if `ok(value)`, else raises a ConfigError naming the path."""
+    def rule(value, where: str):
+        if not ok(value):
+            raise ConfigError(f"{where}: must be {wanted}, not {value!r}")
+        return convert(value, where)
+    return rule
+
+
+def _number(typ: type, high: float = math.inf, low: int = 0):
+    """A JSON number of `typ` (never a bool) strictly between `low` and
+    `high`; NaN and infinity lie in no such range."""
+    if typ is int:
+        wanted = "an integer" + (f" >= {low + 1}" if low > -math.inf else "")
+    else:
+        wanted = f"a number in ({low}, {high})" if low > -math.inf else "a finite number"
+    return _rule(wanted, lambda value: not isinstance(value, bool)
+                 and isinstance(value, (int, typ)) and low < value < high,
+                 lambda value, where: typ(value))
+
+
+def _choice(*options: str):
+    """One of the strings `options`."""
+    return _rule("one of " + ", ".join(map(repr, options)), lambda value: value in options)
+
+
+def _list(item):
+    """A non-empty JSON list, each entry checked by the rule `item`."""
+    return _rule("a non-empty list", lambda value: isinstance(value, list) and value != [],
+                 lambda value, where: [item(v, f"{where}[{i}]") for i, v in enumerate(value)])
+
+
+def _table(table: dict):
+    """A JSON object, walked by `table`."""
+    return lambda value, where: _walk(value, table, where)
+
+
+BOOLEAN = _rule("true or false", lambda value: isinstance(value, bool))
+STRING = _rule("a string", lambda value: isinstance(value, str))
+INTEGER = _number(int, low=-math.inf)
+COUNT = _number(int)  # >= 1
+NATURAL = _number(int, low=-1)  # >= 0
+FINITE = _number(float, low=-math.inf)
+POSITIVE = _number(float)
+FRACTION = _number(float, 1)
+
+
+def _protocol(value, where: str) -> Protocol:
+    """A protocol: a name such as "given5", or {"given": n}."""
+    if isinstance(value, dict):
+        return Protocol.given(_walk(value, {"given": (_REQUIRED, COUNT)}, where)["given"])
+    text = STRING(value, where)
+    try:
+        return Protocol.parse(text)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+# The config keys that algorithm_config reads for each kind of algorithm; a
+# cluster config's `classes` fixes the class count in place of the sweep.
+ALGORITHM_PARAMS = {
+    POPULARITY: {},
+    MEMORY: {
+        "weight": (memory.CORRELATION, _choice(memory.CORRELATION, memory.VECTOR_SIMILARITY)),
+        "iuf": (False, BOOLEAN),
+        "default_voting": (None, _table({"d": (None, FINITE), "k": (10000, NATURAL)})),
+        "case_amp": (None, _table({"p": (_REQUIRED, POSITIVE)})),
+    },
+    CLUSTER: {"classes": (None, COUNT), "max_classes": (25, COUNT), "restarts": (3, COUNT),
+              "prior_strength": (1.0, POSITIVE), "max_iter": (200, COUNT)},
+    BAYESNET: {"structure_penalty": (0.1, FRACTION), "ess": (10.0, POSITIVE)},
+}
+
+CONFIG_KEYS = {
+    "dataset": (_REQUIRED, _table({  # the fields of DatasetSpec
+        "format": (_REQUIRED, _choice("msweb", "csv")),
+        "train": (_REQUIRED, STRING),
+        "test": (None, STRING),
+        "scale": (None, _table({"min_vote": (0, INTEGER), "max_vote": (1, INTEGER),
+                                "neutral": (0.0, FINITE), "implicit": (False, BOOLEAN)})),
+        "test_fraction": (None, FRACTION),
+        "split_seed": (0, NATURAL),
+        "min_votes": (2, COUNT),
+        "train_users": (None, COUNT),
+    })),
+    "protocols": (_REQUIRED, _list(_protocol)),
+    # algorithm_config checks an algorithm's config once its kind is known
+    "algorithms": (_REQUIRED, _list(_table({
+        "name": (_REQUIRED, STRING), "kind": (_REQUIRED, _choice(*ALGORITHM_KINDS)),
+        "config": ({}, _rule("a JSON object", lambda value: isinstance(value, dict)))}))),
+    "metrics": ([RANKED], _list(_choice(*METRICS))),
+    # a null neutral is the scale's neutral vote
+    "ranked": ({}, _table({"half_life": (5.0, _number(float, low=1)), "neutral": (None, FINITE)})),
+    "confidence": (0.90, FRACTION),
+    "seed": (0, NATURAL),
+    "output_dir": ("out", STRING),
+}
+
+
+def algorithm_config(spec: AlgorithmSpec, where: str | None = None):
+    """The checked config of `spec`: a MemoryConfig for a memory algorithm,
+    else its ALGORITHM_PARAMS with defaults filled in. A bad key or value is
+    a ConfigError naming `where` (by default `<name>.config`) and the key."""
+    where = where or f"{spec.name}.config"
+    params = _walk(spec.params, ALGORITHM_PARAMS[spec.kind], where)
+    if "classes" in spec.params and ("max_classes" in spec.params or "restarts" in spec.params):
+        raise ConfigError(f"{where}: a fixed classes count takes no max_classes or restarts")
+    if spec.kind != MEMORY:
+        return params
+    dv, amp = params["default_voting"], params["case_amp"]
+    return memory.MemoryConfig(params["weight"], None if dv is None else memory.DefaultVoting(**dv),
+                               params["iuf"], None if amp is None else amp["p"])
 
 
 def parse_config(doc: dict, base_dir: Path) -> ExperimentConfig:
-    _check_keys(doc, ("dataset", "protocols", "algorithms", "metrics", "ranked",
-                      "confidence", "seed", "output_dir"), "config")
+    top = _walk(doc, CONFIG_KEYS, "")
+    ds = top["dataset"]
+    if (ds["format"] == "csv") != (ds["scale"] is not None):
+        raise ConfigError("dataset.scale: csv datasets need one; msweb data is implicit "
+                          "and takes none")
+    try:
+        scale = IMPLICIT_SCALE if ds["scale"] is None else VoteScale(**ds["scale"])
+    except VoteDataError as exc:
+        raise ConfigError(f"dataset.scale: {exc}") from None
+    if (ds["test"] is None) == (ds["test_fraction"] is None):
+        raise ConfigError("dataset.test_fraction: a dataset takes a test file or a "
+                          "test_fraction split, exactly one")
+    for key in ("train", "test"):
+        if ds[key] is not None:
+            ds[key] = base_dir / ds[key]
+            if not ds[key].exists():
+                raise ConfigError(f"dataset.{key}: file not found: {ds[key]}")
 
-    ds = _require(doc, "dataset", "config")
-    _check_keys(ds, ("format", "train", "test", "scale", "test_fraction",
-                     "split_seed", "min_votes", "train_users"), "dataset")
-    fmt = _require(ds, "format", "dataset")
-    if fmt not in ("msweb", "csv"):
-        raise ConfigError(f"dataset.format: unknown format {fmt!r}")
-    train = base_dir / _require(ds, "train", "dataset")
-    if not train.exists():
-        raise ConfigError(f"dataset.train: file not found: {train}")
-    test = ds.get("test")
-    if test is not None:
-        test = base_dir / test
-        if not test.exists():
-            raise ConfigError(f"dataset.test: file not found: {test}")
-    if fmt == "msweb":
-        scale = IMPLICIT_SCALE
-    else:
-        raw_scale = ds.get("scale")
-        if raw_scale is None:
-            raise ConfigError("dataset.scale: required for csv datasets")
-        _check_keys(raw_scale, ("min_vote", "max_vote", "neutral", "implicit"), "dataset.scale")
-        try:
-            scale = VoteScale(
-                min_vote=int(raw_scale.get("min_vote", 0)),
-                max_vote=int(raw_scale.get("max_vote", 1)),
-                neutral=float(raw_scale.get("neutral", 0.0)),
-                implicit=bool(raw_scale.get("implicit", False)),
-            )
-        except (VoteDataError, TypeError, ValueError) as exc:
-            raise ConfigError(f"dataset.scale: {exc}") from None
-    test_fraction, train_users = ds.get("test_fraction"), ds.get("train_users")
-    if test is None and test_fraction is None:
-        raise ConfigError("dataset: need either a test file or a test_fraction split")
-    dataset = DatasetSpec(
-        format=fmt,
-        train=train,
-        test=test,
-        scale=scale,
-        test_fraction=None if test_fraction is None else _number(
-            test_fraction, float, "dataset.test_fraction", 1),
-        split_seed=_number(ds.get("split_seed", 0), int, "dataset.split_seed", low=-1),
-        min_votes=_number(ds.get("min_votes", 2), int, "dataset.min_votes"),
-        train_users=None if train_users is None else _number(
-            train_users, int, "dataset.train_users"),
-    )
-
-    raw_protocols = _require(doc, "protocols", "config")
-    if not raw_protocols:
-        raise ConfigError("protocols: need at least one")
-    protocols = []
-    for i, p in enumerate(raw_protocols):
-        try:
-            protocols.append(Protocol.parse(p) if isinstance(p, str) else Protocol.given(int(p["given"])))
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ConfigError(f"protocols[{i}]: {exc}") from None
-        if protocols[-1] in protocols[:-1]:
-            raise ConfigError(f"protocols[{i}]: duplicate protocol {protocols[-1].label}")
-
-    raw_algorithms = _require(doc, "algorithms", "config")
-    if not raw_algorithms:
-        raise ConfigError("algorithms: need at least one")
-    algorithms = []
-    names = set()
-    for i, a in enumerate(raw_algorithms):
-        _check_keys(a, ("name", "kind", "config"), f"algorithms[{i}]")
-        name = _require(a, "name", f"algorithms[{i}]")
-        kind = _require(a, "kind", f"algorithms[{i}]")
-        if kind not in ALGORITHM_KINDS:
-            raise ConfigError(f"algorithms[{i}].kind: unknown kind {kind!r}")
-        if name in names:
-            raise ConfigError(f"algorithms[{i}].name: duplicate name {name!r}")
-        names.add(name)
-        params = a.get("config", {})
-        if kind == MEMORY:
-            try:
-                memory._resolve_default(scale, memory.MemoryConfig.from_json(params))
-            except (ValueError, KeyError, TypeError) as exc:
-                raise ConfigError(f"algorithms[{i}].config: {exc}") from None
-        else:
-            _model_params(kind, params, f"algorithms[{i}].config")
-        algorithms.append(AlgorithmSpec(name=name, kind=kind, params=params))
-
-    metrics = doc.get("metrics", [RANKED])
-    if not isinstance(metrics, list) or not metrics:
-        raise ConfigError(f"metrics: must be a non-empty list, not {metrics!r}")
+    protocols, metrics = top["protocols"], top["metrics"]
+    for i, p in enumerate(protocols):
+        if p in protocols[:i]:
+            raise ConfigError(f"protocols[{i}]: duplicate protocol {p.label}")
     for i, m in enumerate(metrics):
-        if m not in METRICS:
-            raise ConfigError(f"metrics: unknown metric {m!r}")
         if m in metrics[:i]:
             raise ConfigError(f"metrics: duplicate metric {m!r}")
-    for spec in algorithms:
-        if DEVIATION in metrics and spec.kind == POPULARITY:
-            raise ConfigError(
-                f"metrics: {spec.name} cannot predict vote values; drop it or "
-                "drop the deviation metric"
-            )
+    algorithms = [AlgorithmSpec(a["name"], a["kind"], a["config"]) for a in top["algorithms"]]
+    for i, spec in enumerate(algorithms):
+        if spec.name in [a.name for a in algorithms[:i]]:
+            raise ConfigError(f"algorithms[{i}].name: duplicate name {spec.name!r}")
+        checked = algorithm_config(spec, f"algorithms[{i}].config")
+        if spec.kind == MEMORY:
+            try:
+                memory._resolve_default(scale, checked)
+            except ValueError as exc:
+                raise ConfigError(f"algorithms[{i}].config: {exc}") from None
+        if spec.kind == POPULARITY and DEVIATION in metrics:
+            raise ConfigError(f"metrics: {spec.name} cannot predict vote values; drop it or "
+                              "drop the deviation metric")
 
-    raw_ranked = doc.get("ranked", {})
-    _check_keys(raw_ranked, ("half_life", "neutral"), "ranked")
-    try:
-        ranked = RankedScoringConfig(
-            half_life=float(raw_ranked.get("half_life", 5.0)),
-            neutral=float(raw_ranked.get("neutral", scale.neutral)),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"ranked: {exc}") from None
-
+    half_life, neutral = top["ranked"]["half_life"], top["ranked"]["neutral"]
     # the only environment override: relocate the artifacts
     out_override = os.environ.get("CFLAB_OUTPUT_DIR")
-    output_dir = Path(out_override) if out_override else base_dir / doc.get("output_dir", "out")
-    return ExperimentConfig(
-        dataset=dataset,
-        protocols=protocols,
-        algorithms=algorithms,
-        metrics=list(metrics),
-        ranked=ranked,
-        confidence=_number(doc.get("confidence", 0.90), float, "confidence", 1),
-        seed=_number(doc.get("seed", 0), int, "seed", low=-1),
-        output_dir=output_dir,
-    )
+    return ExperimentConfig(**{
+        **top, "dataset": DatasetSpec(**{**ds, "scale": scale}), "algorithms": algorithms,
+        "ranked": RankedScoringConfig(half_life, scale.neutral if neutral is None else neutral),
+        "output_dir": Path(out_override) if out_override else base_dir / top["output_dir"],
+    })
 
 
 def load_config(path) -> ExperimentConfig:
@@ -312,37 +351,6 @@ def _model_cache_key(train: VoteDatabase, spec: AlgorithmSpec, seed: int) -> str
     return h.hexdigest()[:24]
 
 
-# The config keys that train_model reads for each kind of trained model, each
-# with its default, its type and the bound its value must stay strictly
-# under (and over 0); popularity reads none, and memory configs check their
-# own keys.
-ALGORITHM_PARAMS = {
-    POPULARITY: {},
-    CLUSTER: {
-        "classes": (None, int, math.inf),  # a fixed class count, in place of the sweep
-        "max_classes": (25, int, math.inf),
-        "restarts": (3, int, math.inf),
-        "prior_strength": (1.0, float, math.inf),
-        "max_iter": (200, int, math.inf),
-    },
-    BAYESNET: {"structure_penalty": (0.1, float, 1), "ess": (10.0, float, math.inf)},
-}
-
-
-def _model_params(kind: str, params: dict, where: str) -> dict:
-    """Every config value of a popularity, cluster or bayesnet algorithm,
-    defaults filled in; an unknown key or a bad value is a ConfigError that
-    names `where` and the key."""
-    allowed = ALGORITHM_PARAMS[kind]
-    _check_keys(params, tuple(allowed), where)
-    if "classes" in params and ("max_classes" in params or "restarts" in params):
-        raise ConfigError(f"{where}: a fixed classes count takes no max_classes or restarts")
-    return {
-        key: _number(params[key], typ, f"{where}.{key}", high) if key in params else default
-        for key, (default, typ, high) in allowed.items()
-    }
-
-
 def train_model(train: VoteDatabase, spec: AlgorithmSpec, seed: int, cache_dir: Path):
     """Train (or load from cache) the model behind a cluster/bayesnet algorithm."""
     key = _model_cache_key(train, spec, seed)
@@ -370,7 +378,7 @@ def train_model(train: VoteDatabase, spec: AlgorithmSpec, seed: int, cache_dir: 
             return model, path
     if spec.kind not in (CLUSTER, BAYESNET):
         raise ValueError(f"algorithm kind {spec.kind!r} has no trained model")
-    params = _model_params(spec.kind, spec.params, f"{spec.name}.config")
+    params = algorithm_config(spec)
     if spec.kind == CLUSTER:
         fit = dict(seed=seed, prior_strength=params["prior_strength"], max_iter=params["max_iter"])
         if params["classes"] is not None:
@@ -403,7 +411,7 @@ def build_predictor(spec: AlgorithmSpec, train: VoteDatabase, seed: int, cache_d
     if spec.kind == POPULARITY:
         return PopularityPredictor(train, name=spec.name)
     if spec.kind == MEMORY:
-        return MemoryPredictor(train, memory.MemoryConfig.from_json(spec.params), name=spec.name)
+        return MemoryPredictor(train, algorithm_config(spec), name=spec.name)
     model, _ = train_model(train, spec, seed, cache_dir)
     if spec.kind == CLUSTER:
         return ClusterPredictor(train, model, name=spec.name)

@@ -10,7 +10,7 @@ and case amplification.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -64,27 +64,6 @@ class MemoryConfig:
             raise ValueError(f"unknown weight kind {self.weight_kind!r}")
         if self.case_amplification is not None and self.case_amplification <= 0:
             raise ValueError("case amplification power must be > 0")
-
-    @classmethod
-    def from_json(cls, obj: Mapping) -> "MemoryConfig":
-        """Parse a config's JSON form; a key that nothing here reads is an error."""
-        dv = obj.get("default_voting")
-        amp = obj.get("case_amp")
-        known = ("weight", "iuf", "default_voting", "default_voting.d", "default_voting.k",
-                 "case_amp", "case_amp.p")
-        for key in [*obj, *(f"default_voting.{k}" for k in dv or {}),
-                    *(f"case_amp.{k}" for k in amp or {})]:
-            if key not in known:
-                raise ValueError(f"unknown key {key!r}")
-        return cls(
-            weight_kind=obj.get("weight", CORRELATION),
-            default_voting=None if dv is None else DefaultVoting(
-                d=None if dv.get("d") is None else float(dv["d"]),
-                k=int(dv.get("k", 10000)),
-            ),
-            inverse_user_frequency=bool(obj.get("iuf", False)),
-            case_amplification=None if amp is None else float(amp["p"]),
-        )
 
 
 def _resolve_default(scale: VoteScale, cfg: MemoryConfig) -> float | None:

@@ -3,7 +3,9 @@ import hashlib
 import itertools
 import json
 import math
+import re
 import shutil
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -13,10 +15,12 @@ import pytest
 from cflab import cli, evaluation, harness, memory
 from cflab.bayesnet import BayesNetModel, LearnConfig, learn_network
 from cflab.cluster import ClusterModel, em_fit
-from cflab.evaluation import run_experiment
+from cflab.evaluation import RankedScoringConfig, run_experiment
+from cflab.memory import DefaultVoting, MemoryConfig
 from cflab.predictors import BayesNetPredictor, ClusterPredictor
 from cflab.votedata import (
     IMPLICIT_SCALE,
+    Protocol,
     VoteDatabase,
     VoteScale,
     generate_active_cases,
@@ -68,6 +72,14 @@ def workdir(tmp_path):
 
 def run_cli(*argv):
     return cli.main([str(a) for a in argv])
+
+
+def set_path(doc, path, value):
+    """Set the value at a config key path such as "algorithms[2].config.iuf"."""
+    *parents, last = [int(k) if k.isdigit() else k for k in re.findall(r"[^.[\]]+", path)]
+    for key in parents:
+        doc = doc[key]
+    doc[last] = value
 
 
 def _reordered_model(doc, kind, edit):
@@ -140,7 +152,7 @@ class TestConfigValidation:
          lambda doc: doc["algorithms"][0].update(config={"k": 1})),
         ("algorithms[2].config: unknown key 'case_amplification'",
          lambda doc: doc["algorithms"][2]["config"].update(case_amplification={"p": 2.5})),
-        ("algorithms[2].config: unknown key 'default_voting.kk'",
+        ("algorithms[2].config.default_voting: unknown key 'kk'",
          lambda doc: doc["algorithms"][2]["config"]["default_voting"].update(kk=5)),
         ("algorithms[4].config: unknown key 'clases'",
          lambda doc: doc["algorithms"][4]["config"].update(clases=3)),
@@ -187,12 +199,31 @@ class TestConfigValidation:
         ("dataset.split_seed", 1.5), ("dataset.split_seed", -1), ("dataset.split_seed", False),
         ("confidence", "high"), ("confidence", 1.5), ("confidence", True), ("confidence", None),
         ("seed", "s"), ("seed", 2.0), ("seed", -3),
+        # memory, scale and ranked values: each was once cast, not checked
+        ("algorithms[2].config.iuf", "false"), ("algorithms[3].config.iuf", 1),
+        ("algorithms[2].config.default_voting.k", 2.7),
+        ("algorithms[2].config.default_voting.k", -1),
+        ("algorithms[2].config.default_voting.d", float("nan")),
+        ("algorithms[2].config.default_voting.d", "0"),
+        ("algorithms[2].config.case_amp.p", float("nan")),
+        ("algorithms[2].config.case_amp.p", "2"), ("algorithms[2].config.case_amp.p", 0),
+        ("algorithms[2].config.weight", "cosine"),
+        ("dataset.scale.max_vote", 5.7), ("dataset.scale.min_vote", "0"),
+        ("dataset.scale.neutral", float("nan")), ("dataset.scale.implicit", "false"),
+        ("ranked.half_life", float("nan")), ("ranked.half_life", "5"), ("ranked.half_life", 1),
+        ("ranked.neutral", float("inf")),
+        ("dataset.format", "xml"),
+        # malformed shapes
+        ("protocols", 5), ("protocols", "allbut1"), ("protocols", []),
+        ("algorithms", {}), ("algorithms[0].name", ["x"]), ("algorithms[0].name", 3),
+        ("algorithms[0].kind", ["memory"]), ("algorithms[1].config", [1]),
+        ("output_dir", 5), ("dataset.train", 5), ("dataset.test", 5), ("dataset", "votes.csv"),
+        ("ranked", [5.0]), ("metrics[0]", "precision"), ("protocols[1]", 2),
     ])
     def test_bad_dataset_or_top_value_is_named_before_loading(self, workdir, capsys, monkeypatch,
                                                               where, value):
         doc = json.loads((workdir / "fixture_config.json").read_text())
-        *parent, key = where.split(".")
-        (doc["dataset"] if parent else doc)[key] = value
+        set_path(doc, where, value)
         bad = workdir / "bad.json"
         bad.write_text(json.dumps(doc))
         monkeypatch.setattr(harness, "load_datasets", None)  # fails if data loads
@@ -208,11 +239,26 @@ class TestConfigValidation:
         ("metrics", [], "metrics: must be a non-empty list"),
         ("metrics", "ranked", "metrics: must be a non-empty list"),
         ("metrics", ["ranked", "ranked"], "metrics: duplicate metric 'ranked'"),
+        # a {"given": n} protocol takes the integer rule
+        ("protocols", ["allbut1", {"given": 2.7}], "protocols[1].given: must be an integer"),
+        ("protocols", ["allbut1", {"given": True}], "protocols[1].given: must be an integer"),
+        ("protocols", ["allbut1", {"given": 0}], "protocols[1].given: must be an integer"),
+        ("protocols", ["allbut1", {"given": 2, "n": 4}], "protocols[1]: unknown key 'n'"),
+        ("protocols", ["allbut1", {}], "protocols[1].given: missing required key"),
+        ("protocols", ["allbut1", "given0"], "protocols[1]: cannot parse protocol 'given0'"),
+        ("algorithms[1].kind", "knn", "algorithms[1].kind: must be one of"),
+        ("algorithms[2].config.case_amp", {}, "algorithms[2].config.case_amp.p: missing"),
+        # keys that nothing reads for this dataset
+        ("dataset.format", "msweb", "dataset.scale: csv datasets need one; msweb data"),
+        ("dataset.test", "fixture_votes.csv", "dataset.test_fraction: a dataset takes"),
+        ("dataset.test_fraction", None, "dataset.test_fraction: a dataset takes"),
+        ("dataset.scale", None, "dataset.scale: csv datasets need one"),
+        ("dataset.scale.min_vote", 6, "dataset.scale: min_vote must not exceed max_vote"),
     ])
     def test_bad_protocols_or_metrics_are_named_before_loading(self, workdir, capsys, monkeypatch,
                                                                key, value, where):
         doc = json.loads((workdir / "fixture_config.json").read_text())
-        doc[key] = value
+        set_path(doc, key, value)
         bad = workdir / "bad.json"
         bad.write_text(json.dumps(doc))
         monkeypatch.setattr(harness, "load_datasets", None)  # fails if data loads
@@ -245,16 +291,109 @@ class TestConfigValidation:
             capsys.readouterr().err
         assert run_cli("train", bad) == 2
 
-    def test_benchmark_configs_load(self, tmp_path, monkeypatch):
-        monkeypatch.syspath_prepend(str(FIXDIR.parent))
-        from cfbench.workloads import WORKLOADS
+    def test_memory_json_form_parses(self):
+        def parse(doc):
+            return harness.algorithm_config(harness.AlgorithmSpec("M", "memory", doc))
 
-        for name, workload in WORKLOADS.items():
-            doc = workload.config_doc()
+        doc = {"weight": "correlation", "iuf": True, "default_voting": {"d": 0.0, "k": 10000},
+               "case_amp": {"p": 2.5}}
+        want = MemoryConfig("correlation", DefaultVoting(d=0.0, k=10000), True, 2.5)
+        assert parse(doc) == want
+        assert parse({}) == MemoryConfig()
+        assert parse({"weight": "vector_similarity", "default_voting": {}}) == \
+            MemoryConfig("vector_similarity", DefaultVoting())
+        # the repo's configs: a null d is left to the scale, and an integer d
+        # is the float default vote
+        fixture = harness.load_config(FIXDIR / "fixture_config.json")
+        assert harness.algorithm_config(fixture.algorithms[2]) == \
+            MemoryConfig("correlation", DefaultVoting(d=None, k=10000), True, 2.5)
+        msweb = json.loads((FIXDIR.parent / "configs" / "msweb.json").read_text())
+        crplus, vsim = (harness.AlgorithmSpec(a["name"], a["kind"], a["config"])
+                        for a in msweb["algorithms"][1:3])
+        assert (crplus.name, vsim.name) == ("CR+", "VSIM")
+        for spec, want in ((crplus, MemoryConfig("correlation", DefaultVoting(0.0, 10000),
+                                                 True, 2.5)),
+                           (vsim, MemoryConfig("vector_similarity", DefaultVoting(0.0, 0), True))):
+            got = harness.algorithm_config(spec)
+            assert got == want
+            assert type(got.default_voting.d) is float and type(got.default_voting.k) is int
+
+    def test_benchmark_configs_load(self, tmp_path, monkeypatch):
+        # every valid config in the repo parses to these pinned values, so a
+        # stricter rule cannot change what a benchmark or fixture run computes
+        monkeypatch.syspath_prepend(str(FIXDIR.parent))
+        from cfbench.workloads import EM_MAX_ITER, WORKLOADS
+
+        csv, a1, given = VoteScale(0, 5, 3.0, False), Protocol.all_but_1(), Protocol.given
+        cr_plus = MemoryConfig("correlation", DefaultVoting(None, 10000), True, 2.5)
+        bn = ("BN", "bayesnet", {"structure_penalty": 0.1, "ess": 10.0})
+
+        def bc(classes=None, max_classes=25, restarts=3, max_iter=200):
+            return ("BC", "cluster", {"classes": classes, "max_classes": max_classes,
+                                      "restarts": restarts, "prior_strength": 1.0,
+                                      "max_iter": max_iter})
+
+        def msweb(train, test, protocols, max_iter):
+            return harness.ExperimentConfig(
+                harness.DatasetSpec("msweb", train, test, IMPLICIT_SCALE, None, 0, 2),
+                protocols, [
+                    ("POP", "popularity", {}),
+                    ("CR+", "memory", MemoryConfig("correlation", DefaultVoting(0.0, 10000),
+                                                   True, 2.5)),
+                    ("VSIM", "memory", MemoryConfig("vector_similarity",
+                                                    DefaultVoting(0.0, 0), True)),
+                    bc(max_classes=12, restarts=2, max_iter=max_iter), bn,
+                ], ["ranked"], RankedScoringConfig(5.0, 0.0), 0.9, 1998, None)
+
+        fixture_dataset = harness.DatasetSpec("csv", "fixture_votes.csv", None, csv, 0.4, 7, 2)
+        all_given = [a1, given(2), given(5), given(10)]
+        want = {
+            "fixture_config.json": harness.ExperimentConfig(
+                fixture_dataset, [a1, given(2)], [
+                    ("POP", "popularity", {}), ("CR", "memory", MemoryConfig("correlation")),
+                    ("CR+", "memory", cr_plus),
+                    ("VSIM", "memory", MemoryConfig("vector_similarity", None, True)),
+                    bc(classes=2), bn,
+                ], ["ranked"], RankedScoringConfig(5.0, 0.0), 0.9, 11, None),
+            "fixture_config_deviation.json": harness.ExperimentConfig(
+                fixture_dataset, [a1], [
+                    ("CR", "memory", MemoryConfig("correlation", None, True)), bc(classes=2), bn,
+                ], ["deviation"], RankedScoringConfig(5.0, 3.0), 0.9, 11, None),
+            "msweb.json": msweb("anonymous-msweb.data", "anonymous-msweb.test", all_given, 200),
+            "msweb-cold": msweb("train.data", "test.data", [a1], EM_MAX_ITER),
+            "msweb-warm": msweb("train.data", "test.data", all_given, EM_MAX_ITER),
+            "explicit-dev": harness.ExperimentConfig(
+                harness.DatasetSpec("csv", "train.csv", "test.csv", csv, None, 0, 2),
+                [a1, given(2)], [
+                    ("CR", "memory", MemoryConfig("correlation")), ("CR+", "memory", cr_plus),
+                    ("VSIM", "memory", MemoryConfig("vector_similarity", None, True)),
+                    bc(max_classes=10, restarts=2, max_iter=EM_MAX_ITER), bn,
+                ], ["ranked", "deviation"], RankedScoringConfig(5.0, 3.0), 0.9, 1998, None),
+        }
+        docs = {name: workload.config_doc() for name, workload in WORKLOADS.items()}
+        for path in (FIXDIR / "fixture_config.json", FIXDIR / "fixture_config_deviation.json",
+                     FIXDIR.parent / "configs" / "msweb.json"):
+            docs[path.name] = json.loads(path.read_text())
+        assert set(docs) == set(want)
+        for name, doc in docs.items():
+            dataset = doc["dataset"]
             for key in ("train", "test"):
-                (tmp_path / doc["dataset"][key]).touch()
+                if key in dataset:
+                    dataset[key] = Path(dataset[key]).name
+                    (tmp_path / dataset[key]).touch()
             config = harness.parse_config(doc, tmp_path)
-            assert [a.name for a in config.algorithms] == [a["name"] for a in doc["algorithms"]]
+            # params stay the raw JSON, which model cache keys hash
+            assert [a.params for a in config.algorithms] == \
+                [a.get("config", {}) for a in doc["algorithms"]]
+            got = replace(
+                config,
+                dataset=replace(config.dataset, train=config.dataset.train.name,
+                                test=config.dataset.test and config.dataset.test.name),
+                algorithms=[(a.name, a.kind, harness.algorithm_config(a))
+                            for a in config.algorithms],
+                output_dir=None,
+            )
+            assert repr(got) == repr(want[name]), name  # repr tells 0 from 0.0
 
     def test_invalid_json_config(self, workdir):
         bad = workdir / "bad.json"
@@ -662,6 +801,17 @@ class TestIngest:
         data = tmp_path / "web.data"
         data.write_text("V,1000,1\n")
         assert run_cli("ingest", "msweb", data, "--out", tmp_path / "x.csv") == 3
+
+    @pytest.mark.parametrize("flags", [
+        ["--implicit", "--max-vote", "5"], ["--min-vote", "5", "--max-vote", "1"],
+        ["--max-vote", "5", "--neutral", "6"], ["--max-vote", "5", "--neutral", "nan"],
+    ])
+    def test_bad_scale_flags_are_a_usage_error(self, tmp_path, capsys, monkeypatch, flags):
+        monkeypatch.setattr(cli, "load_votes_csv", None)  # fails if data loads
+        out = tmp_path / "x.csv"
+        assert run_cli("ingest", "csv", tmp_path / "votes.csv", "--out", out, *flags) == 2
+        assert "usage error: " in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTrainCommand:

@@ -571,15 +571,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             MemoryConfig(case_amplification=0.0)
 
-    def test_json_form_parses(self):
-        doc = {"weight": "correlation", "iuf": True, "default_voting": {"d": 0.0, "k": 10000},
-               "case_amp": {"p": 2.5}}
-        want = MemoryConfig("correlation", DefaultVoting(d=0.0, k=10000), True, 2.5)
-        assert MemoryConfig.from_json(doc) == want
-        assert MemoryConfig.from_json({}) == MemoryConfig()
-        assert MemoryConfig.from_json({"weight": "vector_similarity", "default_voting": {}}) == \
-            MemoryConfig("vector_similarity", DefaultVoting())
-
 
 class TestRankingRule:
     @settings(max_examples=60, deadline=None)
