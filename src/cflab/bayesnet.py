@@ -10,8 +10,7 @@ structure penalty.
 
 A model holds all its trees in one set of flat node arrays
 (`BayesNetModel`): the search grows them, scoring routes whole cases
-through them, and the model file nests them back into one JSON tree per
-item.
+through them, and the model file holds them as they are.
 
 Each live leaf keeps a table of pair counts, [a, b, s] = its users with item
 s in state a and the target in state b, so that score sums run over
@@ -65,26 +64,53 @@ class LearnConfig:
 class BayesNetModel:
     """A network of per-item decision trees, held as flat node arrays.
 
-    Node j < len(items) is item j's root, and every other node comes after
-    its parent. Split node n tests item position `var[n]`, and its child for
-    state a is node `first[n] + a`. A leaf has `var` -1 and `first` itself,
-    so routing past it stays put. Each node has a row of target `counts`,
-    pseudo-counts `alpha` and a creation `order` within its tree; they are
-    read at leaves only. `tree` is each node's item position, and per leaf
-    `score` is its ranking score and `expected` its expected vote (NaN at
-    splits), each computed once here.
+    Node j < len(items) is item j's root, and every other node is the child
+    of one split, after it. Split node n tests item position `var[n]`, and
+    its child for state a is node `first[n] + a`. A leaf has `var` -1 and
+    `first` itself, so routing past it stays put, and a row of target
+    `counts`, pseudo-counts `alpha` and a creation `order` in its tree. Any
+    other arrays raise ValueError. The model numbers the nodes breadth first
+    and keeps zero rows and order -1 at splits, so that its arrays do not
+    depend on the order they were grown in. `tree` is each node's item
+    position, and per leaf `score` is its ranking score and `expected` its
+    expected vote (NaN at splits), each computed once here.
     """
+
+    ARRAYS = ("var", "first", "counts", "alpha", "order")  # in the constructor's order
 
     def __init__(self, scale: VoteScale, items, var, first, counts, alpha, order) -> None:
         self.scale = scale
         self.items = tuple(items)
-        self.var = np.asarray(var, dtype=np.intp)
-        self.first = np.asarray(first, dtype=np.intp)
         r, t = scale.num_states, len(self.items)
-        self.counts = np.asarray(counts, dtype=float).reshape(len(self.var), r)
-        self.alpha = np.asarray(alpha, dtype=float).reshape(len(self.var), r)
-        self.order = np.asarray(order, dtype=np.intp)
-        leaves = self.var < 0
+        var, first = np.asarray(var, dtype=np.intp), np.asarray(first, dtype=np.intp)
+        counts, alpha = np.asarray(counts, dtype=float), np.asarray(alpha, dtype=float)
+        order = np.asarray(order, dtype=np.intp)
+        nodes = np.arange(var.size)
+        if not (var.shape == first.shape == order.shape == nodes.shape
+                and counts.shape == alpha.shape == (var.size, r) and var.size >= t):
+            raise ValueError(f"a model needs a root per item, and per node one entry "
+                             f"of each array and {r} counts and pseudo-counts")
+        splits = var >= 0
+        kids = (first[splits, None] + np.arange(r)).ravel()
+        if not ((var >= -1).all() and (var < t).all()
+                and (first[~splits] == nodes[~splits]).all()
+                and (first[splits] > nodes[splits]).all() and (kids < var.size).all()
+                and np.array_equal(np.bincount(kids, minlength=var.size), nodes >= t)):
+            raise ValueError("a node must be a leaf or a split on a model item, and "
+                             "every node but the roots the child of one split, after it")
+        # the trees a level at a time, from the roots down: every node once
+        old, tree = [np.arange(t)], [np.arange(t)]
+        while len(old[-1]):
+            split = splits[old[-1]]
+            old.append((first[old[-1][split], None] + np.arange(r)).ravel())
+            tree.append(np.repeat(tree[-1][split], r))
+        self.depth = max(len(old) - 2, 0)
+        old, self.tree = np.concatenate(old), np.concatenate(tree)
+        leaves = ~splits[old]
+        self.var, self.first = var[old], np.argsort(old)[first[old]]
+        self.counts = np.where(leaves[:, None], counts[old], 0.0)
+        self.alpha = np.where(leaves[:, None], alpha[old], 0.0)
+        self.order = np.where(leaves, order[old], -1)
         counts, alpha = self.counts[leaves], self.alpha[leaves]
         total = counts + alpha
         if not ((counts >= 0).all() and (alpha > 0).all() and np.isfinite(total).all()):
@@ -94,15 +120,6 @@ class BayesNetModel:
         self.expected = np.full(len(self.var), math.nan)
         self.score[leaves] = scale.rank_score(dist)
         self.expected[leaves] = scale.expected_vote(dist)
-        # the trees a level at a time, from the roots' splits down
-        self.tree = np.arange(len(self.var))
-        self.depth = 0
-        level = np.flatnonzero(~leaves[:t])
-        while len(level):
-            kids = (self.first[level, None] + np.arange(r)).ravel()
-            self.tree[kids] = np.repeat(self.tree[level], r)
-            self.depth += 1
-            level = kids[~leaves[kids]]
         # the parent graph's edges (parent, child), each once, by parent: an
         # item is ordered once all its parents are, and a cycle never is
         edges = np.unique(self.var[~leaves] * t + self.tree[~leaves])
@@ -159,65 +176,19 @@ class BayesNetModel:
         }
 
     def to_json(self) -> dict:
-        """Each tree nested from its root, children in state order."""
-        r = self.scale.num_states
-
-        def node(n: int) -> dict:
-            if self.var[n] < 0:
-                return {
-                    "counts": self.counts[n].tolist(),
-                    "alpha": self.alpha[n].tolist(),
-                    "order": int(self.order[n]),
-                }
-            # split items are stored as values, so their type survives JSON
-            return {
-                "split": self.items[self.var[n]],
-                "children": [node(c) for c in range(self.first[n], self.first[n] + r)],
-            }
-
-        return {
-            "version": 1,
-            "kind": "bayesnet_model",
-            "scale": self.scale.to_json(),
-            "items": list(self.items),
-            "trees": {str(j): node(j) for j in range(len(self.items))},
-        }
+        """The model file: the scale, the items and the node arrays."""
+        return {"version": 2, "kind": "bayesnet_model", "scale": self.scale.to_json(),
+                "items": list(self.items),
+                **{key: getattr(self, key).tolist() for key in self.ARRAYS}}
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "BayesNetModel":
-        """The nested trees numbered breadth first. A split must have one child
-        per state and name a model item, and a leaf one count and one
-        pseudo-count per state; anything else raises ValueError."""
-        scale = VoteScale.from_json(obj["scale"])
-        items = tuple(obj["items"])
-        pos = {it: j for j, it in enumerate(items)}
-        r = scale.num_states
-        nodes = [obj["trees"][str(j)] for j in range(len(items))]
-        var, first, order = [], [], []
-        leaf_nodes, leaf_counts, leaf_alpha = [], [], []
-        for n, node in enumerate(nodes):  # reaches the children appended below
-            if "split" in node:
-                if node["split"] not in pos or len(node["children"]) != r:
-                    raise ValueError(f"a split needs a model item and {r} children")
-                var.append(pos[node["split"]])
-                first.append(len(nodes))
-                nodes.extend(node["children"])
-                order.append(-1)
-            else:
-                var.append(-1)
-                first.append(n)
-                order.append(int(node["order"]))
-                leaf_nodes.append(n)
-                leaf_counts.append(node["counts"])
-                leaf_alpha.append(node["alpha"])
-        # every leaf's row converted at once; splits keep zero rows
-        counts, alpha = np.zeros((len(var), r)), np.zeros((len(var), r))
-        for rows, values in ((counts, leaf_counts), (alpha, leaf_alpha)):
-            values = np.array(values, dtype=float)
-            if values.shape != (len(leaf_nodes), r):
-                raise ValueError(f"a leaf needs {r} counts and {r} pseudo-counts")
-            rows[leaf_nodes] = values
-        return cls(scale, items, var, first, counts, alpha, order)
+        """The model of a file that `to_json` wrote; the constructor checks
+        its arrays, and a file of another version raises ValueError."""
+        if obj["version"] != 2:
+            raise ValueError(f"a BN model file of version {obj['version']!r}, not 2")
+        return cls(VoteScale.from_json(obj["scale"]), obj["items"],
+                   *(obj[key] for key in cls.ARRAYS))
 
 
 # --- learning ---------------------------------------------------------------

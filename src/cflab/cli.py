@@ -62,15 +62,15 @@ def _cmd_report(args) -> int:
 
 def _cmd_ingest(args) -> int:
     if args.format == "msweb":
+        if (args.min_vote, args.max_vote, args.neutral, args.implicit) != (None,) * 4:
+            print("usage error: msweb data is implicit and takes no scale flags", file=sys.stderr)
+            return EXIT_USAGE
         db = load_msweb(args.path)
     else:
+        low = 0 if args.min_vote is None else args.min_vote
         try:
-            scale = VoteScale(
-                min_vote=args.min_vote,
-                max_vote=args.max_vote,
-                neutral=args.neutral if args.neutral is not None else args.min_vote,
-                implicit=args.implicit,
-            )
+            scale = VoteScale(low, 1 if args.max_vote is None else args.max_vote,
+                              low if args.neutral is None else args.neutral, bool(args.implicit))
         except VoteDataError as exc:  # the flags, not the data, are at fault
             print(f"usage error: {exc}", file=sys.stderr)
             return EXIT_USAGE
@@ -110,10 +110,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_ing.add_argument("format", choices=("msweb", "csv"))
     p_ing.add_argument("path", type=Path)
     p_ing.add_argument("--out", type=Path, required=True)
-    p_ing.add_argument("--min-vote", dest="min_vote", type=int, default=0)
-    p_ing.add_argument("--max-vote", dest="max_vote", type=int, default=1)
+    # scale flags, for csv only; unset, a csv scale is 0..1 with neutral min-vote
+    p_ing.add_argument("--min-vote", dest="min_vote", type=int, default=None)
+    p_ing.add_argument("--max-vote", dest="max_vote", type=int, default=None)
     p_ing.add_argument("--neutral", type=float, default=None)
-    p_ing.add_argument("--implicit", action="store_true")
+    p_ing.add_argument("--implicit", action="store_true", default=None)
     p_ing.set_defaults(fn=_cmd_ingest)
 
     p_tr = sub.add_parser("train", help="train and cache the models a config needs")

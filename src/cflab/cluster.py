@@ -184,7 +184,7 @@ def _state_counts(totals: np.ndarray, vote_counts: np.ndarray, t: int) -> np.nda
 def _counts(XT: sp.csc_matrix, gamma: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
     """Expected class totals and (classes, items, states) state counts.
 
-    `XT` is the database's transposed encoding `vote_states_T`.
+    `XT` is the database's encoding `vote_states` transposed.
     """
     totals = gamma.sum(axis=0)
     return totals, _state_counts(totals[None], np.asarray(XT @ gamma), t)[0]
@@ -247,7 +247,7 @@ def _init_params(
     call per (class, item) row.
     """
     n, t = len(db.users), len(db.items)
-    totals, counts = _counts(db.index.vote_states_T, np.ones((n, 1)), t)
+    totals, counts = _counts(db.index.vote_states.T, np.ones((n, 1)), t)
     _, marginal = map_estimates(totals, counts, prior_strength, n_users=n)
     alpha = np.maximum(NOISE_SCALE * marginal[0], 1e-6)  # (items, states)
     cond = np.maximum(_dirichlet_rows(rng, np.broadcast_to(alpha, (c,) + alpha.shape)), 1e-12)
@@ -284,7 +284,7 @@ def _fit_restarts(
             num_classes, len(db.users),
         )
     X, inverse = db.index.vote_patterns
-    XT = db.index.vote_states_T
+    XT = db.index.vote_states.T
     n, t, c = len(db.users), len(db.items), num_classes
 
     starts = [_init_params(db, c, np.random.default_rng(seed), prior_strength) for seed in seeds]
@@ -386,7 +386,7 @@ def cheeseman_stutz_score(
     L, norm = _log_joint(X, log_prior[None], logc[None])
     observed_ll = float(np.take(norm[:, 0], inverse).sum())
     gamma = np.take(np.exp(L[:, 0] - norm), inverse, axis=0)
-    totals, counts = _counts(db.index.vote_states_T, gamma, len(db.items))
+    totals, counts = _counts(db.index.vote_states.T, gamma, len(db.items))
 
     complete_marginal = float(
         _dirichlet_marginal(totals[None, :], prior_strength / c)[0]

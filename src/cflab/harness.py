@@ -292,6 +292,9 @@ def parse_config(doc: dict, base_dir: Path) -> ExperimentConfig:
                               "drop the deviation metric")
 
     half_life, neutral = top["ranked"]["half_life"], top["ranked"]["neutral"]
+    if neutral is not None and not scale.contains(neutral):
+        raise ConfigError(f"ranked.neutral: must lie within the vote scale "
+                          f"[{scale.min_vote}, {scale.max_vote}], not {neutral!r}")
     # the only environment override: relocate the artifacts
     out_override = os.environ.get("CFLAB_OUTPUT_DIR")
     return ExperimentConfig(**{

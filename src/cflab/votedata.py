@@ -215,13 +215,6 @@ class _Index:
         )
 
     @cached_property
-    def vote_states_T(self) -> sp.csc_matrix:
-        """`vote_states` transposed, (item, vote state) x users: a view that
-        shares the encoding's arrays, kept so that EM does not rebuild it on
-        every iteration."""
-        return self.vote_states.T
-
-    @cached_property
     def vote_patterns(self) -> tuple[sp.csr_matrix, np.ndarray]:
         """The distinct rows of `vote_states` in first-seen order, and each
         user's position among them. Rows are equal when they list the same

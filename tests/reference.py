@@ -6,6 +6,7 @@ the library (centered means instead of expanded sums, explicit enumeration
 instead of closed forms), so agreement is meaningful.
 """
 
+import collections
 import heapq
 import itertools
 import math
@@ -393,9 +394,53 @@ class EvidenceError(ValueError):
 
 
 def model_trees(model):
-    """Each item's tree as nested JSON, read from the model file form."""
-    trees = model.to_json()["trees"]
-    return {it: trees[str(j)] for j, it in enumerate(model.items)}
+    """Each item's tree as nested JSON, built from the model's node arrays: a
+    split names its item and lists its children in state order, and a leaf
+    holds its counts, pseudo-counts and creation order."""
+    r = model.scale.num_states
+
+    def node(n):
+        if model.var[n] < 0:
+            return {"counts": model.counts[n].tolist(), "alpha": model.alpha[n].tolist(),
+                    "order": int(model.order[n])}
+        kids = range(model.first[n], model.first[n] + r)
+        return {"split": model.items[model.var[n]], "children": [node(c) for c in kids]}
+
+    return {it: node(j) for j, it in enumerate(model.items)}
+
+
+def version1_file(model):
+    """The model in the nested file form that cflab wrote before its model
+    files held node arrays (version 1): one tree per item position."""
+    trees = model_trees(model)
+    return {"version": 1, "kind": "bayesnet_model", "scale": model.scale.to_json(),
+            "items": list(model.items),
+            "trees": {str(j): trees[it] for j, it in enumerate(model.items)}}
+
+
+def model_from_trees(scale, trees, depth_first=False):
+    """The BayesNetModel of nested trees in `model_trees`' form, its items,
+    in order, the keys of `trees`. The nodes are numbered breadth first, or
+    depth first, and are not checked here: a split's children are numbered
+    as many as it lists, and a split on an item the model lacks tests
+    position len(items)."""
+    items = list(trees)
+    pos = {it: j for j, it in enumerate(items)}
+    nodes = [trees[it] for it in items]
+    rows = {}
+    todo = collections.deque(range(len(items)))
+    while todo:
+        n = todo.pop() if depth_first else todo.popleft()
+        node = nodes[n]
+        if "split" in node:
+            kids = range(len(nodes), len(nodes) + len(node["children"]))
+            nodes.extend(node["children"])
+            todo.extend(reversed(kids) if depth_first else kids)
+            zeros = [0.0] * scale.num_states
+            rows[n] = (pos.get(node["split"], len(items)), kids.start, zeros, zeros, -1)
+        else:
+            rows[n] = (-1, n, node["counts"], node["alpha"], node["order"])
+    return BayesNetModel(scale, items, *zip(*(rows[n] for n in range(len(nodes)))))
 
 
 def leaf_distribution(leaf):
@@ -686,7 +731,7 @@ def em_fit_loop(db, c, seed=0, tol=1e-6, max_iter=200, prior_strength=1.0):
     """BC's EM as one fit over every user row per iteration: the E-step on
     all users, the M-step's smoothed counts, and the objective with its
     prior term. Returns the model and its (trace, iterations, converged)."""
-    X, XT = db.index.vote_states, db.index.vote_states_T
+    X, XT = db.index.vote_states, db.index.vote_states.T
     n, t, s = len(db.users), len(db.items), db.scale.num_states
     prior, cond = init_params_loop(db, c, np.random.default_rng(seed), prior_strength)
     L, norm = _bc_loglik_rows(X, prior, cond)
@@ -721,7 +766,7 @@ def cheeseman_stutz_loop(model, db, prior_strength=1.0):
     """The Cheeseman-Stutz score from every user row's responsibilities."""
     c, _, s = model.cond.shape
     L, norm = _bc_loglik_rows(db.index.vote_states, model.class_prior, model.cond)
-    totals, counts = _bc_counts(db.index.vote_states_T, np.exp(L - norm[:, None]), len(db.items))
+    totals, counts = _bc_counts(db.index.vote_states.T, np.exp(L - norm[:, None]), len(db.items))
     complete_marginal = float(
         _dirichlet_marginal_rows(totals[None, :], prior_strength / c)[0]
         + _dirichlet_marginal_rows(counts, prior_strength / s).sum()

@@ -38,6 +38,7 @@ from reference import (
     leaf_family_score,
     learn_network_dense,
     lookup_with_path,
+    model_from_trees,
     model_trees,
     parent_graph,
     sorted_ranking,
@@ -45,13 +46,14 @@ from reference import (
     state_of,
     transitive_closure,
     tree_lookup,
+    version1_file,
 )
 
 FIXTURE_VOTES = Path(__file__).resolve().parent.parent / "fixtures" / "fixture_votes.csv"
 
 
 def parents(model, item):
-    """An item's parents, read from its tree in the model's file form."""
+    """An item's parents, read from its tree in the nested view."""
     return split_items(model_trees(model)[item])
 
 
@@ -65,16 +67,9 @@ def split(item, *children):
 
 
 def model_of(trees, scale=IMPLICIT_SCALE):
-    """A hand-built model read from its file form; its items, in order, are
-    the keys of `trees`."""
-    items = list(trees)
-    return BayesNetModel.from_json({
-        "version": 1,
-        "kind": "bayesnet_model",
-        "scale": scale.to_json(),
-        "items": items,
-        "trees": {str(j): trees[it] for j, it in enumerate(items)},
-    })
+    """A hand-built model from nested trees; its items, in order, are the
+    keys of `trees`."""
+    return model_from_trees(scale, trees)
 
 
 def noisy_copy_db(rng, n=10000, flip=0.05):
@@ -362,6 +357,19 @@ class TestModelStructure:
         case = case_for("u", {db.items[0]: 1.0})
         assert BayesNetPredictor(db, again).rank(case) == BayesNetPredictor(db, model).rank(case)
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), explicit=st.booleans())
+    def test_arrays_do_not_depend_on_node_numbering(self, seed, explicit):
+        # the same trees numbered depth first give the breadth-first arrays
+        rng = np.random.default_rng(seed)
+        db = random_grouped_db(rng, explicit, n_users=int(rng.integers(20, 80)))
+        learned = learn_network(db, LearnConfig(structure_penalty=0.99))
+        trees = model_trees(learned)
+        for depth_first in (False, True):
+            model = model_from_trees(learned.scale, trees, depth_first)
+            for key in BayesNetModel.ARRAYS + ("tree", "score", "expected"):
+                assert getattr(model, key).tobytes() == getattr(learned, key).tobytes()
+
     def test_parent_graph_matches_split_vars(self):
         # the node arrays' parent counts against the file form's split items
         db = random_grouped_db(np.random.default_rng(1), explicit=False, n_users=80)
@@ -613,9 +621,18 @@ def msweb_like_db(rng, n_users=300, n_items=150, idle=50):
 
 
 # SHA-256 of the model files of `TestSearchOracle.test_sparse_model_keeps_its_digest`
-# and `test_msweb_shaped_model_keeps_its_digest`
-SPARSE_MODEL_DIGEST = "229efca4be23bbb89838693826a19681f7844a2755ea3d676c8c13e740fa30e4"
-MSWEB_MODEL_DIGEST = "49be9fc9b8c35b06d8608b68bc3458f9b1fafeccd4563399748bf7a8ee04d884"
+# and `test_msweb_shaped_model_keeps_its_digest`, and of the same models in
+# the nested version-1 file form (`reference.version1_file`), the files that
+# cflab wrote before its model files held node arrays
+SPARSE_MODEL_DIGEST = "8d21f8b9ebabf50ab05d6d50f40e194279810c630f9d4e692d52e8394e500333"
+MSWEB_MODEL_DIGEST = "6f8889d463a8f07d700d6e6737a53f6d62b3e29f52155df8e74abff6a58bfe2e"
+SPARSE_VERSION1_DIGEST = "229efca4be23bbb89838693826a19681f7844a2755ea3d676c8c13e740fa30e4"
+MSWEB_VERSION1_DIGEST = "49be9fc9b8c35b06d8608b68bc3458f9b1fafeccd4563399748bf7a8ee04d884"
+
+
+def file_digest(doc):
+    """SHA-256 of a model document, written as the model cache writes it."""
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
 class TestSearchOracle:
@@ -644,8 +661,8 @@ class TestSearchOracle:
         # sparse visits and a high penalty: 201 of the 659 leaves have no users
         db = random_implicit_db(np.random.default_rng(2024), n_users=300, n_items=60, density=0.05)
         model = learn_network(db, LearnConfig(structure_penalty=0.9))
-        doc = json.dumps(model.to_json(), sort_keys=True)  # as the model cache writes it
-        assert hashlib.sha256(doc.encode()).hexdigest() == SPARSE_MODEL_DIGEST
+        assert file_digest(model.to_json()) == SPARSE_MODEL_DIGEST
+        assert file_digest(version1_file(model)) == SPARSE_VERSION1_DIGEST
 
     def test_msweb_shaped_model_keeps_its_digest(self):
         # the benchmark's settings on two-state visits: over a third of the
@@ -654,8 +671,8 @@ class TestSearchOracle:
         model = learn_network(db, LearnConfig())
         idle = np.flatnonzero(np.diff(db.index.V_csc.indptr) == 0)
         assert len(idle) >= 50 and (model.var[np.isin(model.tree, idle)] >= 0).any()
-        doc = json.dumps(model.to_json(), sort_keys=True)
-        assert hashlib.sha256(doc.encode()).hexdigest() == MSWEB_MODEL_DIGEST
+        assert file_digest(model.to_json()) == MSWEB_MODEL_DIGEST
+        assert file_digest(version1_file(model)) == MSWEB_VERSION1_DIGEST
 
     @pytest.mark.parametrize("explicit", [False, True])
     def test_closed_best_variable_is_rescored(self, explicit, monkeypatch):
@@ -720,7 +737,7 @@ class TestCompiledNetwork:
     def test_routing_matches_tree_walk(self, seed, explicit, penalty):
         rng, db, learned = self._network(seed, explicit, penalty)
         trees = model_trees(learned)
-        # numbered in creation order, and breadth first from the file form
+        # the learned model, and the model of its file
         for model in (learned, BayesNetModel.from_json(learned.to_json())):
             for _ in range(5):
                 case = random_case(rng, model, max_observed=4)
@@ -765,8 +782,15 @@ class TestCompiledNetwork:
         rng, db, learned = self._network(seed, explicit, penalty)
         doc = learned.to_json()
         again = BayesNetModel.from_json(json.loads(json.dumps(doc)))
-        splits = np.flatnonzero(again.var >= 0)
-        assert (np.diff(again.first[splits]) > 0).all()  # breadth first
+        for model in (learned, again):
+            splits = np.flatnonzero(model.var >= 0)
+            assert (np.diff(model.first[splits]) > 0).all()  # breadth first
+            assert not model.counts[splits].any() and not model.alpha[splits].any()
+            assert (model.order[splits] == -1).all()
+        for key in BayesNetModel.ARRAYS + ("tree", "score", "expected"):
+            a, b = getattr(learned, key), getattr(again, key)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert again.depth == learned.depth
         assert json.dumps(again.to_json()) == json.dumps(doc)
         assert again.structure_stats() == learned.structure_stats()
         preds = [BayesNetPredictor(db, m) for m in (learned, again)]

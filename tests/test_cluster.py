@@ -203,7 +203,7 @@ class TestEmFit:
         gamma = np.zeros((len(db.users), 2))
         for i, c in enumerate(assignment):
             gamma[i, c] = 1.0
-        totals, counts = cluster._counts(db.index.vote_states_T, gamma, len(db.items))
+        totals, counts = cluster._counts(db.index.vote_states.T, gamma, len(db.items))
         prior, cond = map_estimates(totals, counts, prior_strength=1.0)
         exp_prior, exp_cond = hand_smoothed_frequencies(db, assignment, 2)
         np.testing.assert_array_equal(prior, exp_prior)

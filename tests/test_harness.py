@@ -27,6 +27,8 @@ from cflab.votedata import (
     load_votes_csv,
 )
 
+from reference import version1_file
+
 FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
 
 # SHA-256 of every report file the two fixture configs write. A change that
@@ -56,9 +58,17 @@ FIXTURE_ALGORITHMS = ("POP", "CR", "CR+", "VSIM", "BC", "BN")
 FIXTURE_MODEL_DIGESTS = {
     "explicit/BC": "48ddc110e4b0146c48fdea8586200e656d4a6c91aba31651340831449338b9a8",
     "explicit/BC3": "313fbe153b9f37748639fb004f093b44f5e3470e3e71cae25ea4e5e234f4915b",
-    "explicit/BN": "214f197a02842ff2419c34e3108ae1d539c9f47733c806480236a3e86745c49c",
+    "explicit/BN": "065754243cb6dcf13e5a48c3ee6a392f08049b4eae1d1b60451cca1db18ecc2e",
     "implicit/BC": "a77b069c73153eb8011c6dfaf9af6dbcaebdad1d8b10ff369cc2c543dc8f8424",
     "implicit/BC3": "6e695d650b62a112f6ff9b6e35c9f01cd0b0ec9d87c0c42f90599579715e9139",
+    "implicit/BN": "776e6cef48a0e392f8b6a00222a5bf788f76e13797ec1504a583a9d7599973ec",
+}
+
+# SHA-256 of the BN models above in the nested version-1 file form
+# (`reference.version1_file`), the files that cflab wrote before its model
+# files held node arrays
+FIXTURE_BN_VERSION1_DIGESTS = {
+    "explicit/BN": "214f197a02842ff2419c34e3108ae1d539c9f47733c806480236a3e86745c49c",
     "implicit/BN": "96fa6c60752db069edea502dd3388bd0f622b212458bbfa543c0a9d6d48d17ff",
 }
 
@@ -92,21 +102,21 @@ def _reordered_model(doc, kind, edit):
         cols = list(range(len(items) - 1))
     else:
         # a network can drop an item no tree splits on, which a DAG has
-
-        def splits(node):
-            if "split" in node:
-                yield node["split"]
-                for child in node["children"]:
-                    yield from splits(child)
-
-        used = {it for tree in doc["trees"].values() for it in splits(tree)}
-        drop = next(j for j, it in enumerate(items) if it not in used)
+        drop = min(set(range(len(items))) - set(doc["var"]))
         cols = [j for j in range(len(items)) if j != drop]
     if kind == "cluster":
         return dict(doc, items=[items[j] for j in cols],
                     cond=[[c[j] for j in cols] for c in doc["cond"]])
+    # the kept trees' nodes, their roots first in their new order, renumbered
+    tree = BayesNetModel.from_json(doc).tree
+    kept = np.flatnonzero(np.isin(tree, cols))
+    old = np.concatenate([cols, kept[kept >= len(items)]])
+    new, pos = np.zeros(len(tree), dtype=int), np.full(len(items) + 1, -1)
+    new[old], pos[cols] = np.arange(len(old)), np.arange(len(cols))
+    arrays = {key: np.array(doc[key])[old] for key in BayesNetModel.ARRAYS}
+    arrays["var"], arrays["first"] = pos[arrays["var"]], new[arrays["first"]]
     return dict(doc, items=[items[j] for j in cols],
-                trees={str(k): doc["trees"][str(j)] for k, j in enumerate(cols)})
+                **{key: value.tolist() for key, value in arrays.items()})
 
 
 class TestConfigValidation:
@@ -254,6 +264,9 @@ class TestConfigValidation:
         ("dataset.test_fraction", None, "dataset.test_fraction: a dataset takes"),
         ("dataset.scale", None, "dataset.scale: csv datasets need one"),
         ("dataset.scale.min_vote", 6, "dataset.scale: min_vote must not exceed max_vote"),
+        # a neutral vote off the scale would exclude every case from ranked scoring
+        ("ranked.neutral", 99, "ranked.neutral: must lie within the vote scale [0, 5], not 99"),
+        ("ranked.neutral", -0.5, "ranked.neutral: must lie within the vote scale [0, 5]"),
     ])
     def test_bad_protocols_or_metrics_are_named_before_loading(self, workdir, capsys, monkeypatch,
                                                                key, value, where):
@@ -626,8 +639,9 @@ class TestRun:
         elif kind == "cluster":
             doc["cond"] = [[row[:-1] for row in c] for c in doc["cond"]]  # a state short
         else:
-            # a split with one child: routing would read another tree's nodes
-            doc["trees"]["0"] = {"split": doc["items"][1], "children": [doc["trees"]["0"]]}
+            # root 0 splits on item 1 into one node: routing would read past
+            # the arrays
+            doc["var"][0], doc["first"][0] = 1, len(doc["var"]) - 1
         path.write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
         model, again = harness.train_model(train, spec, config.seed, cache)
         assert again == path and path.read_bytes() == good  # retrained and replaced
@@ -646,17 +660,75 @@ class TestRun:
         _, path = harness.train_model(train, spec, config.seed, cache)
         good = path.read_bytes()
         doc = json.loads(good)
-        node = doc["trees"]["0"]
-        while "split" in node:
-            node = node["children"][0]
-        pad = [1.0] * (len(node["counts"]) - 2)  # the other states keep valid values
-        node["counts"], node["alpha"] = counts + pad, alpha + pad
+        leaf = doc["var"].index(-1)
+        pad = [1.0] * (len(doc["counts"][leaf]) - 2)  # the other states keep valid values
+        doc["counts"][leaf], doc["alpha"][leaf] = counts + pad, alpha + pad
         path.write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
         caplog.clear()
         model, again = harness.train_model(train, spec, config.seed, cache)
         assert again == path and path.read_bytes() == good  # retrained and replaced
         assert np.isfinite(model.score[model.var < 0]).all()
         assert sum("retraining" in r.getMessage() for r in caplog.records) == 1
+
+    @pytest.mark.parametrize("edit, reason", [
+        ("first shorter than var", "a model needs"), ("counts short", "a model needs"),
+        ("alpha short", "a model needs"), ("order short", "a model needs"),
+        ("a state short", "a model needs"), ("var below -1", "a node must be"),
+        ("var past the items", "a node must be"), ("leaf first elsewhere", "a node must be"),
+        ("split first not after it", "a node must be"),
+        ("first far past the arrays", "a node must be"),
+        ("child of two splits", "a node must be"), ("child of no split", "a node must be"),
+        ("root a child", "a node must be"), ("version 1", "of version 1, not 2"),
+    ])
+    def test_malformed_bayesnet_file_is_retrained(self, workdir, caplog, edit, reason):
+        # each is a ValueError naming its reason, never an IndexError that
+        # train_model lets through
+        config = harness.load_config(workdir / "fixture_config.json")
+        train, _ = harness.load_datasets(config.dataset)
+        spec = harness.AlgorithmSpec("BN", "bayesnet", {"structure_penalty": 0.99})  # splits
+        cache = workdir / "cache"
+        model, path = harness.train_model(train, spec, config.seed, cache)
+        good = path.read_bytes()
+        doc = json.loads(good)
+        var, first, t, r = doc["var"], doc["first"], len(train.items), train.scale.num_states
+        leaf, (s1, s2) = var.index(-1), np.flatnonzero(model.var >= 0)[:2].tolist()
+        assert s2 < first[s1] and leaf < t  # splits and leaf are roots
+        if edit == "first shorter than var":
+            first.pop()
+        elif edit == "a state short":
+            doc["counts"] = [row[:-1] for row in doc["counts"]]
+        elif edit.endswith(" short"):
+            doc[edit.split()[0]].pop()
+        elif edit == "var below -1":
+            var[leaf] = -2
+        elif edit == "var past the items":
+            var[s1] = t
+        elif edit == "leaf first elsewhere":
+            first[leaf] = leaf + 1
+        elif edit == "split first not after it":
+            # a split below a root swaps children with its parent: every node
+            # still has one parent, but the split is its own child
+            q = next(n for n in range(t, len(var)) if var[n] >= 0)
+            p = next(n for n in range(q) if var[n] >= 0 and first[n] <= q < first[n] + r)
+            first[p], first[q] = first[q], first[p]
+        elif edit == "first far past the arrays":
+            first[s1] = 2**40  # rejected before any count of children is allocated
+        elif edit == "child of two splits":
+            first[s2] = first[s1]
+        elif edit == "child of no split":
+            for key in BayesNetModel.ARRAYS:
+                doc[key].append(doc[key][leaf])
+            first[-1] = len(first) - 1
+        elif edit == "root a child":
+            first[s1] = s1 + 1
+        else:
+            doc = version1_file(model)
+        path.write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
+        caplog.clear()
+        model, again = harness.train_model(train, spec, config.seed, cache)
+        assert again == path and path.read_bytes() == good  # retrained and replaced
+        [warning] = [r.getMessage() for r in caplog.records if "retraining" in r.getMessage()]
+        assert "(ValueError(" in warning and reason in warning
 
     @pytest.mark.parametrize("where", ["class_prior", "cond"])
     def test_nan_cluster_model_is_retrained(self, workdir, caplog, where):
@@ -813,6 +885,30 @@ class TestIngest:
         assert "usage error: " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [
+        ["--max-vote", "5", "--neutral", "9"], ["--min-vote", "0"], ["--max-vote", "1"],
+        ["--neutral", "0"], ["--implicit"],
+    ])
+    def test_scale_flags_on_msweb_are_a_usage_error(self, tmp_path, capsys, monkeypatch, flags):
+        # msweb data is implicit: a scale flag would be silently dropped
+        monkeypatch.setattr(cli, "load_msweb", None)  # fails if data loads
+        out = tmp_path / "x.csv"
+        assert run_cli("ingest", "msweb", tmp_path / "web.data", "--out", out, *flags) == 2
+        assert "usage error: msweb data is implicit and takes no scale flags" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+    def test_csv_scale_flags_default_to_zero_one(self, tmp_path, monkeypatch):
+        scales = []
+        monkeypatch.setattr(cli, "load_votes_csv",
+                            lambda path, scale: scales.append(scale) or VoteDatabase.from_votes(
+                                [("u", "a", 1.0)], scale))
+        out = tmp_path / "x.csv"
+        assert run_cli("ingest", "csv", tmp_path / "votes.csv", "--out", out) == 0
+        assert run_cli("ingest", "csv", tmp_path / "votes.csv", "--out", out,
+                       "--max-vote", "5") == 0
+        assert scales == [VoteScale(0, 1, 0.0, False), VoteScale(0, 5, 0.0, False)]
+
 
 class TestTrainCommand:
     def test_train_only_bn(self, workdir, capsys):
@@ -839,12 +935,16 @@ class TestTrainCommand:
             harness.AlgorithmSpec("BC3", "cluster", {"classes": 3}),
             harness.AlgorithmSpec("BN", "bayesnet", {"structure_penalty": 0.99, "ess": 10}),
         ]
-        digests = {}
+        digests, version1 = {}, {}
         for name, db in (("explicit", explicit), ("implicit", implicit)):
             for spec in specs:
-                _, path = harness.train_model(db, spec, 11, tmp_path / name)
+                model, path = harness.train_model(db, spec, 11, tmp_path / name)
                 digests[f"{name}/{spec.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+                if spec.kind == "bayesnet":
+                    doc = json.dumps(version1_file(model), sort_keys=True)
+                    version1[f"{name}/{spec.name}"] = hashlib.sha256(doc.encode()).hexdigest()
         assert digests == FIXTURE_MODEL_DIGESTS
+        assert version1 == FIXTURE_BN_VERSION1_DIGESTS
 
 
 class TestSummaryRendering:
