@@ -52,7 +52,6 @@ class LearnConfig:
 
     structure_penalty: float = 0.1
     equivalent_sample_size: float = 10.0
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not (0.0 < self.structure_penalty < 1.0):
@@ -184,9 +183,12 @@ class BayesNetModel:
     @classmethod
     def from_json(cls, obj: Mapping) -> "BayesNetModel":
         """The model of a file that `to_json` wrote; the constructor checks
-        its arrays, and a file of another version raises ValueError."""
+        its arrays, and a file of another version, or with node indices that
+        are not JSON integers, raises ValueError."""
         if obj["version"] != 2:
             raise ValueError(f"a BN model file of version {obj['version']!r}, not 2")
+        if not all(type(x) is int for key in ("var", "first", "order") for x in obj[key]):
+            raise ValueError("BN model node indices (var, first, order) must be integers")
         return cls(VoteScale.from_json(obj["scale"]), obj["items"],
                    *(obj[key] for key in cls.ARRAYS))
 

@@ -84,7 +84,7 @@ def _cmd_train(args) -> int:
     config = harness.load_config(args.config)
     paths = harness.train_models(config, only=args.only)
     if not paths:
-        print("config names no trainable (cluster/bayesnet) algorithms", file=sys.stderr)
+        print("config names no algorithms with a trained model", file=sys.stderr)
     for name, path in paths.items():
         print(f"{name}: {path}")
     return EXIT_OK
@@ -119,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tr = sub.add_parser("train", help="train and cache the models a config needs")
     p_tr.add_argument("config", type=Path)
-    p_tr.add_argument("--only", choices=("bc", "bn"), default=None)
+    p_tr.add_argument("--only", choices=[k.only for k in harness.TRAINED_KINDS.values()])
     p_tr.set_defaults(fn=_cmd_train)
     return parser
 

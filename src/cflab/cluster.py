@@ -109,12 +109,8 @@ class ClusterModel:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "ClusterModel":
-        return cls(
-            scale=VoteScale.from_json(obj["scale"]),
-            items=tuple(obj["items"]),
-            class_prior=np.asarray(obj["class_prior"]),
-            cond=np.asarray(obj["cond"]),
-        )
+        return cls(VoteScale.from_json(obj["scale"]), tuple(obj["items"]),
+                   np.asarray(obj["class_prior"]), np.asarray(obj["cond"]))
 
 
 @dataclass
@@ -169,25 +165,19 @@ def _log_joint(
     return L.reshape(X.shape[0], r, c), norm.reshape(X.shape[0], r)
 
 
-def _state_counts(totals: np.ndarray, vote_counts: np.ndarray, t: int) -> np.ndarray:
-    """(fits, classes, items, states) counts from the (fits, classes) class
-    totals and the (item, vote state) x (fit, class) vote counts; the
-    no-vote count is what the votes leave of a total."""
-    r, c = totals.shape
-    votes = vote_counts.reshape(t, -1, r, c)
-    counts = np.empty((r, c, t, votes.shape[1] + 1))
-    counts[..., 1:] = votes.transpose(2, 3, 0, 1)
-    counts[..., 0] = totals[..., None] - votes.sum(axis=1).transpose(1, 2, 0)
-    return np.clip(counts, 0.0, None)
-
-
 def _counts(XT: sp.csc_matrix, gamma: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
-    """Expected class totals and (classes, items, states) state counts.
-
-    `XT` is the database's encoding `vote_states` transposed.
-    """
+    """Expected class totals (..., classes) and state counts (..., classes,
+    items, states) from responsibilities (users, ..., classes) of fits
+    stacked on the middle axes, and `XT`, the `vote_states` encoding
+    transposed. numpy adds along a non-innermost axis term by term, so a
+    fit's sums add as in a call of its own (with one class, pairwise, but
+    then every responsibility is 1 and every sum an exact integer)."""
     totals = gamma.sum(axis=0)
-    return totals, _state_counts(totals[None], np.asarray(XT @ gamma), t)[0]
+    votes = np.asarray(XT @ gamma.reshape(len(gamma), -1)).reshape(t, -1, *totals.shape)
+    counts = np.empty(totals.shape + (t, votes.shape[1] + 1))
+    counts[..., 1:] = np.moveaxis(votes, (0, 1), (-2, -1))
+    counts[..., 0] = totals[..., None] - np.moveaxis(votes.sum(axis=1), 0, -1)
+    return totals, np.clip(counts, 0.0, None)
 
 
 def map_estimates(
@@ -302,13 +292,7 @@ def _fit_restarts(
 
     for it in range(1, max_iter + 1):
         gamma = np.take(np.exp(L - norm[:, :, None]), inverse, axis=0)
-        # numpy adds along an axis other than the innermost term by term, so
-        # each fit's sums over users and over vote states add in the order of
-        # a fit of its own; with one class numpy would sum a lone column
-        # pairwise instead, but every responsibility is then exactly 1 and
-        # every such sum an exact integer
-        totals = gamma.sum(axis=0)
-        counts = _state_counts(totals, np.asarray(XT @ gamma.reshape(n, -1)), t)
+        totals, counts = _counts(XT, gamma, t)
         prior, cond = map_estimates(totals, counts, prior_strength, n_users=n)
         log_prior, logc = np.log(prior), np.log(cond)
         L, norm = _log_joint(X, log_prior, logc)  # these objectives, and the next E-step

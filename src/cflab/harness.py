@@ -21,6 +21,7 @@ import math
 import os
 import sys
 import time
+from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -68,6 +69,14 @@ MEMORY = "memory"
 CLUSTER = "cluster"
 BAYESNET = "bayesnet"
 ALGORITHM_KINDS = (POPULARITY, MEMORY, CLUSTER, BAYESNET)
+
+# Each kind with a trained model: the class its model files load with, its
+# predictor class and its name in `cflab train --only`.
+TrainedKind = namedtuple("TrainedKind", "model predictor only")
+TRAINED_KINDS = {
+    CLUSTER: TrainedKind(cluster.ClusterModel, ClusterPredictor, "bc"),
+    BAYESNET: TrainedKind(bayesnet.BayesNetModel, BayesNetPredictor, "bn"),
+}
 
 
 class ConfigError(ValueError):
@@ -355,18 +364,16 @@ def _model_cache_key(train: VoteDatabase, spec: AlgorithmSpec, seed: int) -> str
 
 
 def train_model(train: VoteDatabase, spec: AlgorithmSpec, seed: int, cache_dir: Path):
-    """Train (or load from cache) the model behind a cluster/bayesnet algorithm."""
+    """Train (or load from cache) the model of an algorithm of a TRAINED_KINDS kind."""
+    if spec.kind not in TRAINED_KINDS:
+        raise ValueError(f"algorithm kind {spec.kind!r} has no trained model")
     key = _model_cache_key(train, spec, seed)
     cache_dir.mkdir(parents=True, exist_ok=True)
     path = cache_dir / f"{spec.kind}_{key}.json"
     if path.exists():
         try:
             doc = json.loads(path.read_text(encoding="utf-8"))
-            model = (
-                cluster.ClusterModel.from_json(doc)
-                if spec.kind == CLUSTER
-                else bayesnet.BayesNetModel.from_json(doc)
-            )
+            model = TRAINED_KINDS[spec.kind].model.from_json(doc)
             if model.scale != train.scale:
                 raise ValueError(f"scale {model.scale} is not the training scale {train.scale}")
             if tuple(model.items) != tuple(train.items):
@@ -379,8 +386,6 @@ def train_model(train: VoteDatabase, spec: AlgorithmSpec, seed: int, cache_dir: 
         else:
             log.info("loaded cached %s model %s", spec.kind, path.name)
             return model, path
-    if spec.kind not in (CLUSTER, BAYESNET):
-        raise ValueError(f"algorithm kind {spec.kind!r} has no trained model")
     params = algorithm_config(spec)
     if spec.kind == CLUSTER:
         fit = dict(seed=seed, prior_strength=params["prior_strength"], max_iter=params["max_iter"])
@@ -391,11 +396,7 @@ def train_model(train: VoteDatabase, spec: AlgorithmSpec, seed: int, cache_dir: 
                 train, params["max_classes"], restarts=params["restarts"], **fit
             )
     else:
-        cfg = bayesnet.LearnConfig(
-            structure_penalty=params["structure_penalty"],
-            equivalent_sample_size=params["ess"],
-            seed=seed,
-        )
+        cfg = bayesnet.LearnConfig(params["structure_penalty"], params["ess"])
         model = bayesnet.learn_network(train, cfg)
     # write a temp file beside the cache entry and rename it into place, so a
     # failed write never leaves a truncated model under the cache key
@@ -416,9 +417,7 @@ def build_predictor(spec: AlgorithmSpec, train: VoteDatabase, seed: int, cache_d
     if spec.kind == MEMORY:
         return MemoryPredictor(train, algorithm_config(spec), name=spec.name)
     model, _ = train_model(train, spec, seed, cache_dir)
-    if spec.kind == CLUSTER:
-        return ClusterPredictor(train, model, name=spec.name)
-    return BayesNetPredictor(train, model, name=spec.name)
+    return TRAINED_KINDS[spec.kind].predictor(train, model, name=spec.name)
 
 
 # --- the runner --------------------------------------------------------------
@@ -523,14 +522,15 @@ def run(config: ExperimentConfig) -> RunResult:
 
 
 def train_models(config: ExperimentConfig, only: str | None = None) -> dict[str, Path]:
-    """Train and cache the models required by the config's algorithms."""
-    kind_filter = {"bc": CLUSTER, "bn": BAYESNET}.get(only) if only else None
+    """Train and cache the models required by the config's algorithms, or
+    with `only` those of the trained kind of that `TrainedKind.only` name."""
+    if only and only not in [kind.only for kind in TRAINED_KINDS.values()]:
+        raise ValueError(f"no trained algorithm kind is named {only!r}")
     train, _ = load_datasets(config.dataset)
     out = {}
     for spec in config.algorithms:
-        if spec.kind not in (CLUSTER, BAYESNET):
-            continue
-        if kind_filter and spec.kind != kind_filter:
+        kind = TRAINED_KINDS.get(spec.kind)
+        if kind is None or (only and kind.only != only):
             continue
         _, path = train_model(train, spec, config.seed, config.output_dir / "models")
         out[spec.name] = path

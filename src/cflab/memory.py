@@ -152,15 +152,12 @@ class MemoryScorer:
         fv = f_j * ev.votes
         fvv = fv * ev.votes
         d = self.default
+        # the six weighted moment sums t* of the two users' votes: over their
+        # co-voted items, or with default voting their union and k more items
         if d is None:
-            count, sf, sfa, sfaa = ev.user_sums(0, np.ones(len(f_j)), f_j, fv, fvv)
-            sfb, sfab = ev.user_sums(1, f_j, fv)
-            (sfbb,) = ev.user_sums(2, f_j)
-            num = sf * sfab - sfa * sfb
-            var_a = sf * sfaa - sfa**2
-            var_b = sf * sfbb - sfb**2
-            var_a = np.where(var_a <= 1e-12 * (sf * sfaa + sfa**2), 0.0, var_a)
-            var_b = np.where(var_b <= 1e-12 * (sf * sfbb + sfb**2), 0.0, var_b)
+            count, tf, tva, taa = ev.user_sums(0, np.ones(len(f_j)), f_j, fv, fvv)
+            tvb, tab = ev.user_sums(1, f_j, fv)
+            (tbb,) = ev.user_sums(2, f_j)
             can = count >= 2
         else:
             # the squared sums of the co-voted items enter only through the
@@ -175,12 +172,12 @@ class MemoryScorer:
             taa = a_fv2 + d * d * (self._sum_f - sf) + kf * d * d
             tbb = self._sum_fv2 + d * d * (a_f - sf) + kf * d * d
             tab = sfab + d * (a_fv - sfa) + d * (self._sum_fv - sfb) + kf * d * d
-            num = tf * tab - tva * tvb
-            var_a = tf * taa - tva**2
-            var_b = tf * tbb - tvb**2
-            var_a = np.where(var_a <= 1e-12 * (tf * taa + tva**2), 0.0, var_a)
-            var_b = np.where(var_b <= 1e-12 * (tf * tbb + tvb**2), 0.0, var_b)
             can = count >= 1
+        num = tf * tab - tva * tvb
+        var_a = tf * taa - tva**2
+        var_b = tf * tbb - tvb**2
+        var_a = np.where(var_a <= 1e-12 * (tf * taa + tva**2), 0.0, var_a)
+        var_b = np.where(var_b <= 1e-12 * (tf * tbb + tvb**2), 0.0, var_b)
         den = np.sqrt(np.clip(var_a, 0.0, None) * np.clip(var_b, 0.0, None))
         with np.errstate(invalid="ignore", divide="ignore"):
             w = np.where(can & (den > 0), num / np.where(den > 0, den, 1.0), 0.0)

@@ -483,10 +483,16 @@ def load_split_manifest(path, test_db: VoteDatabase) -> list[ActiveCase]:
         per = test_db.votes.get(u)
         if per is None:
             raise VoteDataError(f"manifest user {u!r} not in database")
+        listed = set()
+        for it in [*entry["observed"], *entry["targets"]]:
+            if it in listed or it not in per:
+                raise VoteDataError(f"manifest item {it!r} of user {u!r} is "
+                                    + ("listed twice" if it in listed else "not one of their votes"))
+            listed.add(it)
+        if listed != set(per):
+            raise VoteDataError(f"manifest split for user {u!r} does not cover their votes")
         observed = {it: per[it] for it in entry["observed"]}
         targets = {it: per[it] for it in entry["targets"]}
-        if set(observed) | set(targets) != set(per):
-            raise VoteDataError(f"manifest split for user {u!r} does not cover their votes")
         cases.append(ActiveCase(user=u, observed=observed, targets=targets))
     return cases
 

@@ -346,6 +346,18 @@ class TestModelStructure:
         with pytest.raises(ValueError):
             model_of({"a": tree, "b": leaf(0.5), "c": leaf(0.2)})
 
+    @pytest.mark.parametrize("key, bad", [
+        ("order", 0.5), ("first", True), ("first", 1.0), ("var", -1.0), ("var", "-1"),
+        ("order", False), ("order", None), ("first", [1]),
+    ])
+    def test_file_with_non_integer_node_index_is_rejected(self, key, bad):
+        # np.asarray(..., dtype=np.intp) would load 0.5 as 0 and true as 1
+        doc = json.loads(json.dumps(TestRanking()._two_item_model().to_json()))
+        BayesNetModel.from_json(doc)  # the file as written loads
+        doc[key][-1] = bad
+        with pytest.raises(ValueError, match="must be integers"):
+            BayesNetModel.from_json(doc)
+
     def test_serialization_round_trip_exact(self):
         db = random_implicit_db(np.random.default_rng(5), n_users=150, n_items=5, density=0.5)
         model = learn_network(db, LearnConfig(structure_penalty=0.5))

@@ -197,6 +197,24 @@ class TestEmFit:
             diffs = np.diff(report.objective_trace)
             assert (diffs >= -1e-9).all()
 
+    @pytest.mark.parametrize("explicit, classes", [(False, 3), (True, 3), (True, 1)])
+    def test_stacked_counts_are_each_fits_own(self, explicit, classes):
+        # the batched M-step's (users, fits, classes) responsibilities give
+        # each fit the counts of a call of its own, bit for bit
+        rng = np.random.default_rng(4)
+        db = (random_explicit_db(rng, n_users=30) if explicit
+              else random_implicit_db(rng, n_users=30, n_items=6))
+        n, t, fits = len(db.users), len(db.items), 4
+        gamma = rng.dirichlet(np.ones(classes), size=(n, fits))
+        XT = db.index.vote_states.T
+        totals, counts = cluster._counts(XT, gamma, t)
+        assert totals.shape == (fits, classes)
+        assert counts.shape == (fits, classes, t, db.scale.num_states)
+        for k in range(fits):
+            own_totals, own_counts = cluster._counts(XT, np.ascontiguousarray(gamma[:, k]), t)
+            assert totals[k].tobytes() == own_totals.tobytes()
+            assert counts[k].tobytes() == own_counts.tobytes()
+
     def test_complete_data_m_step_matches_closed_form(self):
         db = random_implicit_db(np.random.default_rng(9), n_users=10, n_items=5)
         assignment = [i % 2 for i in range(len(db.users))]

@@ -679,6 +679,7 @@ class TestRun:
         ("first far past the arrays", "a node must be"),
         ("child of two splits", "a node must be"), ("child of no split", "a node must be"),
         ("root a child", "a node must be"), ("version 1", "of version 1, not 2"),
+        ("first a float", "must be integers"), ("order a half", "must be integers"),
     ])
     def test_malformed_bayesnet_file_is_retrained(self, workdir, caplog, edit, reason):
         # each is a ValueError naming its reason, never an IndexError that
@@ -721,6 +722,10 @@ class TestRun:
             first[-1] = len(first) - 1
         elif edit == "root a child":
             first[s1] = s1 + 1
+        elif edit == "first a float":
+            first[s1] = float(first[s1])
+        elif edit == "order a half":
+            doc["order"][leaf] += 0.5  # numpy would truncate it back
         else:
             doc = version1_file(model)
         path.write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
@@ -923,6 +928,32 @@ class TestTrainCommand:
         assert run_cli("train", workdir / "fixture_config.json") == 0
         out = capsys.readouterr().out
         assert "BN" in out and "BC" in out
+
+    def test_only_names_come_from_the_trained_kinds(self, workdir):
+        assert {kind: t.only for kind, t in harness.TRAINED_KINDS.items()} == {
+            "cluster": "bc", "bayesnet": "bn"}
+        for kind in harness.TRAINED_KINDS.values():
+            args = cli.build_parser().parse_args(["train", "c.json", "--only", kind.only])
+            assert args.only == kind.only
+        config = harness.load_config(workdir / "fixture_config.json")
+        with pytest.raises(ValueError, match="'xx'"):
+            harness.train_models(config, only="xx")
+        with pytest.raises(SystemExit):
+            run_cli("train", workdir / "fixture_config.json", "--only", "xx")
+
+    @pytest.mark.parametrize("kind", ["popularity", "memory"])
+    def test_untrained_kind_is_refused_before_the_cache(self, workdir, caplog, kind):
+        # a file under the kind's cache key is not read as a corrupt model
+        config = harness.load_config(workdir / "fixture_config.json")
+        train, _ = harness.load_datasets(config.dataset)
+        spec = harness.AlgorithmSpec("X", kind)
+        cache = workdir / "cache"
+        cache.mkdir()
+        key = harness._model_cache_key(train, spec, config.seed)
+        (cache / f"{kind}_{key}.json").write_text("{}", encoding="utf-8")
+        with pytest.raises(ValueError, match="has no trained model"):
+            harness.train_model(train, spec, config.seed, cache)
+        assert not any("retraining" in r.getMessage() for r in caplog.records)
 
     def test_fixture_models_keep_their_digests(self, tmp_path):
         explicit = load_votes_csv(FIXDIR / "fixture_votes.csv", VoteScale(0, 5, 3.0, False))

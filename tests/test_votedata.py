@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -331,6 +332,22 @@ class TestSplitManifest:
             "cases": [{"user": "u", "observed": ["a"], "targets": ["b"]}],
         }))
         with pytest.raises(VoteDataError):
+            load_split_manifest(path, db)
+
+    @pytest.mark.parametrize("observed, targets, reason", [
+        (["a", "zz"], ["b", "c"], "item 'zz' of user 'u' is not one of their votes"),
+        (["a", "a"], ["b", "c"], "item 'a' of user 'u' is listed twice"),
+        (["a"], ["b", "c", "b"], "item 'b' of user 'u' is listed twice"),
+        (["a", "b"], ["b", "c"], "item 'b' of user 'u' is listed twice"),
+    ])
+    def test_manifest_item_errors_name_user_and_item(self, tmp_path, observed, targets, reason):
+        db = make_db([("u", "a", 1), ("u", "b", 2), ("u", "c", 3), ("z", "a", 1), ("z", "b", 1)])
+        path = tmp_path / "split.json"
+        path.write_text(json.dumps({
+            "version": 1, "protocol": "Given1", "seed": 0,
+            "cases": [{"user": "u", "observed": observed, "targets": targets}],
+        }))
+        with pytest.raises(VoteDataError, match=re.escape(reason)):
             load_split_manifest(path, db)
 
 
