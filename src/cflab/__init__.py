@@ -39,7 +39,6 @@ from .votedata import (
     VoteScale,
     generate_active_cases,
     load_msweb,
-    load_split_manifest,
     load_votes_csv,
     save_split_manifest,
     save_votes_csv,

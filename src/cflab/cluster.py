@@ -33,6 +33,9 @@ log = logging.getLogger(__name__)
 # concentration of the Dirichlet noise that jitters EM's starting conditionals
 NOISE_SCALE = 10.0
 
+# EM stops once the per-user objective improves by less than TOL (relative)
+TOL = 1e-6
+
 
 @dataclass(eq=False)
 class ClusterModel:
@@ -183,19 +186,18 @@ def _counts(XT: sp.csc_matrix, gamma: np.ndarray, t: int) -> tuple[np.ndarray, n
 def map_estimates(
     class_totals: np.ndarray,
     state_counts: np.ndarray,
-    prior_strength: float = 1.0,
-    n_users: float | None = None,
+    prior_strength: float,
+    n_users: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Smoothed frequency estimates from (expected) complete-data counts.
+    """Smoothed frequency estimates from (expected) complete-data counts of
+    `n_users` users.
 
     Each distribution gets a symmetric pseudo-count of `prior_strength`
     split over its states, which keeps every probability positive. Leading
-    axes before (classes, items, states) stack independent fits; those need
-    `n_users`.
+    axes before (classes, items, states) stack independent fits.
     """
     c, s = state_counts.shape[-3], state_counts.shape[-1]
-    n = float(class_totals.sum()) if n_users is None else float(n_users)
-    prior = (class_totals + prior_strength / c) / (n + prior_strength)
+    prior = (class_totals + prior_strength / c) / (float(n_users) + prior_strength)
     cond = (state_counts + prior_strength / s) / (
         class_totals[..., None, None] + prior_strength
     )
@@ -251,7 +253,6 @@ def _fit_restarts(
     db: VoteDatabase,
     num_classes: int,
     seeds: list[int],
-    tol: float,
     max_iter: int,
     prior_strength: float,
 ) -> list[tuple[ClusterModel, FitReport]]:
@@ -302,7 +303,7 @@ def _fit_restarts(
             obj = float(user_norm[k].sum()) + _log_prior_term(log_prior[k], logc[k], prior_strength)
             traces[r].append(obj)
             per_user = obj / n
-            if (per_user - prev[r]) < tol * max(1.0, abs(per_user)):
+            if (per_user - prev[r]) < TOL * max(1.0, abs(per_user)):
                 finish(k, r, it, converged=True)
             else:
                 prev[r] = per_user
@@ -321,19 +322,18 @@ def em_fit(
     db: VoteDatabase,
     num_classes: int,
     seed: int = 0,
-    tol: float = 1e-6,
     max_iter: int = 200,
     prior_strength: float = 1.0,
 ) -> tuple[ClusterModel, FitReport]:
     """Fit the mixture by EM to a local maximum of the smoothed objective.
 
-    Stops when the per-user objective improves by less than `tol` (relative),
+    Stops when the per-user objective improves by less than TOL (relative),
     or after `max_iter` iterations. Deterministic for a fixed seed. One class
     needs no special case: every responsibility is exactly 1, so the first
     M-step gives the smoothed frequencies, the exact optimum, and the second
     iteration sees no improvement.
     """
-    return _fit_restarts(db, num_classes, [seed], tol, max_iter, prior_strength)[0]
+    return _fit_restarts(db, num_classes, [seed], max_iter, prior_strength)[0]
 
 
 def _dirichlet_marginal(counts: np.ndarray, alpha: float) -> np.ndarray:
@@ -385,7 +385,6 @@ def select_cluster_model(
     max_classes: int,
     seed: int = 0,
     restarts: int = 3,
-    tol: float = 1e-6,
     max_iter: int = 200,
     prior_strength: float = 1.0,
 ) -> tuple[ClusterModel, list[dict]]:
@@ -408,7 +407,7 @@ def select_cluster_model(
             int(np.random.SeedSequence([seed, c, r]).generate_state(1)[0])
             for r in range(restarts)
         ]
-        fits = _fit_restarts(db, c, seeds, tol, max_iter, prior_strength)
+        fits = _fit_restarts(db, c, seeds, max_iter, prior_strength)
         model, report = max(fits, key=lambda fit: fit[1].objective_trace[-1])
         cs = cheeseman_stutz_score(model, db, prior_strength)
         table.append({

@@ -190,7 +190,7 @@ class MemoryScorer:
         with np.errstate(invalid="ignore", divide="ignore"):
             w = np.where(self._has_norm, dot / (norm_a * self._safe_norms), 0.0)
         w[norm_a[:, 0] == 0] = 0.0
-        return np.clip(w, 0.0, 1.0)
+        return np.clip(w, -1.0, 1.0)
 
     # -- predictions
 

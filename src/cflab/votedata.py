@@ -455,7 +455,8 @@ def split_users(
 def save_split_manifest(
     path, cases: list[ActiveCase], protocol: Protocol, seed: int
 ) -> None:
-    """Write the exact observed/target split so a run can be replayed bit-for-bit."""
+    """Write each case's observed and target items: the record of a run's
+    split. A run is replayed from its config and seed, not from this file."""
     doc = {
         "version": 1,
         "protocol": protocol.label,
@@ -471,30 +472,6 @@ def save_split_manifest(
     }
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-
-
-def load_split_manifest(path, test_db: VoteDatabase) -> list[ActiveCase]:
-    """Rebuild active cases from a manifest, validating the partition against the db."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    cases = []
-    for entry in doc["cases"]:
-        u = entry["user"]
-        per = test_db.votes.get(u)
-        if per is None:
-            raise VoteDataError(f"manifest user {u!r} not in database")
-        listed = set()
-        for it in [*entry["observed"], *entry["targets"]]:
-            if it in listed or it not in per:
-                raise VoteDataError(f"manifest item {it!r} of user {u!r} is "
-                                    + ("listed twice" if it in listed else "not one of their votes"))
-            listed.add(it)
-        if listed != set(per):
-            raise VoteDataError(f"manifest split for user {u!r} does not cover their votes")
-        observed = {it: per[it] for it in entry["observed"]}
-        targets = {it: per[it] for it in entry["targets"]}
-        cases.append(ActiveCase(user=u, observed=observed, targets=targets))
-    return cases
 
 
 # --- loaders ---------------------------------------------------------------
@@ -603,11 +580,10 @@ def load_votes_csv(path, scale: VoteScale) -> VoteDatabase:
     )
 
 
-def save_votes_csv(db: VoteDatabase, path, header: bool = True) -> None:
-    """Write the database as `user,item,vote` rows, database order."""
+def save_votes_csv(db: VoteDatabase, path) -> None:
+    """Write the database as a `user,item,vote` header and rows, database order."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        if header:
-            writer.writerow(["user", "item", "vote"])
+        writer.writerow(["user", "item", "vote"])
         for u, it, v in db.iter_votes():
             writer.writerow([u, it, format(v, "g")])

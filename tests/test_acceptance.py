@@ -245,7 +245,7 @@ def test_criterion_5_em_properties():
     for i, c in enumerate(assignment):
         gamma[i, c] = 1.0
     totals, counts = cluster._counts(db.index.vote_states.T, gamma, len(db.items))
-    prior, cond = map_estimates(totals, counts, prior_strength=1.0)
+    prior, cond = map_estimates(totals, counts, 1.0, n_users=len(db.users))
     exp_prior, exp_cond = hand_smoothed_frequencies(db, assignment, 3)
     np.testing.assert_array_equal(prior, exp_prior)
     np.testing.assert_allclose(cond, exp_cond, atol=0)

@@ -64,6 +64,13 @@ FIXTURE_MODEL_DIGESTS = {
     "implicit/BN": "776e6cef48a0e392f8b6a00222a5bf788f76e13797ec1504a583a9d7599973ec",
 }
 
+# The model cache version the digests above were pinned under. Re-pinning a
+# model digest means a trainer now gives another model for the same data,
+# config and seed, so `harness.MODEL_FORMAT_VERSION` must go up with it:
+# otherwise cache files written by older code would be reused under the
+# same cache key.
+FIXTURE_MODEL_FORMAT_VERSION = 1
+
 # SHA-256 of the BN models above in the nested version-1 file form
 # (`reference.version1_file`), the files that cflab wrote before its model
 # files held node arrays
@@ -879,21 +886,32 @@ class TestIngest:
         data.write_text("V,1000,1\n")
         assert run_cli("ingest", "msweb", data, "--out", tmp_path / "x.csv") == 3
 
-    @pytest.mark.parametrize("flags", [
-        ["--implicit", "--max-vote", "5"], ["--min-vote", "5", "--max-vote", "1"],
-        ["--max-vote", "5", "--neutral", "6"], ["--max-vote", "5", "--neutral", "nan"],
-    ])
-    def test_bad_scale_flags_are_a_usage_error(self, tmp_path, capsys, monkeypatch, flags):
+    def test_bad_scale_flags_are_a_usage_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "load_votes_csv", None)  # fails if data loads
         out = tmp_path / "x.csv"
-        assert run_cli("ingest", "csv", tmp_path / "votes.csv", "--out", out, *flags) == 2
+        assert run_cli("ingest", "csv", tmp_path / "votes.csv", "--out", out,
+                       "--min-vote", "5", "--max-vote", "1") == 2
         assert "usage error: " in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("flags", [
-        ["--max-vote", "5", "--neutral", "9"], ["--min-vote", "0"], ["--max-vote", "1"],
-        ["--neutral", "0"], ["--implicit"],
+    @pytest.mark.parametrize("fmt, flags", [
+        ("csv", ["--implicit", "--max-vote", "5"]), ("csv", ["--max-vote", "5", "--neutral", "6"]),
+        ("csv", ["--max-vote", "5", "--neutral", "nan"]),
+        ("msweb", ["--max-vote", "5", "--neutral", "9"]), ("msweb", ["--neutral", "0"]),
+        ("msweb", ["--implicit"]),
     ])
+    def test_neutral_and_implicit_flags_are_gone(self, tmp_path, capsys, monkeypatch, fmt, flags):
+        # neither changed what ingest writes, so the parser no longer knows them
+        monkeypatch.setattr(cli, "load_votes_csv", None)  # fails if data loads
+        monkeypatch.setattr(cli, "load_msweb", None)
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("ingest", fmt, tmp_path / "votes.csv", "--out", out, *flags)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--min-vote", "0"], ["--max-vote", "1"]])
     def test_scale_flags_on_msweb_are_a_usage_error(self, tmp_path, capsys, monkeypatch, flags):
         # msweb data is implicit: a scale flag would be silently dropped
         monkeypatch.setattr(cli, "load_msweb", None)  # fails if data loads
@@ -975,6 +993,7 @@ class TestTrainCommand:
                     doc = json.dumps(version1_file(model), sort_keys=True)
                     version1[f"{name}/{spec.name}"] = hashlib.sha256(doc.encode()).hexdigest()
         assert digests == FIXTURE_MODEL_DIGESTS
+        assert harness.MODEL_FORMAT_VERSION == FIXTURE_MODEL_FORMAT_VERSION
         assert version1 == FIXTURE_BN_VERSION1_DIGESTS
 
 

@@ -9,10 +9,10 @@ from hypothesis import example, given, settings, strategies as st
 from cflab import memory
 from cflab.memory import DefaultVoting, MemoryConfig, MemoryScorer, _Evidence
 from cflab.predictors import MemoryPredictor, PopularityPredictor
-from cflab.votedata import IMPLICIT_SCALE
+from cflab.votedata import IMPLICIT_SCALE, VoteScale
 
-from conftest import (FixedScores, case_for, make_db, random_explicit_db, random_implicit_db,
-                      scores_of)
+from conftest import (SCALE_0_5, FixedScores, case_for, make_db, random_explicit_db,
+                      random_implicit_db, scores_of)
 from reference import brute_predict, brute_weight, evidence_product_sums, lexsort_ranked
 
 CORR = MemoryConfig(weight_kind="correlation")
@@ -310,37 +310,42 @@ class TestPopularityRank:
         assert PopularityPredictor(db).rank(case) == ["a", "b"]
 
 
-def _configs_for(scale_implicit: bool):
+def _configs_for(scale: VoteScale):
     """Weight/extension combinations exercised against the brute-force oracle."""
     out = []
     for iuf in (False, True):
         for amp in (None, 2.5):
             out.append(MemoryConfig("correlation", None, iuf, amp))
-            d = 0.0 if scale_implicit else 3.0
+            d = 0.0 if scale.implicit else scale.neutral
             out.append(MemoryConfig("correlation", DefaultVoting(d=d, k=7), iuf, amp))
-            if scale_implicit:
+            if scale.implicit:
                 out.append(MemoryConfig("vector_similarity", DefaultVoting(d=0.0, k=0), iuf, amp))
             else:
                 out.append(MemoryConfig("vector_similarity", None, iuf, amp))
     return out
 
 
+# votes below zero: a cosine, and so a VSIM weight, can be negative
+SCALE_MINUS2_2 = VoteScale(-2, 2, 0.0, False)
+
+
 class TestVectorizedAgainstBruteForce:
     def test_explicit_databases(self):
-        rng = np.random.default_rng(101)
-        for trial in range(25):
-            db = random_explicit_db(rng, n_users=7, n_items=6, density=0.6)
-            user = db.users[0]
-            votes = dict(db.votes[user])
-            observed = dict(list(votes.items())[: max(1, len(votes) - 1)])
-            case = case_for("outside", observed)
-            for cfg in _configs_for(False):
-                scorer = MemoryScorer(db, cfg)
-                (values,), (informed,) = scorer.predict_all([case])
-                for j, item in enumerate(db.items):
-                    ref_val, ref_inf = brute_predict(case, item, db, cfg)
-                    assert values[j] == pytest.approx(ref_val, abs=1e-9), (cfg, item)
-                    assert bool(informed[j]) == ref_inf
+        for scale in (SCALE_0_5, SCALE_MINUS2_2):
+            rng = np.random.default_rng(101)
+            for trial in range(25):
+                db = random_explicit_db(rng, n_users=7, n_items=6, density=0.6, scale=scale)
+                user = db.users[0]
+                votes = dict(db.votes[user])
+                observed = dict(list(votes.items())[: max(1, len(votes) - 1)])
+                case = case_for("outside", observed)
+                for cfg in _configs_for(scale):
+                    scorer = MemoryScorer(db, cfg)
+                    (values,), (informed,) = scorer.predict_all([case])
+                    for j, item in enumerate(db.items):
+                        ref_val, ref_inf = brute_predict(case, item, db, cfg)
+                        assert values[j] == pytest.approx(ref_val, abs=1e-9), (scale, cfg, item)
+                        assert bool(informed[j]) == ref_inf
 
     def test_implicit_databases(self):
         rng = np.random.default_rng(202)
@@ -348,7 +353,7 @@ class TestVectorizedAgainstBruteForce:
             db = random_implicit_db(rng, n_users=7, n_items=6, density=0.5)
             user = db.users[0]
             case = case_for("outside", dict(db.votes[user]))
-            for cfg in _configs_for(True):
+            for cfg in _configs_for(IMPLICIT_SCALE):
                 scorer = MemoryScorer(db, cfg)
                 (values,), (informed,) = scorer.predict_all([case])
                 for j, item in enumerate(db.items):
@@ -357,19 +362,20 @@ class TestVectorizedAgainstBruteForce:
                     assert bool(informed[j]) == ref_inf
 
     def test_scalar_weights_match_vectorized(self):
-        rng = np.random.default_rng(303)
-        for trial in range(10):
-            db = random_explicit_db(rng, n_users=6, n_items=6, density=0.7)
-            case = case_for("outside", dict(db.votes[db.users[0]]))
-            for cfg in _configs_for(False):
-                scorer = MemoryScorer(db, cfg)
-                w = scorer.weights([case])[0]
-                for i, u in enumerate(db.users):
-                    ref = brute_weight(case.observed, db.votes[u], db, cfg)
-                    ref = 0.0 if ref is None else ref
-                    if cfg.case_amplification is not None:
-                        ref = math.copysign(abs(ref) ** cfg.case_amplification, ref)
-                    assert w[i] == pytest.approx(ref, abs=1e-9)
+        for scale in (SCALE_0_5, SCALE_MINUS2_2):
+            rng = np.random.default_rng(303)
+            for trial in range(10):
+                db = random_explicit_db(rng, n_users=6, n_items=6, density=0.7, scale=scale)
+                case = case_for("outside", dict(db.votes[db.users[0]]))
+                for cfg in _configs_for(scale):
+                    scorer = MemoryScorer(db, cfg)
+                    w = scorer.weights([case])[0]
+                    for i, u in enumerate(db.users):
+                        ref = brute_weight(case.observed, db.votes[u], db, cfg)
+                        ref = 0.0 if ref is None else ref
+                        if cfg.case_amplification is not None:
+                            ref = math.copysign(abs(ref) ** cfg.case_amplification, ref)
+                        assert w[i] == pytest.approx(ref, abs=1e-9), (scale, cfg, u)
 
 
 def block_cases(rng, db, n):
@@ -524,7 +530,7 @@ class TestBlocks:
         else:
             db = random_explicit_db(rng, n_users=n_users, n_items=n_items, density=0.6)
         cases = block_cases(rng, db, n_cases)
-        for cfg in _configs_for(implicit):
+        for cfg in _configs_for(db.scale):
             scorer = MemoryScorer(db, cfg)
             # the default budget holds every case in one block
             assert memory.block_cases(db) >= n_cases

@@ -1,6 +1,5 @@
 import json
 import math
-import re
 
 import numpy as np
 import pytest
@@ -14,7 +13,6 @@ from cflab.votedata import (
     VoteScale,
     generate_active_cases,
     load_msweb,
-    load_split_manifest,
     load_votes_csv,
     save_split_manifest,
     save_votes_csv,
@@ -304,16 +302,16 @@ class TestSplitUsers:
 
 
 class TestSplitManifest:
-    def test_round_trip(self, tmp_path):
+    def test_records_the_split(self, tmp_path):
         db = random_explicit_db(np.random.default_rng(2), n_users=8)
         cases = generate_active_cases(db, Protocol.given(2), seed=1)
         path = tmp_path / "split.json"
         save_split_manifest(path, cases, Protocol.given(2), seed=1)
-        again = load_split_manifest(path, db)
-        assert [(c.user, dict(c.observed), dict(c.targets)) for c in again] == [
-            (c.user, dict(c.observed), dict(c.targets)) for c in cases
-        ]
         doc = json.loads(path.read_text())
+        assert doc["cases"] == [
+            {"user": c.user, "observed": list(c.observed), "targets": list(c.targets)}
+            for c in cases
+        ]
         assert doc["protocol"] == "Given2"
         assert doc["seed"] == 1
 
@@ -323,32 +321,6 @@ class TestSplitManifest:
         save_split_manifest(p1, generate_active_cases(db, Protocol.given(2), 5), Protocol.given(2), 5)
         save_split_manifest(p2, generate_active_cases(db, Protocol.given(2), 5), Protocol.given(2), 5)
         assert p1.read_bytes() == p2.read_bytes()
-
-    def test_manifest_must_cover_votes(self, tmp_path):
-        db = make_db([("u", "a", 1), ("u", "b", 2), ("u", "c", 3), ("z", "a", 1), ("z", "b", 1)])
-        path = tmp_path / "split.json"
-        path.write_text(json.dumps({
-            "version": 1, "protocol": "Given1", "seed": 0,
-            "cases": [{"user": "u", "observed": ["a"], "targets": ["b"]}],
-        }))
-        with pytest.raises(VoteDataError):
-            load_split_manifest(path, db)
-
-    @pytest.mark.parametrize("observed, targets, reason", [
-        (["a", "zz"], ["b", "c"], "item 'zz' of user 'u' is not one of their votes"),
-        (["a", "a"], ["b", "c"], "item 'a' of user 'u' is listed twice"),
-        (["a"], ["b", "c", "b"], "item 'b' of user 'u' is listed twice"),
-        (["a", "b"], ["b", "c"], "item 'b' of user 'u' is listed twice"),
-    ])
-    def test_manifest_item_errors_name_user_and_item(self, tmp_path, observed, targets, reason):
-        db = make_db([("u", "a", 1), ("u", "b", 2), ("u", "c", 3), ("z", "a", 1), ("z", "b", 1)])
-        path = tmp_path / "split.json"
-        path.write_text(json.dumps({
-            "version": 1, "protocol": "Given1", "seed": 0,
-            "cases": [{"user": "u", "observed": observed, "targets": targets}],
-        }))
-        with pytest.raises(VoteDataError, match=re.escape(reason)):
-            load_split_manifest(path, db)
 
 
 class TestActiveCase:
