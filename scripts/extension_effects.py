@@ -16,8 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from cflab.evaluation import RankedScoringConfig, run_experiment  # noqa: E402
-from cflab.memory import DefaultVoting, MemoryConfig  # noqa: E402
-from cflab.predictors import MemoryPredictor  # noqa: E402
+from cflab.memory import DefaultVoting, MemoryConfig, MemoryScorer  # noqa: E402
 from cflab.votedata import (  # noqa: E402
     IMPLICIT_SCALE,
     Protocol,
@@ -50,7 +49,7 @@ def taste_db(rng, users_per, prefix):
 
 
 def ranked_score(train, cases, cfg):
-    predictor = MemoryPredictor(train, cfg, name="CR")
+    predictor = MemoryScorer(train, cfg, name="CR")
     [report] = run_experiment(train, cases, [predictor], ["ranked"],
                               ranked_cfg=RankedScoringConfig(5.0, 0.0))
     return report.aggregate["CR"]

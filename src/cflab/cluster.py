@@ -36,6 +36,9 @@ NOISE_SCALE = 10.0
 # EM stops once the per-user objective improves by less than TOL (relative)
 TOL = 1e-6
 
+# each distribution's smoothing pseudo-count, split evenly over its states
+PRIOR_STRENGTH = 1.0
+
 
 @dataclass(eq=False)
 class ClusterModel:
@@ -186,29 +189,21 @@ def _counts(XT: sp.csc_matrix, gamma: np.ndarray, t: int) -> tuple[np.ndarray, n
 def map_estimates(
     class_totals: np.ndarray,
     state_counts: np.ndarray,
-    prior_strength: float,
     n_users: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Smoothed frequency estimates from (expected) complete-data counts of
     `n_users` users.
 
-    Each distribution gets a symmetric pseudo-count of `prior_strength`
-    split over its states, which keeps every probability positive. Leading
-    axes before (classes, items, states) stack independent fits.
+    Each distribution gets a symmetric pseudo-count of PRIOR_STRENGTH split
+    over its states, which keeps every probability positive. Leading axes
+    before (classes, items, states) stack independent fits.
     """
     c, s = state_counts.shape[-3], state_counts.shape[-1]
-    prior = (class_totals + prior_strength / c) / (float(n_users) + prior_strength)
-    cond = (state_counts + prior_strength / s) / (
-        class_totals[..., None, None] + prior_strength
+    prior = (class_totals + PRIOR_STRENGTH / c) / (float(n_users) + PRIOR_STRENGTH)
+    cond = (state_counts + PRIOR_STRENGTH / s) / (
+        class_totals[..., None, None] + PRIOR_STRENGTH
     )
     return prior, cond
-
-
-def _log_prior_term(
-    log_prior: np.ndarray, logc: np.ndarray, prior_strength: float
-) -> float:
-    c, _, s = logc.shape
-    return float(prior_strength / c * log_prior.sum() + prior_strength / s * logc.sum())
 
 
 def _dirichlet_rows(rng: np.random.Generator, alpha: np.ndarray) -> np.ndarray:
@@ -227,7 +222,7 @@ def _dirichlet_rows(rng: np.random.Generator, alpha: np.ndarray) -> np.ndarray:
 
 
 def _init_params(
-    db: VoteDatabase, c: int, rng: np.random.Generator, prior_strength: float,
+    db: VoteDatabase, c: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Near-uniform class priors; conditionals are data marginals jittered by
     seeded Dirichlet noise of concentration NOISE_SCALE so classes start
@@ -240,7 +235,7 @@ def _init_params(
     """
     n, t = len(db.users), len(db.items)
     totals, counts = _counts(db.index.vote_states.T, np.ones((n, 1)), t)
-    _, marginal = map_estimates(totals, counts, prior_strength, n_users=n)
+    _, marginal = map_estimates(totals, counts, n_users=n)
     alpha = np.maximum(NOISE_SCALE * marginal[0], 1e-6)  # (items, states)
     cond = np.maximum(_dirichlet_rows(rng, np.broadcast_to(alpha, (c,) + alpha.shape)), 1e-12)
     cond /= cond.sum(axis=2, keepdims=True)
@@ -254,7 +249,6 @@ def _fit_restarts(
     num_classes: int,
     seeds: list[int],
     max_iter: int,
-    prior_strength: float,
 ) -> list[tuple[ClusterModel, FitReport]]:
     """One EM fit from each seed's starting point, all run as one batch.
 
@@ -276,9 +270,9 @@ def _fit_restarts(
         )
     X, inverse = db.index.vote_patterns
     XT = db.index.vote_states.T
-    n, t, c = len(db.users), len(db.items), num_classes
+    n, t, c, s = len(db.users), len(db.items), num_classes, db.scale.num_states
 
-    starts = [_init_params(db, c, np.random.default_rng(seed), prior_strength) for seed in seeds]
+    starts = [_init_params(db, c, np.random.default_rng(seed)) for seed in seeds]
     prior = np.stack([p for p, _ in starts])
     cond = np.stack([q for _, q in starts])
     L, norm = _log_joint(X, np.log(prior), np.log(cond))
@@ -294,13 +288,15 @@ def _fit_restarts(
     for it in range(1, max_iter + 1):
         gamma = np.take(np.exp(L - norm[:, :, None]), inverse, axis=0)
         totals, counts = _counts(XT, gamma, t)
-        prior, cond = map_estimates(totals, counts, prior_strength, n_users=n)
+        prior, cond = map_estimates(totals, counts, n_users=n)
         log_prior, logc = np.log(prior), np.log(cond)
         L, norm = _log_joint(X, log_prior, logc)  # these objectives, and the next E-step
         user_norm = np.take(norm.T, inverse, axis=1)
         stay = []
         for k, r in enumerate(live):
-            obj = float(user_norm[k].sum()) + _log_prior_term(log_prior[k], logc[k], prior_strength)
+            # plus the smoothing prior's log density, up to a constant
+            obj = float(user_norm[k].sum()) + float(
+                PRIOR_STRENGTH / c * log_prior[k].sum() + PRIOR_STRENGTH / s * logc[k].sum())
             traces[r].append(obj)
             per_user = obj / n
             if (per_user - prev[r]) < TOL * max(1.0, abs(per_user)):
@@ -323,7 +319,6 @@ def em_fit(
     num_classes: int,
     seed: int = 0,
     max_iter: int = 200,
-    prior_strength: float = 1.0,
 ) -> tuple[ClusterModel, FitReport]:
     """Fit the mixture by EM to a local maximum of the smoothed objective.
 
@@ -333,7 +328,7 @@ def em_fit(
     M-step gives the smoothed frequencies, the exact optimum, and the second
     iteration sees no improvement.
     """
-    return _fit_restarts(db, num_classes, [seed], max_iter, prior_strength)[0]
+    return _fit_restarts(db, num_classes, [seed], max_iter)[0]
 
 
 def _dirichlet_marginal(counts: np.ndarray, alpha: float) -> np.ndarray:
@@ -350,9 +345,7 @@ def _dirichlet_marginal(counts: np.ndarray, alpha: float) -> np.ndarray:
     )
 
 
-def cheeseman_stutz_score(
-    model: ClusterModel, db: VoteDatabase, prior_strength: float = 1.0
-) -> float:
+def cheeseman_stutz_score(model: ClusterModel, db: VoteDatabase) -> float:
     """Approximate log marginal likelihood of the data under the model structure.
 
     Uses the expected complete data at the fitted parameters: the exact
@@ -373,8 +366,8 @@ def cheeseman_stutz_score(
     totals, counts = _counts(db.index.vote_states.T, gamma, len(db.items))
 
     complete_marginal = float(
-        _dirichlet_marginal(totals[None, :], prior_strength / c)[0]
-        + _dirichlet_marginal(counts, prior_strength / s).sum()
+        _dirichlet_marginal(totals[None, :], PRIOR_STRENGTH / c)[0]
+        + _dirichlet_marginal(counts, PRIOR_STRENGTH / s).sum()
     )
     complete_ll = float(totals @ log_prior + (counts * logc).sum())
     return complete_marginal - complete_ll + observed_ll + math.lgamma(c + 1)
@@ -386,7 +379,6 @@ def select_cluster_model(
     seed: int = 0,
     restarts: int = 3,
     max_iter: int = 200,
-    prior_strength: float = 1.0,
 ) -> tuple[ClusterModel, list[dict]]:
     """Fit 1..max_classes classes (several restarts each) and keep the best score.
 
@@ -407,9 +399,9 @@ def select_cluster_model(
             int(np.random.SeedSequence([seed, c, r]).generate_state(1)[0])
             for r in range(restarts)
         ]
-        fits = _fit_restarts(db, c, seeds, max_iter, prior_strength)
+        fits = _fit_restarts(db, c, seeds, max_iter)
         model, report = max(fits, key=lambda fit: fit[1].objective_trace[-1])
-        cs = cheeseman_stutz_score(model, db, prior_strength)
+        cs = cheeseman_stutz_score(model, db)
         table.append({
             "classes": c,
             "cs_score": cs,

@@ -1,10 +1,10 @@
 """Scoring metrics, the blocked experiment runner, and significance statistics.
 
 The runner makes one pass over the cases for every metric, in blocks: each
-predictor evaluates a block into score, informed and vote arrays (see
-`predictors`), ranked scoring counts each target's list position from them
-(NaN scores last) rather than building a list, and a block whose evaluation
-raises is evaluated one case at a time."""
+predictor evaluates a block into arrays (see `predictors`), each metric reads
+a block's targets from them at once (ranked scoring counts list positions, NaN
+last, and builds no list), and a block whose evaluation raises is evaluated
+one case at a time."""
 
 from __future__ import annotations
 
@@ -67,24 +67,20 @@ def ranked_utility(
     nothing, exactly as if they held the neutral vote. The list holds each
     item at most once.
     """
-    hits = []
-    for item, v in actual.items():
-        gain = max(v - cfg.neutral, 0.0)
-        if gain > 0:
-            try:
-                hits.append((ranked.index(item), gain))
-            except ValueError:
-                continue  # not in the list
-    return _walk(hits, cfg)
+    hits = [(ranked.index(item), gain) for item, v in actual.items()
+            if (gain := max(v - cfg.neutral, 0.0)) > 0 and item in ranked]
+    pos, gains = np.array(hits, dtype=float).reshape(-1, 2).T
+    return float(_walk(np.zeros(len(hits), np.intp), pos, gains, 1, cfg)[0])
 
 
-def _walk(hits: list[tuple[int, float]], cfg: RankedScoringConfig) -> float:
-    """Utility of the (0-based list position, gain) hits, added in list order
-    as a walk down the list adds them."""
-    total = 0.0
-    for pos, gain in sorted(hits):
-        total += gain / _decay(pos + 1, cfg.half_life)
-    return total
+def _walk(case_of: np.ndarray, pos: np.ndarray, gains: np.ndarray, n: int,
+          cfg: RankedScoringConfig) -> np.ndarray:
+    """The utilities of n cases from their hits, (case, 0-based list
+    position, gain) triples: each case's gains over their `_decay`s, added
+    from 0.0 in list order as a walk down its list adds them."""
+    order = np.lexsort((pos, case_of))
+    decays = [_decay(p + 1, cfg.half_life) for p in pos[order].tolist()]
+    return np.bincount(case_of[order], weights=gains[order] / decays, minlength=n)
 
 
 def max_ranked_utility(actual: Mapping[ItemId, float], cfg: RankedScoringConfig) -> float:
@@ -378,13 +374,13 @@ class _Frame:
     of the block (the block's cases from `first` on): the scores of the
     cases that the metric scores, less those whose reading raised.
 
-    Ranked scoring counts each target's list position
-    (`_Index.positions`) and adds the gains in list order, as
-    `ranked_utility` does. Its targets are (case, training position, gain)
-    triples in case and target order, with the observed training items of
-    each target's case (`skip`); an item outside training adds nothing.
-    Deviation scoring reads each target's expected vote, or the case's mean
-    vote for an item outside training."""
+    Ranked scoring counts each target's list position (`_Index.positions`)
+    and adds the gains in list order, as `ranked_utility` does. Its targets
+    are (case, training position, gain) triples in case and target order,
+    with the observed training items of each target's case (`skip`); an item
+    outside training adds nothing. Deviation scoring reads a part's (case,
+    training position) targets with one `votes` call, or if that raises each
+    case's alone, and takes the case's mean vote for an item outside training."""
 
     def __init__(self, train: VoteDatabase, chunk, cfg: RankedScoringConfig) -> None:
         self.index = index = train.index
@@ -393,44 +389,52 @@ class _Frame:
         self.todo = [todo for _, _, todo in chunk]
         skip = np.zeros((len(chunk), len(index.item_ids)), dtype=bool)
         skip[index.observed_votes(self.cases)[:2]] = True
-        case_of, cols, gains = [], [], []
+        hits, voted = [], []  # (case, training position, gain), (case, training position)
         for k, (case, _, todo) in enumerate(chunk):
-            for it, v in case.targets.items() if RANKED in todo else ():
-                gain = max(v - cfg.neutral, 0.0)
-                if gain > 0 and it in index.item_pos:
-                    case_of.append(k)
-                    cols.append(index.item_pos[it])
-                    gains.append(gain)
-        self.case_of = np.asarray(case_of, dtype=np.intp)
-        self.cols = np.asarray(cols, dtype=np.intp)
-        self.gains = np.asarray(gains)
+            for it, v in case.targets.items():
+                j, gain = index.item_pos.get(it), max(v - cfg.neutral, 0.0)
+                if j is not None and DEVIATION in todo:
+                    voted.append((k, j))
+                if j is not None and RANKED in todo and gain > 0:
+                    hits.append((k, j, gain))
+        case_of, cols, self.gains = np.array(hits, dtype=float).reshape(-1, 3).T
+        self.case_of, self.cols = case_of.astype(np.intp), cols.astype(np.intp)
         self.skip = skip[self.case_of]
+        self.voted_case_of, self.voted_cols = np.array(voted, dtype=np.intp).reshape(-1, 2).T
 
     def utilities(self, name: str, first: int, block: Block) -> dict[int, float]:
         part = range(first, first + len(block.scores))
         pick = (self.case_of >= part.start) & (self.case_of < part.stop)
-        case_of = self.case_of[pick]
+        case_of = self.case_of[pick] - first
         try:
-            pos = self.index.positions(self.skip[pick], ~block.informed[case_of - first],
-                                       -block.scores[case_of - first], self.cols[pick])
+            pos = self.index.positions(self.skip[pick], ~block.informed[case_of],
+                                       -block.scores[case_of], self.cols[pick])
         except Exception:
             log.exception("ranked scoring: algorithm %s failed on a block", name)
             return {}
-        hits = {k: [] for k in part if RANKED in self.todo[k]}
-        for k, p, gain in zip(case_of.tolist(), pos.tolist(), self.gains[pick].tolist()):
-            hits[k].append((p, gain))
-        return {k: _walk(h, self.cfg) for k, h in hits.items()}
+        totals = _walk(case_of, pos, self.gains[pick], len(part), self.cfg)
+        return {k: float(totals[k - first]) for k in part if RANKED in self.todo[k]}
 
     def deviations(self, name: str, first: int, block: Block) -> dict[int, float]:
+        part = [k for k in range(first, first + len(block.scores)) if DEVIATION in self.todo[k]]
+        try:
+            return self._deviations(first, block, part) if part else {}
+        except Exception:
+            pass
+        # a case can fail its part: only the failing case fails
         got = {}
-        for k in range(first, first + len(block.scores)):
-            case = self.cases[k]
+        for k in part:
             try:
-                if DEVIATION in self.todo[k]:
-                    got[k] = absolute_deviation({
-                        it: case.observed_mean if (j := self.index.item_pos.get(it)) is None
-                        else block.vote(k - first, j) for it in case.targets}, case.targets)
+                got.update(self._deviations(first, block, [k]))
             except Exception:
                 log.exception("deviation scoring: algorithm %s failed on case %r",
-                              name, case.user)
+                              name, self.cases[k].user)
         return got
+
+    def _deviations(self, first: int, block: Block, part: list[int]) -> dict[int, float]:
+        """The deviations of the cases `part`, their votes read in one call."""
+        pick = np.isin(self.voted_case_of, part)
+        votes = iter(block.votes(self.voted_case_of[pick] - first, self.voted_cols[pick]).tolist())
+        return {k: absolute_deviation({
+            it: next(votes) if it in self.index.item_pos else self.cases[k].observed_mean
+            for it in self.cases[k].targets}, self.cases[k].targets) for k in part}

@@ -43,12 +43,7 @@ from .evaluation import (
     block_cases,
     run_experiment,
 )
-from .predictors import (
-    BayesNetPredictor,
-    ClusterPredictor,
-    MemoryPredictor,
-    PopularityPredictor,
-)
+from .predictors import BayesNetPredictor, ClusterPredictor, PopularityPredictor
 from .votedata import (
     IMPLICIT_SCALE,
     Protocol,
@@ -215,7 +210,7 @@ ALGORITHM_PARAMS = {
         "case_amp": (None, _table({"p": (_REQUIRED, POSITIVE)})),
     },
     CLUSTER: {"classes": (None, COUNT), "max_classes": (25, COUNT), "restarts": (3, COUNT),
-              "prior_strength": (1.0, POSITIVE), "max_iter": (200, COUNT)},
+              "max_iter": (200, COUNT)},
     BAYESNET: {"structure_penalty": (0.1, FRACTION), "ess": (10.0, POSITIVE)},
 }
 
@@ -325,20 +320,26 @@ def load_config(path) -> ExperimentConfig:
     return parse_config(doc, path.parent)
 
 
-def load_datasets(spec: DatasetSpec) -> tuple[VoteDatabase, VoteDatabase]:
-    """Load (train, test); test users are filtered to the minimum vote count."""
-    loader = load_msweb if spec.format == "msweb" else (
-        lambda p: load_votes_csv(p, spec.scale)
-    )
-    train = loader(spec.train)
-    if spec.test is not None:
-        test = loader(spec.test)
-    else:
-        train, test = split_users(train, spec.test_fraction, spec.split_seed)
+def _load_train(spec: DatasetSpec) -> tuple[VoteDatabase, VoteDatabase | None]:
+    """The training set, and the test set of a `test_fraction` split (None
+    beside a test file, which is not read)."""
+    train = load_msweb(spec.train) if spec.format == "msweb" else (
+        load_votes_csv(spec.train, spec.scale))
+    train, test = (train, None) if spec.test is not None else split_users(
+        train, spec.test_fraction, spec.split_seed)
     if spec.train_users is not None and spec.train_users < len(train.users):
         perm = np.random.default_rng(spec.split_seed).permutation(len(train.users))
         keep = {train.users[i] for i in perm[: spec.train_users]}
         train = train.subset(users=[u for u in train.users if u in keep])
+    return train, test
+
+
+def load_datasets(spec: DatasetSpec) -> tuple[VoteDatabase, VoteDatabase]:
+    """Load (train, test); test users are filtered to the minimum vote count."""
+    train, test = _load_train(spec)
+    if test is None:
+        test = load_msweb(spec.test) if spec.format == "msweb" else (
+            load_votes_csv(spec.test, spec.scale))
     if spec.min_votes > 1:
         keep = [u for u in test.users if len(test.votes[u]) >= spec.min_votes]
         test = test.subset(users=keep)
@@ -388,7 +389,7 @@ def train_model(train: VoteDatabase, spec: AlgorithmSpec, seed: int, cache_dir: 
             return model, path
     params = algorithm_config(spec)
     if spec.kind == CLUSTER:
-        fit = dict(seed=seed, prior_strength=params["prior_strength"], max_iter=params["max_iter"])
+        fit = dict(seed=seed, max_iter=params["max_iter"])
         if params["classes"] is not None:
             model, _ = cluster.em_fit(train, params["classes"], **fit)
         else:
@@ -415,7 +416,7 @@ def build_predictor(spec: AlgorithmSpec, train: VoteDatabase, seed: int, cache_d
     if spec.kind == POPULARITY:
         return PopularityPredictor(train, name=spec.name)
     if spec.kind == MEMORY:
-        return MemoryPredictor(train, algorithm_config(spec), name=spec.name)
+        return memory.MemoryScorer(train, algorithm_config(spec), name=spec.name)
     model, _ = train_model(train, spec, seed, cache_dir)
     return TRAINED_KINDS[spec.kind].predictor(train, model, name=spec.name)
 
@@ -426,7 +427,6 @@ def build_predictor(spec: AlgorithmSpec, train: VoteDatabase, seed: int, cache_d
 @dataclass
 class RunResult:
     reports: dict[tuple[str, str], ExperimentReport]  # (metric, protocol label)
-    report_paths: list[Path]
     summary_paths: list[Path]
     output_dir: Path
 
@@ -465,7 +465,6 @@ def run(config: ExperimentConfig) -> RunResult:
             predictors.append(build_predictor(spec, train, config.seed, cache_dir))
 
     reports: dict[tuple[str, str], ExperimentReport] = {}
-    report_paths: list[Path] = []
     for protocol in config.protocols:
         times = stages["protocols"][protocol.label] = {}
         with _stage(times, "cases"):
@@ -484,7 +483,6 @@ def run(config: ExperimentConfig) -> RunResult:
                 reports[(report.metric, protocol.label)] = report
                 path = out / "reports" / f"{report.metric}_{protocol.label}.json"
                 path.write_text(report.dumps(), encoding="utf-8")
-                report_paths.append(path)
 
     summary_paths = []
     with _stage(stages, "summaries"):
@@ -518,7 +516,7 @@ def run(config: ExperimentConfig) -> RunResult:
     (out / "run_meta.json").write_text(
         json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
-    return RunResult(reports, report_paths, summary_paths, out)
+    return RunResult(reports, summary_paths, out)
 
 
 def train_models(config: ExperimentConfig, only: str | None = None) -> dict[str, Path]:
@@ -526,7 +524,7 @@ def train_models(config: ExperimentConfig, only: str | None = None) -> dict[str,
     with `only` those of the trained kind of that `TrainedKind.only` name."""
     if only and only not in [kind.only for kind in TRAINED_KINDS.values()]:
         raise ValueError(f"no trained algorithm kind is named {only!r}")
-    train, _ = load_datasets(config.dataset)
+    train, _ = _load_train(config.dataset)  # training reads no test file
     out = {}
     for spec in config.algorithms:
         kind = TRAINED_KINDS.get(spec.kind)

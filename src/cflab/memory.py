@@ -15,6 +15,7 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 
+from .predictors import Block, Predictor
 from .votedata import ActiveCase, VoteDatabase, VoteScale, _Index
 
 CORRELATION = "correlation"
@@ -87,8 +88,9 @@ def _with_entries(pattern: sp.csr_matrix, data: np.ndarray) -> sp.csr_matrix:
     return sp.csr_matrix((data, pattern.indices, pattern.indptr), shape=pattern.shape)
 
 
-class MemoryScorer:
-    """Weight and prediction pipeline for one database and config.
+class MemoryScorer(Predictor):
+    """The memory-based predictor of one database and config: its scores and
+    votes are the predicted votes.
 
     Scores a block of cases at once. Each per-user sum a case's weights need
     adds, over the case's observed training items in observed order, a term
@@ -104,8 +106,8 @@ class MemoryScorer:
     item adds its voters' terms in user order, as w @ X does.
     """
 
-    def __init__(self, db: VoteDatabase, cfg: MemoryConfig) -> None:
-        self.db = db
+    def __init__(self, db: VoteDatabase, cfg: MemoryConfig, name: str = "memory") -> None:
+        super().__init__(db, name)
         self.cfg = cfg
         self.idx = idx = db.index
         self.default = _resolve_default(db.scale, cfg)
@@ -126,6 +128,10 @@ class MemoryScorer:
             centered = votes_T.data - idx.user_means[votes_T.indices]
             self._centered_T = _with_entries(votes_T, centered)
             self._mask_T = _with_entries(votes_T, np.ones(votes_T.nnz))
+
+    def evaluate(self, cases: Sequence[ActiveCase]) -> Block:
+        values, informed = self.predict_all(cases)
+        return Block(values, informed, lambda rows, cols: values[rows, cols])
 
     # -- weights
 
@@ -197,11 +203,11 @@ class MemoryScorer:
     def predict_all(self, cases: Sequence[ActiveCase]) -> tuple[np.ndarray, np.ndarray]:
         """Predicted votes and informed flags, a row per case and a column per
         database item, scored in blocks of `block_cases` cases."""
-        size = block_cases(self.db)
+        size = block_cases(self.train)
         if len(cases) > size:
             parts = [self.predict_all(cases[lo:lo + size]) for lo in range(0, len(cases), size)]
             return tuple(np.concatenate(arrays) for arrays in zip(*parts))
-        scale = self.db.scale
+        scale = self.train.scale
         base = np.array([case.observed_mean for case in cases])[:, None]
         w = self.weights(cases)
         abs_w = np.abs(w)

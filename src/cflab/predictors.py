@@ -1,14 +1,15 @@
-"""Named predictor adapters that the experiment runner scores.
+"""Named predictors that the experiment runner scores.
 
 The one predictor contract: `evaluate(cases)` evaluates a block of cases at
 once and returns a `Block`, a row per case and a column per training item (in
-`train.items` order) of rank `scores` and an `informed` mask; `vote(row, j)`,
-the expected vote of the row's case for the unobserved training item at
-position j (POP's raises); and `counts`, per-case tallies of the work that
-the ranked metric reports (BN's `lookups` and `influenced`). POP, BN and BC
-inform every item; a memory predictor informs the items a weighted
-neighbour voted on (every item under default voting), and scores a block in
-the sub-blocks that bound its weight arrays (`memory.block_cases`).
+`train.items` order) of rank `scores` and an `informed` mask; `votes(rows,
+cols)`, the expected votes of the (block row, training position) pairs, each
+the row's case's vote for the unobserved training item at that position
+(POP's raises); and `counts`, per-case tallies of the work that the ranked
+metric reports (BN's `lookups` and `influenced`). POP, BN and BC inform every
+item; `memory.MemoryScorer` informs the items a weighted neighbour voted on
+(every item under default voting), and scores a block in the sub-blocks that
+bound its weight arrays (`memory.block_cases`).
 
 A case's ranked list holds its unobserved training items in descending
 score with NaN last, informed first on equal scores, ties to the lower item
@@ -18,7 +19,7 @@ each target's position; `rank(case)` lists a block of one in the order of
 its items' positions.
 `predict(case, item)`, also a block of one, raises ValueError for an
 observed item, returns the case's mean vote for an item absent from
-training, and otherwise the block's `vote`.
+training, and otherwise the block's vote of that one pair.
 
 A BC or BN model covers exactly the training items, in training order, so its
 own per-item arrays are the scores; a predictor refuses a model over any
@@ -32,7 +33,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from . import bayesnet, cluster, memory
+from . import bayesnet, cluster
 from .votedata import ActiveCase, ItemId, VoteDatabase
 
 @dataclass(frozen=True)
@@ -41,7 +42,7 @@ class Block:
 
     scores: np.ndarray
     informed: np.ndarray
-    vote: Callable[[int, int], float]
+    votes: Callable[[np.ndarray, np.ndarray], np.ndarray]
     counts: Mapping[str, np.ndarray] = field(default_factory=dict)
 
 
@@ -74,7 +75,7 @@ class Predictor:
         j = self.train.index.item_pos.get(item)
         if j is None:
             return case.observed_mean
-        return self.evaluate([case]).vote(0, j)
+        return float(self.evaluate([case]).votes(np.array([0]), np.array([j]))[0])
 
 
 class PopularityPredictor(Predictor):
@@ -86,23 +87,11 @@ class PopularityPredictor(Predictor):
     def evaluate(self, cases: Sequence[ActiveCase]) -> Block:
         counts = self.train.index.item_counts
         return Block(np.broadcast_to(counts, (len(cases), len(counts))),
-                     self._all_informed(cases), self._no_vote)
+                     self._all_informed(cases), self._no_votes)
 
     @staticmethod
-    def _no_vote(row: int, j: int) -> float:
+    def _no_votes(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         raise NotImplementedError("popularity baseline does not predict vote values")
-
-
-class MemoryPredictor(Predictor):
-    """Scores are the predicted votes of `memory.MemoryScorer`."""
-
-    def __init__(self, train: VoteDatabase, cfg: memory.MemoryConfig, name: str) -> None:
-        super().__init__(train, name)
-        self.scorer = memory.MemoryScorer(train, cfg)
-
-    def evaluate(self, cases: Sequence[ActiveCase]) -> Block:
-        values, informed = self.scorer.predict_all(cases)
-        return Block(values, informed, lambda row, j: float(values[row, j]))
 
 
 class _ModelBackedPredictor(Predictor):
@@ -124,11 +113,13 @@ class ClusterPredictor(_ModelBackedPredictor):
         cond, scale = self.model.cond, self.model.scale
         rows, cols, votes = self.train.index.observed_votes(cases)
         post = self.model.posteriors(len(cases), rows, cols, scale.states_of(votes))
-        # a case's mixture is its own einsum: `post @ cond` or a block einsum
-        # need not add the classes in the same order
-        mixed = np.array([np.einsum("c,cjs->js", p, cond) for p in post])
+        mixed = np.einsum("kc,cjs->kjs", post, cond)
+        # a pair's vote mixes the classes in its own (1 x classes) @ (classes
+        # x states) product, on a copy of cond[:, j, :]; the einsum's mixture,
+        # `post @ cond` or `np.tensordot` add the classes in another order
         return Block(scale.rank_score(mixed), self._all_informed(cases),
-                     lambda row, j: float(scale.expected_vote(post[row] @ cond[:, j, :])))
+                     lambda rows, cols: scale.expected_vote(np.matmul(
+                         post[rows][:, None, :], cond[:, cols, :].transpose(1, 0, 2))[:, 0, :]))
 
 
 class BayesNetPredictor(_ModelBackedPredictor):
@@ -139,9 +130,8 @@ class BayesNetPredictor(_ModelBackedPredictor):
         rows, cols, votes = self.train.index.observed_votes(cases)
         leaf, influenced, seen = self.model.route(len(cases), rows, cols,
                                                   self.model.scale.states_of(votes))
-        expected = self.model.expected
         # every unobserved item is a lookup; `influenced` those an observed
         # vote steered
         counts = {"lookups": (~seen).sum(axis=1), "influenced": (influenced & ~seen).sum(axis=1)}
         return Block(self.model.score[leaf], self._all_informed(cases),
-                     lambda row, j: float(expected[leaf[row, j]]), counts)
+                     lambda rows, cols: self.model.expected[leaf[rows, cols]], counts)

@@ -9,7 +9,8 @@ the rule that the change breaks and its verdict:
 A mutant's `old` text must occur exactly once in its file
 (`test_mutants.py`), so a change that moves or rewrites the code it names
 must move or rewrite the mutant too. That check fails on any mutated tree,
-so a mutant's run leaves `tests/test_mutants.py` out.
+so a mutant's run leaves `tests/test_mutants.py` out. `scripts/mutate.py`
+runs each mutant on a copy of the checkout and prints its verdict.
 """
 
 from __future__ import annotations
@@ -155,5 +156,62 @@ MUTANTS = (
         "POP ranks items and predicts no vote values",
         "caught",
         "test_predictors.py::TestPopularityPredictor::test_ranks_and_refuses_votes",
+    ),
+    Mutant(
+        "walk-sort-keys-swapped",
+        "src/cflab/evaluation.py",
+        "order = np.lexsort((pos, case_of))",
+        "order = np.lexsort((case_of, pos))",
+        "ranked utility adds a case's gains in list order",
+        "equivalent",
+        "sorting by position first still leaves each case's hits in list order, and "
+        "`np.bincount` adds each case's terms in input order",
+    ),
+    Mutant(
+        "walk-in-target-order",
+        "src/cflab/evaluation.py",
+        "order = np.lexsort((pos, case_of))",
+        'order = np.argsort(case_of, kind="stable")',
+        "ranked utility adds a case's gains in list order",
+        "caught",
+        "test_evaluation.py::TestRankedUtility::test_equals_full_walk_bitwise",
+    ),
+    Mutant(
+        "bc-votes-from-einsum-mixture",
+        "src/cflab/predictors.py",
+        "lambda rows, cols: scale.expected_vote(np.matmul(\n"
+        "                         post[rows][:, None, :], "
+        "cond[:, cols, :].transpose(1, 0, 2))[:, 0, :]))",
+        "lambda rows, cols: scale.expected_vote(mixed[rows, cols]))",
+        "BC's vote mixes the classes in a (1 x classes) @ (classes x states) product per pair",
+        "caught",
+        "test_predictors.py::TestClusterArrays::test_votes_are_each_pairs_product",
+    ),
+    Mutant(
+        "bc-block-matmul",
+        "src/cflab/predictors.py",
+        'mixed = np.einsum("kc,cjs->kjs", post, cond)',
+        "mixed = (post @ cond.reshape(len(cond), -1)).reshape(len(post), *cond.shape[1:])",
+        "BC's scores mix each case's classes as its own einsum adds them",
+        "caught",
+        "test_predictors.py::TestContract::test_rank_lists_the_counted_order",
+    ),
+    Mutant(
+        "deviation-retry-dropped",
+        "src/cflab/evaluation.py",
+        "except Exception:\n            pass",
+        "except Exception:\n            return {}",
+        "a case whose vote fails is excluded alone, not with the rest of its part",
+        "caught",
+        "test_evaluation.py::TestOnePass::test_one_pass_equals_a_pass_per_metric",
+    ),
+    Mutant(
+        "bc-prior-strength",
+        "src/cflab/cluster.py",
+        "PRIOR_STRENGTH = 1.0",
+        "PRIOR_STRENGTH = 2.0",
+        "BC smooths every distribution with a total pseudo-count of 1",
+        "caught",
+        "test_acceptance.py::test_criterion_5_em_properties",
     ),
 )

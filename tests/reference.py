@@ -543,7 +543,8 @@ def _case_oracle(alg, train, case):
     the work counts the ranked report adds up. Raises where the predictor
     fails the case. A predictor with an `oracle(case, items)` method is its
     own oracle."""
-    from cflab.predictors import ClusterPredictor, MemoryPredictor, PopularityPredictor
+    from cflab.memory import MemoryScorer
+    from cflab.predictors import ClusterPredictor, PopularityPredictor
 
     items = [it for it in train.items if it not in case.observed]
     if hasattr(alg, "oracle"):
@@ -553,8 +554,8 @@ def _case_oracle(alg, train, case):
         for _, it, _ in train.iter_votes():
             counts[it] += 1
         return {it: (float(counts[it]), True) for it in items}, None, {}
-    if isinstance(alg, MemoryPredictor):
-        values = {it: brute_predict(case, it, train, alg.scorer.cfg) for it in items}
+    if isinstance(alg, MemoryScorer):
+        values = {it: brute_predict(case, it, train, alg.cfg) for it in items}
         return values, lambda it: values[it][0], {}
     model = alg.model
     pos = {it: j for j, it in enumerate(model.items)}
@@ -739,7 +740,8 @@ def em_fit_loop(db, c, seed=0, tol=1e-6, max_iter=200, prior_strength=1.0):
     for it in range(1, max_iter + 1):
         iterations = it
         totals, counts = _bc_counts(XT, np.exp(L - norm[:, None]), t)
-        prior, cond = map_estimates(totals, counts, prior_strength, n_users=n)
+        prior = (totals + prior_strength / c) / (n + prior_strength)
+        cond = (counts + prior_strength / s) / (totals[:, None, None] + prior_strength)
         L, norm = _bc_loglik_rows(X, prior, cond)
         log_prior = (prior_strength / c) * np.log(prior).sum()
         log_prior = float(log_prior + (prior_strength / s) * np.log(cond).sum())

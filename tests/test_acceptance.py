@@ -33,7 +33,6 @@ from cflab.evaluation import (
     ranked_utility,
 )
 from cflab.memory import DefaultVoting, MemoryConfig, MemoryScorer
-from cflab.predictors import MemoryPredictor
 from cflab.votedata import (
     IMPLICIT_SCALE,
     Protocol,
@@ -199,7 +198,7 @@ def _taste_db(rng, users_per, prefix):
 
 
 def _ranked_score(train, cases, cfg):
-    predictor = MemoryPredictor(train, cfg, name="CR")
+    predictor = MemoryScorer(train, cfg, name="CR")
     rc = RankedScoringConfig(5.0, 0.0)
     utilities, maxima = [], []
     for c in cases:
@@ -245,7 +244,7 @@ def test_criterion_5_em_properties():
     for i, c in enumerate(assignment):
         gamma[i, c] = 1.0
     totals, counts = cluster._counts(db.index.vote_states.T, gamma, len(db.items))
-    prior, cond = map_estimates(totals, counts, 1.0, n_users=len(db.users))
+    prior, cond = map_estimates(totals, counts, n_users=len(db.users))
     exp_prior, exp_cond = hand_smoothed_frequencies(db, assignment, 3)
     np.testing.assert_array_equal(prior, exp_prior)
     np.testing.assert_allclose(cond, exp_cond, atol=0)

@@ -222,7 +222,7 @@ class TestEmFit:
         for i, c in enumerate(assignment):
             gamma[i, c] = 1.0
         totals, counts = cluster._counts(db.index.vote_states.T, gamma, len(db.items))
-        prior, cond = map_estimates(totals, counts, 1.0, n_users=len(db.users))
+        prior, cond = map_estimates(totals, counts, n_users=len(db.users))
         exp_prior, exp_cond = hand_smoothed_frequencies(db, assignment, 2)
         np.testing.assert_array_equal(prior, exp_prior)
         np.testing.assert_allclose(cond, exp_cond, atol=0)
@@ -470,7 +470,7 @@ class TestInitDraw:
         rng = np.random.default_rng(8)
         make = random_explicit_db if explicit else random_implicit_db
         db = make(rng, n_users=30, n_items=7, density=0.5)
-        got = cluster._init_params(db, 4, np.random.default_rng(21), 1.0)
+        got = cluster._init_params(db, 4, np.random.default_rng(21))
         want = init_params_loop(db, 4, np.random.default_rng(21), 1.0, cluster.NOISE_SCALE)
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
@@ -523,7 +523,7 @@ class TestAgainstReference:
                                          restarts, max_iter):
         db = duplicated_db(np.random.default_rng(seed), SCALES[scale], n_users, 6, profiles)
         seeds = [seed + r for r in range(restarts)]
-        fits = cluster._fit_restarts(db, classes, seeds, max_iter, 1.0)
+        fits = cluster._fit_restarts(db, classes, seeds, max_iter)
         for s, (model, report) in zip(seeds, fits):
             want, (trace, iterations, converged) = em_fit_loop(db, classes, s, max_iter=max_iter)
             assert model_file(model) == model_file(want)

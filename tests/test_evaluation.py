@@ -26,12 +26,11 @@ from cflab.evaluation import (
     ranked_utility,
     run_experiment,
 )
-from cflab.memory import DefaultVoting, MemoryConfig
+from cflab.memory import DefaultVoting, MemoryConfig, MemoryScorer
 from cflab.predictors import (
     BayesNetPredictor,
     Block,
     ClusterPredictor,
-    MemoryPredictor,
     PopularityPredictor,
     Predictor,
 )
@@ -274,7 +273,7 @@ class _ConstantRanker:
     def evaluate(self, cases):
         scores = np.tile(self.row, (len(cases), 1))
         return Block(scores, np.ones(scores.shape, dtype=bool),
-                     lambda row, j: self._vote(cases[row]))
+                     lambda rows, cols: np.array([self._vote(cases[r]) for r in rows], float))
 
     def _vote(self, case):
         return self.value
@@ -433,7 +432,7 @@ class TestOnePass:
         def docs(metrics):
             # fresh predictors, so that each pass starts from empty stats
             algs = [
-                MemoryPredictor(train, MemoryConfig("correlation"), "CR"),
+                MemoryScorer(train, MemoryConfig("correlation"), "CR"),
                 BayesNetPredictor(train, bn),
                 ClusterPredictor(train, bc),
                 _FailingPredict(train, "F", train.items, bad_predict),
@@ -521,7 +520,8 @@ class _Scripted(Predictor):
     def evaluate(self, cases):
         rows = [self._row(case) for case in cases]
         return Block(np.array([s for s, _ in rows]), np.array([i for _, i in rows]),
-                     lambda row, j: self._vote(cases[row], j))
+                     lambda rows, cols: np.array([self._vote(cases[r], j) for r, j
+                                                  in zip(rows.tolist(), cols.tolist())], float))
 
     def _vote(self, case, j):
         if case.user in self.vote_fail_users:
@@ -538,9 +538,9 @@ class _Scripted(Predictor):
 def _has_residual_weights(alg, cases):
     """A memory predictor's round-off residual weights decide its votes, where
     the oracle has none: such draws are not compared."""
-    if not isinstance(alg, MemoryPredictor):
+    if not isinstance(alg, MemoryScorer):
         return False
-    w = alg.scorer.weights(cases)
+    w = alg.weights(cases)
     return bool(np.any((w != 0) & (np.abs(w) < 1e-9)))
 
 
@@ -579,13 +579,14 @@ class TestAgainstReference:
         cases.insert(int(rng.integers(len(cases) + 1)), bad)
         users = [case.user for case in cases]
         algs = [
-            MemoryPredictor(train, MemoryConfig("correlation", DefaultVoting(k=20), True, 2.5),
-                            "CR+"),
-            MemoryPredictor(train, MemoryConfig("vector_similarity", None, True), "VSIM"),
+            MemoryScorer(train, MemoryConfig("correlation", DefaultVoting(k=20), True, 2.5), "CR+"),
+            MemoryScorer(train, MemoryConfig("vector_similarity", None, True), "VSIM"),
             ClusterPredictor(train, em_fit(train, 2, seed=1)[0]),
             BayesNetPredictor(train, learn_network(train, LearnConfig(structure_penalty=0.99))),
         ]
-        others = [_Scripted(train, rng.choice(users, 1), rng.choice(users, 2))]
+        # with no case failing its evaluation, a vote failure hits a part of
+        # more than one case wherever a block holds several
+        others = [_Scripted(train, rng.choice(users, int(rng.integers(2))), rng.choice(users, 2))]
         if "deviation" not in metrics:
             others.append(PopularityPredictor(train))
         for alg in others:
@@ -606,6 +607,38 @@ class TestAgainstReference:
                 return
         for g, w in zip(got, want):
             _assert_report_matches(g, w)
+
+
+class TestDeviationReading:
+    def test_a_failing_vote_loses_only_its_case(self):
+        # one `votes` call reads a part's targets; when it raises, each case
+        # of the part is read alone
+        rng = np.random.default_rng(4)
+        train = random_grouped_db(rng, explicit=True, n_users=30)
+        cases = generate_active_cases(random_grouped_db(rng, explicit=True, n_users=12),
+                                      Protocol.given(2), seed=3)
+        bad = cases[len(cases) // 2].user
+        alg = _Scripted(train, vote_fail_users=[bad])
+        calls = []
+        evaluate = alg.evaluate
+
+        def counted(cases):
+            block = evaluate(cases)
+
+            def votes(rows, cols):
+                calls.append(len(set(rows.tolist())))
+                return block.votes(rows, cols)
+
+            return Block(block.scores, block.informed, votes)
+
+        alg.evaluate = counted
+        cfg = RankedScoringConfig(half_life=5.0, neutral=3.0)
+        [got] = run_experiment(train, cases, [alg], ["deviation"], cfg)
+        assert calls == [len(cases)] + [1] * len(cases)  # the part, then each case
+        assert got.excluded["failed"] == [bad]
+        assert got.case_ids == [case.user for case in cases if case.user != bad]
+        [want] = reference_reports(train, cases, [alg], ["deviation"], cfg)
+        _assert_report_matches(got.to_json(), want)
 
 
 def _assert_report_matches(got, want):

@@ -178,8 +178,11 @@ class TestConfigValidation:
         ("dataset: unknown key 'top_items'", lambda doc: doc["dataset"].update(top_items=3)),
         ("algorithms[5].config: unknown key 'max_parents'",
          lambda doc: doc["algorithms"][5]["config"].update(max_parents=1)),
+        ("algorithms[4].config: unknown key 'prior_strength'",
+         lambda doc: doc["algorithms"][4]["config"].update(prior_strength=1.0)),
     ], ids=["top", "dataset", "scale", "ranked", "algorithm", "popularity", "memory",
-            "default_voting", "cluster", "bayesnet", "top_items", "max_parents"])
+            "default_voting", "cluster", "bayesnet", "top_items", "max_parents",
+            "prior_strength"])
     def test_unknown_key_is_named(self, workdir, capsys, where, misspell):
         # a misspelt key would otherwise leave its setting at the default
         doc = json.loads((workdir / "fixture_config.json").read_text())
@@ -194,7 +197,6 @@ class TestConfigValidation:
     @pytest.mark.parametrize("alg, key, value", [
         (4, "classes", 0), (4, "classes", "two"), (4, "classes", 1.5), (4, "classes", True),
         (4, "max_classes", 0), (4, "restarts", -1), (4, "max_iter", 0),
-        (4, "prior_strength", 0), (4, "prior_strength", "1"), (4, "prior_strength", float("inf")),
         (5, "structure_penalty", 1.5), (5, "structure_penalty", 0), (5, "structure_penalty", 1),
         (5, "ess", 0), (5, "ess", -2.0), (5, "ess", None),
     ])
@@ -204,7 +206,7 @@ class TestConfigValidation:
         doc["algorithms"][alg]["config"] = {key: value}
         bad = workdir / "bad.json"
         bad.write_text(json.dumps(doc))
-        monkeypatch.setattr(harness, "load_datasets", None)  # fails if data loads
+        monkeypatch.setattr(harness, "_load_train", None)  # fails if data loads
         assert run_cli("run", bad) == 2
         assert f"algorithms[{alg}].config.{key}: must be" in capsys.readouterr().err
         assert run_cli("train", bad) == 2
@@ -243,7 +245,7 @@ class TestConfigValidation:
         set_path(doc, where, value)
         bad = workdir / "bad.json"
         bad.write_text(json.dumps(doc))
-        monkeypatch.setattr(harness, "load_datasets", None)  # fails if data loads
+        monkeypatch.setattr(harness, "_load_train", None)  # fails if data loads
         assert run_cli("run", bad) == 2
         assert f"{where}: must be" in capsys.readouterr().err
         assert not (workdir / "out").exists()
@@ -281,7 +283,7 @@ class TestConfigValidation:
         set_path(doc, key, value)
         bad = workdir / "bad.json"
         bad.write_text(json.dumps(doc))
-        monkeypatch.setattr(harness, "load_datasets", None)  # fails if data loads
+        monkeypatch.setattr(harness, "_load_train", None)  # fails if data loads
         assert run_cli("run", bad) == 2
         assert where in capsys.readouterr().err
         assert not (workdir / "out").exists()
@@ -305,7 +307,7 @@ class TestConfigValidation:
             "weight": "vector_similarity", "default_voting": {}}})
         bad = workdir / "bad.json"
         bad.write_text(json.dumps(doc))
-        monkeypatch.setattr(harness, "load_datasets", None)  # fails if data loads
+        monkeypatch.setattr(harness, "_load_train", None)  # fails if data loads
         assert run_cli("run", bad) == 2
         assert "algorithms[3].config: default voting with vector similarity" in \
             capsys.readouterr().err
@@ -350,8 +352,7 @@ class TestConfigValidation:
 
         def bc(classes=None, max_classes=25, restarts=3, max_iter=200):
             return ("BC", "cluster", {"classes": classes, "max_classes": max_classes,
-                                      "restarts": restarts, "prior_strength": 1.0,
-                                      "max_iter": max_iter})
+                                      "restarts": restarts, "max_iter": max_iter})
 
         def msweb(train, test, protocols, max_iter):
             return harness.ExperimentConfig(
@@ -946,6 +947,31 @@ class TestTrainCommand:
         assert run_cli("train", workdir / "fixture_config.json") == 0
         out = capsys.readouterr().out
         assert "BN" in out and "BC" in out
+
+    @pytest.mark.parametrize("split", ["test_file", "test_fraction"])
+    def test_training_reads_no_test_file(self, workdir, monkeypatch, split):
+        # it trains on a run's training set, so under a run's cache key
+        doc = json.loads((workdir / "fixture_config.json").read_text())
+        doc["dataset"]["train_users"] = 8
+        if split == "test_file":
+            shutil.copy(workdir / "fixture_votes.csv", workdir / "test_votes.csv")
+            del doc["dataset"]["test_fraction"]
+            doc["dataset"]["test"] = "test_votes.csv"
+        (workdir / "split.json").write_text(json.dumps(doc))
+        config = harness.load_config(workdir / "split.json")
+        train, _ = harness.load_datasets(config.dataset)
+        [spec] = [a for a in config.algorithms if a.kind == "bayesnet"]
+        opened = []
+        load = harness.load_votes_csv
+
+        def recorded(path, scale):
+            opened.append(path)
+            return load(path, scale)
+
+        monkeypatch.setattr(harness, "load_votes_csv", recorded)
+        path = harness.train_models(config, only="bn")[spec.name]
+        assert opened == [config.dataset.train]
+        assert path.name == f"bayesnet_{harness._model_cache_key(train, spec, config.seed)}.json"
 
     def test_only_names_come_from_the_trained_kinds(self, workdir):
         assert {kind: t.only for kind, t in harness.TRAINED_KINDS.items()} == {

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cflab import memory
 from cflab.memory import DefaultVoting, MemoryConfig, MemoryScorer, _Evidence
-from cflab.predictors import MemoryPredictor, PopularityPredictor
+from cflab.predictors import PopularityPredictor
 from cflab.votedata import IMPLICIT_SCALE, VoteScale
 
 from conftest import (SCALE_0_5, FixedScores, case_for, make_db, random_explicit_db,
@@ -219,7 +219,7 @@ class TestPredictVote:
         case = case_for("act", {"a": 5.0, "b": 4.0})
         assert weight(db, case, "i", CORR) == pytest.approx(1.0)
         base = case.observed_mean
-        pred = MemoryPredictor(db, CORR, name="CR")
+        pred = MemoryScorer(db, CORR, name="CR")
         assert informed(pred, case, "j")
         assert pred.predict(case, "j") == pytest.approx(min(5.0, base + (5.0 - 4.0)))
 
@@ -238,13 +238,13 @@ class TestPredictVote:
         dev1 = 4.0 - mean(db, "n1")
         dev2 = 2.0 - mean(db, "n2")
         expected = case.observed_mean + (w1 * dev1 + w2 * dev2) / (abs(w1) + abs(w2))
-        pred = MemoryPredictor(db, CORR, name="CR")
+        pred = MemoryScorer(db, CORR, name="CR")
         assert pred.predict(case, "j") == pytest.approx(expected, abs=1e-12)
 
     def test_uninformed_fallback(self):
         db = make_db([("i", "a", 2), ("i", "b", 4), ("k", "c", 1), ("k", "d", 5)])
         case = case_for("act", {"a": 2.0, "b": 4.0})
-        pred = MemoryPredictor(db, CORR, name="CR")
+        pred = MemoryScorer(db, CORR, name="CR")
         # no neighbour weighs in on c, and nowhere is absent from training
         assert not informed(pred, case, "c")
         assert pred.predict(case, "c") == pytest.approx(3.0)
@@ -253,7 +253,7 @@ class TestPredictVote:
     def test_clamped_to_scale(self):
         db = make_db([("i", "a", 5), ("i", "b", 0), ("i", "j", 5)])
         case = case_for("act", {"a": 5.0, "b": 0.0})
-        assert 0.0 <= MemoryPredictor(db, CORR, name="CR").predict(case, "j") <= 5.0
+        assert 0.0 <= MemoryScorer(db, CORR, name="CR").predict(case, "j") <= 5.0
 
 
 def mean(db, user):
@@ -264,18 +264,18 @@ def mean(db, user):
 class TestRankItems:
     def test_sorted_by_prediction(self, tiny_explicit_db):
         case = case_for("act", {"a": 1.0, "b": 5.0})
-        ranked = MemoryPredictor(tiny_explicit_db, CORR, name="CR").rank(case)
+        ranked = MemoryScorer(tiny_explicit_db, CORR, name="CR").rank(case)
         assert set(ranked) == {"c", "d"}
 
     def test_observed_items_excluded(self, tiny_explicit_db):
         case = case_for("act", {"a": 1.0, "b": 5.0})
-        ranked = MemoryPredictor(tiny_explicit_db, CORR, name="CR").rank(case)
+        ranked = MemoryScorer(tiny_explicit_db, CORR, name="CR").rank(case)
         assert "a" not in ranked and "b" not in ranked
 
     def test_ties_break_by_item_id(self):
         db = make_db([("u", "i9", 3), ("u", "i2", 3), ("u", "a", 1), ("x", "a", 2), ("x", "i2", 3)])
         case = case_for("act", {"a": 1.0})
-        ranked = MemoryPredictor(db, CORR, name="CR").rank(case)
+        ranked = MemoryScorer(db, CORR, name="CR").rank(case)
         # no informative neighbors: everything ties at the base, id order wins
         assert ranked == sorted(ranked)
 
@@ -285,7 +285,7 @@ class TestRankItems:
         # x shares no item, so c and d fall back to the base uninformed
         db = make_db([("i", "a", 1), ("i", "b", 5), ("i", "j", 3), ("x", "c", 4), ("x", "d", 2)])
         case = case_for("act", {"a": 1.0, "b": 5.0})
-        pred = MemoryPredictor(db, CORR, name="CR")
+        pred = MemoryScorer(db, CORR, name="CR")
         scores, informed = scores_of(pred, case)
         assert scores[2:].tolist() == [3.0] * 3 and informed[2:].tolist() == [True, False, False]
         assert pred.rank(case) == ["j", "c", "d"]
@@ -536,7 +536,7 @@ class TestBlocks:
             assert memory.block_cases(db) >= n_cases
             weights = scorer.weights(cases)
             values, informed = scorer.predict_all(cases)
-            pred = MemoryPredictor(db, cfg, name="M")
+            pred = MemoryScorer(db, cfg, name="M")
             with mock.patch.object(memory, "BLOCK_WEIGHTS", budget):
                 assert memory.block_cases(db) == block
                 # the predictor's evaluation of every case, in the scorer's blocks

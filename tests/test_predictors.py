@@ -3,22 +3,25 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cflab import evaluation, memory
 from cflab.bayesnet import LearnConfig, learn_network
-from cflab.cluster import em_fit
+from cflab.cluster import ClusterModel, em_fit
 from cflab.evaluation import run_experiment
 from cflab.memory import DefaultVoting, MemoryConfig, MemoryScorer
-from cflab.predictors import (
-    BayesNetPredictor,
-    ClusterPredictor,
-    MemoryPredictor,
-    PopularityPredictor,
+from cflab.predictors import BayesNetPredictor, ClusterPredictor, PopularityPredictor
+from cflab.votedata import (
+    IMPLICIT_SCALE,
+    ActiveCase,
+    Protocol,
+    VoteDatabase,
+    VoteScale,
+    generate_active_cases,
 )
-from cflab.votedata import IMPLICIT_SCALE, ActiveCase, Protocol, VoteDatabase, generate_active_cases
 
 from conftest import (
+    SCALE_0_5,
     FixedScores,
     case_for,
     make_db,
@@ -55,7 +58,7 @@ class TestPopularityPredictor:
 class TestMemoryPredictor:
     def test_matches_scorer(self, implicit_db):
         cfg = MemoryConfig("vector_similarity")
-        pred = MemoryPredictor(implicit_db, cfg, name="VSIM")
+        pred = MemoryScorer(implicit_db, cfg, name="VSIM")
         case = case_for("t", dict(implicit_db.votes[implicit_db.users[0]]))
         (values,), (informed,) = MemoryScorer(implicit_db, cfg).predict_all([case])
         pos = implicit_db.index.item_pos
@@ -72,7 +75,7 @@ def all_predictors(db):
     """One predictor of each kind, trained on `db`."""
     return [
         PopularityPredictor(db),
-        MemoryPredictor(db, MemoryConfig("correlation"), name="CR"),
+        MemoryScorer(db, MemoryConfig("correlation"), name="CR"),
         ClusterPredictor(db, em_fit(db, 2, seed=1)[0]),
         BayesNetPredictor(db, learn_network(db, LearnConfig())),
     ]
@@ -91,7 +94,7 @@ class TestContract:
         for pred in all_predictors(db):
             scores, informed = scores_of(pred, case)
             assert scores.shape == informed.shape == (len(db.items),)
-            if not isinstance(pred, MemoryPredictor):
+            if not isinstance(pred, MemoryScorer):
                 assert informed.all()
 
     def test_rank_is_the_shared_rule(self, db):
@@ -183,7 +186,7 @@ class TestModelFallbacks:
         bc = ClusterPredictor(db, em_fit(db, 2, seed=1)[0], name="BC")
         bn = BayesNetPredictor(db, learn_network(db, LearnConfig()), name="BN")
         assert "zz" not in db.items
-        cr = MemoryPredictor(db, MemoryConfig("correlation"), name="CR")
+        cr = MemoryScorer(db, MemoryConfig("correlation"), name="CR")
         assert bc.predict(case, "zz") == case.observed_mean == 2.5
         assert bn.predict(case, "zz") == case.observed_mean
         assert cr.predict(case, "zz") == case.observed_mean
@@ -231,6 +234,60 @@ class TestArrayRanking:
             assert all(got[it] == score for it, score in scores.items())  # bitwise
 
 
+class TestClusterArrays:
+    """BC's block arrays against the per-case and per-pair forms, bit for
+    bit: a change in the order that adds the classes fails."""
+
+    SCALES = {2: IMPLICIT_SCALE, 3: VoteScale(1, 2, 1.5, False), 7: SCALE_0_5,
+              12: VoteScale(0, 10, 5.0, False)}  # by number of states
+
+    def _block(self, seed, classes, states):
+        rng = np.random.default_rng(seed)
+        scale = self.SCALES[states]
+        n_items = int(rng.integers(2, 14))
+        db = (random_implicit_db(rng, 12, n_items) if scale.implicit
+              else random_explicit_db(rng, 12, n_items, scale=scale))
+        model = ClusterModel(scale, db.items, rng.dirichlet(np.ones(classes)),
+                             rng.dirichlet(np.ones(states), size=(classes, n_items)))
+        cases = [random_case(rng, db, max_observed=4) for _ in range(int(rng.integers(1, 8)))]
+        rows, cols, votes = db.index.observed_votes(cases)
+        post = model.posteriors(len(cases), rows, cols, scale.states_of(votes))
+        return rng, model, post, ClusterPredictor(db, model).evaluate(cases)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), classes=st.integers(1, 12),
+           states=st.sampled_from(sorted(SCALES)))
+    @example(seed=1, classes=1, states=7)
+    @example(seed=2, classes=7, states=7)
+    def test_scores_are_each_cases_einsum(self, seed, classes, states):
+        _, model, post, block = self._block(seed, classes, states)
+        mixed = np.array([np.einsum("c,cjs->js", p, model.cond) for p in post])
+        assert block.scores.tobytes() == model.scale.rank_score(mixed).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), classes=st.integers(1, 12),
+           states=st.sampled_from(sorted(SCALES)))
+    @example(seed=3, classes=9, states=7)
+    def test_votes_are_each_pairs_product(self, seed, classes, states):
+        rng, model, post, block = self._block(seed, classes, states)
+        n = int(rng.integers(0, 30))
+        rows = rng.integers(0, len(post), n)
+        cols = rng.integers(0, len(model.items), n)
+        got = block.votes(rows, cols)
+        assert got.shape == (n,)
+
+        def each(matrix):
+            return np.array([model.scale.expected_vote(post[r] @ matrix(j))
+                             for r, j in zip(rows, cols)], dtype=float).tobytes()
+
+        assert got.tobytes() == each(lambda j: np.ascontiguousarray(model.cond[:, j, :]))
+        # OpenBLAS adds a (1 x classes) @ (classes x 2 or 3) product in an
+        # order that depends on the matrix's row stride: only with 4 states
+        # or more does the strided slice of `cond` give the same bits
+        if states >= 4:
+            assert got.tobytes() == each(lambda j: model.cond[:, j, :])
+
+
 class TestBlocks:
     def test_failing_case_fails_alone_in_its_block(self, monkeypatch):
         # an off-scale observed vote on a model item fails BN and BC on that
@@ -251,7 +308,7 @@ class TestBlocks:
         ]
 
         def reports():
-            algs = [MemoryPredictor(train, cfg, f"M{k}") for k, cfg in enumerate(memory_configs)]
+            algs = [MemoryScorer(train, cfg, f"M{k}") for k, cfg in enumerate(memory_configs)]
             algs += [BayesNetPredictor(train, bn), ClusterPredictor(train, bc)]
             reports = run_experiment(train, cases, algs, ["ranked", "deviation"])
             return [r.dumps() for r in reports]
@@ -280,7 +337,7 @@ class TestBlocks:
         assert size > 1
         algs = [PopularityPredictor(train), ClusterPredictor(train, em_fit(train, 2, seed=1)[0]),
                 BayesNetPredictor(train, learn_network(train, LearnConfig())),
-                MemoryPredictor(train, MemoryConfig("vector_similarity"), "VSIM")]
+                MemoryScorer(train, MemoryConfig("vector_similarity"), "VSIM")]
         (report,) = run_experiment(train, cases, algs, ["ranked"])
         assert report.excluded["failed"] == []
         assert {name: len(t) for name, t in report.block_seconds.items()} == dict.fromkeys(
